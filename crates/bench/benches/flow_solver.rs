@@ -1,10 +1,10 @@
 //! Fair-share solver microbenchmarks: the add/remove/re-solve microcosts
-//! of all three [`holdcsim_network::flow::FlowSolverKind`] arms over a
-//! fat tree — a steady churn of random-pair flows, plus an
-//! overloaded-fabric incast scenario (many flows per bottleneck link)
-//! where the per-flow arms pay O(flows) per rate shift and the cohort
-//! arm pays O(links) — the isolated cost of what `FlowNet` does once
-//! per admission and completion in flow mode.
+//! of both [`holdcsim_network::flow::FlowSolverKind`] arms over a fat
+//! tree — a steady churn of random-pair flows, plus an overloaded-fabric
+//! incast scenario (many flows per bottleneck link) where the per-flow
+//! reference arm pays O(flows) per rate shift and the cohort arm pays
+//! O(links) — the isolated cost of what `FlowNet` does once per
+//! admission and completion in flow mode.
 //!
 //! Run with `cargo bench --bench flow_solver` (add `-- --quick` for a
 //! reduced grid); compiled in CI via `cargo bench --no-run`.
@@ -118,12 +118,6 @@ fn incast(
     ops
 }
 
-const KINDS: [FlowSolverKind; 3] = [
-    FlowSolverKind::Incremental,
-    FlowSolverKind::Reference,
-    FlowSolverKind::Cohort,
-];
-
 fn main() {
     let quick = quick_mode();
     let samples = if quick { 3 } else { 10 };
@@ -133,7 +127,7 @@ fn main() {
     } else {
         &[(4, 64), (8, 512), (8, 2048)][..]
     } {
-        for kind in KINDS {
+        for kind in FlowSolverKind::ALL {
             let label = format!("flow_solver/{}/k{k}_live{live}", kind.label());
             let ops = churn(kind, k, live, steps, 42);
             bench(&label, samples, Some(ops), || {
@@ -147,7 +141,7 @@ fn main() {
     } else {
         &[(4, 2, 64), (8, 4, 128)][..]
     } {
-        for kind in KINDS {
+        for kind in FlowSolverKind::ALL {
             let label = format!(
                 "flow_solver/{}/incast_k{k}_s{sinks}_f{fan_in}",
                 kind.label()

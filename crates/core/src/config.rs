@@ -101,12 +101,12 @@ pub struct NetworkConfig {
     pub switch_profile: SwitchPowerProfile,
     /// Communication granularity.
     pub comm: CommModel,
-    /// Fair-share solver of the flow comm model (`Incremental` is the
-    /// production arm; `Reference` re-runs global progressive filling on
-    /// every change, kept selectable for A/B validation; `Cohort` tracks
-    /// whole bottleneck cohorts as virtual-time rate cells — the fast
-    /// arm under overload/incast). All three retrace byte-identical
-    /// trajectories on the same seed. Ignored in packet mode.
+    /// Fair-share solver of the flow comm model (`Cohort`, the default,
+    /// is the production arm: it tracks whole bottleneck cohorts as
+    /// virtual-time rate cells; `Reference` re-runs global progressive
+    /// filling on every change, kept selectable as the A/B oracle). Both
+    /// retrace byte-identical trajectories on the same seed. Ignored in
+    /// packet mode.
     pub flow_solver: FlowSolverKind,
     /// Port LPI hold time: a port enters Low Power Idle after being idle
     /// this long (`None` disables idle power management entirely).

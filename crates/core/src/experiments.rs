@@ -648,10 +648,9 @@ pub struct NetScalabilityPoint {
     /// Simulated servers.
     pub servers: usize,
     /// Communication model of this arm: `"flow"` = flow model with the
-    /// incremental fair-share solver, `"flow-ref"` = reference solver,
-    /// `"flow-cohort"` = cohort-cell solver, `"packet"` = packetized.
-    /// The incast stress grid reuses this shape with `"incast"` /
-    /// `"incast-ref"` / `"incast-cohort"` labels.
+    /// default (cohort) fair-share solver, `"flow-ref"` = reference
+    /// solver, `"packet"` = packetized. The incast stress grid reuses
+    /// this shape with `"incast"` / `"incast-ref"` labels.
     pub comm: &'static str,
     /// Engine events processed.
     pub events: u64,
@@ -705,8 +704,7 @@ pub fn fat_tree_k_for(n: usize) -> usize {
 }
 
 /// The configuration of one network scalability arm (the default —
-/// incremental — flow solver; see
-/// [`net_scalability_config_with_solver`]).
+/// cohort — flow solver; see [`net_scalability_config_with_solver`]).
 pub fn net_scalability_config(
     servers: usize,
     comm: crate::config::CommModel,
@@ -741,6 +739,16 @@ pub fn net_scalability_config_with_solver(
     cfg
 }
 
+/// The bench labels of a flow solver arm on the scatter-gather and incast
+/// grids: the default (production) arm carries the bare grid name, the
+/// reference oracle a `-ref` suffix.
+fn solver_arm_labels(solver: FlowSolverKind) -> (&'static str, &'static str) {
+    match solver {
+        FlowSolverKind::Cohort => ("flow", "incast"),
+        FlowSolverKind::Reference => ("flow-ref", "incast-ref"),
+    }
+}
+
 /// The network-heavy companion to [`scalability`]: the same farm driven
 /// by high-fan-out scatter-gather jobs over a fat tree, once per
 /// communication model. This is the stress case for the network hot path
@@ -762,11 +770,7 @@ pub fn net_scalability(
     for &n in sizes {
         let mut arms: Vec<(crate::config::CommModel, FlowSolverKind, &'static str)> = Vec::new();
         for &solver in flow_solvers {
-            let label = match solver {
-                FlowSolverKind::Incremental => "flow",
-                FlowSolverKind::Reference => "flow-ref",
-                FlowSolverKind::Cohort => "flow-cohort",
-            };
+            let label = solver_arm_labels(solver).0;
             arms.push((crate::config::CommModel::Flow, solver, label));
         }
         arms.push((packet, FlowSolverKind::default(), "packet"));
@@ -858,7 +862,7 @@ pub fn net_incast_config_with_solver(
 /// fat-tree farm under wide-gather incast at overload, flow mode only.
 /// This is the regime where bottleneck cohorts dominate — each hot
 /// downlink carries a whole job's fan-in — so it isolates the cohort
-/// solver's O(links) update cost from the per-flow arms' O(flows).
+/// solver's O(links) update cost from the reference arm's O(flows).
 #[allow(clippy::disallowed_methods)] // events/s vs wall-clock is the subject (see analysis.toml D002 entry)
 pub fn net_incast(
     sizes: &[usize],
@@ -870,11 +874,7 @@ pub fn net_incast(
     for &n in sizes {
         let mut arm_json: Option<String> = None;
         for &solver in flow_solvers {
-            let label = match solver {
-                FlowSolverKind::Incremental => "incast",
-                FlowSolverKind::Reference => "incast-ref",
-                FlowSolverKind::Cohort => "incast-cohort",
-            };
+            let label = solver_arm_labels(solver).1;
             let cfg = net_incast_config_with_solver(n, duration, seed, solver);
             let t0 = Instant::now();
             let report = Simulation::new(cfg).run();

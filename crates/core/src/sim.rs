@@ -2573,41 +2573,34 @@ mod tests {
         assert!(net.flows > 1_000, "transfers really flowed");
     }
 
-    /// The incremental and cohort fair-share solvers must retrace the
-    /// reference arm's whole trajectory: fixed-point integer shares (and
-    /// the cohort arm's exact virtual-time clocks) keep all three
-    /// solvers' rates equal far below the nanosecond event resolution,
-    /// so the full reports (jobs, latencies, energies, event counts)
-    /// come out byte-identical.
+    /// The cohort fair-share solver must retrace the reference arm's
+    /// whole trajectory: fixed-point integer shares and the cohort arm's
+    /// exact virtual-time clocks keep both solvers' rates equal far below
+    /// the nanosecond event resolution, so the full reports (jobs,
+    /// latencies, energies, event counts) come out byte-identical.
     #[test]
     fn flow_solver_arms_produce_identical_reports() {
         use holdcsim_network::flow::FlowSolverKind;
-        let mut ref_cfg = slot_indexed_cfg(CommModel::Flow);
-        ref_cfg
-            .network
-            .as_mut()
-            .expect("network configured")
-            .flow_solver = FlowSolverKind::Reference;
-        let reference = Simulation::new(ref_cfg).run();
-        for kind in [FlowSolverKind::Incremental, FlowSolverKind::Cohort] {
+        let run = |kind| {
             let mut cfg = slot_indexed_cfg(CommModel::Flow);
             cfg.network
                 .as_mut()
                 .expect("network configured")
                 .flow_solver = kind;
-            let other = Simulation::new(cfg).run();
-            assert_eq!(
-                reference.to_json(),
-                other.to_json(),
-                "{} arm must agree with reference byte-for-byte",
-                kind.label()
-            );
-            let (a, b) = (
-                reference.network.as_ref().expect("network report"),
-                other.network.as_ref().expect("network report"),
-            );
-            assert_eq!(a.flows, b.flows, "identical completed-flow counts");
-        }
+            Simulation::new(cfg).run()
+        };
+        let reference = run(FlowSolverKind::Reference);
+        let cohort = run(FlowSolverKind::Cohort);
+        assert_eq!(
+            reference.to_json(),
+            cohort.to_json(),
+            "cohort arm must agree with reference byte-for-byte"
+        );
+        let (a, b) = (
+            reference.network.as_ref().expect("network report"),
+            cohort.network.as_ref().expect("network report"),
+        );
+        assert_eq!(a.flows, b.flows, "identical completed-flow counts");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A lazy-deletion min-heap over densely-indexed items — the bottleneck
-//! selector behind incremental solvers.
+//! selector and cell-due heap behind the cohort fair-share solver.
 //!
 //! # Design note
 //!

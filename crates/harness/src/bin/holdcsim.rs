@@ -43,7 +43,7 @@ USAGE:
     holdcsim run   [--servers N] [--cores C] [--rho R] [--preset P] [--tau T]
                    [--policy POL] [--duration SECS] [--seed S] [--json]
                    [--faults SPEC|FILE]
-                   [--net [--flow-solver incremental|reference|cohort]] [OBS]
+                   [--net [--flow-solver cohort|reference]] [OBS]
     holdcsim sweep [--policies a,b,c] [--rhos 0.1,0.3] [--taus 0.4,1.6]
                    [--presets web-search,web-serving] [--servers 8,50] [--cores 4]
                    [--replications N] [--duration SECS] [--seed S]
@@ -59,7 +59,7 @@ USAGE:
     holdcsim trace-diff A.json B.json
     holdcsim bench-scale [--sizes 16,128,1024] [--duration SECS]
                    [--net-sizes 16,128 | none] [--net-duration SECS]
-                   [--flow-solver incremental|reference|cohort|both|all]
+                   [--flow-solver cohort|reference|both]
                    [--clusters 2,4 | none] [--cluster-servers N]
                    [--cluster-duration SECS] [--fed-workers N]
                    [--faults default|none|SPEC|FILE]
@@ -91,14 +91,13 @@ network-heavy fat-tree grid (high-fan-out DAGs, flow and packet comm
 models) at each --net-sizes size (`none` skips the network arms),
 measures wall-clock events/second (best of --repeats), and writes the
 JSON perf baseline (default ./BENCH_scalability.json). The flow arm
-runs once per selected fair-share solver (`all` by default: the
-incremental production solver as `flow`, the global progressive-
-filling reference as `flow-ref`, and the cohort-cell solver as
-`flow-cohort`, interleaved on the same grid with identical
+runs once per selected fair-share solver (`both` by default: the
+cohort production solver as `flow` and the global progressive-filling
+reference as `flow-ref`, interleaved on the same grid with identical
 completed-flow counts asserted); the same arms drive a wide-gather
-incast stress grid (`incast*` points). With --obs-overhead it also
-re-runs the network arms with fingerprinting on and reports the
-observability overhead per point.
+incast stress grid (`incast`/`incast-ref` points). With
+--obs-overhead it also re-runs the network arms with fingerprinting on
+and reports the observability overhead per point.
 
 Fault plans (--faults, accepted by run, sweep, federate, bench-scale):
 an inline spec or a file of `;`/newline-separated entries (`#` comments):
@@ -140,6 +139,36 @@ fn parse_preset(s: &str) -> Result<WorkloadPreset, String> {
         "provisioning" => Ok(WorkloadPreset::Provisioning),
         _ => Err(format!("unknown preset `{s}`")),
     }
+}
+
+/// Parses one `--flow-solver` arm name.
+fn parse_flow_solver(s: &str) -> Result<FlowSolverKind, String> {
+    FlowSolverKind::parse(s).ok_or_else(|| {
+        format!(
+            "unknown flow solver `{s}` (expected {})",
+            flow_solver_names()
+        )
+    })
+}
+
+/// Parses `bench-scale --flow-solver`: one arm, or `both`.
+fn parse_flow_solvers(s: &str) -> Result<Vec<FlowSolverKind>, String> {
+    match s {
+        "both" => Ok(FlowSolverKind::ALL.to_vec()),
+        _ => FlowSolverKind::parse(s)
+            .map(|kind| vec![kind])
+            .ok_or_else(|| {
+                format!(
+                    "unknown flow solver `{s}` (expected {}|both)",
+                    flow_solver_names()
+                )
+            }),
+    }
+}
+
+/// The solver arm names, `|`-separated.
+fn flow_solver_names() -> String {
+    FlowSolverKind::ALL.map(FlowSolverKind::label).join("|")
 }
 
 fn parse_list<T, F: Fn(&str) -> Result<T, String>>(s: &str, f: F) -> Result<Vec<T>, String> {
@@ -228,14 +257,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // --net attaches a fat-tree fabric with flow-model comm and swaps
     // in the fan-out/fan-in communicating workload (the presets are
     // compute-only, so the fabric would otherwise carry zero flows);
-    // the solver arm is selectable so the CI smoke can A/B all three
+    // the solver arm is selectable so the CI smoke can A/B both arms
     // on one seed.
     if opts.contains_key("net") {
-        let solver = match opts.get("flow-solver").map(String::as_str) {
-            None | Some("incremental") => FlowSolverKind::Incremental,
-            Some("reference") => FlowSolverKind::Reference,
-            Some("cohort") => FlowSolverKind::Cohort,
-            Some(other) => return Err(format!("unknown flow solver `{other}`")),
+        let solver = match opts.get("flow-solver") {
+            Some(s) => parse_flow_solver(s)?,
+            None => FlowSolverKind::default(),
         };
         cfg.template = holdcsim::experiments::net_scalability_template();
         let mut net = NetworkConfig::fat_tree(fat_tree_k_for(servers));
@@ -596,18 +623,7 @@ fn cmd_bench_scale(args: &[String]) -> Result<(), String> {
         cfg.fed_workers = parse_num(s, "federation worker count")?;
     }
     if let Some(s) = opts.get("flow-solver") {
-        cfg.flow_solvers = match s.as_str() {
-            "incremental" => vec![FlowSolverKind::Incremental],
-            "reference" => vec![FlowSolverKind::Reference],
-            "cohort" => vec![FlowSolverKind::Cohort],
-            "both" => vec![FlowSolverKind::Incremental, FlowSolverKind::Reference],
-            "all" => vec![
-                FlowSolverKind::Incremental,
-                FlowSolverKind::Reference,
-                FlowSolverKind::Cohort,
-            ],
-            other => return Err(format!("unknown flow solver `{other}`")),
-        };
+        cfg.flow_solvers = parse_flow_solvers(s)?;
     }
     cfg.obs_overhead = opts.contains_key("obs-overhead");
     if let Some(s) = opts.get("faults") {
@@ -694,5 +710,22 @@ mod tests {
             parse_preset(p).unwrap();
         }
         assert!(parse_policy("nope").is_err());
+    }
+
+    #[test]
+    fn flow_solver_names_round_trip_and_retired_arm_is_rejected() {
+        for kind in FlowSolverKind::ALL {
+            assert_eq!(parse_flow_solver(kind.label()), Ok(kind));
+            assert_eq!(parse_flow_solvers(kind.label()), Ok(vec![kind]));
+        }
+        assert_eq!(
+            parse_flow_solvers("both"),
+            Ok(vec![FlowSolverKind::Cohort, FlowSolverKind::Reference])
+        );
+        let err = parse_flow_solver("incremental").unwrap_err();
+        assert!(err.contains("cohort|reference"), "{err}");
+        let err = parse_flow_solvers("incremental").unwrap_err();
+        assert!(err.contains("cohort|reference|both"), "{err}");
+        assert!(parse_flow_solvers("all").is_err(), "`all` is retired");
     }
 }

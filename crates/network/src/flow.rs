@@ -3,38 +3,32 @@
 //! yet been saturated").
 //!
 //! [`FlowNet`] tracks active flows and assigns each the max-min fair rate
-//! over its route via progressive filling. Rates are recomputed on every
-//! flow arrival/departure by a [`FlowSolver`]:
+//! over its route via progressive filling, recomputed on every flow
+//! arrival/departure by one of two interchangeable arms
+//! ([`FlowSolverKind`]):
 //!
+//! * [`FlowSolverKind::Cohort`] — the production arm (the `flow_cohort`
+//!   module): every bottleneck cohort (the flows fixed at one link's fair
+//!   share) is one rate cell with an exact virtual-time clock, and a
+//!   change re-solves only the cells whose bottleneck it can move, so a
+//!   rate shift costs O(affected links + moved members), not O(flows).
 //! * [`FlowSolverKind::Reference`] — the textbook global solve: reset
 //!   every link, scan the used-link working set for the bottleneck each
-//!   round. O(used links × bottleneck rounds) per change.
-//! * [`FlowSolverKind::Incremental`] — the production solver: only the
-//!   *dirty set* is re-solved. Every flow remembers the link that fixed
-//!   it (its bottleneck); a change pulls in exactly the flows whose
-//!   bottleneck link is affected, charges every untouched flow crossing a
-//!   dirty link as a fixed reservation against that link's capacity, and
-//!   re-runs progressive filling on the small sub-problem with bottleneck
-//!   selection driven by a lazy-deletion min-heap ([`LazyHeap`]) over
-//!   link fair shares. A post-solve audit expands the set and re-solves
-//!   in the (rare) case a dirty link's new fair level undercuts a
-//!   reserved rate. Flows outside the dirty set keep their rates — and,
-//!   downstream, their pending completion entries. On a fabric whose hot
-//!   spots are the access links this touches tens of flows where the
-//!   global solve touches thousands.
+//!   round. O(used links × bottleneck rounds) per change; the oracle the
+//!   property tests and the `-ref` bench arms compare against.
 //!
 //! Fair shares are computed in exact fixed-point integer arithmetic
 //! (2⁻²⁰ bits/second units, floor division), so capacity reservations
-//! are order-independent — the exactness the incremental budget sums
+//! are order-independent — the exactness the cohort arm's budget sums
 //! rely on. Both arms pick bottlenecks by the canonical `(fair share,
 //! link index)` order; at exact floor ties the (non-unique) quantized
 //! max-min solution may assign shares that differ by one 2⁻²⁰ bps
 //! quantum between the arms, ~10⁻¹⁵ relative at gigabit rates — far
-//! below the 1 ns event resolution, so the A/B arms of the driving
+//! below the 1 ns event resolution, so the two arms of the driving
 //! simulation produce identical event trajectories.
 //!
-//! Completion scheduling is *delta-driven*: [`FlowNet`] keeps one entry
-//! per rated flow in a position-indexed min-heap of projected
+//! Completion scheduling is *delta-driven*: each backend keeps one entry
+//! per rated flow (cohort: per cell) in a min-heap of projected
 //! completions. A re-solve updates, in place, only the entries of flows
 //! whose rate actually changed (O(log F) each); flows with unchanged
 //! rates are never settled and keep their entry. The driving simulation
@@ -52,7 +46,6 @@
 //! and completion perform no allocation (flow states, including their
 //! route vectors, are recycled through a pool).
 
-use holdcsim_des::lazy_heap::LazyHeap;
 use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::{SimDuration, SimTime};
 
@@ -60,16 +53,12 @@ use crate::flow_cohort::CohortNet;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::topology::Topology;
 
-/// Sentinel bottleneck index for flows not currently fixed by any link
-/// (just admitted, or fixed at rate 0 by the route-less fallback).
-pub(crate) const NO_BOTTLENECK: u32 = u32::MAX;
-
 /// Fair-share fixed-point scale: rates and link budgets are integers in
 /// units of 2⁻²⁰ bits/second. Integer arithmetic keeps capacity
-/// reservations order-independent (the incremental solver's correctness
-/// hinges on exact sums), while the sub-micro-bps quantum keeps both
-/// solver arms' rates equal to ~10⁻¹⁵ relative — far below the 1 ns
-/// event resolution, so the arms produce identical trajectories.
+/// reservations order-independent (the cohort arm's budget sums must be
+/// exact), while the sub-micro-bps quantum keeps both solver arms' rates
+/// equal to ~10⁻¹⁵ relative — far below the 1 ns event resolution, so
+/// the arms produce identical trajectories.
 const RATE_FRAC_BITS: u32 = 20;
 
 /// One bit/second in rate units.
@@ -84,7 +73,7 @@ pub(crate) const RATE_UNIT_PER_BPS: u64 = 1 << RATE_FRAC_BITS;
 /// associative — *any* schedule of partial settles lands on the same
 /// remainder bitwise. That associativity is what lets the cohort arm
 /// account progress on a shared per-cell virtual clock and still
-/// reproduce the per-flow arms' completion instants exactly.
+/// reproduce the reference arm's completion instants exactly.
 pub(crate) const PROGRESS_PER_BYTE: u128 = 8 * RATE_UNIT_PER_BPS as u128 * 1_000_000_000;
 
 /// `bytes` of payload in progress units.
@@ -172,13 +161,6 @@ struct FlowState {
     /// The rate the in-progress solve assigned (promoted to `rate_bps` by
     /// the post-solve diff pass only if it actually changed).
     new_rate: u64,
-    /// The link whose progressive-filling round fixed this flow — the
-    /// incremental solver's pull condition: a change can only move this
-    /// flow's rate by going through its bottleneck link.
-    bottleneck: u32,
-    /// The bottleneck the in-progress solve assigned (promoted by the
-    /// post-solve diff pass alongside `new_rate`).
-    new_bottleneck: u32,
     /// When `remaining` was last settled. Only flows whose rate
     /// changes are settled; an untouched flow's progress is implied by
     /// `(last_update, rate_units)`.
@@ -190,8 +172,8 @@ struct FlowState {
     /// Position of this flow's entry in the due-heap (`NO_HEAP` when the
     /// flow has no projected completion, i.e. rate 0).
     heap_pos: u32,
-    /// Outside a solve: `true` (rate is settled). During a solve: flows
-    /// pulled into the dirty set flip to `false` until re-fixed.
+    /// Outside a solve: `true` (rate is settled). During a fill: `false`
+    /// until the flow's bottleneck round fixes it.
     fixed: bool,
 }
 
@@ -244,501 +226,74 @@ const NO_HEAP: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowSolverKind {
     /// Global progressive filling over the whole used-link working set on
-    /// every change (the reference arm).
+    /// every change (the reference arm: the oracle the cohort arm must
+    /// retrace byte-for-byte).
     Reference,
-    /// Bottleneck-aware dirty-set re-solve with heap-driven bottleneck
-    /// selection (the per-flow production arm).
-    #[default]
-    Incremental,
     /// Cohort-level rate cells with per-cell virtual-time clocks: every
     /// bottleneck cohort (the flows fixed at one link's fair share) is
     /// one cell, so a rate-level shift is O(1) per affected *link*
     /// instead of per flow, and completion instants are read off
     /// accumulated virtual time instead of being retimed per flow. The
-    /// fastest arm on overloaded/incast fabrics; byte-identical
-    /// trajectories to the other two arms.
+    /// production arm.
+    #[default]
     Cohort,
 }
 
 impl FlowSolverKind {
+    /// Every solver arm, the default (production) arm first.
+    pub const ALL: [FlowSolverKind; 2] = [FlowSolverKind::Cohort, FlowSolverKind::Reference];
+
     /// The CLI/report label of this solver arm.
     pub fn label(self) -> &'static str {
         match self {
             FlowSolverKind::Reference => "reference",
-            FlowSolverKind::Incremental => "incremental",
             FlowSolverKind::Cohort => "cohort",
         }
     }
-}
 
-/// The solver's view of the network during one re-solve: capacities, the
-/// flow table, per-link flow lists, the used-link working set, and the
-/// seed links whose flow membership just changed.
-///
-/// Constructed by [`FlowNet`] only; the concrete solvers live in this
-/// module, and the trait is public for documentation and testing rather
-/// than external implementation.
-#[derive(Debug)]
-pub struct SolveCtx<'a> {
-    capacity_bps: &'a [u64],
-    flows: &'a mut SlotWindow<FlowState>,
-    flows_per_link: &'a [Vec<u64>],
-    used_links: &'a mut Vec<usize>,
-    used_mask: &'a mut [bool],
-    /// Link indices whose flow set changed since the last solve.
-    seeds: &'a [usize],
-    /// Flows that must be re-rated regardless of bottleneck state (the
-    /// just-admitted flow).
-    seed_flows: &'a [u64],
-    /// Σ rate of all flows crossing each link, maintained incrementally
-    /// by the diff pass — the incremental solver derives link budgets
-    /// from this instead of scanning per-link flow lists.
-    reserved_units: &'a [u64],
-}
-
-/// A max-min fair-share solver: recomputes fair rates after flows were
-/// added to or removed from the seed links.
-///
-/// Implementations write each affected flow's tentative rate into its
-/// `new_rate` slot and append the affected flow keys to `touched`; the
-/// [`FlowNet`] diff pass then settles and retimes only the flows whose
-/// rate actually changed.
-pub trait FlowSolver: std::fmt::Debug + Send {
-    /// Re-solves after a change seeded at `ctx.seeds`, appending every
-    /// flow whose rate was (re)computed to `touched`.
-    fn solve(&mut self, ctx: SolveCtx<'_>, touched: &mut Vec<u64>);
-}
-
-/// The reference arm: global progressive filling with linear bottleneck
-/// scans, bottlenecks picked by the canonical `(share, link index)`
-/// order.
-#[derive(Debug, Default)]
-struct ReferenceSolver {
-    /// Residual capacity per link (persistent scratch, refreshed only for
-    /// used links).
-    cap: Vec<u64>,
-    /// Unfixed-flow count per link.
-    cnt: Vec<usize>,
-    /// Flows fixed at the current bottleneck.
-    fixing: Vec<u64>,
-}
-
-impl ReferenceSolver {
-    fn new(n_links: usize) -> Self {
-        ReferenceSolver {
-            cap: vec![0; n_links],
-            cnt: vec![0; n_links],
-            fixing: Vec::new(),
-        }
+    /// The arm whose [`label`](Self::label) is `s`, if any.
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|kind| kind.label() == s)
     }
 }
 
-impl FlowSolver for ReferenceSolver {
-    fn solve(&mut self, ctx: SolveCtx<'_>, touched: &mut Vec<u64>) {
-        let SolveCtx {
-            capacity_bps,
-            flows,
-            flows_per_link,
-            used_links,
-            used_mask,
-            ..
-        } = ctx;
-        if flows.is_empty() {
-            return;
-        }
-        // Prune links that stopped carrying flows; refresh the residual
-        // capacity and unfixed count of the rest.
-        let (cap, cnt) = (&mut self.cap, &mut self.cnt);
-        used_links.retain(|&li| {
-            if flows_per_link[li].is_empty() {
-                used_mask[li] = false;
-                false
-            } else {
-                cap[li] = capacity_bps[li];
-                cnt[li] = flows_per_link[li].len();
-                true
-            }
-        });
-        let mut unfixed = flows.len();
-        for (k, f) in flows.iter_mut() {
-            f.fixed = false;
-            touched.push(k);
-        }
-        while unfixed > 0 {
-            // Bottleneck: minimal (fair share, link index) among loaded
-            // links — the canonical order both solver arms share.
-            let mut bottleneck: Option<(usize, u64)> = None;
-            for &li in used_links.iter() {
-                if cnt[li] == 0 {
-                    continue;
-                }
-                let share = cap[li] / cnt[li] as u64;
-                let better = match bottleneck {
-                    None => true,
-                    Some((bl, s)) => share < s || (share == s && li < bl),
-                };
-                if better {
-                    bottleneck = Some((li, share));
-                }
-            }
-            let Some((bl, share)) = bottleneck else {
-                // No loaded links left: remaining flows are route-less
-                // (cannot happen given add_flow's assertion) — fix at 0.
-                for (_, f) in flows.iter_mut() {
-                    if !f.fixed {
-                        f.fixed = true;
-                        f.new_rate = 0;
-                        f.new_bottleneck = NO_BOTTLENECK;
-                    }
-                }
-                break;
-            };
-            // Fix every unfixed flow crossing the bottleneck at the share.
-            self.fixing.clear();
-            self.fixing.extend(
-                flows_per_link[bl]
-                    .iter()
-                    .copied()
-                    .filter(|&k| !flows.get(k).expect("indexed flow exists").fixed),
-            );
-            debug_assert!(!self.fixing.is_empty());
-            for &key in &self.fixing {
-                let f = flows.get_mut(key).expect("flow exists");
-                f.fixed = true;
-                f.new_rate = share;
-                f.new_bottleneck = bl as u32;
-                unfixed -= 1;
-                for &l in f.links.as_slice() {
-                    let li = l.0 as usize;
-                    cap[li] -= share;
-                    cnt[li] -= 1;
-                }
-            }
-        }
-    }
-}
-
-/// The production arm: bottleneck-aware incremental re-solve.
-///
-/// A change seeded at some links can only move the rate of flows whose
-/// *bottleneck* is transitively affected. The solver pulls exactly those
-/// flows into a dirty set (plus, via a post-solve audit, any flow whose
-/// reserved rate a dirty link can no longer honor), charges every
-/// untouched flow crossing a dirty link as a fixed capacity reservation,
-/// and re-runs progressive filling on the sub-problem with bottleneck
-/// selection driven by a [`LazyHeap`] over link fair shares. Because
-/// shares are exact integers, the reservation sums are order-independent
-/// and the sub-problem reproduces the global solve's rates bitwise.
-#[derive(Debug, Default)]
-struct IncrementalSolver {
-    /// Residual capacity per link (valid for dirty links during a solve).
-    cap: Vec<u64>,
-    /// Unfixed-flow count per link.
-    cnt: Vec<usize>,
-    /// Bottleneck selector over dirty links, keyed by fair share with
-    /// deterministic (share, link) tie-breaking. Entries are refreshed
-    /// lazily: a popped entry whose share is stale (fair shares only rise
-    /// within a fill) is re-pushed at its current value, which preserves
-    /// the canonical pop order without per-(flow × link) heap updates.
-    heap: LazyHeap<u64>,
-    /// The dirty link set of the current solve (doubles as a worklist).
-    dirty_links: Vec<usize>,
-    /// `dirty_mask[li]` ⇔ `li ∈ dirty_links` (cleared after each solve).
-    dirty_mask: Vec<bool>,
-    /// The flows being re-solved.
-    dirty_flows: Vec<u64>,
-    /// Dirty flows crossing each dirty link (the fill phase's fixing
-    /// candidates; valid for dirty links during a solve).
-    dirty_list: Vec<Vec<u64>>,
-    /// Σ rate of the dirty flows crossing each dirty link: subtracted
-    /// from the link's reserved-rate aggregate to get the sub-problem
-    /// budget without scanning the full per-link flow list.
-    dirty_units: Vec<u64>,
-    /// Flows bottlenecked at each link — the pull index. Entries are
-    /// lazy (dead or re-bottlenecked flows are dropped when their link's
-    /// list is drained); every solve re-registers its dirty flows.
-    cohort: Vec<Vec<u64>>,
-    /// The fair level each popped bottleneck imposed, for the audit:
-    /// `(link, level)` per progressive-filling round.
-    levels: Vec<(usize, u64)>,
-    /// A persistent upper bound on the rate of any flow crossing each
-    /// link (ratcheted up at fix time, tightened by clean audit scans).
-    /// Gates the audit: a popped level at or above the bound cannot have
-    /// undercut any reservation, so the per-flow scan is skipped —
-    /// which is the common case when completions *raise* levels.
-    res_max: Vec<u64>,
-}
-
-impl IncrementalSolver {
-    fn new(n_links: usize) -> Self {
-        IncrementalSolver {
-            cap: vec![0; n_links],
-            cnt: vec![0; n_links],
-            heap: LazyHeap::new(),
-            dirty_links: Vec::new(),
-            dirty_mask: vec![false; n_links],
-            dirty_flows: Vec::new(),
-            dirty_list: vec![Vec::new(); n_links],
-            dirty_units: vec![0; n_links],
-            cohort: vec![Vec::new(); n_links],
-            levels: Vec::new(),
-            res_max: vec![0; n_links],
-        }
-    }
-
-    /// Marks `li` dirty (idempotent), resetting its per-solve dirty-flow
-    /// accumulators. Flows it can re-rate are pulled by the worklist pass
-    /// in [`solve`](FlowSolver::solve).
-    fn mark_link(&mut self, li: usize) {
-        if self.dirty_mask[li] {
-            return;
-        }
-        self.dirty_mask[li] = true;
-        self.dirty_links.push(li);
-        self.dirty_list[li].clear();
-        self.dirty_units[li] = 0;
-    }
-
-    /// Pulls `fk` into the dirty set (idempotent), dirtying its links and
-    /// crediting its current rate back to their budgets.
-    fn pull_flow(&mut self, fk: u64, flows: &mut SlotWindow<FlowState>) {
-        let f = flows.get_mut(fk).expect("indexed flow exists");
-        if !f.fixed {
-            return;
-        }
-        f.fixed = false;
-        self.dirty_flows.push(fk);
-        let rate = f.rate_units;
-        for &l in f.links.as_slice() {
-            let li = l.0 as usize;
-            self.mark_link(li);
-            self.dirty_list[li].push(fk);
-            self.dirty_units[li] += rate;
-        }
-    }
-}
-
-impl FlowSolver for IncrementalSolver {
-    fn solve(&mut self, ctx: SolveCtx<'_>, touched: &mut Vec<u64>) {
-        let SolveCtx {
-            capacity_bps,
-            flows,
-            flows_per_link,
-            seeds,
-            seed_flows,
-            reserved_units,
-            ..
-        } = ctx;
-        // Seed the dirty set; flows whose bottleneck is (or becomes) a
-        // dirty link are pulled in via the cohort worklist below.
-        self.dirty_links.clear();
-        self.dirty_flows.clear();
-        for &li in seeds {
-            self.mark_link(li);
-        }
-        for &fk in seed_flows {
-            self.pull_flow(fk, flows);
-        }
-        loop {
-            // Pull phase: drain every dirty link's cohort — the flows
-            // whose defining constraint is being re-solved. Pulled flows
-            // dirty their links, which may expose further cohorts; every
-            // dirty flow re-registers at the end of the solve, so drained
-            // lists lose nothing.
-            let mut i = 0;
-            while i < self.dirty_links.len() {
-                let li = self.dirty_links[i];
-                i += 1;
-                let mut list = std::mem::take(&mut self.cohort[li]);
-                for fk in list.drain(..) {
-                    // Lazy entries: skip flows that died or moved their
-                    // bottleneck elsewhere since registration.
-                    if flows.get(fk).is_some_and(|f| f.bottleneck == li as u32) {
-                        self.pull_flow(fk, flows);
-                    }
-                }
-                self.cohort[li] = list;
-            }
-            // Budget phase: a dirty link's sub-problem budget is its
-            // capacity minus the reserved rates of untouched flows
-            // crossing it — derived from the incrementally-maintained
-            // per-link rate aggregate, O(1) per link. Exact integers make
-            // the residual equal what the global solve would carry into
-            // this link's bottleneck round.
-            let (cap, cnt) = (&mut self.cap, &mut self.cnt);
-            self.heap.clear();
-            for &li in &self.dirty_links {
-                let reserved = reserved_units[li] - self.dirty_units[li];
-                let budget = capacity_bps[li]
-                    .checked_sub(reserved)
-                    .expect("reservations never exceed capacity");
-                let c = self.dirty_list[li].len();
-                cap[li] = budget;
-                cnt[li] = c;
-                if c > 0 {
-                    self.heap.update(li, budget / c as u64);
-                }
-            }
-            // Fill phase: progressive filling over the sub-problem.
-            self.levels.clear();
-            let mut unfixed = self.dirty_flows.len();
-            while unfixed > 0 {
-                let Some((bl, stale_share)) = self.heap.pop() else {
-                    // Defensive: every dirty flow crosses a dirty link
-                    // with itself counted, so the heap cannot run dry
-                    // while flows are unfixed. Fix stragglers at zero,
-                    // parked on their first link so a later change there
-                    // re-rates them.
-                    for &fk in &self.dirty_flows {
-                        let f = flows.get_mut(fk).expect("dirty flow exists");
-                        if !f.fixed {
-                            f.fixed = true;
-                            f.new_rate = 0;
-                            f.new_bottleneck =
-                                f.links.as_slice().first().map_or(NO_BOTTLENECK, |l| l.0);
-                        }
-                    }
-                    break;
-                };
-                if cnt[bl] == 0 {
-                    continue; // emptied passively since its last push
-                }
-                // Lazy revalidation: shares only rise as flows fix, so a
-                // stale entry is an optimistic lower bound — re-push the
-                // current share and keep popping. The first validated pop
-                // is exactly the canonical (share, link) minimum.
-                let share = cap[bl] / cnt[bl] as u64;
-                if share != stale_share {
-                    self.heap.update(bl, share);
-                    continue;
-                }
-                self.levels.push((bl, share));
-                // Fix every unfixed dirty flow crossing the bottleneck
-                // at the share (one pass; the list is taken out so the
-                // per-link residuals can be updated while iterating).
-                let list = std::mem::take(&mut self.dirty_list[bl]);
-                let mut fixed_any = false;
-                for &key in &list {
-                    let f = flows.get_mut(key).expect("flow exists");
-                    if f.fixed {
-                        continue;
-                    }
-                    f.fixed = true;
-                    f.new_rate = share;
-                    f.new_bottleneck = bl as u32;
-                    fixed_any = true;
-                    unfixed -= 1;
-                    for &l in f.links.as_slice() {
-                        let li = l.0 as usize;
-                        cap[li] -= share;
-                        cnt[li] -= 1;
-                        self.res_max[li] = self.res_max[li].max(share);
-                    }
-                }
-                self.dirty_list[bl] = list;
-                debug_assert!(fixed_any);
-            }
-            // Audit phase: a reservation is only valid while its flow
-            // stays bottlenecked elsewhere at or below every dirty
-            // link's new level. If a popped bottleneck's level fell
-            // below a reserved rate, that flow must be re-rated here —
-            // pull it and re-solve the grown sub-problem (rare: it
-            // means the change shifted which link constrains the flow).
-            let mut grew = false;
-            for level_idx in 0..self.levels.len() {
-                let (li, level) = self.levels[level_idx];
-                // No flow on `li` exceeds `res_max[li]`: a level at or
-                // above it cannot have undercut any reservation.
-                if self.res_max[li] <= level {
-                    continue;
-                }
-                let mut seen_max = 0u64;
-                let mut pulled_here = false;
-                for &fk in &flows_per_link[li] {
-                    let f = flows.get(fk).expect("indexed flow exists");
-                    seen_max = seen_max.max(f.rate_units.max(f.new_rate));
-                    // Dirty flows (just re-rated here) are recognized by
-                    // their pre-solve bottleneck being a dirty link;
-                    // reservations keep a non-dirty bottleneck.
-                    let reserved =
-                        f.bottleneck != NO_BOTTLENECK && !self.dirty_mask[f.bottleneck as usize];
-                    if reserved && f.rate_units > level {
-                        self.pull_flow(fk, flows);
-                        grew = true;
-                        pulled_here = true;
-                    }
-                }
-                if !pulled_here {
-                    // Clean scan: tighten the bound to what is actually
-                    // on the link right now.
-                    self.res_max[li] = seen_max;
-                }
-            }
-            if !grew {
-                break;
-            }
-            // Undo tentative fixes so the next iteration re-solves every
-            // dirty flow from scratch.
-            for &fk in &self.dirty_flows {
-                flows.get_mut(fk).expect("dirty flow exists").fixed = false;
-            }
-        }
-        // Re-register every dirty flow under its (possibly new)
-        // bottleneck — the pull index the next solve will consult.
-        for &fk in &self.dirty_flows {
-            let b = flows.get(fk).expect("dirty flow exists").new_bottleneck;
-            if b != NO_BOTTLENECK {
-                self.cohort[b as usize].push(fk);
-            }
-        }
-        for &li in &self.dirty_links {
-            self.dirty_mask[li] = false;
-        }
-        touched.extend_from_slice(&self.dirty_flows);
-    }
-}
-
-/// The per-flow backend shared by the [`Reference`] and [`Incremental`]
-/// arms: every flow carries its own rate, progress remainder, and
-/// position-indexed due-heap entry; a [`FlowSolver`] recomputes rates
-/// and the diff pass settles/retimes exactly the flows whose rate
-/// changed. (The [`Cohort`] arm replaces this whole engine with
-/// cell-level accounting — see the `flow_cohort` module.)
+/// The [`Reference`] arm's backend: every flow carries its own rate,
+/// progress remainder, and position-indexed due-heap entry. Every change
+/// re-runs global progressive filling, and the diff pass settles and
+/// retimes exactly the flows whose rate changed. (The [`Cohort`] arm
+/// replaces this whole engine with cell-level accounting — see the
+/// `flow_cohort` module.)
 ///
 /// [`Reference`]: FlowSolverKind::Reference
-/// [`Incremental`]: FlowSolverKind::Incremental
 /// [`Cohort`]: FlowSolverKind::Cohort
 #[derive(Debug)]
-pub(crate) struct PerFlowNet {
+pub(crate) struct ReferenceNet {
     capacity_bps: Vec<u64>,
     /// Active flows, keyed by admission order (internal keys — callers
     /// address flows by their [`FlowId`], carried inside the state).
     flows: SlotWindow<FlowState>,
     flows_per_link: Vec<Vec<u64>>,
-    /// Link indices that may carry flows, lazily pruned by the reference
-    /// solver (the incremental solver works from the dirty set instead).
+    /// Link indices that may carry flows, lazily pruned by the fill.
     used_links: Vec<usize>,
     used_mask: Vec<bool>,
-    solver: Box<dyn FlowSolver>,
+    /// Fill scratch: residual capacity per link (refreshed only for used
+    /// links).
+    cap: Vec<u64>,
+    /// Fill scratch: unfixed-flow count per link.
+    cnt: Vec<usize>,
+    /// Fill scratch: flows fixed at the current bottleneck.
+    fixing: Vec<u64>,
     completed: Vec<CompletedFlow>,
     total_admitted: u64,
     /// Recycled flow states: completed flows return here so admissions
     /// reuse their route-vector allocations.
     pool: Vec<FlowState>,
-    /// Seed links of the pending re-solve (flow membership changed).
-    seed_links: Vec<usize>,
-    /// Seed flows of the pending re-solve (just admitted; must be rated).
-    seed_flows: Vec<u64>,
-    /// Sim time of the pending admission batch (batches never span two
-    /// instants; debug-asserted).
-    pending_since: SimTime,
-    /// Σ rate of all flows crossing each link, maintained by the diff
-    /// pass — the incremental solver's O(1) budget source.
-    reserved_units: Vec<u64>,
+    /// Sim time of the admission batch awaiting its re-solve, if any
+    /// (batches never span two instants; debug-asserted).
+    pending: Option<SimTime>,
     /// Flows the current solve touched (diff-pass input).
     scratch_touched: Vec<u64>,
-    /// Size of the most recent solve's touched (dirty) flow set — an
-    /// observability stat for the incremental solver's locality.
+    /// Size of the most recent solve's touched flow set.
     last_solve_touched: usize,
     /// Flows detected complete during the diff pass.
     scratch_done: Vec<u64>,
@@ -761,31 +316,24 @@ pub(crate) fn link_capacities(topo: &Topology) -> Vec<u64> {
         .collect()
 }
 
-impl PerFlowNet {
-    /// Creates a per-flow network over `topo`'s links with the given
-    /// (per-flow) solver arm.
-    fn with_solver(topo: &Topology, kind: FlowSolverKind) -> Self {
+impl ReferenceNet {
+    /// Creates a reference network over `topo`'s links.
+    fn new(topo: &Topology) -> Self {
         let capacity_bps = link_capacities(topo);
         let n = capacity_bps.len();
-        let solver: Box<dyn FlowSolver> = match kind {
-            FlowSolverKind::Reference => Box::new(ReferenceSolver::new(n)),
-            FlowSolverKind::Incremental => Box::new(IncrementalSolver::new(n)),
-            FlowSolverKind::Cohort => unreachable!("cohort uses the cell backend"),
-        };
-        PerFlowNet {
+        ReferenceNet {
             capacity_bps,
             flows: SlotWindow::new(),
             flows_per_link: vec![Vec::new(); n],
             used_links: Vec::new(),
             used_mask: vec![false; n],
-            solver,
+            cap: vec![0; n],
+            cnt: vec![0; n],
+            fixing: Vec::new(),
             completed: Vec::new(),
             total_admitted: 0,
             pool: Vec::new(),
-            seed_links: Vec::new(),
-            seed_flows: Vec::new(),
-            pending_since: SimTime::ZERO,
-            reserved_units: vec![0; n],
+            pending: None,
             scratch_touched: Vec::new(),
             last_solve_touched: 0,
             scratch_done: Vec::new(),
@@ -793,14 +341,7 @@ impl PerFlowNet {
         }
     }
 
-    /// Admits a flow of `bytes` over `links` at `now`, re-solves the
-    /// affected component, and returns the flow's key. Reschedule the
-    /// completion check if [`next_due`](Self::next_due) moved earlier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow id is already active, the route is empty (same-
-    /// host transfers never reach the network), or `bytes == 0`.
+    /// See [`FlowNet::add_flow`].
     pub fn add_flow(
         &mut self,
         now: SimTime,
@@ -815,17 +356,7 @@ impl PerFlowNet {
         key
     }
 
-    /// Like [`add_flow`](Self::add_flow) but defers the re-solve,
-    /// accumulating seeds until [`flush`](Self::flush) (or any reading
-    /// call that flushes) runs. Admissions that land in the same event —
-    /// a task's inbound transfer fan-in — share one re-solve this way;
-    /// with max-min fairness the final rates only depend on the final
-    /// flow set, so batching at one instant is exact.
-    ///
-    /// # Panics
-    ///
-    /// As [`add_flow`](Self::add_flow); additionally (debug) if a batch
-    /// spans two distinct sim times without an intervening flush.
+    /// See [`FlowNet::add_flow_batched`].
     pub fn add_flow_batched(
         &mut self,
         now: SimTime,
@@ -847,8 +378,6 @@ impl PerFlowNet {
             remaining: 0,
             rate_units: 0,
             new_rate: 0,
-            bottleneck: NO_BOTTLENECK,
-            new_bottleneck: NO_BOTTLENECK,
             last_update: now,
             src,
             dst,
@@ -862,7 +391,6 @@ impl PerFlowNet {
         st.remaining = progress_units(bytes);
         st.rate_units = 0;
         st.new_rate = 0;
-        st.bottleneck = NO_BOTTLENECK;
         st.last_update = now;
         st.src = src;
         st.dst = dst;
@@ -870,13 +398,12 @@ impl PerFlowNet {
         st.total = st.remaining;
         debug_assert_eq!(st.heap_pos, NO_HEAP, "recycled state left in heap");
         st.fixed = true;
-        st.new_bottleneck = NO_BOTTLENECK;
         let key = self.flows.insert(st);
         debug_assert!(
-            self.seed_flows.is_empty() || self.pending_since == now,
+            self.pending.is_none_or(|t| t == now),
             "a batch must not span sim times; flush first"
         );
-        self.pending_since = now;
+        self.pending = Some(now);
         for &l in links {
             let li = l.0 as usize;
             if !self.used_mask[li] {
@@ -884,20 +411,17 @@ impl PerFlowNet {
                 self.used_links.push(li);
             }
             self.flows_per_link[li].push(key);
-            self.seed_links.push(li);
         }
-        self.seed_flows.push(key);
         self.total_admitted += 1;
         key
     }
 
     /// Re-solves any batched admissions. A no-op when none are pending.
     pub fn flush(&mut self, now: SimTime) {
-        if self.seed_flows.is_empty() && self.seed_links.is_empty() {
-            return;
+        if let Some(since) = self.pending.take() {
+            debug_assert_eq!(since, now, "batch flushed at a later instant");
+            self.resolve(now);
         }
-        debug_assert_eq!(self.pending_since, now, "batch flushed at a later instant");
-        self.resolve(now);
     }
 
     // --------------------------------------------------------------
@@ -905,7 +429,7 @@ impl PerFlowNet {
     // `(due, key)`. One entry per rated flow; `FlowState::heap_pos`
     // tracks the slot so a rate delta updates the entry in place.
     // Associated functions (not `&mut self`) so callers can borrow
-    // `flows` and `due_heap` out of a destructured `FlowNet`.
+    // `flows` and `due_heap` out of a destructured `ReferenceNet`.
     // --------------------------------------------------------------
 
     /// Sets (inserting if absent) `key`'s projected completion.
@@ -995,30 +519,19 @@ impl PerFlowNet {
         }
     }
 
-    /// The earliest projected completion among active flows (exact — the
-    /// indexed heap holds no stale entries, and O(1)). Arm one calendar
-    /// event at this instant. Batched admissions must be flushed first.
+    /// See [`FlowNet::next_due`] (exact — the indexed heap holds no
+    /// stale entries — and O(1)).
     pub fn next_due(&mut self) -> Option<SimTime> {
         debug_assert!(
-            self.seed_flows.is_empty() && self.seed_links.is_empty(),
+            self.pending.is_none(),
             "flush batched admissions before reading completions"
         );
         self.due_heap.first().map(|&(due, _)| due)
     }
 
-    /// Completes every flow whose projection is due at or before `now`
-    /// (they land in [`take_completed`](Self::take_completed) in
-    /// deterministic `(due, key)` order), then re-solves the freed
-    /// component(s) in one batch, retiming neighbors whose rate changed.
-    /// A no-op when nothing is due.
+    /// See [`FlowNet::advance_due`].
     pub fn advance_due(&mut self, now: SimTime) {
         self.flush(now);
-        self.advance_due_inner(now);
-    }
-
-    fn advance_due_inner(&mut self, now: SimTime) {
-        self.seed_links.clear();
-        self.seed_flows.clear();
         let mut any = false;
         while let Some(&(due, key)) = self.due_heap.first() {
             if due > now {
@@ -1033,7 +546,7 @@ impl PerFlowNet {
                 // bug degrades to a late completion, not a stuck loop.
                 debug_assert!(false, "flow past due with progress left");
                 let corrected = f.due(now);
-                let PerFlowNet {
+                let ReferenceNet {
                     flows, due_heap, ..
                 } = self;
                 Self::due_update(flows, due_heap, key, corrected);
@@ -1047,35 +560,28 @@ impl PerFlowNet {
         }
     }
 
-    /// Cancels a live flow (no completion is reported), re-solving the
-    /// freed component. Returns `false` if the key is not live.
+    /// See [`FlowNet::remove_flow`].
     pub fn remove_flow(&mut self, now: SimTime, flow: u64) -> bool {
         self.flush(now);
         if !self.flows.contains(flow) {
             return false;
         }
-        self.seed_links.clear();
-        self.seed_flows.clear();
         self.unlink(flow, false);
         self.resolve(now);
         true
     }
 
-    /// Removes `flow` from the tables, extending `seed_links` with its
-    /// links and optionally reporting it completed.
+    /// Removes `flow` from the tables, optionally reporting it completed.
     fn unlink(&mut self, flow: u64, completed: bool) {
         {
-            let PerFlowNet {
+            let ReferenceNet {
                 flows, due_heap, ..
             } = self;
             Self::due_remove(flows, due_heap, flow);
         }
         let f = self.flows.remove(flow).expect("live flow");
         for &l in f.links.as_slice() {
-            let li = l.0 as usize;
-            self.flows_per_link[li].retain(|&x| x != flow);
-            self.seed_links.push(li);
-            self.reserved_units[li] -= f.rate_units;
+            self.flows_per_link[l.0 as usize].retain(|&x| x != flow);
         }
         if completed {
             self.completed.push(CompletedFlow {
@@ -1088,61 +594,28 @@ impl PerFlowNet {
         self.pool.push(f);
     }
 
-    /// Re-solves from the current `seed_links`, settles and retimes the
-    /// flows whose rate changed, and completes (then cascades over) flows
-    /// that turn out to be already done at `now`.
+    /// Re-runs the fill, settles and retimes the flows whose rate
+    /// changed, and completes (then cascades over) flows that turn out to
+    /// be already done at `now`.
     fn resolve(&mut self, now: SimTime) {
         loop {
             let mut touched = std::mem::take(&mut self.scratch_touched);
             let mut done = std::mem::take(&mut self.scratch_done);
             touched.clear();
             done.clear();
-            {
-                let PerFlowNet {
-                    capacity_bps,
-                    flows,
-                    flows_per_link,
-                    used_links,
-                    used_mask,
-                    solver,
-                    seed_links,
-                    seed_flows,
-                    reserved_units,
-                    ..
-                } = self;
-                solver.solve(
-                    SolveCtx {
-                        capacity_bps,
-                        flows,
-                        flows_per_link,
-                        used_links,
-                        used_mask,
-                        seeds: seed_links,
-                        seed_flows,
-                        reserved_units,
-                    },
-                    &mut touched,
-                );
-            }
-            self.seed_flows.clear();
+            self.fill(&mut touched);
             self.last_solve_touched = touched.len();
-            // Diff order does not matter: reserved-sum updates commute,
-            // the indexed due-heap pops by `(due, key)` regardless of
-            // update order, and the completion batch is sorted below —
-            // every observable is canonical without sorting `touched`.
+            // Diff order does not matter: the indexed due-heap pops by
+            // `(due, key)` regardless of update order, and the completion
+            // batch is sorted below — every observable is canonical
+            // without sorting `touched`.
             {
-                let PerFlowNet {
-                    flows,
-                    reserved_units,
-                    due_heap,
-                    ..
+                let ReferenceNet {
+                    flows, due_heap, ..
                 } = self;
                 for &key in &touched {
                     let f = flows.get_mut(key).expect("touched flow exists");
-                    debug_assert!(f.fixed, "solver left a flow unfixed");
-                    // The bottleneck assignment can shift even at an
-                    // unchanged rate (ties); promote it unconditionally.
-                    f.bottleneck = f.new_bottleneck;
+                    debug_assert!(f.fixed, "fill left a flow unfixed");
                     if f.new_rate == f.rate_units {
                         continue;
                     }
@@ -1154,10 +627,6 @@ impl PerFlowNet {
                         done.push(key);
                         continue;
                     }
-                    for &l in f.links.as_slice() {
-                        let li = l.0 as usize;
-                        reserved_units[li] = reserved_units[li] - f.rate_units + f.new_rate;
-                    }
                     f.rate_units = f.new_rate;
                     if f.rate_units > 0 {
                         let due = f.due(now);
@@ -1167,7 +636,6 @@ impl PerFlowNet {
                     }
                 }
             }
-            self.seed_links.clear();
             let finished = done.is_empty();
             // Completions must reach the caller in canonical (admission)
             // order whatever order the diff visited them in.
@@ -1180,8 +648,94 @@ impl PerFlowNet {
             if finished {
                 return;
             }
-            // Completions freed capacity: cascade a re-solve seeded at
-            // their links.
+            // Completions freed capacity: cascade a re-solve.
+        }
+    }
+
+    /// Global progressive filling: writes every live flow's max-min fair
+    /// share into its `new_rate`, bottlenecks picked by the canonical
+    /// `(share, link index)` order, and appends every flow key to
+    /// `touched`.
+    fn fill(&mut self, touched: &mut Vec<u64>) {
+        let ReferenceNet {
+            capacity_bps,
+            flows,
+            flows_per_link,
+            used_links,
+            used_mask,
+            cap,
+            cnt,
+            fixing,
+            ..
+        } = self;
+        if flows.is_empty() {
+            return;
+        }
+        // Prune links that stopped carrying flows; refresh the residual
+        // capacity and unfixed count of the rest.
+        used_links.retain(|&li| {
+            if flows_per_link[li].is_empty() {
+                used_mask[li] = false;
+                false
+            } else {
+                cap[li] = capacity_bps[li];
+                cnt[li] = flows_per_link[li].len();
+                true
+            }
+        });
+        let mut unfixed = flows.len();
+        for (k, f) in flows.iter_mut() {
+            f.fixed = false;
+            touched.push(k);
+        }
+        while unfixed > 0 {
+            // Bottleneck: minimal (fair share, link index) among loaded
+            // links — the canonical order both solver arms share.
+            let mut bottleneck: Option<(usize, u64)> = None;
+            for &li in used_links.iter() {
+                if cnt[li] == 0 {
+                    continue;
+                }
+                let share = cap[li] / cnt[li] as u64;
+                let better = match bottleneck {
+                    None => true,
+                    Some((bl, s)) => share < s || (share == s && li < bl),
+                };
+                if better {
+                    bottleneck = Some((li, share));
+                }
+            }
+            let Some((bl, share)) = bottleneck else {
+                // No loaded links left: remaining flows are route-less
+                // (cannot happen given add_flow's assertion) — fix at 0.
+                for (_, f) in flows.iter_mut() {
+                    if !f.fixed {
+                        f.fixed = true;
+                        f.new_rate = 0;
+                    }
+                }
+                break;
+            };
+            // Fix every unfixed flow crossing the bottleneck at the share.
+            fixing.clear();
+            fixing.extend(
+                flows_per_link[bl]
+                    .iter()
+                    .copied()
+                    .filter(|&k| !flows.get(k).expect("indexed flow exists").fixed),
+            );
+            debug_assert!(!fixing.is_empty());
+            for &key in fixing.iter() {
+                let f = flows.get_mut(key).expect("flow exists");
+                f.fixed = true;
+                f.new_rate = share;
+                unfixed -= 1;
+                for &l in f.links.as_slice() {
+                    let li = l.0 as usize;
+                    cap[li] -= share;
+                    cnt[li] -= 1;
+                }
+            }
         }
     }
 
@@ -1220,10 +774,8 @@ impl PerFlowNet {
         self.total_admitted
     }
 
-    /// Size of the most recent re-solve's dirty flow set (the flows whose
-    /// rate the solver recomputed) — 0 before any solve. A locality
-    /// observable for the incremental solver, sampled by the metrics
-    /// probes.
+    /// See [`FlowNet::last_solve_touched`] (every live flow, for this
+    /// global solve).
     pub fn last_solve_touched(&self) -> usize {
         self.last_solve_touched
     }
@@ -1248,10 +800,10 @@ impl PerFlowNet {
         self.flows.iter().find(|(_, f)| f.id == id).map(|(_, f)| f)
     }
 
-    /// Test-only state dump: `(id, rate, bottleneck link, route)` per live
-    /// flow, sorted by id.
+    /// Test-only state dump: `(id, rate, route)` per live flow, sorted by
+    /// id.
     #[cfg(test)]
-    fn dump(&self) -> Vec<(u64, u64, u32, Vec<u32>)> {
+    fn dump(&self) -> Vec<(u64, u64, Vec<u32>)> {
         let mut v: Vec<_> = self
             .flows
             .iter()
@@ -1259,7 +811,6 @@ impl PerFlowNet {
                 (
                     f.id.0,
                     f.rate_units,
-                    f.bottleneck,
                     f.links.as_slice().iter().map(|l| l.0).collect(),
                 )
             })
@@ -1288,11 +839,10 @@ impl PerFlowNet {
     }
 }
 
-/// Max-min fair flow-level network model with incremental re-solve and
-/// delta-driven completion retiming, behind one of three solver arms
-/// (see [`FlowSolverKind`]): the per-flow `reference` and `incremental`
-/// oracle arms, and the cohort-cell `cohort` arm for overloaded
-/// fabrics. All three retrace byte-identical trajectories on the same
+/// Max-min fair flow-level network model with delta-driven completion
+/// retiming, behind one of two solver arms (see [`FlowSolverKind`]): the
+/// cohort-cell `cohort` production arm and the per-flow `reference`
+/// oracle. Both retrace byte-identical trajectories on the same
 /// admission sequence.
 ///
 /// # Examples
@@ -1323,37 +873,37 @@ pub struct FlowNet {
     inner: NetImpl,
 }
 
-/// The backend selected by [`FlowNet::with_solver`]: the per-flow
-/// engine (reference/incremental solvers) or the cohort-cell engine.
+/// The backend selected by [`FlowNet::with_solver`]: the cohort-cell
+/// engine or the per-flow reference engine.
 // One instance lives per simulation (inside NetState), so the variant
 // size gap costs nothing; boxing would add a pointer chase to every
 // solver call.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum NetImpl {
-    PerFlow(PerFlowNet),
     Cohort(CohortNet),
+    Reference(ReferenceNet),
 }
 
 /// Forwards a method through both backends.
 macro_rules! forward {
     ($self:ident, $net:ident => $body:expr) => {
         match &$self.inner {
-            NetImpl::PerFlow($net) => $body,
             NetImpl::Cohort($net) => $body,
+            NetImpl::Reference($net) => $body,
         }
     };
     (mut $self:ident, $net:ident => $body:expr) => {
         match &mut $self.inner {
-            NetImpl::PerFlow($net) => $body,
             NetImpl::Cohort($net) => $body,
+            NetImpl::Reference($net) => $body,
         }
     };
 }
 
 impl FlowNet {
     /// Creates a flow network over `topo`'s links with the default
-    /// (incremental) solver.
+    /// (cohort) solver.
     pub fn new(topo: &Topology) -> Self {
         Self::with_solver(topo, FlowSolverKind::default())
     }
@@ -1363,7 +913,7 @@ impl FlowNet {
     pub fn with_solver(topo: &Topology, kind: FlowSolverKind) -> Self {
         let inner = match kind {
             FlowSolverKind::Cohort => NetImpl::Cohort(CohortNet::new(topo)),
-            _ => NetImpl::PerFlow(PerFlowNet::with_solver(topo, kind)),
+            FlowSolverKind::Reference => NetImpl::Reference(ReferenceNet::new(topo)),
         };
         FlowNet { inner }
     }
@@ -1496,10 +1046,10 @@ impl FlowNet {
         forward!(self, n => n.flows_on_link(link))
     }
 
-    /// Test-only state dump: `(id, rate, bottleneck link, route)` per
-    /// live flow, sorted by id.
+    /// Test-only state dump: `(id, rate, route)` per live flow, sorted by
+    /// id.
     #[cfg(test)]
-    pub(crate) fn dump(&self) -> Vec<(u64, u64, u32, Vec<u32>)> {
+    pub(crate) fn dump(&self) -> Vec<(u64, u64, Vec<u32>)> {
         forward!(self, n => n.dump())
     }
 }
@@ -1537,12 +1087,9 @@ mod tests {
         Some(due)
     }
 
-    fn solver_kinds() -> [FlowSolverKind; 3] {
-        [
-            FlowSolverKind::Reference,
-            FlowSolverKind::Incremental,
-            FlowSolverKind::Cohort,
-        ]
+    /// Every arm, the reference oracle first.
+    fn solver_kinds() -> [FlowSolverKind; 2] {
+        [FlowSolverKind::Reference, FlowSolverKind::Cohort]
     }
 
     #[test]
@@ -1664,71 +1211,82 @@ mod tests {
         // Two disjoint host pairs on a star share no links, so admitting
         // the second flow must leave the first's generation (and its
         // pending completion entry) untouched.
-        let built = star(4, LinkSpec::gigabit());
-        let topo = built.topology;
-        let h = built.hosts.clone();
-        let mut router = Router::new();
-        let mut net = FlowNet::new(&topo);
-        let ab = route_links(&topo, &mut router, h[0], h[1], 0);
-        let cd = route_links(&topo, &mut router, h[2], h[3], 0);
-        let k1 = net.add_flow(SimTime::ZERO, FlowId(1), h[0], h[1], &ab, 1_000_000);
-        let before = net.completion_of(k1).unwrap();
-        net.add_flow(
-            SimTime::from_millis(1),
-            FlowId(2),
-            h[2],
-            h[3],
-            &cd,
-            1_000_000,
-        );
-        assert_eq!(
-            net.completion_of(k1).unwrap(),
-            before,
-            "disjoint admission must not settle or retime flow 1"
-        );
-        // Sharing the link *does* retime it (rate halves).
-        net.add_flow(
-            SimTime::from_millis(2),
-            FlowId(3),
-            h[0],
-            h[1],
-            &ab,
-            1_000_000,
-        );
-        let after = net.completion_of(k1).unwrap();
-        assert!(after > before, "halved rate pushes completion out");
+        for kind in solver_kinds() {
+            let built = star(4, LinkSpec::gigabit());
+            let topo = built.topology;
+            let h = built.hosts.clone();
+            let mut router = Router::new();
+            let mut net = FlowNet::with_solver(&topo, kind);
+            let ab = route_links(&topo, &mut router, h[0], h[1], 0);
+            let cd = route_links(&topo, &mut router, h[2], h[3], 0);
+            let k1 = net.add_flow(SimTime::ZERO, FlowId(1), h[0], h[1], &ab, 1_000_000);
+            let before = net.completion_of(k1).unwrap();
+            net.add_flow(
+                SimTime::from_millis(1),
+                FlowId(2),
+                h[2],
+                h[3],
+                &cd,
+                1_000_000,
+            );
+            assert_eq!(
+                net.completion_of(k1).unwrap(),
+                before,
+                "disjoint admission must not settle or retime flow 1 ({kind:?})"
+            );
+            // Sharing the link *does* retime it (rate halves).
+            net.add_flow(
+                SimTime::from_millis(2),
+                FlowId(3),
+                h[0],
+                h[1],
+                &ab,
+                1_000_000,
+            );
+            let after = net.completion_of(k1).unwrap();
+            assert!(
+                after > before,
+                "halved rate pushes completion out ({kind:?})"
+            );
+        }
     }
 
     #[test]
     fn superseded_projections_are_retimed_in_place() {
-        let (topo, hosts, mut router) = two_host_net();
-        let mut net = FlowNet::new(&topo);
-        let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
-        net.add_flow(
-            SimTime::ZERO,
-            FlowId(1),
-            hosts[0],
-            hosts[1],
-            &links,
-            125_000_000,
-        );
-        let solo = net.next_due().unwrap();
-        // A second flow on the same link halves flow 1's rate: the old
-        // 1-second projection is superseded by the 2-second one.
-        net.add_flow(
-            SimTime::ZERO,
-            FlowId(2),
-            hosts[0],
-            hosts[1],
-            &links,
-            125_000_000,
-        );
-        let shared = net.next_due().unwrap();
-        assert!(shared > solo, "the due entry must move with the rate");
-        // Advancing to the superseded (earlier) instant completes nothing.
-        net.advance_due(solo);
-        assert!(net.take_completed().is_empty());
-        assert_eq!(net.active_flows(), 2);
+        for kind in solver_kinds() {
+            let (topo, hosts, mut router) = two_host_net();
+            let mut net = FlowNet::with_solver(&topo, kind);
+            let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
+            net.add_flow(
+                SimTime::ZERO,
+                FlowId(1),
+                hosts[0],
+                hosts[1],
+                &links,
+                125_000_000,
+            );
+            let solo = net.next_due().unwrap();
+            // A second flow on the same link halves flow 1's rate: the
+            // old 1-second projection is superseded by the 2-second one.
+            net.add_flow(
+                SimTime::ZERO,
+                FlowId(2),
+                hosts[0],
+                hosts[1],
+                &links,
+                125_000_000,
+            );
+            let shared = net.next_due().unwrap();
+            assert!(
+                shared > solo,
+                "the due entry must move with the rate ({kind:?})"
+            );
+            // Advancing to the superseded (earlier) instant completes
+            // nothing.
+            net.advance_due(solo);
+            assert!(net.take_completed().is_empty(), "{kind:?}");
+            assert_eq!(net.active_flows(), 2, "{kind:?}");
+        }
     }
 
     #[test]
@@ -1751,31 +1309,37 @@ mod tests {
         // Two identical flows finish at the same instant; completing the
         // first must sweep the second (settled to zero remaining by the
         // re-solve) into the same completion batch.
-        let (topo, hosts, mut router) = two_host_net();
-        let mut net = FlowNet::new(&topo);
-        let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
-        net.add_flow(
-            SimTime::ZERO,
-            FlowId(1),
-            hosts[0],
-            hosts[1],
-            &links,
-            125_000_000,
-        );
-        net.add_flow(
-            SimTime::ZERO,
-            FlowId(2),
-            hosts[0],
-            hosts[1],
-            &links,
-            125_000_000,
-        );
-        fire_next(&mut net).unwrap();
-        let done = net.take_completed();
-        assert_eq!(done.len(), 2, "both identical flows complete together");
-        assert_eq!(done[0].id, FlowId(1));
-        assert_eq!(done[1].id, FlowId(2));
-        assert_eq!(net.active_flows(), 0);
+        for kind in solver_kinds() {
+            let (topo, hosts, mut router) = two_host_net();
+            let mut net = FlowNet::with_solver(&topo, kind);
+            let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
+            net.add_flow(
+                SimTime::ZERO,
+                FlowId(1),
+                hosts[0],
+                hosts[1],
+                &links,
+                125_000_000,
+            );
+            net.add_flow(
+                SimTime::ZERO,
+                FlowId(2),
+                hosts[0],
+                hosts[1],
+                &links,
+                125_000_000,
+            );
+            fire_next(&mut net).unwrap();
+            let done = net.take_completed();
+            assert_eq!(
+                done.len(),
+                2,
+                "both identical flows complete together ({kind:?})"
+            );
+            assert_eq!(done[0].id, FlowId(1));
+            assert_eq!(done[1].id, FlowId(2));
+            assert_eq!(net.active_flows(), 0);
+        }
     }
 
     #[test]
@@ -1836,7 +1400,7 @@ mod tests {
     /// The decisive equivalence check: drive both solver arms through the
     /// same randomized add/remove/complete sequence on a fat tree and a
     /// star, comparing every flow's rate after every operation. This is
-    /// what licenses the incremental solver's bottleneck-aware pull set.
+    /// what licenses the cohort arm's bottleneck-aware pull set.
     #[test]
     fn random_add_remove_matches_reference() {
         use crate::topologies::fat_tree;

@@ -23,25 +23,33 @@
 //!
 //! Because progress is exact integer arithmetic (associative
 //! multiply-subtracts), any schedule of cell settles lands on the same
-//! remainders as the per-flow arms' per-flow settles, and the identity
+//! remainders as the reference arm's per-flow settles, and the identity
 //! `ceil((R − s·Δ)/s) = ceil(R/s) − Δ` makes completion instants
 //! invariant under partial settles at constant share — which is what
-//! lets this backend retrace the per-flow arms' trajectories
+//! lets this backend retrace the reference arm's trajectories
 //! byte-for-byte while doing O(cells) work per re-solve.
 //!
 //! Flows materialize real timestamps only when they complete, migrate
 //! cells (split/merge rebases their `vfinish` onto the new cell's
 //! clock), or are observed (`completion_of`, `flow_progress`).
 //!
-//! The solve itself is the incremental bottleneck-aware engine of the
-//! per-flow arm lifted to cell granularity: dirty *cells* are pulled via
-//! a per-link bottleneck registry, link budgets come from the exact
-//! share-weighted allocation aggregate, progressive filling pops
-//! canonical `(share, link)` bottlenecks from a [`LazyHeap`], cells
+//! # The bottleneck-aware re-solve
+//!
+//! A change seeded at some links can only move the rate of cells whose
+//! *bottleneck* (the link whose progressive-filling round fixed them)
+//! is transitively affected. The solve pulls exactly those cells into a
+//! dirty set via a per-link bottleneck registry, charges every untouched
+//! cell crossing a dirty link as a fixed reservation (link budgets come
+//! from the exact share-weighted allocation aggregate), and re-runs
+//! progressive filling on the sub-problem, popping canonical `(share,
+//! link)` bottlenecks from a [`LazyHeap`]. Because shares are exact
+//! integers, the reservation sums are order-independent and the
+//! sub-problem reproduces the global solve's rates bitwise. A
+//! post-solve audit expands the dirty set and re-solves in the (rare)
+//! case a dirty link's new fair level undercuts a reserved share. Cells
 //! whose members straddle a bottleneck are split (smaller half moves),
 //! and cells fixed at the same `(bottleneck, share)` merge back
-//! (smaller into larger) at commit. The post-solve audit that licenses
-//! the dirty-set pruning runs at cell granularity too.
+//! (smaller into larger) at commit.
 
 use holdcsim_des::lazy_heap::LazyHeap;
 use holdcsim_des::slot_window::SlotWindow;
@@ -49,13 +57,17 @@ use holdcsim_des::time::SimTime;
 
 use crate::flow::{
     drained_units, due_after, link_capacities, progress_units, CompletedFlow, RouteLinks,
-    NO_BOTTLENECK, RATE_UNIT_PER_BPS,
+    RATE_UNIT_PER_BPS,
 };
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::topology::Topology;
 
 /// Sentinel cell index.
 const NO_CELL: u32 = u32::MAX;
+
+/// Sentinel bottleneck index for cells not fixed by any link yet (fresh
+/// or just split off, before the solve fixes them).
+const NO_BOTTLENECK: u32 = u32::MAX;
 
 /// One active flow: route, identity, and its position on its cell's
 /// virtual clock. No rate, no progress remainder, no due-heap slot —
@@ -215,8 +227,8 @@ fn settle_cell(
         // Mirror the per-flow arm's settle exactly: the clock origin
         // moves to `now` even when `now` precedes `last_update` (a
         // resolve triggered by a stale past due), re-charging the
-        // overlap — the oracle arms bank that same surplus, so tracing
-        // them bit-for-bit means reproducing it.
+        // overlap — the reference arm banks that same surplus, so
+        // tracing it bit-for-bit means reproducing it.
         cell.last_update = now;
         return;
     }
@@ -282,8 +294,7 @@ pub(crate) struct CohortNet {
     cells: Vec<Cell>,
     free_cells: Vec<u32>,
     /// Σ share · crossing-count over live cells, per link — the exact
-    /// committed allocation aggregate (the per-flow arms'
-    /// `reserved_units`), the solver's O(1) budget source.
+    /// committed allocation aggregate, the solver's O(1) budget source.
     alloc: Vec<u64>,
     /// Active-flow count per link (`flows_on_link`).
     nflows: Vec<u32>,
@@ -322,8 +333,11 @@ pub(crate) struct CohortNet {
     cap: Vec<u64>,
     /// Unfixed dirty-flow count per dirty link during a fill.
     cnt: Vec<u64>,
-    /// Bottleneck selector: canonical `(share, link)` pops with lazy
-    /// revalidation, exactly as in the per-flow incremental arm.
+    /// Bottleneck selector over dirty links, keyed by fair share with
+    /// deterministic `(share, link)` tie-breaking. Entries are refreshed
+    /// lazily: a popped entry whose share is stale (fair shares only rise
+    /// within a fill) is re-pushed at its current value, which preserves
+    /// the canonical pop order without per-(cell × link) heap updates.
     heap: LazyHeap<u64>,
     dirty_links: Vec<usize>,
     dirty_mask: Vec<bool>,
@@ -338,8 +352,11 @@ pub(crate) struct CohortNet {
     dirty_weight: Vec<u64>,
     /// `(link, fair level)` per progressive-filling round, for the audit.
     levels: Vec<(usize, u64)>,
-    /// Persistent per-link upper bound on any crossing cell's share —
-    /// the audit's skip gate (see the per-flow arm).
+    /// Persistent per-link upper bound on any crossing cell's share
+    /// (ratcheted up at fix time, tightened by clean audit scans) — the
+    /// audit's skip gate: a popped level at or above the bound cannot
+    /// have undercut any reservation, so the per-cell scan is skipped,
+    /// which is the common case when completions *raise* levels.
     res_max: Vec<u64>,
     /// Split partition scratch (member keys).
     part_scratch: Vec<u64>,
@@ -432,8 +449,9 @@ impl CohortNet {
         self.free_cells.push(c);
     }
 
-    /// Admits a flow, re-solves, and returns its key (see the per-flow
-    /// arm for the contract).
+    /// Admits a flow, re-solves, and returns its key (see
+    /// [`FlowNet::add_flow`](crate::flow::FlowNet::add_flow) for the
+    /// contract).
     ///
     /// # Panics
     ///
@@ -669,11 +687,10 @@ impl CohortNet {
     }
 
     // ------------------------------------------------------------------
-    // The cell-granular incremental solve. Structure and invariants
-    // mirror the per-flow `IncrementalSolver` exactly — budgets from the
-    // allocation aggregate, canonical `(share, link)` pops with lazy
-    // revalidation, `res_max`-gated audit — with flows replaced by cells
-    // and per-flow counts by cross counts.
+    // The cell-granular bottleneck-aware solve (see the module docs):
+    // budgets from the allocation aggregate, canonical `(share, link)`
+    // pops with lazy revalidation, a `res_max`-gated audit — over cells,
+    // with per-link member counts taken from cross counts.
     // ------------------------------------------------------------------
 
     /// Marks `li` dirty (idempotent), resetting its per-solve
@@ -825,9 +842,9 @@ impl CohortNet {
         }
     }
 
-    /// The cell-granular incremental solve: pull, budget, fill, audit —
-    /// see the per-flow arm for the phase-by-phase rationale. `now` is
-    /// needed only by splits (their clock rebasing settles the source).
+    /// The cell-granular solve: pull, budget, fill, audit (see the module
+    /// docs). `now` is needed only by splits (their clock rebasing
+    /// settles the source).
     fn solve_cells(&mut self, now: SimTime) {
         self.dirty_links.clear();
         self.dirty_cells.clear();
@@ -841,9 +858,10 @@ impl CohortNet {
         }
         loop {
             // Pull phase: drain every dirty link's bottleneck cohort
-            // registry; pulled cells dirty their links, which may expose
-            // further registries. Drained entries lose nothing — every
-            // dirty cell re-registers at commit.
+            // registry — the cells whose defining constraint is being
+            // re-solved. Pulled cells dirty their links, which may
+            // expose further registries. Drained entries lose nothing:
+            // every dirty cell re-registers at commit.
             let mut i = 0;
             while i < self.dirty_links.len() {
                 let li = self.dirty_links[i];
@@ -859,7 +877,9 @@ impl CohortNet {
             }
             // Budget phase: capacity minus the committed shares of
             // untouched cells, from the exact aggregates — O(1) per
-            // dirty link.
+            // dirty link. Exact integers make the residual equal what
+            // the global solve would carry into this link's bottleneck
+            // round.
             self.heap.clear();
             for i in 0..self.dirty_links.len() {
                 let li = self.dirty_links[i];
@@ -875,8 +895,8 @@ impl CohortNet {
                 }
             }
             // Fill phase: progressive filling over the sub-problem, by
-            // cell. `unfixed` counts member flows so the termination
-            // measure matches the per-flow arm's.
+            // cell. `unfixed` counts member flows, which splits leave
+            // unchanged.
             self.levels.clear();
             let mut unfixed: u64 = self
                 .dirty_cells
@@ -904,8 +924,10 @@ impl CohortNet {
                 if self.cnt[bl] == 0 {
                     continue; // emptied passively since its last push
                 }
-                // Lazy revalidation (see the per-flow arm): the first
-                // validated pop is the canonical (share, link) minimum.
+                // Lazy revalidation: shares only rise as cells fix, so a
+                // stale entry is an optimistic lower bound — re-push the
+                // current share and keep popping. The first validated
+                // pop is exactly the canonical (share, link) minimum.
                 let share = self.cap[bl] / self.cnt[bl];
                 if share != stale_share {
                     self.heap.update(bl, share);
@@ -941,9 +963,12 @@ impl CohortNet {
                 }
                 debug_assert!(fixed_any);
             }
-            // Audit phase: pull any clean cell whose reserved share a
-            // popped level undercut, and re-solve the grown sub-problem.
-            // Scans compact their index in place.
+            // Audit phase: a reservation is only valid while its cell
+            // stays bottlenecked elsewhere at or below every dirty
+            // link's new level. Pull any clean cell whose reserved share
+            // a popped level undercut, and re-solve the grown
+            // sub-problem (rare: the change shifted which link
+            // constrains the cell). Scans compact their index in place.
             let mut grew = false;
             for level_idx in 0..self.levels.len() {
                 let (li, level) = self.levels[level_idx];
@@ -1092,7 +1117,7 @@ impl CohortNet {
     /// Applies a dirty cell's solved `(new_share, new_bottleneck)`. A
     /// share change settles the clock first so drained progress is
     /// banked at the old rate; the bottleneck is promoted
-    /// unconditionally, matching the per-flow diff pass.
+    /// unconditionally, since ties can move it at an unchanged share.
     fn apply_share(&mut self, c: u32, now: SimTime) {
         let changed = self.cells[c as usize].new_share != self.cells[c as usize].share;
         if changed {
@@ -1290,9 +1315,9 @@ impl CohortNet {
     }
 
     /// Test-only state dump in the per-flow arm's shape: `(id, rate,
-    /// bottleneck link, route)` per live flow, sorted by id.
+    /// route)` per live flow, sorted by id.
     #[cfg(test)]
-    pub(crate) fn dump(&self) -> Vec<(u64, u64, u32, Vec<u32>)> {
+    pub(crate) fn dump(&self) -> Vec<(u64, u64, Vec<u32>)> {
         let mut v: Vec<_> = self
             .flows
             .iter()
@@ -1301,7 +1326,6 @@ impl CohortNet {
                 (
                     f.id.0,
                     cell.share,
-                    cell.bottleneck,
                     f.links.as_slice().iter().map(|l| l.0).collect(),
                 )
             })

@@ -242,21 +242,21 @@ fn drive_flow_churn(
     }
 }
 
-/// Satellite check: over arbitrary add/remove/complete sequences on
-/// fat-tree topologies, the incremental solver's rates match the
+/// Satellite check: over arbitrary unbatched add/remove/complete
+/// sequences on fat-tree topologies, the cohort solver's rates match the
 /// reference progressive-filling solver within 1e-9 (relative; plus a
 /// couple of 2⁻²⁰ bps quanta absolute — the fixed-point max-min solution
 /// is non-unique at exact floor ties).
 #[test]
-fn incremental_flow_solver_matches_reference_on_fat_trees() {
+fn cohort_flow_solver_matches_reference_on_fat_trees() {
     for trial in 0..6u64 {
         let built = fat_tree(4, LinkSpec::gigabit());
         let mut reference = FlowNet::with_solver(&built.topology, FlowSolverKind::Reference);
-        let mut incremental = FlowNet::with_solver(&built.topology, FlowSolverKind::Incremental);
+        let mut cohort = FlowNet::with_solver(&built.topology, FlowSolverKind::Cohort);
         let mut ref_rates: Vec<(u64, u64, f64)> = Vec::new();
-        let mut inc_rates: Vec<(u64, u64, f64)> = Vec::new();
+        let mut coh_rates: Vec<(u64, u64, f64)> = Vec::new();
         let mut ref_done: Vec<(FlowId, SimTime)> = Vec::new();
-        let mut inc_done: Vec<(FlowId, SimTime)> = Vec::new();
+        let mut coh_done: Vec<(FlowId, SimTime)> = Vec::new();
         drive_flow_churn(
             &mut reference,
             trial,
@@ -264,21 +264,21 @@ fn incremental_flow_solver_matches_reference_on_fat_trees() {
             |_, done| ref_done.extend_from_slice(done),
         );
         drive_flow_churn(
-            &mut incremental,
+            &mut cohort,
             trial,
-            |step, id, rate| inc_rates.push((step, id.0, rate)),
-            |_, done| inc_done.extend_from_slice(done),
+            |step, id, rate| coh_rates.push((step, id.0, rate)),
+            |_, done| coh_done.extend_from_slice(done),
         );
-        assert_eq!(ref_rates.len(), inc_rates.len(), "trial {trial}");
+        assert_eq!(ref_rates.len(), coh_rates.len(), "trial {trial}");
         let quantum = 1.0 / (1u64 << 20) as f64;
-        for (&(s, id, ra), &(_, _, rb)) in ref_rates.iter().zip(&inc_rates) {
+        for (&(s, id, ra), &(_, _, rb)) in ref_rates.iter().zip(&coh_rates) {
             assert!(
                 (ra - rb).abs() <= (1e-9 * ra.max(rb)).max(4.0 * quantum),
                 "trial {trial} step {s} flow {id}: {ra} vs {rb}"
             );
         }
         let ids_a: Vec<FlowId> = ref_done.iter().map(|&(id, _)| id).collect();
-        let ids_b: Vec<FlowId> = inc_done.iter().map(|&(id, _)| id).collect();
+        let ids_b: Vec<FlowId> = coh_done.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids_a, ids_b, "trial {trial}: completion sequences differ");
     }
 }
@@ -368,16 +368,12 @@ fn drive_batched_churn(net: &mut FlowNet, trial: u64) -> ChurnTrace {
 
 /// Tentpole equivalence property: arbitrary batched-admission /
 /// cancellation / completion sequences produce identical rate
-/// trajectories and completion instants across all three solver arms.
+/// trajectories and completion instants across both solver arms.
 /// Rates match to fixed-point quanta; completion instants to the 1 ns
 /// ceil-guard the due computation carries.
 #[test]
 fn flow_solver_arms_agree_on_batched_incast_churn() {
-    let kinds = [
-        FlowSolverKind::Reference,
-        FlowSolverKind::Incremental,
-        FlowSolverKind::Cohort,
-    ];
+    let kinds = [FlowSolverKind::Reference, FlowSolverKind::Cohort];
     for trial in 0..4u64 {
         let built = fat_tree(4, LinkSpec::gigabit());
         let runs: Vec<ChurnTrace> = kinds
@@ -411,14 +407,14 @@ fn flow_solver_arms_agree_on_batched_incast_churn() {
     }
 }
 
-/// Satellite check: flow completions under the incremental solver are
+/// Satellite check: flow completions under the default solver are
 /// bitwise deterministic — two runs of the same fixed-seed churn produce
 /// identical completion sequences, rates, and instants.
 #[test]
-fn flow_completions_bitwise_deterministic_under_incremental_solver() {
+fn flow_completions_bitwise_deterministic_under_default_solver() {
     let run = |trial: u64| {
         let built = fat_tree(4, LinkSpec::gigabit());
-        let mut net = FlowNet::with_solver(&built.topology, FlowSolverKind::Incremental);
+        let mut net = FlowNet::new(&built.topology);
         let mut rates: Vec<u64> = Vec::new();
         let mut done: Vec<(FlowId, SimTime)> = Vec::new();
         drive_flow_churn(

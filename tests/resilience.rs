@@ -45,14 +45,13 @@ fn fed_cfg(faults: Option<&str>) -> ClusterConfig {
 
 /// Satellite property: an empty `FaultPlan` yields byte-identical report
 /// JSON to a plan-less run — across the flow and packet comm models and
-/// all three flow-solver arms, and across a whole federation.
+/// both flow-solver arms, and across a whole federation.
 #[test]
 fn empty_fault_plan_is_byte_identical_to_plan_less_runs() {
     let arms = [
-        (CommModel::Flow, FlowSolverKind::Incremental),
         (CommModel::Flow, FlowSolverKind::Reference),
         (CommModel::Flow, FlowSolverKind::Cohort),
-        (PACKET, FlowSolverKind::Incremental),
+        (PACKET, FlowSolverKind::default()),
     ];
     for (comm, solver) in arms {
         let baseline = Simulation::new(net_cfg(comm, solver, 11)).run();
@@ -97,7 +96,7 @@ fn fault_plans_are_byte_identical_across_federation_worker_counts() {
 }
 
 /// Acceptance property: the same fault schedule (a mid-run switch outage
-/// plus a crash wave on a flow fabric) leaves all three solver arms
+/// plus a crash wave on a flow fabric) leaves both solver arms
 /// byte-identical to each other.
 #[test]
 fn fault_runs_are_byte_identical_across_flow_solver_arms() {
@@ -112,16 +111,14 @@ fn fault_runs_are_byte_identical_across_flow_solver_arms() {
         );
         Simulation::new(cfg).run()
     };
-    let reference = run(FlowSolverKind::Incremental);
+    let reference = run(FlowSolverKind::Reference);
     let r = reference.resilience.as_ref().expect("resilience reported");
     assert!(r.faults_injected >= 3 && r.switch_downtime_s > 0.0);
-    for solver in [FlowSolverKind::Reference, FlowSolverKind::Cohort] {
-        assert_eq!(
-            reference.to_json(),
-            run(solver).to_json(),
-            "fault run diverged under {solver:?}"
-        );
-    }
+    assert_eq!(
+        reference.to_json(),
+        run(FlowSolverKind::Cohort).to_json(),
+        "fault run diverged under the cohort arm"
+    );
 }
 
 /// Satellite invariant: no job is lost. Every admitted job ends
@@ -135,7 +132,7 @@ fn no_admitted_job_is_lost_under_fault_storms() {
                  mtbf:server=11,mtbf=70ms,mttr=15ms; \
                  retry:max=2,backoff=5ms,mult=2";
     for (seed, comm) in [(1u64, CommModel::Flow), (2, PACKET), (3, CommModel::Flow)] {
-        let mut cfg = net_cfg(comm, FlowSolverKind::Incremental, seed);
+        let mut cfg = net_cfg(comm, FlowSolverKind::default(), seed);
         cfg.faults = Some(FaultPlan::parse(storm).expect("plan parses"));
         let report = Simulation::new(cfg).run();
         let r = report.resilience.as_ref().expect("resilience reported");
