@@ -91,10 +91,12 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/des/src/slot_window.rs",
     "crates/des/src/lazy_heap.rs",
     "crates/network/src/flow.rs",
+    "crates/network/src/flow_cohort.rs",
     "crates/network/src/routing.rs",
     "crates/network/src/switch.rs",
     "crates/network/src/packet.rs",
     "crates/core/src/sim.rs",
+    "crates/core/src/netstate.rs",
     "crates/sched/src/queue.rs",
     "crates/cluster/src/federation.rs",
     "crates/cluster/src/wan.rs",

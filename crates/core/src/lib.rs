@@ -9,6 +9,7 @@
 //! * [`config`] — the experiment description (Fig. 1's inputs).
 //! * [`sim`] — the [`sim::Datacenter`] event model and [`sim::Simulation`]
 //!   driver.
+//! * [`netstate`] — the fabric and its in-flight flow/packet transfers.
 //! * [`report`] — run outcomes: latency percentiles, energy breakdowns,
 //!   residency, power/time series.
 //! * [`experiments`] — ready-made harnesses for every figure and table of

@@ -3,7 +3,6 @@
 //! [`Simulation`] front end that runs it and produces a [`SimReport`].
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use holdcsim_des::engine::{Context, Engine, Model};
 use holdcsim_des::rng::SimRng;
@@ -11,10 +10,7 @@ use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::stats::SampleSet;
 use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_faults::{FaultEvent, FaultKind, RetryPolicy, FAULT_STREAM};
-use holdcsim_network::flow::CompletedFlow;
-use holdcsim_network::ids::{FlowId, LinkId, NodeId, PacketId};
-use holdcsim_network::packet::{Packet, TxOutcome};
-use holdcsim_network::routing::Route;
+use holdcsim_network::ids::LinkId;
 use holdcsim_obs::{EventInfo, ObsArtifacts, Observer, ProbeSource, TraceEvent};
 use holdcsim_sched::geo::{route_site, GeoPolicy};
 use holdcsim_sched::policy::{
@@ -30,15 +26,12 @@ use holdcsim_server::task::TaskHandle;
 use holdcsim_workload::arrivals::{ArrivalProcess, Mmpp2Arrivals, PoissonArrivals, TraceArrivals};
 use holdcsim_workload::ids::{JobId, TaskId};
 
-use crate::config::{ArrivalConfig, CommModel, ControllerConfig, PolicyKind, SimConfig};
+use crate::config::{ArrivalConfig, ControllerConfig, PolicyKind, SimConfig};
 use crate::job::{JobState, JobTable};
 use crate::netstate::NetState;
 use crate::report::{
     latency_report, Metrics, NetworkReport, ResilienceReport, ServerReport, SimReport,
 };
-
-/// Packet retransmission backoff after a tail-drop.
-const RETRY_DELAY: SimDuration = SimDuration::from_millis(1);
 
 /// The event alphabet of the data-center model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,11 +68,12 @@ pub enum DcEvent {
         /// [`DcEvent::TaskComplete::gen`]).
         gen: u32,
     },
-    /// The flow network's earliest projected completion is due. A single
-    /// such event is kept armed at [`holdcsim_network::flow::FlowNet::
-    /// next_due`]; per-flow retiming happens inside the flow network's
-    /// completion heap (rate deltas update heap entries, not calendar
-    /// events), so a firing that finds nothing due is a cheap no-op.
+    /// The flow network's earliest projected completion is due. The
+    /// [`NetState`] keeps a single such event armed at
+    /// [`holdcsim_network::flow::FlowNet::next_due`]; per-flow retiming
+    /// happens inside the flow network's completion heap (rate deltas
+    /// update heap entries, not calendar events), so a firing that finds
+    /// nothing due is a cheap no-op.
     FlowsAdvance,
     /// A flow whose start was delayed by switch wake latency is admitted.
     FlowAdmit {
@@ -202,41 +196,6 @@ impl TraceEvent for DcEvent {
             b,
         }
     }
-}
-
-#[derive(Debug)]
-struct PacketSt {
-    packet: Packet,
-    /// Slot in `transfer_slots` for the DAG edge this packet belongs to.
-    xfer: u64,
-}
-
-/// One in-flight flow-model transfer (slot key = raw flow id).
-#[derive(Debug)]
-struct FlowSt {
-    /// The (shared) route the flow occupies.
-    route: Arc<Route>,
-    /// Admission state while the flow waits out switch wake latency:
-    /// `(src host, dst host, bytes)`, taken on admission.
-    pending: Option<(NodeId, NodeId, u64)>,
-    /// Slot in `dispatch_slots` for the consumer task.
-    dispatch: u64,
-    /// Original transfer size: a fabric fault restarts the flow from
-    /// scratch on a surviving route (partial progress is lost).
-    bytes: u64,
-    /// The solver's own key for the admitted flow (`None` while
-    /// pending). Wake-delayed admissions make the solver's key sequence
-    /// diverge from `flow_slots`, so removals must use this key.
-    net_key: Option<u64>,
-}
-
-/// One in-flight packet-model transfer (a DAG edge's packet burst).
-#[derive(Debug)]
-struct TransferSt {
-    /// Packets still in flight on this edge.
-    remaining: u64,
-    /// Slot in `dispatch_slots` for the consumer task.
-    dispatch: u64,
 }
 
 /// The federation-facing side of a site's driver: dispatch inputs the
@@ -392,28 +351,14 @@ pub struct Datacenter {
     /// Reusable effect buffer threaded through every server call.
     fx: EffectBuf,
     controller: Option<Controller>,
+    /// The fabric and every transfer in flight on it (network runs only).
     net: Option<NetState>,
-    next_packet_id: u64,
-    /// Live flows, keyed by raw flow id (the window issues the ids):
-    /// flow-completion and admission events index instead of hashing.
-    flow_slots: SlotWindow<FlowSt>,
-    packet_slots: Vec<Option<PacketSt>>,
-    free_slots: Vec<usize>,
-    /// Outstanding packet bursts per DAG edge; packets carry their slot.
-    transfer_slots: SlotWindow<TransferSt>,
     /// Placed tasks awaiting inbound transfers; flows/transfers carry
     /// their slot, so completion never hashes a `(job, task)` key.
     dispatch_slots: SlotWindow<(ServerId, TaskHandle)>,
-    /// Scratch for a task's inbound cross-server edges (reused across
-    /// placements; no per-transfer allocation).
-    scratch_inbound: Vec<(u32, u64, ServerId)>,
-    /// Scratch for completions drained from the flow network (reused
-    /// across completion events).
-    scratch_flow_done: Vec<CompletedFlow>,
-    /// Deadline of the earliest outstanding `FlowsAdvance` event: arming
-    /// is skipped while an earlier-or-equal check is already scheduled,
-    /// so admissions that only push completions *later* enqueue nothing.
-    flow_check_armed: SimTime,
+    /// Scratch for a task's inbound cross-server edges as `(bytes,
+    /// source)` (reused across placements; no per-transfer allocation).
+    scratch_inbound: Vec<(u64, ServerId)>,
     /// Per-server tasks committed but still waiting on inbound transfers.
     committed: Vec<u32>,
     /// Federation attachment (multi-datacenter runs only).
@@ -552,15 +497,8 @@ impl Datacenter {
             fx: EffectBuf::new(),
             controller,
             net,
-            next_packet_id: 0,
-            flow_slots: SlotWindow::new(),
-            packet_slots: Vec::new(),
-            free_slots: Vec::new(),
-            transfer_slots: SlotWindow::new(),
             dispatch_slots: SlotWindow::new(),
             scratch_inbound: Vec::new(),
-            scratch_flow_done: Vec::new(),
-            flow_check_armed: SimTime::ZERO,
             committed: vec![0; cfg.server_count],
             fed: None,
             remote_inbox: SlotWindow::new(),
@@ -760,24 +698,14 @@ impl Datacenter {
         // Network-aware placement needs per-candidate wake costs; fill the
         // server-indexed scratch table for exactly the candidate set.
         let use_costs = matches!(self.cfg.policy, PolicyKind::NetworkAware) && self.net.is_some();
-        if use_costs {
-            let n = if needs_filter {
-                self.scratch_candidates.len()
+        if let Some(net) = self.net.as_mut().filter(|_| use_costs) {
+            let candidates = if needs_filter {
+                &self.scratch_candidates
             } else {
-                self.eligible.len()
+                &self.eligible
             };
-            for i in 0..n {
-                let id = if needs_filter {
-                    self.scratch_candidates[i]
-                } else {
-                    self.eligible[i]
-                };
-                let c = self
-                    .net
-                    .as_mut()
-                    .expect("checked above")
-                    .wake_cost(srcs, id, seed);
-                self.cost_scratch[id.0 as usize] = c;
+            for &id in candidates {
+                self.cost_scratch[id.0 as usize] = net.wake_cost(srcs, id, seed);
             }
         }
         let candidates: &[ServerId] = if needs_filter {
@@ -841,7 +769,7 @@ impl Datacenter {
     ) {
         self.jobs.get_mut(job).assign(t, sid);
         // Inbound edges that actually cross the network (reusable scratch
-        // buffer, taken out so `start_transfer` can borrow `self`).
+        // buffer, taken out so the launches can borrow `self`).
         let mut inbound = std::mem::take(&mut self.scratch_inbound);
         inbound.clear();
         if self.net.is_some() {
@@ -849,7 +777,7 @@ impl Datacenter {
             inbound.extend(js.dag.predecessors(t).iter().filter_map(|&p| {
                 let bytes = js.dag.edge_bytes(p, t)?;
                 let src = js.assignment(p)?;
-                (bytes > 0 && src != sid).then_some((p, bytes, src))
+                (bytes > 0 && src != sid).then_some((bytes, src))
             }));
         }
         if inbound.is_empty() {
@@ -862,117 +790,21 @@ impl Datacenter {
             .add_transfers(t, inbound.len() as u32);
         let dispatch = self.dispatch_slots.insert((sid, handle));
         self.committed[sid.0 as usize] += 1;
-        for &(_, bytes, src) in &inbound {
-            if !self.start_transfer(ctx, dispatch, job, t, src, sid, bytes) {
+        // Packet bursts spread over ECMP by edge; flows by their own key.
+        let seed = job.0 ^ u64::from(t);
+        for &(bytes, src) in &inbound {
+            let started = self
+                .net
+                .as_mut()
+                .is_some_and(|net| net.start_edge(ctx, dispatch, src, sid, bytes, seed));
+            if !started {
                 // No surviving route (mid-fault only): drop the dispatch
                 // and push the task through the retry path.
-                if let Some((j, tt)) = self.kill_dispatch(ctx, dispatch) {
-                    self.retry_task(ctx, j, tt);
-                }
+                self.kill_dispatch(ctx, dispatch);
                 break;
             }
         }
         self.scratch_inbound = inbound;
-    }
-
-    /// Returns `false` when no route survives between the endpoints —
-    /// only possible while a fabric fault is active.
-    #[allow(clippy::too_many_arguments)]
-    fn start_transfer(
-        &mut self,
-        ctx: &mut Context<'_, DcEvent>,
-        dispatch: u64,
-        job: JobId,
-        t: u32,
-        src: ServerId,
-        dst: ServerId,
-        bytes: u64,
-    ) -> bool {
-        let now = ctx.now();
-        let comm = self.net.as_ref().expect("transfer without network").comm;
-        match comm {
-            CommModel::Flow => {
-                let fid = FlowId(self.flow_slots.next_key());
-                let net = self.net.as_mut().expect("checked above");
-                let Some(route) = net.route_between(src, dst, fid.0) else {
-                    debug_assert!(net.fabric_down > 0, "topology is connected");
-                    return false;
-                };
-                // Waking LPI ports starts now; the flow may not move data
-                // until the slowest port along the route is back up, so its
-                // admission is delayed by the worst wake latency (matching
-                // the packet model, which pads each transmission start).
-                let mut wake = SimDuration::ZERO;
-                for &l in &route.links {
-                    wake = wake.max(net.wake_link(now, l));
-                }
-                let (hs, hd) = (net.host_of(src), net.host_of(dst));
-                if wake.is_zero() {
-                    // Batched: the re-solve runs once per event, when
-                    // `schedule_flow_retimes` flushes — a task's whole
-                    // transfer fan-in shares one fair-share solve.
-                    let nk = net
-                        .flows
-                        .add_flow_batched(now, fid, hs, hd, &route.links, bytes);
-                    let key = self.flow_slots.insert(FlowSt {
-                        route,
-                        pending: None,
-                        dispatch,
-                        bytes,
-                        net_key: Some(nk),
-                    });
-                    debug_assert_eq!(key, fid.0);
-                } else {
-                    let key = self.flow_slots.insert(FlowSt {
-                        route,
-                        pending: Some((hs, hd, bytes)),
-                        dispatch,
-                        bytes,
-                        net_key: None,
-                    });
-                    debug_assert_eq!(key, fid.0);
-                    ctx.schedule_in(wake, DcEvent::FlowAdmit { flow: fid.0 });
-                }
-            }
-            CommModel::Packet { mtu, .. } => {
-                let net = self.net.as_mut().expect("checked above");
-                let Some(route) = net.route_between(src, dst, job.0 ^ u64::from(t)) else {
-                    debug_assert!(net.fabric_down > 0, "topology is connected");
-                    return false;
-                };
-                // Packetize arithmetically (no segment vector): `full`
-                // MTU-sized packets plus a possible short tail.
-                let full = bytes / mtu;
-                let tail = bytes % mtu;
-                let n = full + u64::from(tail > 0);
-                debug_assert!(n > 0, "inbound edges carry bytes");
-                let xfer = self.transfer_slots.insert(TransferSt {
-                    remaining: n,
-                    dispatch,
-                });
-                for i in 0..n {
-                    let b = if i < full { mtu } else { tail };
-                    let pid = PacketId(self.next_packet_id);
-                    self.next_packet_id += 1;
-                    let st = PacketSt {
-                        packet: Packet::new(pid, b, Arc::clone(&route)),
-                        xfer,
-                    };
-                    let slot = match self.free_slots.pop() {
-                        Some(s) => {
-                            self.packet_slots[s] = Some(st);
-                            s
-                        }
-                        None => {
-                            self.packet_slots.push(Some(st));
-                            self.packet_slots.len() - 1
-                        }
-                    };
-                    self.send_packet(ctx, slot);
-                }
-            }
-        }
-        true
     }
 
     /// One DAG edge fully delivered: counts it against the consumer task's
@@ -992,223 +824,22 @@ impl Datacenter {
         }
     }
 
-    /// Reaps a packet whose transfer was killed by a fault (the kill
-    /// leaves the slot in place so the packet's outstanding event can
-    /// find and free it — free-list reuse makes eager freeing unsafe).
-    /// Returns `true` if the slot was reaped.
-    fn reap_orphan_packet(&mut self, slot: usize) -> bool {
-        let st = self.packet_slots[slot].as_ref().expect("live packet slot");
-        if self.transfer_slots.get(st.xfer).is_some() {
-            return false;
-        }
-        self.packet_slots[slot] = None;
-        self.free_slots.push(slot);
-        true
-    }
-
-    /// Transmits the packet in `slot` over its next hop.
-    fn send_packet(&mut self, ctx: &mut Context<'_, DcEvent>, slot: usize) {
-        if self.reap_orphan_packet(slot) {
-            return;
-        }
-        let now = ctx.now();
-        let (node, link, bytes) = {
-            let st = self.packet_slots[slot].as_ref().expect("live packet slot");
-            let link = st.packet.next_link().expect("packet not at destination");
-            (st.packet.current_node(), link, st.packet.bytes)
-        };
-        let net = self.net.as_mut().expect("packet without network");
-        // Wake the egress port if this node is a switch; the wake latency
-        // delays the transmission start.
-        let mut start = now;
-        let sw_port = net.switch_index.get(&node).copied().map(|swi| {
-            let l = net.topology.link(link);
-            let port = l.endpoint_on(node).expect("link touches node").port;
-            (swi, port)
-        });
-        if let Some((swi, port)) = sw_port {
-            let wake = net.switches[swi].wake_for_tx(now, port);
-            start = now + wake;
-        }
-        match net
-            .packets
-            .transmit(start, &net.topology, link, node, bytes)
-        {
-            TxOutcome::Forwarded { arrives_at } => {
-                if let Some((swi, port)) = sw_port {
-                    let tx_end = arrives_at - net.topology.link(link).latency;
-                    net.switches[swi].note_tx_end(port, tx_end);
-                    if let Some(hold) = net.lpi_hold {
-                        Self::schedule_lpi_check(ctx, net, swi, port, tx_end + hold);
-                    }
-                }
-                ctx.schedule_at(arrives_at, DcEvent::PacketArrive { slot });
-            }
-            TxOutcome::Dropped => {
-                ctx.schedule_in(RETRY_DELAY, DcEvent::PacketRetry { slot });
-            }
-        }
-    }
-
-    fn on_packet_arrive(&mut self, ctx: &mut Context<'_, DcEvent>, slot: usize) {
-        if self.reap_orphan_packet(slot) {
-            return;
-        }
-        let finished = {
-            let st = self.packet_slots[slot].as_mut().expect("live packet slot");
-            st.packet.hop += 1;
-            st.packet.at_destination()
-        };
-        if !finished {
-            self.send_packet(ctx, slot);
-            return;
-        }
-        let st = self.packet_slots[slot].take().expect("live packet slot");
-        self.free_slots.push(slot);
-        let tr = self
-            .transfer_slots
-            .get_mut(st.xfer)
-            .expect("transfer accounting");
-        tr.remaining -= 1;
-        if tr.remaining == 0 {
-            let dispatch = tr.dispatch;
-            self.transfer_slots.remove(st.xfer);
-            // This *edge* is fully delivered; the task starts once all its
-            // inbound edges have landed.
+    /// Completes the due flows, finishing their edges one at a time.
+    fn on_flows_advance(&mut self, ctx: &mut Context<'_, DcEvent>) {
+        let Some(net) = self.net.as_mut() else { return };
+        net.advance_flows(ctx.now());
+        while let Some(dispatch) = self.net.as_mut().and_then(|n| n.next_done_flow(ctx)) {
             self.finish_edge(ctx, dispatch);
         }
+        self.flush_transfers(ctx);
     }
 
-    /// Admits a flow whose start was held back by switch wake latency.
-    fn on_flow_admit(&mut self, ctx: &mut Context<'_, DcEvent>, flow: u64) {
-        let now = ctx.now();
-        let Datacenter {
-            flow_slots, net, ..
-        } = self;
-        // A fault may have killed the flow while it waited out the wake.
-        let Some(st) = flow_slots.get_mut(flow) else {
-            return;
-        };
-        let net = net.as_mut().expect("flows without network");
-        // A pending flow occupies no links yet, so an LpiCheck firing
-        // inside the wake window can have re-slept a route port. Re-wake
-        // the route; any residual latency delays admission again.
-        let mut wake = SimDuration::ZERO;
-        for &l in &st.route.links {
-            wake = wake.max(net.wake_link(now, l));
+    /// Solves the flow admissions and removals batched in this event
+    /// once, and re-arms the flow completion check.
+    fn flush_transfers(&mut self, ctx: &mut Context<'_, DcEvent>) {
+        if let Some(net) = self.net.as_mut() {
+            net.schedule_flow_retimes(ctx);
         }
-        if !wake.is_zero() {
-            ctx.schedule_in(wake, DcEvent::FlowAdmit { flow });
-            return;
-        }
-        let (hs, hd, bytes) = st.pending.take().expect("pending flow has admission state");
-        let nk = net
-            .flows
-            .add_flow_batched(now, FlowId(flow), hs, hd, &st.route.links, bytes);
-        st.net_key = Some(nk);
-        self.schedule_flow_retimes(ctx);
-    }
-
-    /// Re-arms the single `FlowsAdvance` event at the flow network's
-    /// earliest projected completion. Rate deltas already retimed the
-    /// per-flow entries inside the network's completion heap; the
-    /// calendar only needs a new event when the earliest projection moved
-    /// *before* the armed one (later moves leave the armed event to fire
-    /// as a cheap no-op and re-arm itself).
-    fn schedule_flow_retimes(&mut self, ctx: &mut Context<'_, DcEvent>) {
-        let Some(net) = self.net.as_mut() else { return };
-        net.flows.flush(ctx.now());
-        let Some(due) = net.flows.next_due() else {
-            return;
-        };
-        let now = ctx.now();
-        if self.flow_check_armed > now && self.flow_check_armed <= due {
-            return;
-        }
-        self.flow_check_armed = due;
-        ctx.schedule_at(due, DcEvent::FlowsAdvance);
-    }
-
-    fn on_flows_advance(&mut self, ctx: &mut Context<'_, DcEvent>) {
-        let now = ctx.now();
-        let Some(net) = self.net.as_mut() else { return };
-        net.flows.advance_due(now);
-        let mut done = std::mem::take(&mut self.scratch_flow_done);
-        done.clear();
-        done.extend(net.flows.drain_completed());
-        let hold = net.lpi_hold;
-        for c in &done {
-            let st = self
-                .flow_slots
-                .remove(c.id.0)
-                .expect("completed flow has state");
-            // Freed links may now idle their ports.
-            if let Some(hold) = hold {
-                let net = self.net.as_mut().expect("still here");
-                for &l in &st.route.links {
-                    if net.flows.flows_on_link(l) == 0 {
-                        let ports = net.switch_ports_of_link(l);
-                        for (swi, port) in ports {
-                            Self::schedule_lpi_check(ctx, net, swi, port, now + hold);
-                        }
-                    }
-                }
-            }
-            self.finish_edge(ctx, st.dispatch);
-        }
-        self.scratch_flow_done = done;
-        if self.net.is_some() {
-            self.schedule_flow_retimes(ctx);
-        }
-    }
-
-    fn on_lpi_check(&mut self, ctx: &mut Context<'_, DcEvent>, switch: usize, port: u32) {
-        let now = ctx.now();
-        let Some(net) = self.net.as_mut() else { return };
-        let Some(hold) = net.lpi_hold else { return };
-        let is_packet = matches!(net.comm, CommModel::Packet { .. });
-        // Coalesced (packet) mode: a later check is armed for this port,
-        // so this event is a leftover from before coalescing kicked in.
-        if is_packet && net.lpi_armed[switch][port as usize] > now {
-            return;
-        }
-        let link = net.port_link[&(switch, port)];
-        let busy = match net.comm {
-            CommModel::Flow => net.flows.flows_on_link(link) > 0,
-            CommModel::Packet { .. } => {
-                let sw_node = net.switches[switch].node();
-                net.packets
-                    .egress_idle_at(&net.topology, link, sw_node, now)
-                    > now
-            }
-        };
-        let idle_due = net.switches[switch].last_tx_end(port).saturating_add(hold);
-        if busy || idle_due > now {
-            // Traffic since this check was scheduled. Packet mode owns
-            // the port's single timer: re-arm it at the idle deadline
-            // (every in-flight transmission has already advanced
-            // `last_tx_end`, so the deadline is in the future whenever
-            // the port is busy).
-            if is_packet && idle_due > now {
-                net.lpi_armed[switch][port as usize] = idle_due;
-                ctx.schedule_at(idle_due, DcEvent::LpiCheck { switch, port });
-            }
-            return;
-        }
-        let use_alr = net.use_alr;
-        let sw = &mut net.switches[switch];
-        if use_alr {
-            // ALR mode: negotiate the idle port down the ladder instead of
-            // entering LPI (zero exit latency, smaller savings).
-            let lowest = sw.profile().port.alr_ladder.first().map(|&(rate, _)| rate);
-            if let Some(rate) = lowest {
-                sw.set_port_rate(now, port, Some(rate));
-            }
-        } else if sw.enter_lpi(now, port) {
-            let card = sw.card_of(port);
-            sw.sleep_card(now, card);
-        }
-        let _ = ctx;
     }
 
     // ------------------------------------------------------------------
@@ -1217,57 +848,13 @@ impl Datacenter {
 
     fn dispatch(&mut self, ctx: &mut Context<'_, DcEvent>, sid: ServerId, handle: TaskHandle) {
         // Front-end request traffic down the access link, if modeled.
-        if let Some((req, _)) = self.net.as_ref().and_then(|n| n.ingress_bytes) {
-            self.touch_access_port(ctx, sid, req);
+        if let Some(net) = self.net.as_mut() {
+            if let Some((req, _)) = net.ingress_bytes {
+                net.touch_access_port(ctx, sid, req);
+            }
         }
         self.servers[sid.0 as usize].submit(ctx.now(), handle, &mut self.fx);
         Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
-    }
-
-    /// Marks `sid`'s access-link switch port active for a transmission of
-    /// `bytes`, charging LPI wake-ups and scheduling the idle re-check —
-    /// the mechanism behind the §V-B port-state log.
-    fn touch_access_port(&mut self, ctx: &mut Context<'_, DcEvent>, sid: ServerId, bytes: u64) {
-        let now = ctx.now();
-        let Some(net) = self.net.as_mut() else { return };
-        let Some((swi, port, link)) = net.access_port(sid) else {
-            return;
-        };
-        let wake = net.switches[swi].wake_for_tx(now, port);
-        let rate = net.topology.link(link).rate_bps;
-        let tx_end = now + wake + SimDuration::from_secs_f64(bytes as f64 * 8.0 / rate as f64);
-        net.switches[swi].note_tx_end(port, tx_end);
-        if let Some(hold) = net.lpi_hold {
-            Self::schedule_lpi_check(ctx, net, swi, port, tx_end + hold);
-        }
-    }
-
-    /// Schedules an `LpiCheck` for `(swi, port)` at `at`.
-    ///
-    /// In packet mode the per-port idle timer is coalesced: while a check
-    /// is still outstanding (armed strictly in the future), new requests
-    /// are dropped — the outstanding check re-arms itself off the port's
-    /// `last_tx_end` when it fires — so a busy port carries one pending
-    /// idle check per hold window instead of one per forwarded packet,
-    /// while still entering LPI at exactly `last_tx_end + hold`. Flow
-    /// mode keeps direct scheduling (its check volume is per-flow, and
-    /// link-freed checks are not tied to the transmit clock).
-    fn schedule_lpi_check(
-        ctx: &mut Context<'_, DcEvent>,
-        net: &mut NetState,
-        swi: usize,
-        port: u32,
-        at: SimTime,
-    ) {
-        let at = at.max(ctx.now());
-        if matches!(net.comm, CommModel::Packet { .. }) {
-            let armed = &mut net.lpi_armed[swi][port as usize];
-            if *armed > ctx.now() {
-                return;
-            }
-            *armed = at;
-        }
-        ctx.schedule_at(at, DcEvent::LpiCheck { switch: swi, port });
     }
 
     /// The server's current crash generation (0 whenever fault injection
@@ -1323,8 +910,10 @@ impl Datacenter {
         debug_assert_eq!(tid, expected, "completion event routed to wrong core");
         Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
         // Response traffic back up the access link, if modeled.
-        if let Some((_, resp)) = self.net.as_ref().and_then(|n| n.ingress_bytes) {
-            self.touch_access_port(ctx, sid, resp);
+        if let Some(net) = self.net.as_mut() {
+            if let Some((_, resp)) = net.ingress_bytes {
+                net.touch_access_port(ctx, sid, resp);
+            }
         }
         // DAG bookkeeping.
         let mut ready = std::mem::take(&mut self.scratch_ready);
@@ -1362,7 +951,7 @@ impl Datacenter {
         self.pull_global_queue(ctx, sid);
         // Transfer admissions from the placements and pulls above are
         // batched; solve and arm the completion check once per event.
-        self.schedule_flow_retimes(ctx);
+        self.flush_transfers(ctx);
     }
 
     fn pull_global_queue(&mut self, ctx: &mut Context<'_, DcEvent>, sid: ServerId) {
@@ -1454,7 +1043,7 @@ impl Datacenter {
         }
         self.scratch_ready = ready;
         // Admissions from the placements above are batched; solve once.
-        self.schedule_flow_retimes(ctx);
+        self.flush_transfers(ctx);
     }
 
     /// A forwarded job's WAN transfer completed: admit it here. Its
@@ -1517,9 +1106,8 @@ impl Datacenter {
         // checker: acting on servers needs &mut self).
         enum Decision {
             Park(ServerId),
-            Unpark(ServerId),
-            Promote(ServerId),
-            Demote(ServerId),
+            Activate(ServerId, SleepPolicy),
+            Demote(ServerId, SleepPolicy),
             None,
         }
         let decision = match &mut self.controller {
@@ -1529,7 +1117,7 @@ impl Datacenter {
                     ProvisionAction::ActivateOne => match parked.iter().next().copied() {
                         Some(id) => {
                             parked.remove(&id);
-                            Decision::Unpark(id)
+                            Decision::Activate(id, self.cfg.policy_for(id.0 as usize))
                         }
                         None => Decision::None,
                     },
@@ -1559,11 +1147,11 @@ impl Datacenter {
                 match mgr.decide(active_pending as f64 + self.global_queue.len() as f64) {
                     PoolAction::Promote(id) => {
                         mgr.apply_promote(id);
-                        Decision::Promote(id)
+                        Decision::Activate(id, mgr.active_pool_policy())
                     }
                     PoolAction::Demote(id) => {
                         mgr.apply_demote(id);
-                        Decision::Demote(id)
+                        Decision::Demote(id, mgr.sleep_pool_policy())
                     }
                     PoolAction::Hold => Decision::None,
                 }
@@ -1576,42 +1164,12 @@ impl Datacenter {
                 // sleep policy (delay timer) decides when they descend.
                 self.set_eligible(id, false);
             }
-            // A crashed node ignores controller wake-ups/policy pokes; it
-            // rejoins the eligible set at its FaultRecover instant (the
-            // controller's own bookkeeping still advances).
-            Decision::Unpark(id) => {
+            Decision::Activate(id, policy) => self.activate(ctx, id, policy),
+            // A crashed node ignores controller policy pokes (see
+            // `activate`).
+            Decision::Demote(id, policy) => {
                 if !self.is_down(id) {
-                    self.servers[id.0 as usize].set_policy(
-                        now,
-                        self.cfg.policy_for(id.0 as usize),
-                        &mut self.fx,
-                    );
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
-                    self.servers[id.0 as usize].request_wake(now, &mut self.fx);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
-                    self.set_eligible(id, true);
-                }
-            }
-            Decision::Promote(id) => {
-                if !self.is_down(id) {
-                    let pool_policy = match &self.controller {
-                        Some(Controller::Pools { mgr }) => mgr.active_pool_policy(),
-                        _ => unreachable!("promotion without pools"),
-                    };
-                    self.servers[id.0 as usize].set_policy(now, pool_policy, &mut self.fx);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
-                    self.servers[id.0 as usize].request_wake(now, &mut self.fx);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
-                    self.set_eligible(id, true);
-                }
-            }
-            Decision::Demote(id) => {
-                if !self.is_down(id) {
-                    let pool_policy = match &self.controller {
-                        Some(Controller::Pools { mgr }) => mgr.sleep_pool_policy(),
-                        _ => unreachable!("demotion without pools"),
-                    };
-                    self.servers[id.0 as usize].set_policy(now, pool_policy, &mut self.fx);
+                    self.servers[id.0 as usize].set_policy(now, policy, &mut self.fx);
                     Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
                 }
                 self.set_eligible(id, false);
@@ -1619,6 +1177,24 @@ impl Datacenter {
             Decision::None => return false,
         }
         true
+    }
+
+    /// Returns `id` to service under `policy` (an unparked or promoted
+    /// server): wakes it and makes it eligible. A crashed node ignores
+    /// controller wake-ups and policy pokes; it rejoins the eligible set
+    /// at its FaultRecover instant (the controller's own bookkeeping
+    /// still advances).
+    fn activate(&mut self, ctx: &mut Context<'_, DcEvent>, id: ServerId, policy: SleepPolicy) {
+        if self.is_down(id) {
+            return;
+        }
+        let (now, gen) = (ctx.now(), self.crash_gen(id));
+        let server = &mut self.servers[id.0 as usize];
+        server.set_policy(now, policy, &mut self.fx);
+        Self::apply_effects(ctx, id, &self.fx, gen);
+        server.request_wake(now, &mut self.fx);
+        Self::apply_effects(ctx, id, &self.fx, gen);
+        self.set_eligible(id, true);
     }
 
     fn on_stats_sample(&mut self, ctx: &mut Context<'_, DcEvent>) {
@@ -1669,16 +1245,8 @@ impl Datacenter {
                 }
             }
         }
-        // Idle switch ports may enter LPI after the initial hold.
         if let Some(net) = self.net.as_mut() {
-            if let Some(hold) = net.lpi_hold {
-                let at = now + hold;
-                for swi in 0..net.switches.len() {
-                    for port in 0..net.switches[swi].port_count() as u32 {
-                        Self::schedule_lpi_check(ctx, net, swi, port, at);
-                    }
-                }
-            }
+            net.arm_lpi_checks(ctx);
         }
     }
 
@@ -1756,14 +1324,12 @@ impl Datacenter {
             self.retry_task(ctx, h.id.job, h.id.index);
         }
         for slot in doomed {
-            if let Some((job, t)) = self.kill_dispatch(ctx, slot) {
-                self.retry_task(ctx, job, t);
-            }
+            self.kill_dispatch(ctx, slot);
         }
         killed.clear();
         self.faults.as_mut().expect("state").scratch_killed = killed;
         // Flow removals above were batched; solve once.
-        self.schedule_flow_retimes(ctx);
+        self.flush_transfers(ctx);
         true
     }
 
@@ -1870,189 +1436,40 @@ impl Datacenter {
     /// crosses it restarts on a surviving route, or — when no route
     /// survives — kills its dispatch and retries the consumer task.
     fn on_fabric_down(&mut self, ctx: &mut Context<'_, DcEvent>) {
-        let now = ctx.now();
-        match self.net.as_ref().map(|n| n.comm) {
-            Some(CommModel::Flow) => {
-                let dead: Vec<u64> = {
-                    let net = self.net.as_ref().expect("checked above");
-                    self.flow_slots
-                        .iter()
-                        .filter(|(_, st)| net.route_is_dead(&st.route))
-                        .map(|(k, _)| k)
-                        .collect()
-                };
-                for k in dead {
-                    // An earlier kill_dispatch may have removed it already.
-                    let Some(st) = self.flow_slots.remove(k) else {
-                        continue;
-                    };
-                    let (hs, hd, bytes, was_admitted) = match st.pending {
-                        Some((hs, hd, b)) => (hs, hd, b, false),
-                        None => (
-                            st.route.nodes[0],
-                            *st.route.nodes.last().expect("route has nodes"),
-                            st.bytes,
-                            true,
-                        ),
-                    };
-                    if was_admitted {
-                        // Partial progress is lost: the flow restarts from
-                        // its full size on the surviving fabric.
-                        let net = self.net.as_mut().expect("checked above");
-                        net.flows
-                            .remove_flow(now, st.net_key.expect("admitted flow has a net key"));
-                        if let Some(hold) = net.lpi_hold {
-                            for &l in &st.route.links {
-                                if net.flows.flows_on_link(l) == 0 {
-                                    let ports = net.switch_ports_of_link(l);
-                                    for (swi, port) in ports {
-                                        Self::schedule_lpi_check(ctx, net, swi, port, now + hold);
-                                    }
-                                }
-                            }
-                        }
-                        self.faults.as_mut().expect("state").transfer_retries += 1;
-                    }
-                    let dispatch = st.dispatch;
-                    let new_key = self.flow_slots.next_key();
-                    let routed = {
-                        let net = self.net.as_mut().expect("checked above");
-                        net.route_hosts_avoiding(hs, hd, new_key).map(|route| {
-                            let mut wake = SimDuration::ZERO;
-                            for &l in &route.links {
-                                wake = wake.max(net.wake_link(now, l));
-                            }
-                            (route, wake)
-                        })
-                    };
-                    match routed {
-                        None => {
-                            // Destination unreachable: re-place the task.
-                            if let Some((job, t)) = self.kill_dispatch(ctx, dispatch) {
-                                self.retry_task(ctx, job, t);
-                            }
-                        }
-                        Some((route, wake)) => {
-                            if wake.is_zero() {
-                                let net = self.net.as_mut().expect("checked above");
-                                let nk = net.flows.add_flow_batched(
-                                    now,
-                                    FlowId(new_key),
-                                    hs,
-                                    hd,
-                                    &route.links,
-                                    bytes,
-                                );
-                                let key = self.flow_slots.insert(FlowSt {
-                                    route,
-                                    pending: None,
-                                    dispatch,
-                                    bytes,
-                                    net_key: Some(nk),
-                                });
-                                debug_assert_eq!(key, new_key);
-                            } else {
-                                let key = self.flow_slots.insert(FlowSt {
-                                    route,
-                                    pending: Some((hs, hd, bytes)),
-                                    dispatch,
-                                    bytes,
-                                    net_key: None,
-                                });
-                                debug_assert_eq!(key, new_key);
-                                ctx.schedule_in(wake, DcEvent::FlowAdmit { flow: new_key });
-                            }
-                        }
-                    }
-                }
-                self.schedule_flow_retimes(ctx);
-            }
-            Some(CommModel::Packet { .. }) => {
-                // A packet heading into the dead component dooms its whole
-                // transfer set: the consumer dispatch restarts from
-                // scratch (packet order = slot order, deterministic).
-                let mut doomed: Vec<u64> = Vec::new();
-                {
-                    let net = self.net.as_ref().expect("checked above");
-                    for st in self.packet_slots.iter().flatten() {
-                        let Some(tr) = self.transfer_slots.get(st.xfer) else {
-                            continue;
-                        };
-                        let hop = st.packet.hop;
-                        let r = &st.packet.route;
-                        let hits_dead = r.nodes[hop..].iter().any(|n| net.down_nodes[n.0 as usize])
-                            || r.links[hop..].iter().any(|l| net.down_links[l.0 as usize]);
-                        if hits_dead && !doomed.contains(&tr.dispatch) {
-                            doomed.push(tr.dispatch);
-                        }
-                    }
-                }
-                for d in doomed {
-                    self.faults.as_mut().expect("state").transfer_retries += 1;
-                    if let Some((job, t)) = self.kill_dispatch(ctx, d) {
-                        self.retry_task(ctx, job, t);
-                    }
-                }
-            }
-            None => {}
+        let Some(net) = self.net.as_ref() else { return };
+        // A packet burst cannot reroute mid-flight: its consumer dispatch
+        // restarts from scratch.
+        let (doomed, severed) = (net.doomed_bursts(), net.severed_flows());
+        let mut restarted = doomed.len() as u64;
+        for dispatch in doomed {
+            self.kill_dispatch(ctx, dispatch);
         }
+        for key in severed {
+            let Some(net) = self.net.as_mut() else { break };
+            let (lost, unreachable) = net.restart_flow(ctx, key);
+            restarted += u64::from(lost);
+            if let Some(dispatch) = unreachable {
+                self.kill_dispatch(ctx, dispatch);
+            }
+        }
+        if let Some(f) = self.faults.as_mut() {
+            f.transfer_retries += restarted;
+        }
+        self.flush_transfers(ctx);
     }
 
-    /// Tears down a committed-but-not-started dispatch: frees the core
-    /// reservation and drops the in-flight transfers feeding it,
-    /// returning the `(job, task)` to push through the retry path.
-    fn kill_dispatch(&mut self, ctx: &mut Context<'_, DcEvent>, slot: u64) -> Option<(JobId, u32)> {
-        let now = ctx.now();
-        let (sid, handle) = self.dispatch_slots.remove(slot)?;
+    /// Tears down a committed-but-not-started dispatch — frees the core
+    /// reservation and drops the in-flight transfers feeding it — and
+    /// pushes its task through the retry path.
+    fn kill_dispatch(&mut self, ctx: &mut Context<'_, DcEvent>, slot: u64) {
+        let Some((sid, handle)) = self.dispatch_slots.remove(slot) else {
+            return;
+        };
         self.committed[sid.0 as usize] -= 1;
-        match self.net.as_ref().map(|n| n.comm) {
-            Some(CommModel::Flow) => {
-                let feeding: Vec<u64> = self
-                    .flow_slots
-                    .iter()
-                    .filter(|(_, st)| st.dispatch == slot)
-                    .map(|(k, _)| k)
-                    .collect();
-                for k in feeding {
-                    let st = self.flow_slots.remove(k).expect("listed above");
-                    if st.pending.is_none() {
-                        // Admitted: pull it from the solver; freed links
-                        // may idle their ports. (A pending flow occupies
-                        // nothing — its FlowAdmit event finds no state
-                        // and is dropped.)
-                        let net = self.net.as_mut().expect("flow without network");
-                        net.flows
-                            .remove_flow(now, st.net_key.expect("admitted flow has a net key"));
-                        if let Some(hold) = net.lpi_hold {
-                            for &l in &st.route.links {
-                                if net.flows.flows_on_link(l) == 0 {
-                                    let ports = net.switch_ports_of_link(l);
-                                    for (swi, port) in ports {
-                                        Self::schedule_lpi_check(ctx, net, swi, port, now + hold);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Some(CommModel::Packet { .. }) => {
-                // Dropping the transfer slots orphans their in-flight
-                // packets; each is reaped when its next event finds the
-                // transfer gone.
-                let feeding: Vec<u64> = self
-                    .transfer_slots
-                    .iter()
-                    .filter(|(_, st)| st.dispatch == slot)
-                    .map(|(k, _)| k)
-                    .collect();
-                for k in feeding {
-                    self.transfer_slots.remove(k);
-                }
-            }
-            None => {}
+        if let Some(net) = self.net.as_mut() {
+            net.drop_edges(ctx, slot);
         }
-        Some((handle.id.job, handle.id.index))
+        self.retry_task(ctx, handle.id.job, handle.id.index);
     }
 
     /// Pushes a fault-killed task through the retry policy: bounded
@@ -2119,7 +1536,7 @@ impl Datacenter {
             return;
         }
         self.place_or_queue(ctx, job, t);
-        self.schedule_flow_retimes(ctx);
+        self.flush_transfers(ctx);
     }
 }
 
@@ -2154,13 +1571,34 @@ impl Model for Datacenter {
                 Self::apply_effects(ctx, server, &self.fx, self.crash_gen(server));
                 self.pull_global_queue(ctx, server);
                 // Transfer admissions from the pulls above are batched.
-                self.schedule_flow_retimes(ctx);
+                self.flush_transfers(ctx);
             }
             DcEvent::FlowsAdvance => self.on_flows_advance(ctx),
-            DcEvent::FlowAdmit { flow } => self.on_flow_admit(ctx, flow),
-            DcEvent::PacketArrive { slot } => self.on_packet_arrive(ctx, slot),
-            DcEvent::PacketRetry { slot } => self.send_packet(ctx, slot),
-            DcEvent::LpiCheck { switch, port } => self.on_lpi_check(ctx, switch, port),
+            DcEvent::PacketArrive { slot } => {
+                // A burst's last packet delivers its edge.
+                if let Some(d) = self
+                    .net
+                    .as_mut()
+                    .and_then(|n| n.on_packet_arrive(ctx, slot))
+                {
+                    self.finish_edge(ctx, d);
+                }
+            }
+            DcEvent::FlowAdmit { flow } => {
+                if let Some(net) = self.net.as_mut() {
+                    net.on_flow_admit(ctx, flow);
+                }
+            }
+            DcEvent::PacketRetry { slot } => {
+                if let Some(net) = self.net.as_mut() {
+                    net.send_packet(ctx, slot);
+                }
+            }
+            DcEvent::LpiCheck { switch, port } => {
+                if let Some(net) = self.net.as_mut() {
+                    net.on_lpi_check(ctx, switch, port);
+                }
+            }
             DcEvent::ControllerTick => self.on_controller_tick(ctx),
             DcEvent::StatsSample => self.on_stats_sample(ctx),
             DcEvent::RemoteJobArrive { slot } => self.on_remote_job_arrive(ctx, slot),
@@ -2216,7 +1654,7 @@ impl ProbeSource for Datacenter {
                     / links as f64
             };
             out.push(mean_util);
-            out.push((self.packet_slots.len() - self.free_slots.len()) as f64);
+            out.push(net.packets_in_flight() as f64);
         }
         if let Some(f) = &self.faults {
             out.push(f.down_since.iter().filter(|d| d.is_some()).count() as f64);
@@ -2429,7 +1867,7 @@ pub fn finish_report(dc: Datacenter, end: SimTime, events: u64, wall_s: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holdcsim_server::policy::SleepPolicy;
+    use crate::config::CommModel;
     use holdcsim_workload::presets::WorkloadPreset;
 
     fn quick_cfg(rho: f64, secs: u64) -> SimConfig {

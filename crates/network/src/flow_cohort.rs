@@ -51,6 +51,9 @@
 //! and cells fixed at the same `(bottleneck, share)` merge back
 //! (smaller into larger) at commit.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use holdcsim_des::lazy_heap::LazyHeap;
 use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::SimTime;
@@ -125,50 +128,12 @@ struct Cell {
     /// Lazy min-heap of `(vfinish, key)` over members: entries go stale
     /// when a member migrates, completes, or parks overdue, and are
     /// dropped on contact at the head.
-    heap: Vec<(u128, u64)>,
+    heap: BinaryHeap<Reverse<(u128, u64)>>,
     /// Audit-scan stamp: equal to the net's `scan_epoch` when this cell
     /// was already seen by the in-progress registry compaction, so
     /// duplicate registrations (possible across cell-slot reuse) are
     /// dropped on contact instead of accumulating.
     scan_mark: u64,
-}
-
-/// Sift-up push for the per-cell `(vfinish, key)` min-heap.
-fn heap_push(h: &mut Vec<(u128, u64)>, e: (u128, u64)) {
-    h.push(e);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let p = (i - 1) / 2;
-        if h[i] < h[p] {
-            h.swap(i, p);
-            i = p;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Sift-down pop for the per-cell min-heap.
-fn heap_pop(h: &mut Vec<(u128, u64)>) {
-    let n = h.len();
-    debug_assert!(n > 0);
-    h.swap(0, n - 1);
-    h.pop();
-    let n = h.len();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        if l >= n {
-            break;
-        }
-        let m = if r < n && h[r] < h[l] { r } else { l };
-        if h[m] < h[i] {
-            h.swap(i, m);
-            i = m;
-        } else {
-            break;
-        }
-    }
 }
 
 /// Bumps `li`'s member count in a sorted cross list.
@@ -233,12 +198,12 @@ fn settle_cell(
         return;
     }
     let v_new = cell.vclock + drained_units(cell.share, dt);
-    while let Some(&(vf, key)) = cell.heap.first() {
+    while let Some(&Reverse((vf, key))) = cell.heap.peek() {
         if vf > v_new {
             break;
         }
         let valid = entry_valid(flows, cell_id, vf, key);
-        heap_pop(&mut cell.heap);
+        cell.heap.pop();
         if !valid {
             continue;
         }
@@ -265,14 +230,14 @@ fn refresh_cell_due(
     flows: &SlotWindow<CFlow>,
     cell_due: &mut LazyHeap<SimTime>,
 ) {
-    while let Some(&(vf, key)) = cell.heap.first() {
+    while let Some(&Reverse((vf, key))) = cell.heap.peek() {
         if entry_valid(flows, cell_id, vf, key) {
             break;
         }
-        heap_pop(&mut cell.heap);
+        cell.heap.pop();
     }
-    match cell.heap.first() {
-        Some(&(vf, _)) if cell.share > 0 => {
+    match cell.heap.peek() {
+        Some(&Reverse((vf, _))) if cell.share > 0 => {
             debug_assert!(vf > cell.vclock);
             let due = cell
                 .last_update
@@ -524,7 +489,7 @@ impl CohortNet {
         let key = self.flows.insert(st);
         let cell = &mut self.cells[c as usize];
         cell.members.push(key);
-        heap_push(&mut cell.heap, (progress_units(bytes), key));
+        cell.heap.push(Reverse((progress_units(bytes), key)));
         for &l in links {
             cross_inc(&mut cell.cross, l.0);
         }
@@ -805,7 +770,7 @@ impl CohortNet {
                 f.member_pos = cells[dst].members.len() as u32;
                 cells[dst].members.push(k);
                 if !od {
-                    heap_push(&mut cells[dst].heap, (vf, k));
+                    cells[dst].heap.push(Reverse((vf, k)));
                 }
                 for &l in f.links.as_slice() {
                     cross_dec(&mut cells[src].cross, l.0);
@@ -1192,7 +1157,7 @@ impl CohortNet {
             f.member_pos = self.cells[t as usize].members.len() as u32;
             self.cells[t as usize].members.push(k);
             if !od {
-                heap_push(&mut self.cells[t as usize].heap, (vf, k));
+                self.cells[t as usize].heap.push(Reverse((vf, k)));
             }
         }
         for (li, k) in cross {

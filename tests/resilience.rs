@@ -121,6 +121,94 @@ fn fault_runs_are_byte_identical_across_flow_solver_arms() {
     );
 }
 
+/// 64-bit FNV-1a over the report bytes, hex.
+fn fnv1a64(json: &str) -> String {
+    let h = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{h:016x}")
+}
+
+/// Regression pin: the fault × fabric paths (reroutes of admitted and
+/// wake-delayed flows, unreachable kills, parked relaunches, doomed
+/// packet bursts) produce exactly these report bytes at seed 42. Run (a)
+/// is `holdcsim run --servers 16 --duration 2 --rho 0.02 --seed 42 --net
+/// --faults '...'`; (b) is a two-tier global-queue flow fabric under
+/// scripted and MTBF faults; (c) is (b) in packet mode.
+#[test]
+fn fault_fabric_reports_are_pinned() {
+    use holdcsim::config::NetworkConfig;
+    use holdcsim::experiments::{fat_tree_k_for, net_scalability_template};
+    use holdcsim_workload::service::ServiceDist;
+    use holdcsim_workload::templates::JobTemplate;
+
+    let mut a = SimConfig::server_farm(
+        16,
+        4,
+        0.02,
+        WorkloadPreset::WebSearch.template(),
+        SimDuration::from_secs(2),
+    )
+    .with_seed(42);
+    a.template = net_scalability_template();
+    let mut net = NetworkConfig::fat_tree(fat_tree_k_for(16));
+    net.comm = CommModel::Flow;
+    net.flow_solver = FlowSolverKind::default();
+    a.network = Some(net);
+    a.faults = Some(
+        FaultPlan::parse(
+            "switch-down@500ms:2; switch-up@1s:2; switch-down@1200ms:0; switch-up@1500ms:0; \
+             link-down@1300ms:20; link-up@1600ms:20; crash@700ms:5; recover@900ms:5",
+        )
+        .expect("plan parses"),
+    );
+
+    let two_tier = |comm: CommModel| {
+        let template = JobTemplate::two_tier(
+            ServiceDist::Exponential {
+                mean: SimDuration::from_millis(4),
+            },
+            ServiceDist::Exponential {
+                mean: SimDuration::from_millis(6),
+            },
+            48_000,
+        );
+        let mut cfg =
+            SimConfig::server_farm(16, 2, 0.5, template, SimDuration::from_secs(3)).with_seed(42);
+        cfg.use_global_queue = true;
+        let mut net = NetworkConfig::fat_tree(4);
+        net.comm = comm;
+        cfg.network = Some(net);
+        cfg.faults = Some(
+            FaultPlan::parse(
+                "switch-down@700ms:2; switch-up@900ms:2; switch-down@1s:0; switch-up@1200ms:0; \
+                 link-down@1300ms:20; link-up@1600ms:20; crash@1700ms:5; recover@1900ms:5; \
+                 mtbf:server=9,mtbf=300ms,mttr=100ms",
+            )
+            .expect("plan parses"),
+        );
+        cfg
+    };
+
+    let runs = [
+        ("a", a, "0dc5d85786607ae5"),
+        ("b", two_tier(CommModel::Flow), "32c69b6f376282ce"),
+        ("c", two_tier(PACKET), "45c1927abb7967ee"),
+    ];
+    for (name, cfg, want) in runs {
+        let report = Simulation::new(cfg).run();
+        assert!(
+            report.resilience.is_some(),
+            "run ({name}) reports resilience"
+        );
+        assert_eq!(
+            fnv1a64(&report.to_json()),
+            want,
+            "run ({name}) report bytes moved"
+        );
+    }
+}
+
 /// Satellite invariant: no job is lost. Every admitted job ends
 /// completed (clean or retried) or is still accounted for — and the
 /// abandoned count never exceeds the unfinished pool.
