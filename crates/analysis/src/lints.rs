@@ -97,6 +97,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/network/src/packet.rs",
     "crates/core/src/sim.rs",
     "crates/core/src/netstate.rs",
+    "crates/core/src/placement.rs",
+    "crates/sched/src/policy.rs",
     "crates/sched/src/queue.rs",
     "crates/cluster/src/federation.rs",
     "crates/cluster/src/wan.rs",

@@ -10,6 +10,8 @@
 //! * [`sim`] — the [`sim::Datacenter`] event model and [`sim::Simulation`]
 //!   driver.
 //! * [`netstate`] — the fabric and its in-flight flow/packet transfers.
+//! * `placement` (internal) — the placement policy, the eligible set,
+//!   committed load and the free-core bitmap the driver keeps for it.
 //! * [`report`] — run outcomes: latency percentiles, energy breakdowns,
 //!   residency, power/time series.
 //! * [`experiments`] — ready-made harnesses for every figure and table of
@@ -45,6 +47,7 @@ pub mod experiments;
 pub mod export;
 pub mod job;
 pub mod netstate;
+mod placement;
 pub mod report;
 pub mod sim;
 pub mod validation;

@@ -13,10 +13,6 @@ use holdcsim_faults::{FaultEvent, FaultKind, RetryPolicy, FAULT_STREAM};
 use holdcsim_network::ids::LinkId;
 use holdcsim_obs::{EventInfo, ObsArtifacts, Observer, ProbeSource, TraceEvent};
 use holdcsim_sched::geo::{route_site, GeoPolicy};
-use holdcsim_sched::policy::{
-    ClusterView, GlobalPolicy, LeastLoaded, NetworkAware, NetworkCost, NoNetworkCost, PackFirst,
-    Random, RoundRobin,
-};
 use holdcsim_sched::pools::{PoolAction, PoolManager};
 use holdcsim_sched::provisioning::{ProvisionAction, ProvisioningController};
 use holdcsim_sched::queue::GlobalQueue;
@@ -26,9 +22,10 @@ use holdcsim_server::task::TaskHandle;
 use holdcsim_workload::arrivals::{ArrivalProcess, Mmpp2Arrivals, PoissonArrivals, TraceArrivals};
 use holdcsim_workload::ids::{JobId, TaskId};
 
-use crate::config::{ArrivalConfig, ControllerConfig, PolicyKind, SimConfig};
+use crate::config::{ArrivalConfig, ControllerConfig, SimConfig};
 use crate::job::{JobState, JobTable};
 use crate::netstate::NetState;
+use crate::placement::Placement;
 use crate::report::{
     latency_report, Metrics, NetworkReport, ResilienceReport, ServerReport, SimReport,
 };
@@ -328,16 +325,10 @@ pub struct Datacenter {
     arrivals: Arrivals,
     servers: Vec<Server>,
     jobs: JobTable,
-    policy: Box<dyn GlobalPolicy>,
+    /// The policy, the eligible set, committed load and the free-core
+    /// bitmap.
+    placement: Placement,
     global_queue: GlobalQueue,
-    /// Placement-eligible servers, ascending by id. Maintained
-    /// incrementally by controller decisions; never rebuilt per placement.
-    eligible: Vec<ServerId>,
-    /// `eligible_mask[i]` ⇔ `ServerId(i)` is in `eligible` (O(1) probes).
-    eligible_mask: Vec<bool>,
-    /// Scratch for the class/free-core-filtered candidate list (reused
-    /// across placements; no per-placement allocation).
-    scratch_candidates: Vec<ServerId>,
     /// Scratch for a task's data-source servers (reused across placements).
     scratch_srcs: Vec<ServerId>,
     /// Scratch for newly ready task indices (reused across events).
@@ -345,9 +336,6 @@ pub struct Datacenter {
     /// Recycled job states: completed jobs return here so arrivals reuse
     /// their DAG and bookkeeping allocations.
     job_pool: Vec<JobState>,
-    /// Server-indexed NetworkAware wake-cost table (reused; only entries
-    /// for the current candidate set are meaningful).
-    cost_scratch: Vec<f64>,
     /// Reusable effect buffer threaded through every server call.
     fx: EffectBuf,
     controller: Option<Controller>,
@@ -359,8 +347,6 @@ pub struct Datacenter {
     /// Scratch for a task's inbound cross-server edges as `(bytes,
     /// source)` (reused across placements; no per-transfer allocation).
     scratch_inbound: Vec<(u64, ServerId)>,
-    /// Per-server tasks committed but still waiting on inbound transfers.
-    committed: Vec<u32>,
     /// Federation attachment (multi-datacenter runs only).
     fed: Option<FedPort>,
     /// Jobs delivered by the WAN but not yet admitted (slot keys ride in
@@ -413,13 +399,6 @@ impl Datacenter {
                 Server::new(now, ServerId(i as u32), sc)
             })
             .collect();
-        let policy: Box<dyn GlobalPolicy> = match cfg.policy {
-            PolicyKind::RoundRobin => Box::new(RoundRobin::new()),
-            PolicyKind::LeastLoaded => Box::new(LeastLoaded::new()),
-            PolicyKind::PackFirst => Box::new(PackFirst::new()),
-            PolicyKind::Random => Box::new(Random::new(cfg.seed ^ 0xD15C0)),
-            PolicyKind::NetworkAware => Box::new(NetworkAware::new()),
-        };
         let arrivals = match &cfg.arrivals {
             ArrivalConfig::Poisson { rate } => Arrivals::Poisson(PoissonArrivals::new(*rate)),
             ArrivalConfig::Mmpp2 {
@@ -480,34 +459,33 @@ impl Datacenter {
                 links,
             ))
         });
-        let mut dc = Datacenter {
+        // The provisioning controller starts with nothing parked.
+        let eligible: Vec<ServerId> = match &controller {
+            Some(Controller::Pools { mgr }) => mgr.active_iter().collect(),
+            _ => (0..cfg.server_count as u32).map(ServerId).collect(),
+        };
+        let placement = Placement::new(&cfg, &servers, eligible);
+        Datacenter {
             rng_workload,
             arrivals,
             servers,
             jobs: JobTable::new(),
-            policy,
+            placement,
             global_queue: GlobalQueue::new(),
-            eligible: Vec::new(),
-            eligible_mask: vec![false; cfg.server_count],
-            scratch_candidates: Vec::new(),
             scratch_srcs: Vec::new(),
             scratch_ready: Vec::new(),
             job_pool: Vec::new(),
-            cost_scratch: vec![0.0; cfg.server_count],
             fx: EffectBuf::new(),
             controller,
             net,
             dispatch_slots: SlotWindow::new(),
             scratch_inbound: Vec::new(),
-            committed: vec![0; cfg.server_count],
             fed: None,
             remote_inbox: SlotWindow::new(),
             faults,
             metrics,
             cfg,
-        };
-        dc.rebuild_eligible();
-        dc
+        }
     }
 
     // ------------------------------------------------------------------
@@ -606,132 +584,16 @@ impl Datacenter {
     /// inbound transfers (indexed by server id) — these hold a core
     /// reservation that capacity checks must honor.
     pub fn committed(&self) -> &[u32] {
-        &self.committed
+        self.placement.committed()
     }
 
     // ------------------------------------------------------------------
     // Placement
     // ------------------------------------------------------------------
 
-    /// Rebuilds the eligibility set from scratch (initialization and
-    /// controller bring-up only; steady-state updates are incremental).
-    fn rebuild_eligible(&mut self) {
-        self.eligible = match &self.controller {
-            Some(Controller::Provisioning { parked, .. }) => (0..self.servers.len() as u32)
-                .map(ServerId)
-                .filter(|id| !parked.contains(id))
-                .collect(),
-            Some(Controller::Pools { mgr }) => mgr.active_iter().collect(),
-            None => (0..self.servers.len() as u32).map(ServerId).collect(),
-        };
-        self.eligible_mask.fill(false);
-        for &id in &self.eligible {
-            self.eligible_mask[id.0 as usize] = true;
-        }
-    }
-
-    /// Adds or removes one server from the eligibility set, keeping
-    /// `eligible` sorted ascending (the order every rebuild produced).
-    fn set_eligible(&mut self, id: ServerId, on: bool) {
-        let i = id.0 as usize;
-        if self.eligible_mask[i] == on {
-            return;
-        }
-        self.eligible_mask[i] = on;
-        match self.eligible.binary_search(&id) {
-            Ok(pos) if !on => {
-                self.eligible.remove(pos);
-            }
-            Err(pos) if on => {
-                self.eligible.insert(pos, id);
-            }
-            _ => {}
-        }
-    }
-
-    fn is_eligible(&self, id: ServerId) -> bool {
-        self.eligible_mask[id.0 as usize]
-    }
-
-    /// Chooses a server for a task whose data sources are `srcs`, honoring
-    /// a server-class constraint if the task names one.
-    fn select_server(
-        &mut self,
-        srcs: &[ServerId],
-        class: Option<u32>,
-        seed: u64,
-    ) -> Option<ServerId> {
-        let use_gq = self.cfg.use_global_queue;
-        // Fast path: no class constraint and no free-core filter means the
-        // eligible list can be borrowed as-is (O(1) placement for O(1)
-        // policies — the Table I scalability path).
-        let needs_filter = use_gq || (class.is_some() && !self.cfg.server_classes.is_empty());
-        if needs_filter {
-            let Datacenter {
-                eligible,
-                scratch_candidates,
-                servers,
-                committed,
-                cfg,
-                ..
-            } = self;
-            scratch_candidates.clear();
-            scratch_candidates.extend(
-                eligible
-                    .iter()
-                    .copied()
-                    .filter(|&id| match (class, cfg.server_classes.is_empty()) {
-                        (Some(c), false) => cfg.server_classes[id.0 as usize] == c,
-                        _ => true,
-                    })
-                    .filter(|&id| {
-                        if !use_gq {
-                            return true;
-                        }
-                        // Free capacity counts tasks committed to the
-                        // server but still awaiting inbound transfers.
-                        let s = &servers[id.0 as usize];
-                        s.is_awake() && s.busy_cores() + committed[id.0 as usize] < s.core_count()
-                    }),
-            );
-        }
-        // Network-aware placement needs per-candidate wake costs; fill the
-        // server-indexed scratch table for exactly the candidate set.
-        let use_costs = matches!(self.cfg.policy, PolicyKind::NetworkAware) && self.net.is_some();
-        if let Some(net) = self.net.as_mut().filter(|_| use_costs) {
-            let candidates = if needs_filter {
-                &self.scratch_candidates
-            } else {
-                &self.eligible
-            };
-            for &id in candidates {
-                self.cost_scratch[id.0 as usize] = net.wake_cost(srcs, id, seed);
-            }
-        }
-        let candidates: &[ServerId] = if needs_filter {
-            &self.scratch_candidates
-        } else {
-            &self.eligible
-        };
-        if candidates.is_empty() {
-            return None;
-        }
-        let view = ClusterView::with_committed(&self.servers, &self.committed);
-        if use_costs {
-            let probe = CostTable(&self.cost_scratch);
-            self.policy.select(&view, candidates, &probe)
-        } else {
-            self.policy.select(&view, candidates, &NoNetworkCost)
-        }
-    }
-
     /// Places (or queues) task `t` of `job`, which just became ready.
     fn place_or_queue(&mut self, ctx: &mut Context<'_, DcEvent>, job: JobId, t: u32) {
-        // The source list lives in a reusable scratch buffer; it is taken
-        // out for the duration of the call so `select_server` can borrow
-        // `self` mutably.
-        let mut srcs = std::mem::take(&mut self.scratch_srcs);
-        srcs.clear();
+        self.scratch_srcs.clear();
         let (handle, class) = {
             let js = self.jobs.get(job);
             let spec = js.dag.task(t);
@@ -740,7 +602,7 @@ impl Datacenter {
                 service: spec.service,
                 intensity: spec.intensity,
             };
-            srcs.extend(
+            self.scratch_srcs.extend(
                 js.dag
                     .predecessors(t)
                     .iter()
@@ -748,8 +610,14 @@ impl Datacenter {
             );
             (handle, spec.server_class)
         };
-        let picked = self.select_server(&srcs, class, job.0 ^ u64::from(t) << 48);
-        self.scratch_srcs = srcs;
+        let picked = self.placement.select_server(
+            &self.servers,
+            &self.cfg,
+            self.net.as_mut(),
+            &self.scratch_srcs,
+            class,
+            job.0 ^ u64::from(t) << 48,
+        );
         match picked {
             Some(sid) => self.assign_and_transfer(ctx, job, t, handle, sid),
             // The class rides along so class-aware pulls are O(1).
@@ -789,7 +657,7 @@ impl Datacenter {
             .get_mut(job)
             .add_transfers(t, inbound.len() as u32);
         let dispatch = self.dispatch_slots.insert((sid, handle));
-        self.committed[sid.0 as usize] += 1;
+        self.placement.commit(&self.servers, sid);
         // Packet bursts spread over ECMP by edge; flows by their own key.
         let seed = job.0 ^ u64::from(t);
         for &(bytes, src) in &inbound {
@@ -819,7 +687,7 @@ impl Datacenter {
                 .dispatch_slots
                 .remove(dispatch)
                 .expect("pending dispatch");
-            self.committed[sid.0 as usize] -= 1;
+            self.placement.release(&self.servers, sid);
             self.dispatch(ctx, sid, handle);
         }
     }
@@ -854,6 +722,7 @@ impl Datacenter {
             }
         }
         self.servers[sid.0 as usize].submit(ctx.now(), handle, &mut self.fx);
+        self.placement.refresh(&self.servers, sid);
         Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
     }
 
@@ -907,6 +776,7 @@ impl Datacenter {
     ) {
         let now = ctx.now();
         let tid = self.servers[sid.0 as usize].complete(now, core, &mut self.fx);
+        self.placement.refresh(&self.servers, sid);
         debug_assert_eq!(tid, expected, "completion event routed to wrong core");
         Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
         // Response traffic back up the access link, if modeled.
@@ -958,7 +828,8 @@ impl Datacenter {
         // With fault injection armed the global queue doubles as the
         // refuge for tasks that found no eligible server mid-outage, so
         // pulls run even in direct-dispatch mode (a no-op while empty).
-        if (!self.cfg.use_global_queue && self.faults.is_none()) || !self.is_eligible(sid) {
+        if (!self.cfg.use_global_queue && self.faults.is_none()) || !self.placement.is_eligible(sid)
+        {
             return;
         }
         loop {
@@ -966,7 +837,7 @@ impl Datacenter {
             // Capacity must count tasks already committed to this server
             // and awaiting inbound transfers, or the pull loop over-commits
             // beyond the core count.
-            let claimed = s.busy_cores() + self.committed[sid.0 as usize];
+            let claimed = s.busy_cores() + self.placement.committed()[sid.0 as usize];
             if !(s.is_awake() && claimed < s.core_count()) {
                 return;
             }
@@ -1162,7 +1033,7 @@ impl Datacenter {
             Decision::Park(id) => {
                 // Parked servers simply stop receiving work; their own
                 // sleep policy (delay timer) decides when they descend.
-                self.set_eligible(id, false);
+                self.placement.set_eligible(&self.servers, id, false);
             }
             Decision::Activate(id, policy) => self.activate(ctx, id, policy),
             // A crashed node ignores controller policy pokes (see
@@ -1172,7 +1043,7 @@ impl Datacenter {
                     self.servers[id.0 as usize].set_policy(now, policy, &mut self.fx);
                     Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
                 }
-                self.set_eligible(id, false);
+                self.placement.set_eligible(&self.servers, id, false);
             }
             Decision::None => return false,
         }
@@ -1194,7 +1065,7 @@ impl Datacenter {
         Self::apply_effects(ctx, id, &self.fx, gen);
         server.request_wake(now, &mut self.fx);
         Self::apply_effects(ctx, id, &self.fx, gen);
-        self.set_eligible(id, true);
+        self.placement.set_eligible(&self.servers, id, true);
     }
 
     fn on_stats_sample(&mut self, ctx: &mut Context<'_, DcEvent>) {
@@ -1229,9 +1100,9 @@ impl Datacenter {
                 .collect();
             for (id, pol) in actions {
                 self.servers[id.0 as usize].set_policy(now, pol, &mut self.fx);
+                self.placement.refresh(&self.servers, id);
                 Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
             }
-            self.rebuild_eligible();
         } else {
             // Arm any configured delay timers for servers that start idle.
             let policies: Vec<SleepPolicy> = (0..self.servers.len())
@@ -1241,6 +1112,7 @@ impl Datacenter {
                 if pol.deep_after.is_some() {
                     self.servers[i].set_policy(now, pol, &mut self.fx);
                     let id = ServerId(i as u32);
+                    self.placement.refresh(&self.servers, id);
                     Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
                 }
             }
@@ -1307,7 +1179,7 @@ impl Datacenter {
             f.down_since[idx] = Some(now);
         }
         let sid = ServerId(server);
-        self.set_eligible(sid, false);
+        self.placement.set_eligible(&self.servers, sid, false);
         let mut killed = std::mem::take(&mut self.faults.as_mut().expect("state").scratch_killed);
         killed.clear();
         self.servers[idx].fail(now, &mut killed);
@@ -1333,9 +1205,11 @@ impl Datacenter {
         true
     }
 
-    /// Reboot: the server rejoins the eligible set (overriding any
-    /// controller parking — the controller re-parks on a later tick) and
-    /// wakes from its powered-off state.
+    /// Reboot: the server rejoins the eligible set and wakes from its
+    /// powered-off state. This overrides any controller parking, and the
+    /// controller never re-parks it: `DeactivateOne` skips ids already in
+    /// `parked`, so a server that recovers while parked stays eligible
+    /// until an `ActivateOne` pops it.
     fn on_server_recover(&mut self, ctx: &mut Context<'_, DcEvent>, server: u32) -> bool {
         let now = ctx.now();
         let idx = server as usize;
@@ -1350,8 +1224,8 @@ impl Datacenter {
             f.server_downtime_s += now.saturating_duration_since(down_at).as_secs_f64();
         }
         let sid = ServerId(server);
-        self.set_eligible(sid, true);
         self.servers[idx].request_wake(now, &mut self.fx);
+        self.placement.set_eligible(&self.servers, sid, true);
         Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
         true
     }
@@ -1366,7 +1240,8 @@ impl Datacenter {
             return false;
         }
         self.servers[idx].set_fault_speed(factor);
-        self.set_eligible(ServerId(server), false);
+        self.placement
+            .set_eligible(&self.servers, ServerId(server), false);
         true
     }
 
@@ -1378,7 +1253,8 @@ impl Datacenter {
         self.servers[idx].set_fault_speed(1.0);
         // Do not resurrect a server that crashed mid-straggle.
         if !self.is_down(ServerId(server)) {
-            self.set_eligible(ServerId(server), true);
+            self.placement
+                .set_eligible(&self.servers, ServerId(server), true);
         }
         true
     }
@@ -1465,7 +1341,7 @@ impl Datacenter {
         let Some((sid, handle)) = self.dispatch_slots.remove(slot) else {
             return;
         };
-        self.committed[sid.0 as usize] -= 1;
+        self.placement.release(&self.servers, sid);
         if let Some(net) = self.net.as_mut() {
             net.drop_edges(ctx, slot);
         }
@@ -1561,6 +1437,7 @@ impl Model for Datacenter {
             }
             DcEvent::ServerTimer { server, gen } => {
                 self.servers[server.0 as usize].timer_fired(ctx.now(), gen, &mut self.fx);
+                self.placement.refresh(&self.servers, server);
                 Self::apply_effects(ctx, server, &self.fx, self.crash_gen(server));
             }
             DcEvent::ServerTransition { server, gen } => {
@@ -1568,6 +1445,7 @@ impl Model for Datacenter {
                     return;
                 }
                 self.servers[server.0 as usize].transition_done(ctx.now(), &mut self.fx);
+                self.placement.refresh(&self.servers, server);
                 Self::apply_effects(ctx, server, &self.fx, self.crash_gen(server));
                 self.pull_global_queue(ctx, server);
                 // Transfer admissions from the pulls above are batched.
@@ -1665,16 +1543,6 @@ impl ProbeSource for Datacenter {
             out.push(down_links as f64);
             out.push(f.retries_in_flight as f64);
         }
-    }
-}
-
-/// A server-indexed wake-cost table over the driver's reusable scratch
-/// vector; only entries for the current candidate set are meaningful.
-struct CostTable<'a>(&'a [f64]);
-
-impl NetworkCost for CostTable<'_> {
-    fn wake_cost(&self, server: ServerId) -> f64 {
-        self.0[server.0 as usize]
     }
 }
 
@@ -1867,7 +1735,7 @@ pub fn finish_report(dc: Datacenter, end: SimTime, events: u64, wall_s: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CommModel;
+    use crate::config::{CommModel, PolicyKind};
     use holdcsim_workload::presets::WorkloadPreset;
 
     fn quick_cfg(rho: f64, secs: u64) -> SimConfig {

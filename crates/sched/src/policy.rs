@@ -24,11 +24,13 @@ impl NetworkCost for NoNetworkCost {
 
 /// What placement policies see of the cluster: the servers plus any
 /// driver-side load not yet visible inside them (tasks committed to a
-/// server but still waiting on inbound network transfers).
+/// server but still waiting on inbound network transfers), and
+/// optionally the driver's free-core bitmap.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterView<'a> {
     servers: &'a [Server],
     committed: Option<&'a [u32]>,
+    free: Option<&'a [u64]>,
 }
 
 impl<'a> ClusterView<'a> {
@@ -37,6 +39,7 @@ impl<'a> ClusterView<'a> {
         ClusterView {
             servers,
             committed: None,
+            free: None,
         }
     }
 
@@ -55,7 +58,28 @@ impl<'a> ClusterView<'a> {
         ClusterView {
             servers,
             committed: Some(committed),
+            free: None,
         }
+    }
+
+    /// Attaches a free-core bitmap: bit `i % 64` of `bits[i / 64]` must be
+    /// set iff server `i` is placement-eligible and
+    /// [`has_free_core`](Self::has_free_core) holds for it. Every
+    /// `eligible` slice later passed with this view must lie inside that
+    /// eligible set.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one bit per server, rounded up to whole
+    /// words.
+    pub fn with_free_bitmap(mut self, bits: &'a [u64]) -> Self {
+        assert_eq!(
+            bits.len(),
+            self.servers.len().div_ceil(64),
+            "one bit per server"
+        );
+        self.free = Some(bits);
+        self
     }
 
     /// The server with this id.
@@ -74,13 +98,48 @@ impl<'a> ClusterView<'a> {
         let s = self.server(id);
         s.is_awake() && (self.pending(id) as u32) < s.core_count()
     }
+
+    /// The lowest-id member of `eligible` (ascending by id) that
+    /// [`has_free_core`](Self::has_free_core). With a free-core bitmap
+    /// attached this walks set bits from `eligible[0]` and confirms each
+    /// hit by binary search, so a filtered candidate list (server class,
+    /// global-queue capacity) is honored; without one it probes every
+    /// member in order.
+    pub fn first_with_free_core(&self, eligible: &[ServerId]) -> Option<ServerId> {
+        let Some(bits) = self.free else {
+            return eligible.iter().copied().find(|&id| self.has_free_core(id));
+        };
+        let lo = eligible.first()?.0;
+        let mut w = lo as usize / 64;
+        let mut word = bits.get(w)? & (!0u64 << (lo % 64));
+        // Set bits come out ascending, so each search can skip the
+        // members below the previous miss.
+        let mut rest = eligible;
+        loop {
+            while word != 0 {
+                let id = ServerId(w as u32 * 64 + word.trailing_zeros());
+                match rest.binary_search(&id) {
+                    Ok(_) => return Some(id),
+                    Err(pos) => rest = &rest[pos..],
+                }
+                if rest.is_empty() {
+                    return None;
+                }
+                word &= word - 1;
+            }
+            w += 1;
+            word = *bits.get(w)?;
+        }
+    }
 }
 
 /// A global task-placement policy.
 ///
 /// `eligible` is the candidate set (the driver filters by server class and
-/// pool membership); policies must return a member of it, or `None` to
-/// leave the task in the global queue.
+/// pool membership), ascending by id with no repeats — the free-core
+/// bitmap search of [`ClusterView::first_with_free_core`] relies on the
+/// order. Policies must return a member of it, or `None` to leave the
+/// task in the global queue.
 /// (The `Send` supertrait lets a boxed policy — and with it a whole site
 /// `Datacenter` — cross into a worker thread, which the federation's
 /// conservative-window coordinator relies on to run sites concurrently.)
@@ -182,7 +241,7 @@ impl GlobalPolicy for PackFirst {
         _net: &dyn NetworkCost,
     ) -> Option<ServerId> {
         // First choice: lowest-id awake server with a free core.
-        if let Some(id) = eligible.iter().copied().find(|&id| view.has_free_core(id)) {
+        if let Some(id) = view.first_with_free_core(eligible) {
             return Some(id);
         }
         // Second: the least-loaded awake server (queue there).
@@ -422,6 +481,95 @@ mod tests {
         assert_eq!(PackFirst::new().name(), "pack-first");
         assert_eq!(Random::new(0).name(), "random");
         assert_eq!(NetworkAware::new().name(), "server-network-aware");
+    }
+
+    /// Property: with a free-core bitmap attached, pack-first picks what
+    /// the linear reference scan picks — over random clusters, loads,
+    /// sleep states and committed counts, and over ascending candidate
+    /// subsets, including ones that drop the lowest free server (the
+    /// server-class filter) — through both saturation fallbacks.
+    #[test]
+    fn pack_first_bitmap_matches_linear_scan() {
+        use holdcsim_server::policy::DeepState;
+
+        let mut rng = SimRng::seed_from(0xB17_3A9);
+        let (mut packed, mut queued, mut woken) = (0, 0, 0);
+        for case in 0..300 {
+            let n = 1 + rng.below(300) as u32;
+            let cores = 1 + rng.below(8) as u32;
+            // Per-case saturation: some clusters fill every core.
+            let fill = rng.uniform_f64();
+            let mut fx = EffectBuf::new();
+            let mut servers = Vec::with_capacity(n as usize);
+            for i in 0..n {
+                let mut s = Server::new(SimTime::ZERO, ServerId(i), ServerConfig::new(cores));
+                // Awake, suspending, or asleep (resuming once loaded).
+                match rng.below(4) {
+                    2 => s.request_deep_sleep(SimTime::ZERO, DeepState::SuspendToRam, &mut fx),
+                    3 => {
+                        s.request_deep_sleep(SimTime::ZERO, DeepState::SuspendToRam, &mut fx);
+                        s.transition_done(SimTime::ZERO, &mut fx);
+                    }
+                    _ => {}
+                }
+                servers.push(s);
+                let tasks = if rng.chance(fill) {
+                    u64::from(cores) + rng.below(3)
+                } else {
+                    rng.below(u64::from(cores) + 1)
+                };
+                load(&mut servers, ServerId(i), tasks);
+            }
+            let committed: Vec<u32> = (0..n)
+                .map(|_| {
+                    if rng.chance(0.3) {
+                        rng.below(3) as u32
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let eligible: Vec<ServerId> =
+                (0..n).map(ServerId).filter(|_| rng.chance(0.8)).collect();
+            let plain = ClusterView::with_committed(&servers, &committed);
+            let mut bits = vec![0u64; (n as usize).div_ceil(64)];
+            for &id in eligible.iter().filter(|&&id| plain.has_free_core(id)) {
+                bits[id.0 as usize / 64] |= 1 << (id.0 % 64);
+            }
+            let fast = plain.with_free_bitmap(&bits);
+
+            let subset: Vec<ServerId> = eligible
+                .iter()
+                .copied()
+                .filter(|_| rng.chance(0.5))
+                .collect();
+            let lowest_free = plain.first_with_free_core(&eligible);
+            let without_lowest: Vec<ServerId> = eligible
+                .iter()
+                .copied()
+                .filter(|&id| Some(id) != lowest_free)
+                .collect();
+            for cands in [&eligible, &subset, &without_lowest] {
+                assert_eq!(
+                    fast.first_with_free_core(cands),
+                    plain.first_with_free_core(cands),
+                    "case {case}: first free server"
+                );
+                let want = PackFirst::new().select(&plain, cands, &NoNetworkCost);
+                let got = PackFirst::new().select(&fast, cands, &NoNetworkCost);
+                assert_eq!(got, want, "case {case}: pack-first pick");
+                match want {
+                    Some(id) if plain.has_free_core(id) => packed += 1,
+                    Some(_) if cands.iter().any(|&id| plain.server(id).is_awake()) => queued += 1,
+                    Some(_) => woken += 1,
+                    None => assert!(cands.is_empty()),
+                }
+            }
+        }
+        assert!(
+            packed > 0 && queued > 0 && woken > 0,
+            "every branch reached"
+        );
     }
 
     #[test]

@@ -209,6 +209,42 @@ fn fault_fabric_reports_are_pinned() {
     }
 }
 
+/// Regression pin: the consolidating pack-first farm path (first-choice
+/// packing, both saturation fallbacks, the provisioning controller and a
+/// crash wave) produces exactly these report bytes at seed 42. Run (a) is
+/// a 256-server delay-timer farm under the canned bench fault spec; (b)
+/// is a 64-server one whose extra straggler pushes most placements onto
+/// the fallbacks.
+#[test]
+fn farm_reports_are_pinned() {
+    use holdcsim::experiments::delay_timer_farm;
+    use holdcsim_harness::bench_scale::default_fault_spec;
+
+    let horizon = SimDuration::from_secs(1);
+    let farm = |n: usize, extra: &str| {
+        let mut cfg = delay_timer_farm(WorkloadPreset::WebSearch, 0.3, n, 4, 0.1, horizon, 42);
+        let spec = format!("{}{extra}", default_fault_spec(n, horizon));
+        cfg.faults = Some(FaultPlan::parse(&spec).expect("plan parses"));
+        cfg
+    };
+    let runs = [
+        ("a", farm(256, ""), "89415762e0afb341"),
+        (
+            "b",
+            farm(64, "; straggle@300ms:3,0.5,200ms"),
+            "1d852ef7016f4abf",
+        ),
+    ];
+    for (name, cfg, want) in runs {
+        let report = Simulation::new(cfg).run();
+        assert_eq!(
+            fnv1a64(&report.to_json()),
+            want,
+            "run ({name}) report bytes moved"
+        );
+    }
+}
+
 /// Satellite invariant: no job is lost. Every admitted job ends
 /// completed (clean or retried) or is still accounted for — and the
 /// abandoned count never exceeds the unfinished pool.
