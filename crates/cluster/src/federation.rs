@@ -396,7 +396,7 @@ impl Coordinator {
         // reach the load snapshot within one window (see `window_cap`).
         let mut site_fault: Option<SimTime> = None;
         for cell in cells {
-            let mut guard = cell.lock().expect("site cell");
+            let guard = cell.lock().expect("site cell");
             if let Some(t) = guard.peek_next_time() {
                 if t <= self.horizon && earliest.is_none_or(|b| t < b) {
                     earliest = Some(t);

@@ -2,14 +2,14 @@
 //! calendar and handing them to the model's handler together with a
 //! [`Context`] through which the handler schedules follow-up events.
 
-use crate::queue::{EventQueue, EventToken};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A simulation model: owns all domain state and interprets events.
 ///
 /// The engine owns the clock and the calendar; the model owns everything
 /// else. Handlers receive a [`Context`] for reading the clock and scheduling
-/// or cancelling future events.
+/// future events.
 ///
 /// # Examples
 ///
@@ -114,8 +114,8 @@ impl<'a, E> Context<'a, E> {
     }
 
     /// Schedules `event` to fire `delay` after now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventToken {
-        self.queue.push(self.now + delay, event)
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
+        self.queue.push(self.now + delay, event);
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -124,18 +124,13 @@ impl<'a, E> Context<'a, E> {
     ///
     /// Panics if `at` is in the past (before `self.now()`): scheduling into
     /// the past would corrupt causality.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        self.queue.push(at, event)
-    }
-
-    /// Cancels a previously scheduled event. No-op if it already fired.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        self.queue.cancel(token)
+        self.queue.push(at, event);
     }
 
     /// Requests the engine stop after this handler returns.
@@ -218,14 +213,14 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
     }
 
     /// Schedules an event before or between runs.
-    pub fn schedule_at(&mut self, at: SimTime, event: M::Event) -> EventToken {
+    pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
     /// Schedules an event `delay` after the current clock.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) -> EventToken {
-        self.queue.push(self.now + delay, event)
+    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
+        self.queue.push(self.now + delay, event);
     }
 
     /// Processes a single event. Returns `false` when the calendar is empty
@@ -237,6 +232,14 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         let Some((at, event)) = self.queue.pop() else {
             return false;
         };
+        self.dispatch(at, event);
+        !self.stopped
+    }
+
+    /// Advances the clock to `at` and hands `event` to the observer and
+    /// then the model.
+    #[inline]
+    fn dispatch(&mut self, at: SimTime, event: M::Event) {
         debug_assert!(at >= self.now, "event calendar went backwards");
         self.now = at;
         self.processed += 1;
@@ -257,7 +260,6 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         } else {
             self.model.handle(&mut ctx, event);
         }
-        !self.stopped
     }
 
     /// Runs until the calendar drains or a handler stops the engine.
@@ -267,28 +269,13 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
 
     /// Runs until the clock would pass `deadline` (events at exactly
     /// `deadline` are processed), the calendar drains, or a handler stops
-    /// the engine. The clock is advanced to `deadline` if the calendar
-    /// outlives it.
+    /// the engine. Unless stopped, the clock then advances to `deadline`;
+    /// it never rewinds, so a deadline already passed processes nothing
+    /// and leaves the clock where it is.
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            if self.stopped {
-                return;
-            }
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                Some(_) => {
-                    self.now = deadline;
-                    return;
-                }
-                None => {
-                    if self.now < deadline {
-                        self.now = deadline;
-                    }
-                    return;
-                }
-            }
+        self.run_window(deadline);
+        if !self.stopped {
+            self.now = self.now.max(deadline);
         }
     }
 
@@ -303,8 +290,11 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
     /// no cross-engine message can precede, independently of the others.
     pub fn run_window(&mut self, cap: SimTime) -> u64 {
         let before = self.processed;
-        while !self.stopped && self.queue.peek_time().is_some_and(|t| t <= cap) {
-            self.step();
+        while !self.stopped {
+            let Some((at, event)) = self.queue.pop_until(cap) else {
+                break;
+            };
+            self.dispatch(at, event);
         }
         self.processed - before
     }
@@ -315,7 +305,7 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
     /// This is the coordination primitive for running several engines
     /// together — e.g. a multi-datacenter federation computing the next
     /// safe window from the globally earliest event.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
+    pub fn peek_next_time(&self) -> Option<SimTime> {
         if self.stopped {
             return None;
         }
@@ -482,6 +472,32 @@ mod tests {
         assert_eq!(e.model().hops, 4);
         assert_eq!(e.now(), SimTime::from_secs(4));
         assert_eq!(e.peek_next_time(), Some(SimTime::from_secs(5)));
+    }
+
+    #[test]
+    fn run_until_never_rewinds_the_clock() {
+        let mut e = recorder();
+        e.schedule_at(SimTime::from_secs(1), 1);
+        e.schedule_at(SimTime::from_millis(2_500), 2);
+        e.schedule_at(SimTime::from_secs(5), 5);
+        e.run_until(SimTime::from_secs(3));
+        assert_eq!(e.now(), SimTime::from_secs(3));
+        // A deadline already passed fires nothing and keeps the clock.
+        e.run_until(SimTime::from_secs(2));
+        assert_eq!(e.now(), SimTime::from_secs(3));
+        assert_eq!(e.model().seen.len(), 2);
+        // So an immediate event lands after the 2.5 s one, not before it.
+        e.schedule_in(SimDuration::ZERO, 3);
+        e.run();
+        assert_eq!(
+            e.model().seen,
+            vec![
+                (SimTime::from_secs(1), 1),
+                (SimTime::from_millis(2_500), 2),
+                (SimTime::from_secs(3), 3),
+                (SimTime::from_secs(5), 5),
+            ]
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # holdcsim-des
 //!
 //! The discrete-event simulation kernel underpinning HolDCSim-RS: a
-//! deterministic event calendar with cancellable timers, an engine driving a
+//! deterministic event calendar (a monotone radix heap), an engine driving a
 //! user-supplied [`engine::Model`], a reproducible random-number generator,
 //! the generic [`slot_window::SlotWindow`] behind every hot-path table
 //! (sequentially-keyed, hash-free, straggler-compacting), and the
@@ -91,7 +91,7 @@ pub mod time;
 
 pub use engine::{Context, Engine, EventObserver, Model, NoObserver};
 pub use lazy_heap::LazyHeap;
-pub use queue::{EventQueue, EventToken};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use slot_window::SlotWindow;
 pub use time::{SimDuration, SimTime};

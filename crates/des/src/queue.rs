@@ -1,77 +1,40 @@
-//! The event calendar: a cancellable priority queue of timestamped events.
+//! The event calendar: a monotone radix heap of timestamped events.
 //!
-//! Events at the same timestamp pop in insertion (FIFO) order, which makes
-//! simulations deterministic regardless of heap internals. Cancellation is
-//! O(1): every token's lifecycle (live → cancelled/consumed) is tracked in
-//! a [`SlotWindow`] of per-sequence states, so cancelled entries are
-//! skipped when they reach the top ("lazy deletion") without any heap
-//! surgery — and, unlike a hash-set of cancelled sequences, the hot pop
-//! path costs one array index per event instead of a hash probe. The
-//! window's straggler compaction keeps one far-future timer from pinning
-//! per-sequence state for every event pushed since (see
-//! [`crate::slot_window`] for the shared machinery).
+//! A discrete-event calendar never pops an event earlier than the last one
+//! it popped, and never accepts one earlier than that either: its keys are
+//! monotone. That is the precondition of the radix heap (Ahuja, Mehlhorn,
+//! Orlin & Tarjan, "Faster algorithms for the shortest path problem",
+//! JACM 1990), which this calendar is:
+//!
+//! * **Slab.** Each queued event and its time sit in one slot of a slab
+//!   (slots are recycled through a free list). Buckets hold only `u32`
+//!   slot ids, so moving an event between buckets moves four bytes and no
+//!   bucket keeps capacity sized for whole events.
+//! * **Buckets.** Let `last` be the time of the last popped event.
+//!   Bucket 0 holds the events at exactly `last`; bucket `b ≥ 1` holds the
+//!   events whose highest bit differing from `last` is bit `b − 1`. A bit
+//!   mask of the non-empty buckets finds the lowest one in one instruction.
+//! * **Pop.** Bucket 0 pops from its front. When it is empty, the lowest
+//!   non-empty bucket is scanned for its earliest time, `last` advances to
+//!   it, and the bucket's slots are redistributed into the buckets below
+//!   it, which are all empty. An event only ever moves to a lower bucket.
+//!
+//! **FIFO invariant.** Every bucket lists its slots in push order: a push
+//! appends to its bucket, and a redistribution walks one bucket in order
+//! into empty buckets. Events at one instant always share a bucket, so
+//! they pop in push order. Pop order is therefore fully determined by
+//! `(time, push order)`, with no sequence number stored.
+//!
+//! Events cannot be cancelled. A model that must retract one stamps it
+//! with a generation and ignores it when it fires stale.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-use crate::slot_window::SlotWindow;
 use crate::time::SimTime;
 
-/// A handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Tokens are unique for the lifetime of a queue and never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventToken(u64);
-
-impl EventToken {
-    /// The raw sequence number behind this token.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Lifecycle of one issued sequence number still in the heap. A sequence
-/// absent from the window has fired (or its cancelled entry was skipped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeqState {
-    /// Still in the heap, will fire unless cancelled.
-    Live,
-    /// Cancelled before firing; its heap entry is skipped on pop.
-    Cancelled,
-}
-
-/// A cancellable min-priority queue of `(SimTime, E)` pairs with FIFO
-/// tie-breaking.
+/// A min-priority queue of `(SimTime, E)` pairs with FIFO tie-breaking,
+/// for monotone use: no event may be pushed earlier than the last one
+/// popped.
 ///
 /// # Examples
 ///
@@ -81,22 +44,36 @@ enum SeqState {
 ///
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_secs(2), "later");
-/// let tok = q.push(SimTime::from_secs(1), "cancelled");
-/// q.push(SimTime::from_secs(1), "sooner");
-/// q.cancel(tok);
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner")));
+/// q.push(SimTime::from_secs(1), "first");
+/// q.push(SimTime::from_secs(1), "second");
+/// assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "first")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "second")));
+/// // Nothing is due by 1.5 s. A bounded pop that finds nothing leaves the
+/// // last pop at 1 s, so 1.2 s can still be scheduled.
+/// assert_eq!(q.pop_until(SimTime::from_millis(1_500)), None);
+/// q.push(SimTime::from_millis(1_200), "sooner");
+/// assert_eq!(q.pop(), Some((SimTime::from_millis(1_200), "sooner")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "later")));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// State of every sequence still in the heap; sequence numbers are the
-    /// window's keys, so retiring a fired/skipped entry is a window
-    /// removal and token uniqueness falls out of key monotonicity.
-    window: SlotWindow<SeqState>,
-    /// Cancelled entries still sitting in the heap.
-    cancelled_pending: usize,
+    /// Time of the last popped event, ns: no queued event is earlier.
+    last: u64,
+    /// Bucket 0: slots of the events at exactly `last`, in push order.
+    due: VecDeque<u32>,
+    /// `buckets[i]` is bucket `i + 1`: slots of the events whose highest
+    /// bit differing from `last` is bit `i`, in push order.
+    buckets: [Vec<u32>; 64],
+    /// Bit `i` is set iff `buckets[i]` is non-empty.
+    occupied: u64,
+    /// The event in each slot; `None` while the slot is free.
+    events: Vec<Option<E>>,
+    /// The time of each slot's event, ns.
+    times: Vec<u64>,
+    /// Free slots, reused last in, first out.
+    free: Vec<u32>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -106,95 +83,152 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue.
+    /// Creates an empty queue whose last pop is at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            window: SlotWindow::new(),
-            cancelled_pending: 0,
+            last: 0,
+            due: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            events: Vec::new(),
+            times: Vec::new(),
+            free: Vec::new(),
         }
     }
 
-    /// Schedules `event` to fire at `at`, returning a cancellation token.
-    pub fn push(&mut self, at: SimTime, event: E) -> EventToken {
-        let seq = self.window.insert(SeqState::Live);
-        self.heap.push(Entry { at, seq, event });
-        EventToken(seq)
-    }
-
-    /// Cancels a previously scheduled event.
+    /// Schedules `event` to fire at `at`.
     ///
-    /// Returns `true` if the token had not already fired or been cancelled.
-    /// Cancelling an already-popped or already-cancelled token is a
-    /// harmless no-op (`false`).
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        match self.window.get_mut(token.0) {
-            Some(state @ SeqState::Live) => {
-                *state = SeqState::Cancelled;
-                self.cancelled_pending += 1;
-                true
+    /// # Panics
+    ///
+    /// Panics if `at` is before the last popped event: the calendar is
+    /// monotone, and an earlier event could no longer pop in time order.
+    pub fn push(&mut self, at: SimTime, event: E) {
+        let at = at.as_nanos();
+        assert!(
+            at >= self.last,
+            "cannot push an event at {} before the last popped instant {}",
+            SimTime::from_nanos(at),
+            SimTime::from_nanos(self.last)
+        );
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(event);
+                self.times[slot as usize] = at;
+                slot
             }
-            // Already cancelled, already fired, or never issued.
-            _ => false,
-        }
+            None => {
+                let slot =
+                    u32::try_from(self.events.len()).expect("fewer than 2^32 pending events");
+                self.events.push(Some(event));
+                self.times.push(at);
+                slot
+            }
+        };
+        self.place(slot, at);
     }
 
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let state = self.window.remove(entry.seq);
-            debug_assert!(state.is_some(), "heap entry without window state");
-            if state == Some(SeqState::Cancelled) {
-                self.cancelled_pending -= 1;
-                continue;
-            }
-            return Some((entry.at, entry.event));
-        }
-        None
+        self.pop_until(SimTime::MAX)
     }
 
-    /// The timestamp of the earliest live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled_pending > 0
-                && self.window.get(entry.seq) == Some(&SeqState::Cancelled)
-            {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.window.remove(seq);
-                self.cancelled_pending -= 1;
-                continue;
+    /// Removes and returns the earliest event if it is at or before
+    /// `limit`. Otherwise leaves the queue as it was, so an event may still
+    /// be pushed at any instant from the last pop on.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let limit = limit.as_nanos();
+        if self.due.is_empty() {
+            let (i, min) = self.lowest_bucket()?;
+            if min > limit {
+                return None;
             }
-            return Some(entry.at);
+            self.advance(i, min);
+        } else if self.last > limit {
+            return None;
         }
-        None
+        let slot = self.due.pop_front()?;
+        self.free.push(slot);
+        let event = self.events[slot as usize]
+            .take()
+            .expect("a queued slot holds its event until popped");
+        Some((SimTime::from_nanos(self.last), event))
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// The timestamp of the earliest event, if any. Exact, and leaves the
+    /// last popped instant where it is: an event may still be pushed
+    /// earlier than the returned time, as long as it is not before the
+    /// last pop.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let at = if self.due.is_empty() {
+            self.lowest_bucket()?.1
+        } else {
+            self.last
+        };
+        Some(SimTime::from_nanos(at))
+    }
+
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled_pending
+        self.events.len() - self.free.len()
     }
 
-    /// `true` if no live events remain.
+    /// `true` if no events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Removes all events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.window.clear();
-        self.cancelled_pending = 0;
+    /// Appends `slot`, whose event is at `at`, to its bucket relative to
+    /// `last`.
+    #[inline]
+    fn place(&mut self, slot: u32, at: u64) {
+        let diff = at ^ self.last;
+        if diff == 0 {
+            self.due.push_back(slot);
+        } else {
+            let i = diff.ilog2() as usize;
+            self.buckets[i].push(slot);
+            self.occupied |= 1 << i;
+        }
+    }
+
+    /// The lowest non-empty bucket above bucket 0 and its earliest time.
+    fn lowest_bucket(&self) -> Option<(usize, u64)> {
+        if self.occupied == 0 {
+            return None;
+        }
+        let i = self.occupied.trailing_zeros() as usize;
+        let min = self.buckets[i]
+            .iter()
+            .map(|&slot| self.times[slot as usize])
+            .min()?;
+        Some((i, min))
+    }
+
+    /// Advances `last` to `min`, the earliest time in `buckets[i]`, the
+    /// lowest non-empty bucket, and redistributes that bucket in order.
+    /// Its events agree with `min` on every bit above `i`, so each lands
+    /// in bucket 0 or in a bucket below `i`; the buckets above `i` stay
+    /// valid because `last` keeps every bit above `i`.
+    fn advance(&mut self, i: usize, min: u64) {
+        self.last = min;
+        self.occupied &= !(1 << i);
+        let mut moved = std::mem::take(&mut self.buckets[i]);
+        for &slot in &moved {
+            self.place(slot, self.times[slot as usize]);
+        }
+        moved.clear();
+        self.buckets[i] = moved;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use std::collections::BTreeSet;
 
     /// Miri interprets ~100x slower than native; shrink churn counts
-    /// under `cfg(miri)` while keeping them above the compaction
-    /// threshold (`COMPACT_SLACK`) so every structural path still fires.
+    /// under `cfg(miri)` while keeping every bucket path exercised.
     fn scaled(native: u64, miri: u64) -> u64 {
         if cfg!(miri) {
             miri
@@ -202,7 +236,6 @@ mod tests {
             native
         }
     }
-    use crate::slot_window::COMPACT_SLACK;
 
     #[test]
     fn pops_in_time_order() {
@@ -226,123 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let tok = q.push(SimTime::from_nanos(1), "a");
-        q.push(SimTime::from_nanos(2), "b");
-        assert!(q.cancel(tok));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(2), "b")));
-    }
-
-    #[test]
-    fn cancel_twice_is_noop() {
-        let mut q = EventQueue::new();
-        let tok = q.push(SimTime::from_nanos(1), ());
-        assert!(q.cancel(tok));
-        assert!(!q.cancel(tok));
-    }
-
-    #[test]
-    fn cancel_unknown_token_is_noop() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventToken(42)));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        // Regression: cancelling an already-fired token used to insert its
-        // seq into the cancelled set and return `true`, underflowing
-        // `len()` on the next accounting.
-        let mut q = EventQueue::new();
-        let tok = q.push(SimTime::from_nanos(1), "a");
-        q.push(SimTime::from_nanos(2), "b");
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), "a")));
-        assert!(!q.cancel(tok), "token already fired");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(2), "b")));
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-        // Still a no-op once the queue has fully drained.
-        assert!(!q.cancel(tok));
-    }
-
-    #[test]
-    fn cancel_after_fire_out_of_seq_order() {
-        // Fired sequence numbers are not contiguous (pops follow time, not
-        // insertion): retiring must handle a fired high seq before a live
-        // low seq.
-        let mut q = EventQueue::new();
-        let slow = q.push(SimTime::from_nanos(100), "slow"); // seq 0
-        let fast = q.push(SimTime::from_nanos(1), "fast"); // seq 1
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), "fast")));
-        assert!(!q.cancel(fast), "fired token");
-        assert!(q.cancel(slow), "still-live token");
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let tok = q.push(SimTime::from_nanos(5), "x");
-        q.push(SimTime::from_nanos(9), "y");
-        q.cancel(tok);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_nanos(1), 1);
-        q.push(SimTime::from_nanos(2), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn push_after_clear_keeps_tokens_unique() {
-        let mut q = EventQueue::new();
-        let before = q.push(SimTime::from_nanos(1), 1);
-        q.clear();
-        let after = q.push(SimTime::from_nanos(1), 2);
-        assert_ne!(before, after);
-        assert!(!q.cancel(before), "cleared token is dead");
-        assert!(q.cancel(after));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn far_future_event_does_not_pin_the_state_window() {
-        // A single long-lived event must not hold the dense state window
-        // open while millions of near events churn past: once the window
-        // is dominated by dead entries it compacts, parking the anchor in
-        // the sparse overflow with full cancel/fire semantics intact.
-        let mut q = EventQueue::new();
-        let anchor = q.push(SimTime::from_secs(1_000_000), u64::MAX);
-        for i in 0..scaled(200_000, 3_000) {
-            q.push(SimTime::from_nanos(i), i);
-            q.pop();
-        }
-        assert!(
-            q.window.dense_len() < 2 * COMPACT_SLACK + 16,
-            "window should compact behind the anchor, got {} entries",
-            q.window.dense_len()
-        );
-        assert_eq!(q.len(), 1);
-        // The compacted anchor still cancels exactly once.
-        assert!(q.cancel(anchor));
-        assert!(!q.cancel(anchor));
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.window.overflow_len(), 0, "overflow drained after the pop");
-    }
-
-    #[test]
     fn compacted_event_still_fires() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(100), u64::MAX);
@@ -355,20 +271,83 @@ mod tests {
     }
 
     #[test]
-    fn state_window_trims_behind_fired_events() {
-        // A long-lived event keeps the window open; everything behind it is
-        // trimmed once it fires.
+    fn peek_time_is_exact_and_leaves_earlier_pushes_valid() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(100), u64::MAX); // the anchor
-        for i in 0..1_000u64 {
-            q.push(SimTime::from_nanos(i), i);
+        q.push(SimTime::from_nanos(100), "a");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), "a")));
+        q.push(SimTime::from_nanos(1_000), "far");
+        q.push(SimTime::from_nanos(900), "near");
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(900)));
+        // A peek, and a pop_until short of the minimum, leave the last pop
+        // at 100 ns: pushes between it and the peeked minimum stay valid.
+        assert_eq!(q.pop_until(SimTime::from_nanos(899)), None);
+        q.push(SimTime::from_nanos(500), "between");
+        q.push(SimTime::from_nanos(100), "at the last pop");
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(100)));
+        assert_eq!(q.len(), 4);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["at the last pop", "between", "near", "far"]);
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the last popped instant")]
+    fn push_before_the_last_pop_panics() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(50), ());
+        q.pop();
+        q.push(SimTime::from_nanos(49), ());
+    }
+
+    /// Interleaved pushes, pops and bounded pops, driven by [`SimRng`],
+    /// against a sorted `(time, push index)` reference. Push delays mix
+    /// same-instant, short, long and far-future (millions of ns) offsets,
+    /// some of them between the last pop and the peeked minimum.
+    #[test]
+    fn matches_a_sorted_reference_under_interleaving() {
+        let mut rng = SimRng::seed_from(0xCA1E_4DA2);
+        for _ in 0..scaled(8, 2) {
+            let mut q = EventQueue::new();
+            let mut reference = BTreeSet::new();
+            let mut last = 0u64;
+            let mut pushed = 0u64;
+            for _ in 0..scaled(40_000, 600) {
+                let peek = q.peek_time().map(SimTime::as_nanos);
+                assert_eq!(peek, reference.first().map(|&(t, _)| t), "peek is exact");
+                assert_eq!(q.len(), reference.len());
+                let roll = rng.below(100);
+                if roll < 55 {
+                    let at = match rng.below(6) {
+                        0 => last,
+                        1 => last + rng.below(16),
+                        2 => last + rng.below(5_000),
+                        3 => last + 1_000_000 + rng.below(50_000_000),
+                        // From `last` up to the peeked minimum.
+                        4 => last + rng.below(peek.map_or(1, |p| p - last + 1)),
+                        _ => peek.unwrap_or(last),
+                    };
+                    q.push(SimTime::from_nanos(at), pushed);
+                    reference.insert((at, pushed));
+                    pushed += 1;
+                } else {
+                    let limit = if roll < 80 {
+                        u64::MAX
+                    } else {
+                        peek.map_or(last, |p| p.saturating_sub(1) + rng.below(3))
+                    };
+                    let got = q.pop_until(SimTime::from_nanos(limit));
+                    let want = reference.first().copied().filter(|&(t, _)| t <= limit);
+                    if let Some(entry) = want {
+                        reference.remove(&entry);
+                        last = entry.0;
+                    }
+                    assert_eq!(got, want.map(|(t, i)| (SimTime::from_nanos(t), i)));
+                }
+            }
+            while let Some((t, i)) = q.pop() {
+                assert_eq!(reference.pop_first(), Some((t.as_nanos(), i)));
+            }
+            assert!(reference.is_empty() && q.is_empty());
         }
-        for _ in 0..1_000 {
-            q.pop();
-        }
-        // Only the anchor (seq 0) holds the window; span is next_seq range.
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some(u64::MAX));
-        assert_eq!(q.window.dense_len(), 0, "window fully trimmed");
     }
 }

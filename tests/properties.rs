@@ -40,29 +40,6 @@ fn queue_pops_sorted() {
     }
 }
 
-/// Cancelling an arbitrary subset removes exactly that subset.
-#[test]
-fn queue_cancellation_is_exact() {
-    let mut rng = SimRng::seed_from(0xCA4CE1);
-    for _ in 0..CASES {
-        let n = 1 + rng.below(100) as usize;
-        let mut q = EventQueue::new();
-        let tokens: Vec<_> = (0..n)
-            .map(|i| q.push(SimTime::from_nanos(i as u64), i))
-            .collect();
-        let mut expect: Vec<usize> = Vec::new();
-        for (i, tok) in tokens.iter().enumerate() {
-            if rng.chance(0.5) {
-                q.cancel(*tok);
-            } else {
-                expect.push(i);
-            }
-        }
-        let got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(got, expect);
-    }
-}
-
 /// Welford tally matches the naive two-pass computation.
 #[test]
 fn tally_matches_naive() {
