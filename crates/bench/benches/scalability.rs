@@ -1,7 +1,8 @@
 //! End-to-end scalability: events/second for full farm simulations at
 //! increasing server counts (Table I's >20 K-server claim; the 20 480
 //! point runs in the `table1_scalability` binary to keep `cargo bench`
-//! fast, and `holdcsim bench-scale` records the tracked baseline).
+//! fast; host-time claims are measured with `perfbench/` and
+//! `cargo xtask ab`).
 //!
 //! Run with `cargo bench --bench scalability` (add `-- --quick` for a
 //! reduced grid); compiled in CI via `cargo bench --no-run`.

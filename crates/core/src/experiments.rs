@@ -642,29 +642,6 @@ pub fn scalability(sizes: &[usize], duration: SimDuration, seed: u64) -> Vec<Sca
         .collect()
 }
 
-/// One network-heavy scalability measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct NetScalabilityPoint {
-    /// Simulated servers.
-    pub servers: usize,
-    /// Communication model of this arm: `"flow"` = flow model with the
-    /// default (cohort) fair-share solver, `"flow-ref"` = reference
-    /// solver, `"packet"` = packetized. The incast stress grid reuses
-    /// this shape with `"incast"` / `"incast-ref"` labels.
-    pub comm: &'static str,
-    /// Engine events processed.
-    pub events: u64,
-    /// Wall-clock seconds.
-    pub wall_s: f64,
-    /// Events per wall-clock second.
-    pub events_per_s: f64,
-    /// Jobs completed.
-    pub jobs: u64,
-    /// Flows completed (0 in packet mode) — the A/B solver arms must
-    /// report identical counts.
-    pub flows: u64,
-}
-
 /// Fan-out width of the network scalability configuration (each job is a
 /// scatter-gather DAG with this many leaves — `2 × width` network edges).
 pub const NET_SCALABILITY_FANOUT: u32 = 8;
@@ -703,25 +680,13 @@ pub fn fat_tree_k_for(n: usize) -> usize {
     k
 }
 
-/// The configuration of one network scalability arm (the default —
-/// cohort — flow solver; see [`net_scalability_config_with_solver`]).
+/// The configuration of one network scalability arm: the Table I farm
+/// on a fat tree in `comm` mode, with the default fair-share solver.
 pub fn net_scalability_config(
     servers: usize,
     comm: crate::config::CommModel,
     duration: SimDuration,
     seed: u64,
-) -> SimConfig {
-    net_scalability_config_with_solver(servers, comm, duration, seed, FlowSolverKind::default())
-}
-
-/// The configuration of one network scalability arm with an explicit
-/// fair-share solver (ignored in packet mode).
-pub fn net_scalability_config_with_solver(
-    servers: usize,
-    comm: crate::config::CommModel,
-    duration: SimDuration,
-    seed: u64,
-    solver: FlowSolverKind,
 ) -> SimConfig {
     let mut cfg = SimConfig::server_farm(
         servers,
@@ -734,75 +699,8 @@ pub fn net_scalability_config_with_solver(
     .with_policy(SCALABILITY_POLICY);
     let mut net = NetworkConfig::fat_tree(fat_tree_k_for(servers));
     net.comm = comm;
-    net.flow_solver = solver;
     cfg.network = Some(net);
     cfg
-}
-
-/// The bench labels of a flow solver arm on the scatter-gather and incast
-/// grids: the default (production) arm carries the bare grid name, the
-/// reference oracle a `-ref` suffix.
-fn solver_arm_labels(solver: FlowSolverKind) -> (&'static str, &'static str) {
-    match solver {
-        FlowSolverKind::Cohort => ("flow", "incast"),
-        FlowSolverKind::Reference => ("flow-ref", "incast-ref"),
-    }
-}
-
-/// The network-heavy companion to [`scalability`]: the same farm driven
-/// by high-fan-out scatter-gather jobs over a fat tree, once per
-/// communication model. This is the stress case for the network hot path
-/// (a transfer-table operation per packet arrival / flow completion and a
-/// route per transfer), where the event rate is dominated by the network,
-/// not the servers.
-#[allow(clippy::disallowed_methods)] // events/s vs wall-clock is the subject (see analysis.toml D002 entry)
-pub fn net_scalability(
-    sizes: &[usize],
-    duration: SimDuration,
-    seed: u64,
-    flow_solvers: &[FlowSolverKind],
-) -> Vec<NetScalabilityPoint> {
-    let packet = crate::config::CommModel::Packet {
-        mtu: 1_500,
-        buffer_bytes: 1 << 20,
-    };
-    let mut points = Vec::with_capacity(sizes.len() * (flow_solvers.len() + 1));
-    for &n in sizes {
-        let mut arms: Vec<(crate::config::CommModel, FlowSolverKind, &'static str)> = Vec::new();
-        for &solver in flow_solvers {
-            let label = solver_arm_labels(solver).0;
-            arms.push((crate::config::CommModel::Flow, solver, label));
-        }
-        arms.push((packet, FlowSolverKind::default(), "packet"));
-        let mut flow_json: Option<String> = None;
-        for (comm, solver, label) in arms {
-            let cfg = net_scalability_config_with_solver(n, comm, duration, seed, solver);
-            let t0 = Instant::now();
-            let report = Simulation::new(cfg).run();
-            let wall = t0.elapsed().as_secs_f64();
-            // The solver arms simulate the same physics: every flow
-            // arm's full report must be byte-identical to the first's.
-            if label.starts_with("flow") {
-                let json = report.to_json();
-                match &flow_json {
-                    None => flow_json = Some(json),
-                    Some(first) => {
-                        assert_eq!(first, &json, "solver arm {label} diverged at {n} servers")
-                    }
-                }
-            }
-            points.push(NetScalabilityPoint {
-                servers: n,
-                comm: label,
-                events: report.events_processed,
-                wall_s: wall,
-                events_per_s: report.events_processed as f64 / wall.max(1e-9),
-                jobs: report.jobs_completed,
-                flows: report.network.as_ref().map_or(0, |net| net.flows),
-            });
-        }
-    }
-    points
 }
 
 /// Fan-in width of the incast stress point: every job gathers this many
@@ -856,51 +754,6 @@ pub fn net_incast_config_with_solver(
     net.flow_solver = solver;
     cfg.network = Some(net);
     cfg
-}
-
-/// The high-contention companion grid to [`net_scalability`]: the same
-/// fat-tree farm under wide-gather incast at overload, flow mode only.
-/// This is the regime where bottleneck cohorts dominate — each hot
-/// downlink carries a whole job's fan-in — so it isolates the cohort
-/// solver's O(links) update cost from the reference arm's O(flows).
-#[allow(clippy::disallowed_methods)] // events/s vs wall-clock is the subject (see analysis.toml D002 entry)
-pub fn net_incast(
-    sizes: &[usize],
-    duration: SimDuration,
-    seed: u64,
-    flow_solvers: &[FlowSolverKind],
-) -> Vec<NetScalabilityPoint> {
-    let mut points = Vec::with_capacity(sizes.len() * flow_solvers.len());
-    for &n in sizes {
-        let mut arm_json: Option<String> = None;
-        for &solver in flow_solvers {
-            let label = solver_arm_labels(solver).1;
-            let cfg = net_incast_config_with_solver(n, duration, seed, solver);
-            let t0 = Instant::now();
-            let report = Simulation::new(cfg).run();
-            let wall = t0.elapsed().as_secs_f64();
-            // Every solver arm's full report must be byte-identical to
-            // the first's — same physics, same trajectory.
-            let json = report.to_json();
-            match &arm_json {
-                None => arm_json = Some(json),
-                Some(first) => assert_eq!(
-                    first, &json,
-                    "solver arm {label} diverged at {n} servers (incast)"
-                ),
-            }
-            points.push(NetScalabilityPoint {
-                servers: n,
-                comm: label,
-                events: report.events_processed,
-                wall_s: wall,
-                events_per_s: report.events_processed as f64 / wall.max(1e-9),
-                jobs: report.jobs_completed,
-                flows: report.network.as_ref().map_or(0, |net| net.flows),
-            });
-        }
-    }
-    points
 }
 
 #[cfg(test)]

@@ -1887,26 +1887,34 @@ mod tests {
     #[test]
     fn flow_solver_arms_produce_identical_reports() {
         use holdcsim_network::flow::FlowSolverKind;
-        let run = |kind| {
+        let run = |incast: bool, kind| {
             let mut cfg = slot_indexed_cfg(CommModel::Flow);
+            if incast {
+                // Fan-in-32 incast at overload: fat cohorts on hot downlinks.
+                let horizon = SimDuration::from_millis(50);
+                cfg = crate::experiments::net_incast_config_with_solver(16, horizon, 7, kind);
+            }
             cfg.network
                 .as_mut()
                 .expect("network configured")
                 .flow_solver = kind;
             Simulation::new(cfg).run()
         };
-        let reference = run(FlowSolverKind::Reference);
-        let cohort = run(FlowSolverKind::Cohort);
-        assert_eq!(
-            reference.to_json(),
-            cohort.to_json(),
-            "cohort arm must agree with reference byte-for-byte"
-        );
-        let (a, b) = (
-            reference.network.as_ref().expect("network report"),
-            cohort.network.as_ref().expect("network report"),
-        );
-        assert_eq!(a.flows, b.flows, "identical completed-flow counts");
+        for incast in [false, true] {
+            let reference = run(incast, FlowSolverKind::Reference);
+            let cohort = run(incast, FlowSolverKind::Cohort);
+            assert_eq!(
+                reference.to_json(),
+                cohort.to_json(),
+                "cohort arm must agree with reference byte-for-byte"
+            );
+            let (a, b) = (
+                reference.network.as_ref().expect("network report"),
+                cohort.network.as_ref().expect("network report"),
+            );
+            assert_eq!(a.flows, b.flows, "identical completed-flow counts");
+            assert!(a.flows > 0, "transfers really flowed");
+        }
     }
 
     #[test]

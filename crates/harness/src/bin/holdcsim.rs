@@ -9,8 +9,6 @@
 //!                [--replications N] [--duration S] [--seed S]
 //!                [--threads N] [--out DIR] [--name NAME]
 //! holdcsim fig <4|5|6|8|9|11|table1> [--quick] [--threads N] [--seed S]
-//! holdcsim bench-scale [--sizes 16,128,1024] [--duration S] [--seed S]
-//!                [--repeats N] [--out PATH]
 //! ```
 
 // CLI flag maps are `--key value` lookups, never iterated (lint D001).
@@ -27,7 +25,6 @@ use holdcsim::sim::Simulation;
 use holdcsim_cluster::Federation;
 use holdcsim_des::time::SimDuration;
 use holdcsim_harness::artifacts;
-use holdcsim_harness::bench_scale::{self, BenchScaleConfig};
 use holdcsim_harness::exec::{default_threads, run_plan};
 use holdcsim_harness::figs::{self, FigScale};
 use holdcsim_harness::grid::SweepPlan;
@@ -57,13 +54,6 @@ USAGE:
                    [--faults SPEC|FILE]
                    [--duration SECS] [--seed S] [--json] [OBS]
     holdcsim trace-diff A.json B.json
-    holdcsim bench-scale [--sizes 16,128,1024] [--duration SECS]
-                   [--net-sizes 16,128 | none] [--net-duration SECS]
-                   [--flow-solver cohort|reference|both]
-                   [--clusters 2,4 | none] [--cluster-servers N]
-                   [--cluster-duration SECS] [--fed-workers N]
-                   [--faults default|none|SPEC|FILE]
-                   [--seed S] [--repeats N] [--out PATH] [--obs-overhead]
 
 Observability ([OBS], accepted by run, federate, and sweep):
     --trace FILE [--trace-format jsonl|chrome] [--trace-limit N]
@@ -86,20 +76,7 @@ through conservative WAN-lookahead windows on --fed-workers pooled
 threads (default: the machine's parallelism); --fed-serial runs the
 thread-free reference arm. Reports are byte-identical either way.
 
-`bench-scale` runs the Table I configuration at each farm size plus a
-network-heavy fat-tree grid (high-fan-out DAGs, flow and packet comm
-models) at each --net-sizes size (`none` skips the network arms),
-measures wall-clock events/second (best of --repeats), and writes the
-JSON perf baseline (default ./BENCH_scalability.json). The flow arm
-runs once per selected fair-share solver (`both` by default: the
-cohort production solver as `flow` and the global progressive-filling
-reference as `flow-ref`, interleaved on the same grid with identical
-completed-flow counts asserted); the same arms drive a wide-gather
-incast stress grid (`incast`/`incast-ref` points). With
---obs-overhead it also re-runs the network arms with fingerprinting on
-and reports the observability overhead per point.
-
-Fault plans (--faults, accepted by run, sweep, federate, bench-scale):
+Fault plans (--faults, accepted by run, sweep, federate):
 an inline spec or a file of `;`/newline-separated entries (`#` comments):
     crash@2s:0            kill server 0 at t=2s (in-flight tasks fail)
     recover@4s:0          bring it back
@@ -111,8 +88,7 @@ an inline spec or a file of `;`/newline-separated entries (`#` comments):
     retry:max=3,backoff=10ms,mult=2    bounded exponential re-dispatch
 Prefix an entry with `site<k>.` under federate to target one site.
 Times accept ns/us/ms/s suffixes. `sweep --faults` takes |-separated
-arms (`none` is a fault-free arm) as an extra grid axis; `bench-scale
---faults default` runs a canned crash+switch storm scaled to each farm.
+arms (`none` is a fault-free arm) as an extra grid axis.
 
 `trace-diff` compares two fingerprint files (written with --fingerprint)
 and bisects to the first divergent checkpoint, or reports `identical`.
@@ -143,32 +119,8 @@ fn parse_preset(s: &str) -> Result<WorkloadPreset, String> {
 
 /// Parses one `--flow-solver` arm name.
 fn parse_flow_solver(s: &str) -> Result<FlowSolverKind, String> {
-    FlowSolverKind::parse(s).ok_or_else(|| {
-        format!(
-            "unknown flow solver `{s}` (expected {})",
-            flow_solver_names()
-        )
-    })
-}
-
-/// Parses `bench-scale --flow-solver`: one arm, or `both`.
-fn parse_flow_solvers(s: &str) -> Result<Vec<FlowSolverKind>, String> {
-    match s {
-        "both" => Ok(FlowSolverKind::ALL.to_vec()),
-        _ => FlowSolverKind::parse(s)
-            .map(|kind| vec![kind])
-            .ok_or_else(|| {
-                format!(
-                    "unknown flow solver `{s}` (expected {}|both)",
-                    flow_solver_names()
-                )
-            }),
-    }
-}
-
-/// The solver arm names, `|`-separated.
-fn flow_solver_names() -> String {
-    FlowSolverKind::ALL.map(FlowSolverKind::label).join("|")
+    let names = FlowSolverKind::ALL.map(FlowSolverKind::label).join("|");
+    FlowSolverKind::parse(s).ok_or(format!("unknown flow solver `{s}` (expected {names})"))
 }
 
 fn parse_list<T, F: Fn(&str) -> Result<T, String>>(s: &str, f: F) -> Result<Vec<T>, String> {
@@ -177,6 +129,19 @@ fn parse_list<T, F: Fn(&str) -> Result<T, String>>(s: &str, f: F) -> Result<Vec<
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what}: `{s}`"))
+}
+
+/// Parses a site, server or core count or a utilization, which the
+/// simulator asserts is finite and positive. Every integer also reads as
+/// a finite f64, and NaN fails the `>`.
+fn parse_positive<T>(s: &str, what: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + Default,
+{
+    let v: T = parse_num(s, what)?;
+    let ok = s.parse::<f64>().is_ok_and(f64::is_finite) && v > T::default();
+    ok.then_some(v)
+        .ok_or(format!("{what} must be finite and positive: `{s}`"))
 }
 
 /// Splits `args` into `--key value` options; rejects unknown keys.
@@ -192,10 +157,10 @@ fn parse_opts(args: &[String], allowed: &[&str]) -> Result<HashMap<String, Strin
             return Err(format!("unknown option `--{key}`"));
         }
         // Flags (no value): --json, --quick, --hub, --net, --profile,
-        // --obs-overhead, --fed-serial.
+        // --fed-serial.
         if matches!(
             key,
-            "json" | "quick" | "hub" | "net" | "profile" | "obs-overhead" | "fed-serial"
+            "json" | "quick" | "hub" | "net" | "profile" | "fed-serial"
         ) {
             opts.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -230,9 +195,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(args, &allowed)?;
     let obs = ObsCli::from_opts(&opts)?;
     let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let servers: usize = parse_num(&get("servers", "8"), "server count")?;
-    let cores: u32 = parse_num(&get("cores", "4"), "core count")?;
-    let rho: f64 = parse_num(&get("rho", "0.3"), "utilization")?;
+    let servers: usize = parse_positive(&get("servers", "8"), "server count")?;
+    let cores: u32 = parse_positive(&get("cores", "4"), "core count")?;
+    let rho: f64 = parse_positive(&get("rho", "0.3"), "utilization")?;
     let preset = parse_preset(&get("preset", "web-search"))?;
     let duration = SimDuration::from_secs_f64(parse_num(&get("duration", "30"), "duration")?);
     let seed: u64 = parse_num(&get("seed", "42"), "seed")?;
@@ -314,7 +279,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         plan = plan.presets(&parse_list(s, parse_preset)?);
     }
     if let Some(s) = opts.get("rhos") {
-        plan = plan.utilizations(&parse_list(s, |x| parse_num(x, "rho"))?);
+        plan = plan.utilizations(&parse_list(s, |x| parse_positive(x, "utilization"))?);
     }
     if let Some(s) = opts.get("taus") {
         let taus = parse_list(s, |x| {
@@ -327,10 +292,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         plan = plan.taus_opt(&taus);
     }
     if let Some(s) = opts.get("servers") {
-        plan = plan.servers(&parse_list(s, |x| parse_num(x, "server count"))?);
+        plan = plan.servers(&parse_list(s, |x| parse_positive(x, "server count"))?);
     }
     if let Some(s) = opts.get("cores") {
-        plan = plan.cores(&parse_list(s, |x| parse_num(x, "core count"))?);
+        plan = plan.cores(&parse_list(s, |x| parse_positive(x, "core count"))?);
     }
     if let Some(s) = opts.get("replications") {
         plan = plan.replications(parse_num(s, "replications")?);
@@ -463,13 +428,10 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(args, &allowed)?;
     let obs = ObsCli::from_opts(&opts)?;
     let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let sites: usize = parse_num(&get("sites", "3"), "site count")?;
-    if sites == 0 {
-        return Err("a federation needs at least one site".into());
-    }
-    let servers: usize = parse_num(&get("servers", "8"), "server count")?;
-    let cores: u32 = parse_num(&get("cores", "4"), "core count")?;
-    let rho: f64 = parse_num(&get("rho", "0.3"), "utilization")?;
+    let sites: usize = parse_positive(&get("sites", "3"), "site count")?;
+    let servers: usize = parse_positive(&get("servers", "8"), "server count")?;
+    let cores: u32 = parse_positive(&get("cores", "4"), "core count")?;
+    let rho: f64 = parse_positive(&get("rho", "0.3"), "utilization")?;
     let preset = parse_preset(&get("preset", "web-search"))?;
     let duration = SimDuration::from_secs_f64(parse_num(&get("duration", "10"), "duration")?);
     let seed: u64 = parse_num(&get("seed", "42"), "seed")?;
@@ -566,90 +528,6 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_scale(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(
-        args,
-        &[
-            "sizes",
-            "duration",
-            "net-sizes",
-            "net-duration",
-            "clusters",
-            "cluster-servers",
-            "cluster-duration",
-            "fed-workers",
-            "flow-solver",
-            "obs-overhead",
-            "faults",
-            "seed",
-            "repeats",
-            "out",
-        ],
-    )?;
-    let mut cfg = BenchScaleConfig::default();
-    if let Some(s) = opts.get("sizes") {
-        cfg.sizes = parse_list(s, |x| parse_num(x, "server count"))?;
-        if cfg.sizes.is_empty() {
-            return Err("`--sizes` needs at least one size".into());
-        }
-    }
-    if let Some(s) = opts.get("duration") {
-        cfg.duration = SimDuration::from_secs_f64(parse_num(s, "duration")?);
-    }
-    if let Some(s) = opts.get("net-sizes") {
-        cfg.net_sizes = if s == "none" {
-            Vec::new()
-        } else {
-            parse_list(s, |x| parse_num(x, "server count"))?
-        };
-    }
-    if let Some(s) = opts.get("net-duration") {
-        cfg.net_duration = SimDuration::from_secs_f64(parse_num(s, "net-duration")?);
-    }
-    if let Some(s) = opts.get("clusters") {
-        cfg.clusters = if s == "none" {
-            Vec::new()
-        } else {
-            parse_list(s, |x| parse_num(x, "site count"))?
-        };
-    }
-    if let Some(s) = opts.get("cluster-servers") {
-        cfg.cluster_servers = parse_num(s, "servers per site")?;
-    }
-    if let Some(s) = opts.get("cluster-duration") {
-        cfg.cluster_duration = SimDuration::from_secs_f64(parse_num(s, "cluster-duration")?);
-    }
-    if let Some(s) = opts.get("fed-workers") {
-        cfg.fed_workers = parse_num(s, "federation worker count")?;
-    }
-    if let Some(s) = opts.get("flow-solver") {
-        cfg.flow_solvers = parse_flow_solvers(s)?;
-    }
-    cfg.obs_overhead = opts.contains_key("obs-overhead");
-    if let Some(s) = opts.get("faults") {
-        cfg.faults = match s.as_str() {
-            "none" => None,
-            "default" => Some("default".to_string()),
-            spec => {
-                holdcsim_faults::load_plan(spec)?;
-                Some(spec.to_string())
-            }
-        };
-    }
-    if let Some(s) = opts.get("seed") {
-        cfg.seed = parse_num(s, "seed")?;
-    }
-    if let Some(s) = opts.get("repeats") {
-        cfg.repeats = parse_num(s, "repeats")?;
-    }
-    if let Some(s) = opts.get("out") {
-        cfg.out = PathBuf::from(s);
-    }
-    let path = bench_scale::run_bench_scale(&cfg).map_err(|e| e.to_string())?;
-    eprintln!("[bench-scale] wrote {}", path.display());
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -658,7 +536,6 @@ fn main() -> ExitCode {
         Some("fig") => cmd_fig(&args[1..]),
         Some("federate") => cmd_federate(&args[1..]),
         Some("trace-diff") => cmd_trace_diff(&args[1..]),
-        Some("bench-scale") => cmd_bench_scale(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
             Ok(())
@@ -716,16 +593,37 @@ mod tests {
     fn flow_solver_names_round_trip_and_retired_arm_is_rejected() {
         for kind in FlowSolverKind::ALL {
             assert_eq!(parse_flow_solver(kind.label()), Ok(kind));
-            assert_eq!(parse_flow_solvers(kind.label()), Ok(vec![kind]));
         }
-        assert_eq!(
-            parse_flow_solvers("both"),
-            Ok(vec![FlowSolverKind::Cohort, FlowSolverKind::Reference])
-        );
         let err = parse_flow_solver("incremental").unwrap_err();
         assert!(err.contains("cohort|reference"), "{err}");
-        let err = parse_flow_solvers("incremental").unwrap_err();
-        assert!(err.contains("cohort|reference|both"), "{err}");
-        assert!(parse_flow_solvers("all").is_err(), "`all` is retired");
+    }
+
+    #[test]
+    fn sizes_and_utilizations_must_be_finite_and_positive() {
+        assert_eq!(parse_positive::<u32>("4", "core count"), Ok(4));
+        assert_eq!(parse_positive::<f64>("0.3", "utilization"), Ok(0.3));
+        for bad in ["0", "-1", "nan", "inf", "x"] {
+            assert!(
+                parse_positive::<usize>(bad, "server count").is_err(),
+                "{bad}"
+            );
+            assert!(parse_positive::<f64>(bad, "utilization").is_err(), "{bad}");
+        }
+        // Each command rejects them before a simulation can assert.
+        let args = |a: &str| a.split(' ').map(String::from).collect::<Vec<_>>();
+        for bad in [
+            "--servers 0",
+            "--cores 0",
+            "--rho 0",
+            "--rho -0.3",
+            "--rho nan",
+        ] {
+            assert!(cmd_run(&args(bad)).is_err(), "run {bad}");
+            assert!(cmd_federate(&args(bad)).is_err(), "federate {bad}");
+        }
+        for bad in ["--servers 8,0", "--cores 0", "--rhos 0.3,nan"] {
+            assert!(cmd_sweep(&args(bad)).is_err(), "sweep {bad}");
+        }
+        assert!(cmd_federate(&args("--sites 0")).is_err());
     }
 }

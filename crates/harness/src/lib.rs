@@ -21,14 +21,14 @@
 //!   `holdcsim::export`.
 //! * [`figs`] — the paper's figures re-expressed as plans/parallel runs,
 //!   backing the `holdcsim fig <n>` CLI subcommand.
-//! * [`bench_scale`] — the Table I scalability sweep as a perf baseline:
-//!   events/second per farm size, written to `BENCH_scalability.json` so
-//!   hot-path regressions are visible PR over PR.
+//! * [`bench_scale`] — the canned fault plan and the two-site federation
+//!   that the repository benchmark (`perfbench/`) and the resilience
+//!   tests build on.
 //! * [`obs_cli`] — shared parsing/output plumbing for the observability
 //!   flags (`--trace`, `--metrics`, `--fingerprint`, `--profile`).
 //!
 //! The `holdcsim` binary (`src/bin/holdcsim.rs`) exposes `run`, `sweep`,
-//! `fig`, and `bench-scale` subcommands over all of this.
+//! `fig`, `federate`, and `trace-diff` subcommands over all of this.
 //!
 //! ## Example: a 24-trial grid, in parallel, with confidence intervals
 //!

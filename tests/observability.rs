@@ -267,3 +267,31 @@ fn observability_does_not_perturb_the_simulation() {
     assert_eq!(observed.to_json(), baseline.to_json());
     assert!(!arts.is_empty());
 }
+
+/// Determinism fingerprinting costs less than 20 % of the event loop's
+/// wall time on the 16-server fat tree, in flow and in packet mode (best
+/// of two runs per arm, interleaved). A wall-clock test, so it runs on
+/// request, optimized and alone:
+/// `cargo test --release -q --test observability -- --ignored --test-threads 1`.
+#[test]
+#[ignore = "wall-clock gate: run in release with --ignored --test-threads 1"]
+fn fingerprinting_overhead_stays_under_20_percent() {
+    use holdcsim::config::CommModel;
+    use holdcsim::experiments::net_scalability_config;
+    let packet = CommModel::Packet {
+        mtu: 1_500,
+        buffer_bytes: 1 << 20,
+    };
+    for comm in [CommModel::Flow, packet] {
+        let mut walls = [f64::INFINITY; 2];
+        for _ in 0..2 {
+            for (fingerprint, wall) in walls.iter_mut().enumerate() {
+                let mut cfg = net_scalability_config(16, comm, SimDuration::from_millis(200), 42);
+                cfg.obs.fingerprint = (fingerprint == 1).then(FingerprintConfig::default);
+                *wall = wall.min(Simulation::new(cfg).run().wall_s);
+            }
+        }
+        let overhead_pct = (walls[1] / walls[0] - 1.0) * 100.0;
+        assert!(overhead_pct < 20.0, "{comm:?}: {walls:?} s");
+    }
+}

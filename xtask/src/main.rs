@@ -7,6 +7,8 @@
 //! cargo xtask determinism [--release]
 //!                                # dynamic smoke: same seed twice ⇒ identical fingerprints
 //! cargo xtask gate               # analyze --deny + determinism (the local pre-push check)
+//! cargo xtask ab <base-rev> [<change-rev>] [--pairs N] [--seconds S] [--seed N] [WORKLOAD...]
+//!                                # interleaved A/B of two revisions on perfbench (see ab.rs)
 //! ```
 //!
 //! The sanitizer lanes need nightly components (`miri`, `rust-src`) that
@@ -14,6 +16,9 @@
 //! by default a missing component **skips** the lane with a loud message
 //! and exit 0. CI passes `--require`, which turns a missing component
 //! into a failure; the workflow installs the components first.
+
+mod ab;
+mod json;
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -26,6 +31,7 @@ fn main() -> ExitCode {
         Some("miri") => miri(&root, args.iter().any(|a| a == "--require")),
         Some("tsan") => tsan(&root, args.iter().any(|a| a == "--require")),
         Some("determinism") => determinism(&root, args.iter().any(|a| a == "--release")),
+        Some("ab") => ab::main(&root, &args[1..]),
         Some("gate") => {
             let a = analyze(&root, true);
             if a != ExitCode::SUCCESS {
@@ -36,7 +42,8 @@ fn main() -> ExitCode {
         other => {
             eprintln!(
                 "usage: cargo xtask <analyze [--deny] | miri [--require] | tsan [--require] | \
-                 determinism [--release] | gate>"
+                 determinism [--release] | gate | ab <base-rev> [<change-rev>] [--pairs N] \
+                 [--seconds S] [--seed N] [WORKLOAD...]>"
             );
             if other.is_none() {
                 ExitCode::from(2)
