@@ -96,6 +96,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/network/src/switch.rs",
     "crates/network/src/packet.rs",
     "crates/core/src/sim.rs",
+    "crates/core/src/sim/faults.rs",
+    "crates/core/src/sim/controller.rs",
     "crates/core/src/netstate.rs",
     "crates/core/src/placement.rs",
     "crates/sched/src/policy.rs",

@@ -786,51 +786,3 @@ impl FederationReport {
         obj.finish()
     }
 }
-
-/// Runs every federation and returns the reports in input order, pulled
-/// from a shared counter by a scoped thread pool — the same
-/// slot-per-trial scheme as the harness's `run_configs`, so the output
-/// is bitwise identical at every worker count.
-///
-/// Each federation runs its sites serially here: the grid's parallelism
-/// budget is already spent across federations, and nesting a window pool
-/// per federation would only oversubscribe the machine. (The output is
-/// identical either way.)
-pub fn run_federations(configs: Vec<ClusterConfig>, threads: usize) -> Vec<FederationReport> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let n = configs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let jobs: Vec<Mutex<Option<ClusterConfig>>> =
-        configs.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let slots: Vec<Mutex<Option<FederationReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = threads.clamp(1, n);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cfg = jobs[i]
-                    .lock()
-                    .expect("job lock")
-                    .take()
-                    .expect("job taken once");
-                let report = Federation::new(&cfg).run_serial();
-                *slots[i].lock().expect("slot lock") = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("all federations ran")
-        })
-        .collect()
-}

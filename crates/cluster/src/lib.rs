@@ -15,16 +15,19 @@
 //! * [`wan::Wan`] — the inter-cluster network: per-link selectable FIFO
 //!   pipes or max-min fair-shared flow links (through the kernel's
 //!   [`holdcsim_network::flow::FlowNet`] solver arms), point-to-point or
-//!   hub topologies, latency/bandwidth/transport-energy accounting.
+//!   hub topologies, latency/bandwidth/transport-energy accounting, and
+//!   scripted link outages (paths recompute, crossing transfers restart
+//!   or park; downtime accrues in a [`holdcsim_faults::Outages`] ledger,
+//!   the one the site drivers keep for servers, switches and links).
 //! * [`FederationReport`] — per-site [`holdcsim::report::SimReport`]s
 //!   plus WAN and federation-wide aggregates.
 //!
 //! Configuration lives in [`holdcsim::config::ClusterConfig`]; the geo
 //! dispatch policies in [`holdcsim_sched::geo`]. Determinism carries
 //! over from single-fabric runs: same [`ClusterConfig`] ⇒ byte-identical
-//! [`FederationReport`], at any federation worker count (and any
-//! [`run_federations`] worker count) — and a federation whose jobs all
-//! stay home reproduces each site's standalone trajectory exactly.
+//! [`FederationReport`], at any federation worker count — and a
+//! federation whose jobs all stay home reproduces each site's standalone
+//! trajectory exactly.
 //!
 //! [`ClusterConfig`]: holdcsim::config::ClusterConfig
 
@@ -35,7 +38,7 @@ pub mod federation;
 pub mod pool;
 pub mod wan;
 
-pub use federation::{run_federations, Federation, FederationReport};
+pub use federation::{Federation, FederationReport};
 pub use wan::{Wan, WanReport};
 
 #[cfg(test)]
@@ -110,66 +113,36 @@ mod tests {
         }
     }
 
-    /// Satellite: same seed ⇒ byte-identical federation reports at 1 vs
-    /// 4 harness threads, across 2- and 3-site grids in both comm arms.
-    #[test]
-    fn federation_grid_is_bitwise_identical_across_thread_counts() {
-        let mut grid = Vec::new();
-        for sites in [2usize, 3] {
-            for comm in [CommModel::Flow, packet()] {
-                let mut cc = ClusterConfig::uniform(
-                    networked_base(comm, 1),
-                    sites,
-                    WanConfig::full_mesh(sites, 10_000_000_000, SimDuration::from_millis(5)),
-                )
-                .with_geo(GeoPolicy::LoadBalanced)
-                .with_seed(9);
-                cc.job_bytes = 256 * 1024;
-                // Skew the mix so cross-site forwarding actually happens.
-                cc.sites[0].affinity = Some(3.0);
-                grid.push(cc);
-            }
-        }
-        let serial: Vec<String> = run_federations(grid.clone(), 1)
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        let parallel: Vec<String> = run_federations(grid, 4)
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        assert_eq!(serial, parallel, "reports must not depend on threads");
-    }
-
     /// Tentpole: the window-parallel coordinator is byte-identical to
-    /// the serial reference arm — flow and packet site fabrics, pipe and
-    /// flow WAN links, 1/2/4 workers, asserted on `to_json` bytes.
+    /// the serial reference arm — 2- and 3-site federations, flow and
+    /// packet site fabrics, pipe and flow WAN links, 1/2/4 workers,
+    /// asserted on `to_json` bytes.
     #[test]
     fn parallel_windows_bitwise_identical_to_serial() {
-        for comm in [CommModel::Flow, packet()] {
-            for mode in [WanLinkMode::Pipe, WanLinkMode::Flow] {
-                let mut cc = ClusterConfig::uniform(
-                    networked_base(comm, 1),
-                    2,
-                    WanConfig::full_mesh(2, 10_000_000_000, SimDuration::from_millis(5))
-                        .with_mode(mode),
-                )
-                .with_geo(GeoPolicy::LoadBalanced)
-                .with_seed(11);
-                cc.job_bytes = 256 * 1024;
-                cc.sites[0].affinity = Some(3.0);
-                let reference = Federation::new(&cc).run_serial();
-                assert!(
-                    reference.jobs_forwarded() > 0,
-                    "the A/B must exercise the WAN ({comm:?}, {mode:?})"
-                );
-                let want = reference.to_json();
-                for workers in [1usize, 2, 4] {
-                    let got = Federation::new(&cc).run_with_workers(workers).to_json();
-                    assert_eq!(
-                        got, want,
-                        "{workers} workers diverged from serial ({comm:?}, {mode:?})"
+        for sites in [2usize, 3] {
+            for comm in [CommModel::Flow, packet()] {
+                for mode in [WanLinkMode::Pipe, WanLinkMode::Flow] {
+                    let mut cc = ClusterConfig::uniform(
+                        networked_base(comm, 1),
+                        sites,
+                        WanConfig::full_mesh(sites, 10_000_000_000, SimDuration::from_millis(5))
+                            .with_mode(mode),
+                    )
+                    .with_geo(GeoPolicy::LoadBalanced)
+                    .with_seed(11);
+                    cc.job_bytes = 256 * 1024;
+                    cc.sites[0].affinity = Some(3.0);
+                    let reference = Federation::new(&cc).run_serial();
+                    let arm = format!("{sites} sites, {comm:?}, {mode:?}");
+                    assert!(
+                        reference.jobs_forwarded() > 0,
+                        "the A/B must exercise the WAN ({arm})"
                     );
+                    let want = reference.to_json();
+                    for workers in [1usize, 2, 4] {
+                        let got = Federation::new(&cc).run_with_workers(workers).to_json();
+                        assert_eq!(got, want, "{workers} workers diverged from serial ({arm})");
+                    }
                 }
             }
         }

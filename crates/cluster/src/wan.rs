@@ -11,6 +11,7 @@ use holdcsim::export::JsonObj;
 use holdcsim::job::JobState;
 use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::{SimDuration, SimTime};
+use holdcsim_faults::Outages;
 use holdcsim_network::flow::FlowNet;
 use holdcsim_network::ids::{FlowId, LinkId, NodeId};
 use holdcsim_network::topology::Topology;
@@ -27,9 +28,6 @@ struct LinkState {
     /// Endpoints as WAN-topology nodes (for flow admission).
     a: NodeId,
     b: NodeId,
-    /// Failed by the fault schedule: excluded from paths, carries
-    /// nothing until it recovers.
-    down: bool,
 }
 
 /// One forwarded job in flight across the WAN.
@@ -47,6 +45,9 @@ struct Transfer {
     /// Bumped on every fault-forced restart; hop completions carrying a
     /// stale generation are dropped.
     gen: u32,
+    /// The solver key of the flow serializing the current hop (flow-mode
+    /// links only, until it completes).
+    flow: Option<u64>,
     job: JobState,
 }
 
@@ -141,12 +142,9 @@ pub struct Wan {
     graph: Vec<(u32, u32, SimDuration)>,
     nodes: usize,
     sites: usize,
-    /// Links currently failed.
-    down_count: u32,
-    /// Per-link open down interval start.
-    link_down_since: Vec<Option<SimTime>>,
-    /// Closed down intervals, seconds.
-    link_downtime_s: f64,
+    /// Links failed by the fault schedule: excluded from paths, carrying
+    /// nothing until they recover.
+    down: Outages,
     /// Transfer keys waiting at the ingress with no usable path, in
     /// park order; re-launched on recovery in that order.
     parked: Vec<u64>,
@@ -212,16 +210,14 @@ impl Wan {
                 busy_until: SimTime::ZERO,
                 a,
                 b,
-                down: false,
             });
         }
         let topo = builder.build();
         let flows = FlowNet::with_solver(&topo, cfg.flow_solver);
         let graph: Vec<(u32, u32, SimDuration)> =
             cfg.links.iter().map(|l| (l.a, l.b, l.latency)).collect();
-        let (paths, latency_s, lookahead) =
-            shortest_paths(&graph, &vec![false; graph.len()], nodes, sites);
-        let link_down_since = vec![None; links.len()];
+        let down = Outages::new(links.len());
+        let (paths, latency_s, lookahead) = shortest_paths(&graph, &down, nodes, sites);
         Wan {
             links,
             paths,
@@ -234,9 +230,7 @@ impl Wan {
             graph,
             nodes,
             sites,
-            down_count: 0,
-            link_down_since,
-            link_downtime_s: 0.0,
+            down,
             parked: Vec::new(),
             restarts: 0,
             parked_total: 0,
@@ -278,9 +272,8 @@ impl Wan {
     /// `bytes == 0`.
     pub fn send(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64, job: JobState) {
         assert!(bytes > 0, "WAN transfers carry payload");
-        let path = self.paths[src as usize][dst as usize].clone();
         assert!(
-            path.is_some() || self.down_count > 0,
+            self.paths[src as usize][dst as usize].is_some() || self.down.down_count() > 0,
             "no WAN path from site {src} to site {dst}"
         );
         let key = self.transfers.insert(Transfer {
@@ -289,24 +282,41 @@ impl Wan {
             bytes,
             hop: 0,
             started: now,
-            path: path.clone().unwrap_or_default(),
+            path: Vec::new(),
             gen: 0,
+            flow: None,
             job,
         });
         self.started += 1;
         self.payload_bytes += bytes;
-        match path {
-            Some(_) => self.start_hop(now, key),
-            None => {
-                self.parked.push(key);
-                self.parked_total += 1;
-            }
+        self.launch_or_park(now, key);
+    }
+
+    /// Launches transfer `key` from hop zero on the current site paths,
+    /// or parks it at the ingress while its sites are disconnected.
+    fn launch_or_park(&mut self, now: SimTime, key: u64) {
+        if !self.launch(now, key) {
+            self.parked.push(key);
+            self.parked_total += 1;
         }
+    }
+
+    /// Launches transfer `key` from hop zero on the current site paths;
+    /// returns `false`, leaving it pathless, when its sites are
+    /// disconnected.
+    fn launch(&mut self, now: SimTime, key: u64) -> bool {
+        let t = self.transfers.get_mut(key).expect("live transfer");
+        let Some(path) = &self.paths[t.src as usize][t.dst as usize] else {
+            return false;
+        };
+        t.path.clone_from(path);
+        self.start_hop(now, key);
+        true
     }
 
     /// Launches the current hop of transfer `key` at `now`.
     fn start_hop(&mut self, now: SimTime, key: u64) {
-        let t = self.transfers.get(key).expect("live transfer");
+        let t = self.transfers.get_mut(key).expect("live transfer");
         let link_id = t.path[t.hop as usize];
         let (bytes, gen) = (t.bytes, t.gen);
         let l = &mut self.links[link_id as usize];
@@ -321,8 +331,11 @@ impl Wan {
             WanLinkMode::Flow => {
                 // Fair-shared serialization through the solver; the
                 // propagation latency is appended on flow completion.
-                self.flows
-                    .add_flow(now, FlowId(key), l.a, l.b, &[LinkId(link_id)], bytes);
+                let link = [LinkId(link_id)];
+                t.flow = Some(
+                    self.flows
+                        .add_flow(now, FlowId(key), l.a, l.b, &link, bytes),
+                );
             }
         }
     }
@@ -353,7 +366,8 @@ impl Wan {
                     // Flow completions are never stale: a fault severing
                     // this hop would have removed the flow from the
                     // solver before the restart.
-                    let t = self.transfers.get(key).expect("live transfer");
+                    let t = self.transfers.get_mut(key).expect("live transfer");
+                    t.flow = None;
                     let link = t.path[t.hop as usize] as usize;
                     self.heap
                         .push(Reverse((at + self.links[link].latency, key, t.gen)));
@@ -410,25 +424,16 @@ impl Wan {
     /// that regained a path relaunch in park order. Returns `false` when
     /// the link is unknown or already in the requested state.
     pub fn set_link_down(&mut self, now: SimTime, link: u32, down: bool) -> bool {
-        let Some(l) = self.links.get_mut(link as usize) else {
-            return false;
-        };
-        if l.down == down {
-            return false;
-        }
-        l.down = down;
-        if down {
-            self.down_count += 1;
-            self.link_down_since[link as usize] = Some(now);
+        let changed = if down {
+            self.down.fail(link as usize, now)
         } else {
-            self.down_count -= 1;
-            if let Some(t0) = self.link_down_since[link as usize].take() {
-                self.link_downtime_s += now.saturating_duration_since(t0).as_secs_f64();
-            }
+            self.down.recover(link as usize, now)
+        };
+        if !changed {
+            return false;
         }
-        let mask: Vec<bool> = self.links.iter().map(|l| l.down).collect();
         let (paths, latency_s, lookahead) =
-            shortest_paths(&self.graph, &mask, self.nodes, self.sites);
+            shortest_paths(&self.graph, &self.down, self.nodes, self.sites);
         self.paths = paths;
         self.latency_s = latency_s;
         self.lookahead = lookahead;
@@ -455,52 +460,22 @@ impl Wan {
     /// pending completion goes stale) and the payload relaunches from
     /// hop zero — or parks when the sites are now disconnected.
     fn restart_transfer(&mut self, now: SimTime, key: u64) {
-        self.flows.remove_flow(now, key);
         self.restarts += 1;
-        let (src, dst) = {
-            let t = self.transfers.get_mut(key).expect("live transfer");
-            t.gen += 1;
-            t.hop = 0;
-            (t.src as usize, t.dst as usize)
-        };
-        let path = self.paths[src][dst].clone();
         let t = self.transfers.get_mut(key).expect("live transfer");
-        match path {
-            Some(p) => {
-                t.path = p;
-                self.start_hop(now, key);
-            }
-            None => {
-                t.path = Vec::new();
-                self.parked.push(key);
-                self.parked_total += 1;
-            }
+        if let Some(flow) = t.flow.take() {
+            self.flows.remove_flow(now, flow);
         }
+        t.gen += 1;
+        t.hop = 0;
+        t.path.clear();
+        self.launch_or_park(now, key);
     }
 
     /// Relaunches parked transfers that have a path again, in park
     /// order; the rest keep waiting.
     fn release_parked(&mut self, now: SimTime) {
-        if self.parked.is_empty() {
-            return;
-        }
         let mut parked = std::mem::take(&mut self.parked);
-        parked.retain(|&key| {
-            let (src, dst) = {
-                let t = self.transfers.get(key).expect("parked transfer");
-                (t.src as usize, t.dst as usize)
-            };
-            match self.paths[src][dst].clone() {
-                Some(p) => {
-                    let t = self.transfers.get_mut(key).expect("parked transfer");
-                    t.path = p;
-                    self.start_hop(now, key);
-                    false
-                }
-                None => true,
-            }
-        });
-        debug_assert!(self.parked.is_empty(), "no parking during release");
+        parked.retain(|&key| !self.launch(now, key));
         self.parked = parked;
     }
 
@@ -515,17 +490,6 @@ impl Wan {
     /// transfers), so only walked on the metrics period.
     pub fn in_flight_bytes(&self) -> u64 {
         self.transfers.iter().map(|(_, t)| t.bytes).sum()
-    }
-
-    /// Summed per-link down seconds as of `now` (open intervals
-    /// included).
-    pub fn link_downtime_s(&self, now: SimTime) -> f64 {
-        self.link_down_since
-            .iter()
-            .flatten()
-            .fold(self.link_downtime_s, |acc, &t0| {
-                acc + now.saturating_duration_since(t0).as_secs_f64()
-            })
     }
 
     /// The aggregate WAN outcome as of `now` (the horizon when the run
@@ -546,20 +510,20 @@ impl Wan {
                 restarts: self.restarts,
                 parked: self.parked_total,
                 still_parked: self.parked.len() as u64,
-                link_downtime_s: self.link_downtime_s(now),
+                link_downtime_s: self.down.downtime_s(now),
             }),
         }
     }
 }
 
 /// Deterministic minimum-latency paths between all site pairs over the
-/// surviving (`!down`) links (Dijkstra in exact nanoseconds; ties
+/// surviving (not `down`) links (Dijkstra in exact nanoseconds; ties
 /// resolved by scan order, so identical configs always yield identical
 /// paths).
 #[allow(clippy::type_complexity)]
 fn shortest_paths(
     graph: &[(u32, u32, SimDuration)],
-    down: &[bool],
+    down: &Outages,
     nodes: usize,
     sites: usize,
 ) -> (
@@ -570,7 +534,7 @@ fn shortest_paths(
     // Adjacency in link-id order.
     let mut adj: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nodes];
     for (i, &(a, b, _)) in graph.iter().enumerate() {
-        if down[i] {
+        if down.is_down(i) {
             continue;
         }
         adj[a as usize].push((b as usize, i as u32));
@@ -840,6 +804,36 @@ mod tests {
             (f.link_downtime_s - 0.036).abs() < 1e-9,
             "open interval runs"
         );
+    }
+
+    #[test]
+    fn severed_flow_hops_leave_the_solver_by_their_own_key() {
+        // Hub WAN in flow mode: 0→2 and 1→2 each cross their own uplink,
+        // then share link 2 (hub–site 2). Once the first hops completed,
+        // the solver keys of the second hops no longer match the
+        // transfer keys.
+        let cfg = WanConfig::hub(3, 1_000_000_000, SimDuration::from_millis(10))
+            .with_mode(WanLinkMode::Flow);
+        let mut wan = Wan::build(&cfg, 3);
+        wan.arm_faults();
+        wan.send(SimTime::ZERO, 0, 2, 1_000_000, job());
+        wan.send(SimTime::ZERO, 1, 2, 1_000_000, job());
+        let mut buf = Vec::new();
+        while let Some(t) = wan.next_time().filter(|&t| t <= SimTime::from_millis(20)) {
+            wan.advance(t, &mut buf);
+        }
+        assert!(buf.is_empty(), "both transfers are on their second hop");
+        // Killing link 2 cuts site 2 off: both second hops leave the
+        // solver and park until the link returns.
+        assert!(wan.set_link_down(SimTime::from_millis(20), 2, true));
+        assert!(wan.set_link_down(SimTime::from_millis(100), 2, false));
+        let got = drain(&mut wan);
+        assert_eq!(got.len(), 2, "each transfer delivers exactly once");
+        assert!(got
+            .iter()
+            .all(|&(t, dst)| dst == 2 && t > SimTime::from_millis(100)));
+        let f = wan.report(SimTime::from_millis(200)).faults.expect("armed");
+        assert_eq!((f.restarts, f.parked, f.still_parked), (2, 2, 0));
     }
 
     #[test]

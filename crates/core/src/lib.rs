@@ -7,8 +7,12 @@
 //! The crate wires the substrates together:
 //!
 //! * [`config`] — the experiment description (Fig. 1's inputs).
-//! * [`sim`] — the [`sim::Datacenter`] event model and [`sim::Simulation`]
-//!   driver.
+//! * [`sim`] — the [`sim::Datacenter`] event router and
+//!   [`sim::Simulation`] driver. Two private child modules own the rest
+//!   of the model: `sim/faults` (the fault calendar, the crash, straggle
+//!   and fabric-outage handlers, retry, the resilience report) and
+//!   `sim/controller` (the provisioning and WASP pool controllers and
+//!   the DVFS governor).
 //! * [`netstate`] — the fabric and its in-flight flow/packet transfers.
 //! * `placement` (internal) — the placement policy, the eligible set,
 //!   committed load and the free-core bitmap the driver keeps for it.

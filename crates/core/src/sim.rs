@@ -1,34 +1,32 @@
 //! The simulation driver: the [`Datacenter`] event model tying workload,
 //! servers, scheduling, controllers, and the network together, and the
 //! [`Simulation`] front end that runs it and produces a [`SimReport`].
+//! This module routes events; its `faults` and `controller` children own
+//! fault injection and retry, and the cluster controllers.
 
-use std::collections::BTreeSet;
+mod controller;
+mod faults;
 
 use holdcsim_des::engine::{Context, Engine, Model};
 use holdcsim_des::rng::SimRng;
 use holdcsim_des::slot_window::SlotWindow;
-use holdcsim_des::stats::SampleSet;
 use holdcsim_des::time::{SimDuration, SimTime};
-use holdcsim_faults::{FaultEvent, FaultKind, RetryPolicy, FAULT_STREAM};
 use holdcsim_network::ids::LinkId;
 use holdcsim_obs::{EventInfo, ObsArtifacts, Observer, ProbeSource, TraceEvent};
 use holdcsim_sched::geo::{route_site, GeoPolicy};
-use holdcsim_sched::pools::{PoolAction, PoolManager};
-use holdcsim_sched::provisioning::{ProvisionAction, ProvisioningController};
 use holdcsim_sched::queue::GlobalQueue;
-use holdcsim_server::policy::SleepPolicy;
 use holdcsim_server::server::{Effect, EffectBuf, Server, ServerConfig, ServerId};
 use holdcsim_server::task::TaskHandle;
 use holdcsim_workload::arrivals::{ArrivalProcess, Mmpp2Arrivals, PoissonArrivals, TraceArrivals};
 use holdcsim_workload::ids::{JobId, TaskId};
 
-use crate::config::{ArrivalConfig, ControllerConfig, SimConfig};
+use crate::config::{ArrivalConfig, SimConfig};
 use crate::job::{JobState, JobTable};
 use crate::netstate::NetState;
 use crate::placement::Placement;
-use crate::report::{
-    latency_report, Metrics, NetworkReport, ResilienceReport, ServerReport, SimReport,
-};
+use crate::report::{latency_report, Metrics, NetworkReport, ServerReport, SimReport};
+use controller::Controller;
+use faults::FaultState;
 
 /// The event alphabet of the data-center model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -223,100 +221,6 @@ pub struct FedPort {
     pub forwarded: u64,
 }
 
-/// Fault-injection runtime state, boxed onto the driver only when the
-/// configuration carries a non-empty [`holdcsim_faults::FaultPlan`] —
-/// fault-free runs keep the exact pre-fault layout and trajectory.
-#[derive(Debug)]
-struct FaultState {
-    /// The materialized schedule, ascending by time; `FaultInject` /
-    /// `FaultRecover` events carry indexes into it.
-    schedule: Vec<FaultEvent>,
-    /// Retry/re-dispatch policy for work killed by faults.
-    retry: RetryPolicy,
-    /// Per-server crash generation: bumped on crash so in-flight
-    /// completion/transition events from before the crash are dropped.
-    crash_gen: Vec<u32>,
-    /// Per-server crash stamp (`Some` while down).
-    down_since: Vec<Option<SimTime>>,
-    /// Per-switch down stamp (`Some` while down).
-    switch_down_since: Vec<Option<SimTime>>,
-    /// Per-fabric-link down stamp (`Some` while down).
-    link_down_since: Vec<Option<SimTime>>,
-    /// Accumulated server downtime (completed outages).
-    server_downtime_s: f64,
-    /// Accumulated switch downtime (completed outages).
-    switch_downtime_s: f64,
-    /// Accumulated fabric-link downtime (completed outages).
-    link_downtime_s: f64,
-    /// Non-recovery fault events that actually hit a live component.
-    faults_injected: u64,
-    /// Tasks killed by crashes (running, queued, or committed-awaiting-
-    /// transfers).
-    tasks_killed: u64,
-    /// Total task re-dispatch attempts scheduled.
-    retries_total: u64,
-    /// Distinct jobs that saw at least one retry.
-    jobs_retried: u64,
-    /// Jobs whose retry budget ran out (they never complete).
-    jobs_abandoned: u64,
-    /// Transfers restarted because a fabric fault severed their route.
-    transfer_retries: u64,
-    /// Retries currently waiting out their backoff.
-    retries_in_flight: u64,
-    /// Backoff-parked retries; `RetryDispatch` events carry the slot.
-    retry_slots: SlotWindow<(JobId, u32)>,
-    /// Completion latencies of jobs untouched by any fault.
-    clean_lat: SampleSet,
-    /// Completion latencies of jobs that needed at least one retry.
-    affected_lat: SampleSet,
-    /// Scratch for task handles killed by a crash (reused across faults).
-    scratch_killed: Vec<TaskHandle>,
-}
-
-impl FaultState {
-    fn new(
-        schedule: Vec<FaultEvent>,
-        retry: RetryPolicy,
-        servers: usize,
-        switches: usize,
-        links: usize,
-    ) -> Self {
-        FaultState {
-            schedule,
-            retry,
-            crash_gen: vec![0; servers],
-            down_since: vec![None; servers],
-            switch_down_since: vec![None; switches],
-            link_down_since: vec![None; links],
-            server_downtime_s: 0.0,
-            switch_downtime_s: 0.0,
-            link_downtime_s: 0.0,
-            faults_injected: 0,
-            tasks_killed: 0,
-            retries_total: 0,
-            jobs_retried: 0,
-            jobs_abandoned: 0,
-            transfer_retries: 0,
-            retries_in_flight: 0,
-            retry_slots: SlotWindow::new(),
-            clean_lat: SampleSet::with_capacity(65_536),
-            affected_lat: SampleSet::with_capacity(65_536),
-            scratch_killed: Vec::new(),
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Controller {
-    Provisioning {
-        ctl: ProvisioningController,
-        parked: BTreeSet<ServerId>,
-    },
-    Pools {
-        mgr: PoolManager,
-    },
-}
-
 /// The complete data-center model driven by the DES engine.
 #[derive(Debug)]
 pub struct Datacenter {
@@ -338,7 +242,7 @@ pub struct Datacenter {
     job_pool: Vec<JobState>,
     /// Reusable effect buffer threaded through every server call.
     fx: EffectBuf,
-    controller: Option<Controller>,
+    controller: Controller,
     /// The fabric and every transfer in flight on it (network runs only).
     net: Option<NetState>,
     /// Placed tasks awaiting inbound transfers; flows/transfers carry
@@ -418,52 +322,10 @@ impl Datacenter {
             .network
             .as_ref()
             .map(|nc| NetState::build(now, nc, cfg.server_count));
-        let controller = cfg.controller.as_ref().map(|cc| match cc {
-            ControllerConfig::Provisioning { min_load, max_load } => Controller::Provisioning {
-                ctl: ProvisioningController::new(*min_load, *max_load, cfg.server_count),
-                parked: BTreeSet::new(),
-            },
-            ControllerConfig::Pools {
-                t_wakeup,
-                t_sleep,
-                sleep_pool_tau,
-                initial_active,
-            } => {
-                let ids: Vec<ServerId> = (0..cfg.server_count as u32).map(ServerId).collect();
-                Controller::Pools {
-                    mgr: PoolManager::new(
-                        &ids,
-                        *initial_active,
-                        *t_wakeup,
-                        *t_sleep,
-                        *sleep_pool_tau,
-                    ),
-                }
-            }
-        });
+        let controller = Controller::new(&cfg);
         let metrics = Metrics::new(cfg.sample_period);
-        // Fault state only materializes for non-empty plans, and draws
-        // from a dedicated substream — the workload RNG trajectory (and
-        // with it the fault-free run) is untouched either way.
-        let faults = cfg.faults.as_ref().filter(|p| !p.is_empty()).map(|p| {
-            let frng = root_rng.substream_path(&[FAULT_STREAM]);
-            let schedule = p.materialize(cfg.duration, &frng);
-            let (switches, links) = net
-                .as_ref()
-                .map_or((0, 0), |n| (n.switches.len(), n.topology.links().len()));
-            Box::new(FaultState::new(
-                schedule,
-                p.retry,
-                cfg.server_count,
-                switches,
-                links,
-            ))
-        });
-        // The provisioning controller starts with nothing parked.
-        let eligible: Vec<ServerId> = match &controller {
-            Some(Controller::Pools { mgr }) => mgr.active_iter().collect(),
-            _ => (0..cfg.server_count as u32).map(ServerId).collect(),
-        };
+        let faults = FaultState::build(&cfg, &root_rng, net.as_ref());
+        let eligible = controller.initially_eligible(cfg.server_count);
         let placement = Placement::new(&cfg, &servers, eligible);
         Datacenter {
             rng_workload,
@@ -548,26 +410,6 @@ impl Datacenter {
     /// Network state, if simulated.
     pub fn net(&self) -> Option<&NetState> {
         self.net.as_ref()
-    }
-
-    /// Cores currently lost to server crashes (the federation
-    /// effective-capacity signal; 0 when fault injection is off).
-    pub fn down_cores(&self) -> u32 {
-        self.faults.as_ref().map_or(0, |f| {
-            f.down_since.iter().filter(|d| d.is_some()).count() as u32 * self.cfg.cores_per_server
-        })
-    }
-
-    /// The next scheduled fault/recovery instant strictly after `now`
-    /// (federation coordinators clamp their conservative windows so no
-    /// fault lands inside a committed window).
-    pub fn next_fault_at(&self, now: SimTime) -> Option<SimTime> {
-        let f = self.faults.as_ref()?;
-        // The materialized schedule is ascending by time.
-        f.schedule
-            .iter()
-            .map(|ev| SimTime::ZERO + ev.at)
-            .find(|&at| at > now)
     }
 
     /// Servers currently awake (not deep-sleeping or transitioning).
@@ -726,14 +568,6 @@ impl Datacenter {
         Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
     }
 
-    /// The server's current crash generation (0 whenever fault injection
-    /// is off, so `gen` fields stay 0 and guards compare 0 == 0).
-    fn crash_gen(&self, sid: ServerId) -> u32 {
-        self.faults
-            .as_ref()
-            .map_or(0, |f| f.crash_gen[sid.0 as usize])
-    }
-
     /// Schedules the follow-up events for the effects a server call left in
     /// `fx`, stamping completion/transition events with the server's crash
     /// generation `gen`. Associated (not `&mut self`) so the reusable
@@ -808,11 +642,7 @@ impl Datacenter {
                 // Resilience split: jobs that needed a fault retry vs
                 // jobs the faults never touched.
                 if let Some(f) = self.faults.as_mut() {
-                    if js.fault_affected() {
-                        f.affected_lat.record(lat);
-                    } else {
-                        f.clean_lat.record(lat);
-                    }
+                    f.record_latency(lat, js.fault_affected());
                 }
             }
             // Recycle the state so the next arrival reuses its allocations.
@@ -939,134 +769,8 @@ impl Datacenter {
     }
 
     // ------------------------------------------------------------------
-    // Controllers & sampling
+    // Sampling & setup
     // ------------------------------------------------------------------
-
-    fn on_controller_tick(&mut self, ctx: &mut Context<'_, DcEvent>) {
-        let now = ctx.now();
-        // Act repeatedly within one tick so deep load swings are matched by
-        // batch activations/parkings rather than one server per period.
-        for _ in 0..8 {
-            if !self.controller_step(ctx) {
-                break;
-            }
-        }
-        // On-demand DVFS governor: step server frequencies toward the load.
-        if let Some(dvfs) = self.cfg.dvfs {
-            for s in &mut self.servers {
-                let load = s.pending() as f64 / s.core_count() as f64;
-                let p = s.pstate();
-                if load > dvfs.high && p + 1 < s.pstate_count() {
-                    s.set_pstate(now, p + 1);
-                } else if load < dvfs.low && p > 0 {
-                    s.set_pstate(now, p - 1);
-                }
-            }
-        }
-        // Keep ticking within the horizon.
-        if now + self.cfg.controller_period <= SimTime::ZERO + self.cfg.duration {
-            ctx.schedule_in(self.cfg.controller_period, DcEvent::ControllerTick);
-        }
-    }
-
-    /// One controller decision; returns `true` if it acted.
-    fn controller_step(&mut self, ctx: &mut Context<'_, DcEvent>) -> bool {
-        let now = ctx.now();
-        let total_pending = self.total_pending() as f64;
-        // Controller decisions (extracted first to satisfy the borrow
-        // checker: acting on servers needs &mut self).
-        enum Decision {
-            Park(ServerId),
-            Activate(ServerId, SleepPolicy),
-            Demote(ServerId, SleepPolicy),
-            None,
-        }
-        let decision = match &mut self.controller {
-            Some(Controller::Provisioning { ctl, parked }) => {
-                let active = self.servers.len() - parked.len();
-                match ctl.decide(total_pending, active) {
-                    ProvisionAction::ActivateOne => match parked.iter().next().copied() {
-                        Some(id) => {
-                            parked.remove(&id);
-                            Decision::Activate(id, self.cfg.policy_for(id.0 as usize))
-                        }
-                        None => Decision::None,
-                    },
-                    ProvisionAction::DeactivateOne => {
-                        // Park the highest-id non-parked server.
-                        let candidate = (0..self.servers.len() as u32)
-                            .rev()
-                            .map(ServerId)
-                            .find(|id| !parked.contains(id));
-                        match candidate {
-                            Some(id) if self.servers.len() - parked.len() > 1 => {
-                                parked.insert(id);
-                                Decision::Park(id)
-                            }
-                            _ => Decision::None,
-                        }
-                    }
-                    ProvisionAction::Hold => Decision::None,
-                }
-            }
-            Some(Controller::Pools { mgr }) => {
-                // Pool load counts only the active pool's pending work.
-                let active_pending: usize = mgr
-                    .active_iter()
-                    .map(|id| self.servers[id.0 as usize].pending())
-                    .sum();
-                match mgr.decide(active_pending as f64 + self.global_queue.len() as f64) {
-                    PoolAction::Promote(id) => {
-                        mgr.apply_promote(id);
-                        Decision::Activate(id, mgr.active_pool_policy())
-                    }
-                    PoolAction::Demote(id) => {
-                        mgr.apply_demote(id);
-                        Decision::Demote(id, mgr.sleep_pool_policy())
-                    }
-                    PoolAction::Hold => Decision::None,
-                }
-            }
-            None => Decision::None,
-        };
-        match decision {
-            Decision::Park(id) => {
-                // Parked servers simply stop receiving work; their own
-                // sleep policy (delay timer) decides when they descend.
-                self.placement.set_eligible(&self.servers, id, false);
-            }
-            Decision::Activate(id, policy) => self.activate(ctx, id, policy),
-            // A crashed node ignores controller policy pokes (see
-            // `activate`).
-            Decision::Demote(id, policy) => {
-                if !self.is_down(id) {
-                    self.servers[id.0 as usize].set_policy(now, policy, &mut self.fx);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
-                }
-                self.placement.set_eligible(&self.servers, id, false);
-            }
-            Decision::None => return false,
-        }
-        true
-    }
-
-    /// Returns `id` to service under `policy` (an unparked or promoted
-    /// server): wakes it and makes it eligible. A crashed node ignores
-    /// controller wake-ups and policy pokes; it rejoins the eligible set
-    /// at its FaultRecover instant (the controller's own bookkeeping
-    /// still advances).
-    fn activate(&mut self, ctx: &mut Context<'_, DcEvent>, id: ServerId, policy: SleepPolicy) {
-        if self.is_down(id) {
-            return;
-        }
-        let (now, gen) = (ctx.now(), self.crash_gen(id));
-        let server = &mut self.servers[id.0 as usize];
-        server.set_policy(now, policy, &mut self.fx);
-        Self::apply_effects(ctx, id, &self.fx, gen);
-        server.request_wake(now, &mut self.fx);
-        Self::apply_effects(ctx, id, &self.fx, gen);
-        self.placement.set_eligible(&self.servers, id, true);
-    }
 
     fn on_stats_sample(&mut self, ctx: &mut Context<'_, DcEvent>) {
         let now = ctx.now();
@@ -1091,328 +795,20 @@ impl Datacenter {
 
     fn on_init(&mut self, ctx: &mut Context<'_, DcEvent>) {
         let now = ctx.now();
-        // Pool members adopt their pool policies (arms sleep-pool timers).
-        if let Some(Controller::Pools { mgr }) = &self.controller {
-            let actions: Vec<(ServerId, SleepPolicy)> = mgr
-                .active_iter()
-                .map(|id| (id, mgr.active_pool_policy()))
-                .chain(mgr.sleeping_iter().map(|id| (id, mgr.sleep_pool_policy())))
-                .collect();
-            for (id, pol) in actions {
-                self.servers[id.0 as usize].set_policy(now, pol, &mut self.fx);
-                self.placement.refresh(&self.servers, id);
-                Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
-            }
-        } else {
-            // Arm any configured delay timers for servers that start idle.
-            let policies: Vec<SleepPolicy> = (0..self.servers.len())
-                .map(|i| self.cfg.policy_for(i))
-                .collect();
-            for (i, pol) in policies.into_iter().enumerate() {
-                if pol.deep_after.is_some() {
-                    self.servers[i].set_policy(now, pol, &mut self.fx);
-                    let id = ServerId(i as u32);
-                    self.placement.refresh(&self.servers, id);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
-                }
-            }
+        // Servers that start idle adopt their initial policies (ascending
+        // by id; the pools are id ranges at init).
+        for i in 0..self.servers.len() {
+            let Some(pol) = self.controller.initial_policy(&self.cfg, i) else {
+                continue;
+            };
+            let id = ServerId(i as u32);
+            self.servers[i].set_policy(now, pol, &mut self.fx);
+            self.placement.refresh(&self.servers, id);
+            Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
         }
         if let Some(net) = self.net.as_mut() {
             net.arm_lpi_checks(ctx);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection & retry
-    // ------------------------------------------------------------------
-
-    /// `true` while `id` is crashed (fault injection only).
-    fn is_down(&self, id: ServerId) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.down_since[id.0 as usize].is_some())
-    }
-
-    /// Dispatches a scheduled fault/recovery (index into the schedule).
-    fn on_fault(&mut self, ctx: &mut Context<'_, DcEvent>, fault: u32) {
-        let kind = self
-            .faults
-            .as_ref()
-            .expect("fault event without state")
-            .schedule[fault as usize]
-            .kind;
-        let applied = match kind {
-            FaultKind::ServerCrash { server } => self.on_server_crash(ctx, server),
-            FaultKind::ServerRecover { server } => self.on_server_recover(ctx, server),
-            FaultKind::ServerStraggle { server, factor } => self.on_server_straggle(server, factor),
-            FaultKind::ServerStraggleEnd { server } => self.on_server_straggle_end(server),
-            FaultKind::SwitchDown { switch } => self.on_switch_fault(ctx, switch, true),
-            FaultKind::SwitchUp { switch } => self.on_switch_fault(ctx, switch, false),
-            FaultKind::LinkDown { link } => self.on_link_fault(ctx, link, true),
-            FaultKind::LinkUp { link } => self.on_link_fault(ctx, link, false),
-            // WAN faults are the federation coordinator's concern; site
-            // schedules never carry them (`materialize` filters them out).
-            FaultKind::WanLinkDown { .. } | FaultKind::WanLinkUp { .. } => false,
-        };
-        // Only fault firings that hit a live component count as injected
-        // (duplicate crash events and out-of-range targets are no-ops).
-        if applied && !kind.is_recovery() {
-            self.faults.as_mut().expect("state").faults_injected += 1;
-        }
-    }
-
-    /// Fail-stop crash: kills running/queued/committed work, bumps the
-    /// crash generation (orphaning in-flight completion events), and
-    /// powers the server off until its recovery event.
-    fn on_server_crash(&mut self, ctx: &mut Context<'_, DcEvent>, server: u32) -> bool {
-        let now = ctx.now();
-        let idx = server as usize;
-        if idx >= self.servers.len() {
-            return false;
-        }
-        {
-            let f = self.faults.as_mut().expect("fault event without state");
-            if f.down_since[idx].is_some() {
-                return false;
-            }
-            f.crash_gen[idx] += 1;
-            f.down_since[idx] = Some(now);
-        }
-        let sid = ServerId(server);
-        self.placement.set_eligible(&self.servers, sid, false);
-        let mut killed = std::mem::take(&mut self.faults.as_mut().expect("state").scratch_killed);
-        killed.clear();
-        self.servers[idx].fail(now, &mut killed);
-        // Tasks committed to this server but still awaiting inbound
-        // transfers die with it (slot-key order keeps this deterministic).
-        let doomed: Vec<u64> = self
-            .dispatch_slots
-            .iter()
-            .filter(|(_, st)| st.0 == sid)
-            .map(|(k, _)| k)
-            .collect();
-        self.faults.as_mut().expect("state").tasks_killed += (killed.len() + doomed.len()) as u64;
-        for h in &killed {
-            self.retry_task(ctx, h.id.job, h.id.index);
-        }
-        for slot in doomed {
-            self.kill_dispatch(ctx, slot);
-        }
-        killed.clear();
-        self.faults.as_mut().expect("state").scratch_killed = killed;
-        // Flow removals above were batched; solve once.
-        self.flush_transfers(ctx);
-        true
-    }
-
-    /// Reboot: the server rejoins the eligible set and wakes from its
-    /// powered-off state. This overrides any controller parking, and the
-    /// controller never re-parks it: `DeactivateOne` skips ids already in
-    /// `parked`, so a server that recovers while parked stays eligible
-    /// until an `ActivateOne` pops it.
-    fn on_server_recover(&mut self, ctx: &mut Context<'_, DcEvent>, server: u32) -> bool {
-        let now = ctx.now();
-        let idx = server as usize;
-        if idx >= self.servers.len() {
-            return false;
-        }
-        {
-            let f = self.faults.as_mut().expect("fault event without state");
-            let Some(down_at) = f.down_since[idx].take() else {
-                return false;
-            };
-            f.server_downtime_s += now.saturating_duration_since(down_at).as_secs_f64();
-        }
-        let sid = ServerId(server);
-        self.servers[idx].request_wake(now, &mut self.fx);
-        self.placement.set_eligible(&self.servers, sid, true);
-        Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
-        true
-    }
-
-    /// Performance fault: new tasks on the server run `factor`× slower
-    /// (already-running tasks keep their completion instants) and the
-    /// degraded node leaves the placement set until the fault ends.
-    fn on_server_straggle(&mut self, server: u32, factor: f64) -> bool {
-        let idx = server as usize;
-        let usable = factor.is_finite() && factor > 0.0;
-        if idx >= self.servers.len() || !usable {
-            return false;
-        }
-        self.servers[idx].set_fault_speed(factor);
-        self.placement
-            .set_eligible(&self.servers, ServerId(server), false);
-        true
-    }
-
-    fn on_server_straggle_end(&mut self, server: u32) -> bool {
-        let idx = server as usize;
-        if idx >= self.servers.len() {
-            return false;
-        }
-        self.servers[idx].set_fault_speed(1.0);
-        // Do not resurrect a server that crashed mid-straggle.
-        if !self.is_down(ServerId(server)) {
-            self.placement
-                .set_eligible(&self.servers, ServerId(server), true);
-        }
-        true
-    }
-
-    /// Takes a fabric switch down (or back up), rerouting or killing the
-    /// traffic crossing it.
-    fn on_switch_fault(&mut self, ctx: &mut Context<'_, DcEvent>, switch: u32, down: bool) -> bool {
-        let now = ctx.now();
-        let idx = switch as usize;
-        let changed = match self.net.as_mut() {
-            Some(net) if idx < net.switches.len() => {
-                let node = net.switches[idx].node();
-                net.set_node_down(node, down)
-            }
-            _ => return false,
-        };
-        if !changed {
-            return false;
-        }
-        let f = self.faults.as_mut().expect("fault event without state");
-        if down {
-            f.switch_down_since[idx] = Some(now);
-            self.on_fabric_down(ctx);
-        } else if let Some(t) = f.switch_down_since[idx].take() {
-            // Recovery needs no in-flight fixups: the cleared mask (and
-            // dropped route cache) lets new transfers use the switch.
-            f.switch_downtime_s += now.saturating_duration_since(t).as_secs_f64();
-        }
-        true
-    }
-
-    /// Takes a fabric link down (or back up); same contract as
-    /// [`Datacenter::on_switch_fault`].
-    fn on_link_fault(&mut self, ctx: &mut Context<'_, DcEvent>, link: u32, down: bool) -> bool {
-        let now = ctx.now();
-        let idx = link as usize;
-        let changed = match self.net.as_mut() {
-            Some(net) if idx < net.topology.links().len() => net.set_link_down(LinkId(link), down),
-            _ => return false,
-        };
-        if !changed {
-            return false;
-        }
-        let f = self.faults.as_mut().expect("fault event without state");
-        if down {
-            f.link_down_since[idx] = Some(now);
-            self.on_fabric_down(ctx);
-        } else if let Some(t) = f.link_down_since[idx].take() {
-            f.link_downtime_s += now.saturating_duration_since(t).as_secs_f64();
-        }
-        true
-    }
-
-    /// A switch or link just died: every in-flight transfer whose route
-    /// crosses it restarts on a surviving route, or — when no route
-    /// survives — kills its dispatch and retries the consumer task.
-    fn on_fabric_down(&mut self, ctx: &mut Context<'_, DcEvent>) {
-        let Some(net) = self.net.as_ref() else { return };
-        // A packet burst cannot reroute mid-flight: its consumer dispatch
-        // restarts from scratch.
-        let (doomed, severed) = (net.doomed_bursts(), net.severed_flows());
-        let mut restarted = doomed.len() as u64;
-        for dispatch in doomed {
-            self.kill_dispatch(ctx, dispatch);
-        }
-        for key in severed {
-            let Some(net) = self.net.as_mut() else { break };
-            let (lost, unreachable) = net.restart_flow(ctx, key);
-            restarted += u64::from(lost);
-            if let Some(dispatch) = unreachable {
-                self.kill_dispatch(ctx, dispatch);
-            }
-        }
-        if let Some(f) = self.faults.as_mut() {
-            f.transfer_retries += restarted;
-        }
-        self.flush_transfers(ctx);
-    }
-
-    /// Tears down a committed-but-not-started dispatch — frees the core
-    /// reservation and drops the in-flight transfers feeding it — and
-    /// pushes its task through the retry path.
-    fn kill_dispatch(&mut self, ctx: &mut Context<'_, DcEvent>, slot: u64) {
-        let Some((sid, handle)) = self.dispatch_slots.remove(slot) else {
-            return;
-        };
-        self.placement.release(&self.servers, sid);
-        if let Some(net) = self.net.as_mut() {
-            net.drop_edges(ctx, slot);
-        }
-        self.retry_task(ctx, handle.id.job, handle.id.index);
-    }
-
-    /// Pushes a fault-killed task through the retry policy: bounded
-    /// attempts with exponential sim-time backoff, then abandonment.
-    fn retry_task(&mut self, ctx: &mut Context<'_, DcEvent>, job: JobId, t: u32) {
-        let max = self
-            .faults
-            .as_ref()
-            .expect("retry without fault state")
-            .retry
-            .max_retries;
-        enum Outcome {
-            Skip,
-            Abandon,
-            Retry { attempt: u32, first: bool },
-        }
-        let outcome = {
-            let js = self.jobs.get_mut(job);
-            if js.is_abandoned() {
-                Outcome::Skip
-            } else {
-                let attempt = js.note_retry(t);
-                if attempt > max {
-                    // Budget exhausted: the job stays in the table with
-                    // unfinished work and counts as unfinished forever.
-                    js.mark_abandoned();
-                    Outcome::Abandon
-                } else {
-                    let first = js.mark_fault_affected();
-                    js.clear_transfers(t);
-                    Outcome::Retry { attempt, first }
-                }
-            }
-        };
-        let f = self.faults.as_mut().expect("state");
-        match outcome {
-            Outcome::Skip => {}
-            Outcome::Abandon => f.jobs_abandoned += 1,
-            Outcome::Retry { attempt, first } => {
-                f.retries_total += 1;
-                if first {
-                    f.jobs_retried += 1;
-                }
-                f.retries_in_flight += 1;
-                let slot = f.retry_slots.insert((job, t));
-                let delay = f.retry.delay(attempt);
-                ctx.schedule_in(delay, DcEvent::RetryDispatch { slot });
-            }
-        }
-    }
-
-    /// A retry backoff expired: re-place the task (unless its job was
-    /// abandoned in the meantime).
-    fn on_retry_dispatch(&mut self, ctx: &mut Context<'_, DcEvent>, slot: u64) {
-        let (job, t) = {
-            let f = self.faults.as_mut().expect("retry without fault state");
-            f.retries_in_flight -= 1;
-            match f.retry_slots.remove(slot) {
-                Some(e) => e,
-                None => return,
-            }
-        };
-        if self.jobs.get(job).is_abandoned() {
-            return;
-        }
-        self.place_or_queue(ctx, job, t);
-        self.flush_transfers(ctx);
     }
 }
 
@@ -1506,7 +902,7 @@ impl ProbeSource for Datacenter {
             ]);
         }
         if self.faults.is_some() {
-            names.extend(["down_servers", "down_links", "retries_in_flight"]);
+            names.extend(FaultState::PROBES);
         }
         names
     }
@@ -1535,13 +931,7 @@ impl ProbeSource for Datacenter {
             out.push(net.packets_in_flight() as f64);
         }
         if let Some(f) = &self.faults {
-            out.push(f.down_since.iter().filter(|d| d.is_some()).count() as f64);
-            let down_links = self
-                .net
-                .as_ref()
-                .map_or(0, |n| n.down_links.iter().filter(|&&d| d).count());
-            out.push(down_links as f64);
-            out.push(f.retries_in_flight as f64);
+            f.probe_sample(out);
         }
     }
 }
@@ -1584,22 +974,12 @@ impl Simulation {
         // Scheduled faults go on the calendar up front: their instants
         // are fixed at materialization, so federated sites see the same
         // schedule regardless of how their windows are driven.
-        let fault_events: Vec<(SimTime, DcEvent)> =
-            engine.model().faults.as_ref().map_or_else(Vec::new, |f| {
-                f.schedule
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ev)| ev.at <= duration)
-                    .map(|(i, ev)| {
-                        let e = if ev.kind.is_recovery() {
-                            DcEvent::FaultRecover { fault: i as u32 }
-                        } else {
-                            DcEvent::FaultInject { fault: i as u32 }
-                        };
-                        (SimTime::ZERO + ev.at, e)
-                    })
-                    .collect()
-            });
+        let fault_events: Vec<(SimTime, DcEvent)> = engine
+            .model()
+            .faults
+            .iter()
+            .flat_map(|f| f.calendar())
+            .collect();
         for (at, e) in fault_events {
             engine.schedule_at(at, e);
         }
@@ -1678,42 +1058,7 @@ pub fn finish_report(dc: Datacenter, end: SimTime, events: u64, wall_s: f64) -> 
     let jobs_submitted = dc.jobs.submitted();
     let jobs_completed = dc.jobs.completed();
     let gq = dc.global_queue.total_enqueued();
-    let resilience = dc.faults.as_ref().map(|f| {
-        // Outages still open at the horizon count up to `end`.
-        let add_open = |acc: f64, stamps: &[Option<SimTime>]| {
-            stamps.iter().flatten().fold(acc, |a, &t| {
-                a + end.saturating_duration_since(t).as_secs_f64()
-            })
-        };
-        let horizon = dc.cfg.duration.as_secs_f64();
-        let server_downtime_s = add_open(f.server_downtime_s, &f.down_since);
-        let cap = dc.cfg.server_count as f64 * horizon;
-        ResilienceReport {
-            faults_injected: f.faults_injected,
-            server_downtime_s,
-            availability: if cap > 0.0 {
-                1.0 - server_downtime_s / cap
-            } else {
-                1.0
-            },
-            tasks_killed: f.tasks_killed,
-            jobs_retried: f.jobs_retried,
-            retries: f.retries_total,
-            jobs_abandoned: f.jobs_abandoned,
-            jobs_unfinished: dc.jobs.in_flight() as u64,
-            transfer_retries: f.transfer_retries,
-            switch_downtime_s: add_open(f.switch_downtime_s, &f.switch_down_since),
-            link_downtime_s: add_open(f.link_downtime_s, &f.link_down_since),
-            wan_link_downtime_s: 0.0,
-            goodput_jobs_per_s: if horizon > 0.0 {
-                jobs_completed as f64 / horizon
-            } else {
-                0.0
-            },
-            clean: latency_report(&f.clean_lat).0,
-            affected: latency_report(&f.affected_lat).0,
-        }
-    });
+    let resilience = dc.resilience_report(end);
     let (latency_samples, series) = dc.metrics.finish(end);
     let (latency, latency_cdf) = latency_report(&latency_samples);
     SimReport {
@@ -1736,6 +1081,7 @@ pub fn finish_report(dc: Datacenter, end: SimTime, events: u64, wall_s: f64) -> 
 mod tests {
     use super::*;
     use crate::config::{CommModel, PolicyKind};
+    use holdcsim_server::policy::SleepPolicy;
     use holdcsim_workload::presets::WorkloadPreset;
 
     fn quick_cfg(rho: f64, secs: u64) -> SimConfig {

@@ -1,6 +1,7 @@
 //! Deterministic fault schedules for the simulator: scripted and
 //! MTBF/MTTR-drawn component failures, plus the retry policy the driver
-//! applies when a fault kills in-flight work.
+//! applies when a fault kills in-flight work and the [`Outages`] ledger
+//! it keeps downtime in.
 //!
 //! A [`FaultPlan`] is pure configuration — parsing and materializing it
 //! performs no side effects, and all randomness flows through a
@@ -11,7 +12,7 @@
 //! and produce bitwise-identical reports to a plan-less run.
 
 use holdcsim_des::rng::SimRng;
-use holdcsim_des::time::SimDuration;
+use holdcsim_des::time::{SimDuration, SimTime};
 
 /// RNG substream id for fault schedules: `root.substream_path(&[FAULT_STREAM, ..])`.
 pub const FAULT_STREAM: u64 = 0xFA17;
@@ -94,22 +95,6 @@ impl FaultKind {
             FaultKind::WanLinkDown { .. } | FaultKind::WanLinkUp { .. }
         )
     }
-
-    /// Short display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::ServerCrash { .. } => "crash",
-            FaultKind::ServerRecover { .. } => "recover",
-            FaultKind::ServerStraggle { .. } => "straggle",
-            FaultKind::ServerStraggleEnd { .. } => "straggle-end",
-            FaultKind::SwitchDown { .. } => "switch-down",
-            FaultKind::SwitchUp { .. } => "switch-up",
-            FaultKind::LinkDown { .. } => "link-down",
-            FaultKind::LinkUp { .. } => "link-up",
-            FaultKind::WanLinkDown { .. } => "wan-down",
-            FaultKind::WanLinkUp { .. } => "wan-up",
-        }
-    }
 }
 
 /// A concrete fault instant: offset from the run start, kind, and owning
@@ -155,6 +140,87 @@ impl RetryPolicy {
         let ns = self.backoff.as_nanos() as f64 * self.backoff_mult.powi(exp);
         SimDuration::from_nanos(ns.round() as u64)
     }
+}
+
+/// Which of `n` numbered components are down, since when, and their
+/// summed completed downtime — the outage ledger behind every downtime
+/// figure in a resilience report.
+#[derive(Debug, Clone)]
+pub struct Outages {
+    /// Per-component down stamp (`Some` while down).
+    since: Vec<Option<SimTime>>,
+    /// Components currently down.
+    down: usize,
+    /// Completed outages, seconds.
+    closed_s: f64,
+}
+
+impl Outages {
+    /// A ledger over `n` components, all up.
+    pub fn new(n: usize) -> Self {
+        Outages {
+            since: vec![None; n],
+            down: 0,
+            closed_s: 0.0,
+        }
+    }
+
+    /// Marks component `i` down at `now`. Returns `false` (and changes
+    /// nothing) when `i` is unknown or already down.
+    pub fn fail(&mut self, i: usize, now: SimTime) -> bool {
+        let Some(slot @ None) = self.since.get_mut(i) else {
+            return false;
+        };
+        *slot = Some(now);
+        self.down += 1;
+        true
+    }
+
+    /// Marks component `i` up at `now`, closing its outage. Returns
+    /// `false` (and changes nothing) when `i` is unknown or already up.
+    pub fn recover(&mut self, i: usize, now: SimTime) -> bool {
+        let Some(t) = self.since.get_mut(i).and_then(Option::take) else {
+            return false;
+        };
+        self.down -= 1;
+        self.closed_s += now.saturating_duration_since(t).as_secs_f64();
+        true
+    }
+
+    /// `true` while component `i` is down.
+    pub fn is_down(&self, i: usize) -> bool {
+        self.since.get(i).is_some_and(Option::is_some)
+    }
+
+    /// Components currently down.
+    pub fn down_count(&self) -> usize {
+        self.down
+    }
+
+    /// Summed downtime as of `end`: completed outages plus every open one
+    /// counted up to `end`.
+    pub fn downtime_s(&self, end: SimTime) -> f64 {
+        self.since.iter().flatten().fold(self.closed_s, |acc, &t| {
+            acc + end.saturating_duration_since(t).as_secs_f64()
+        })
+    }
+}
+
+/// How many of each component a run has — the bounds
+/// [`FaultPlan::check_targets`] holds a plan's targets to. The fabric and
+/// server counts hold for every site.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Components {
+    /// Sites (1 for a standalone run).
+    pub sites: usize,
+    /// Servers per site.
+    pub servers: usize,
+    /// Fabric switches per site (0 without a fabric).
+    pub switches: usize,
+    /// Fabric links per site (0 without a fabric).
+    pub links: usize,
+    /// WAN links (0 for a standalone run).
+    pub wan_links: usize,
 }
 
 /// An MTBF/MTTR arm: one server alternates exponential up/down intervals
@@ -266,6 +332,52 @@ impl FaultPlan {
                 .collect(),
             retry: self.retry,
         }
+    }
+
+    /// Checks that every entry names a component `run` has: a site, a
+    /// server, a fabric switch or link, or a WAN link. The simulator
+    /// treats an out-of-range target as a no-op, so front ends call this
+    /// to reject such a plan instead of running it silently fault-free.
+    pub fn check_targets(&self, run: &Components) -> Result<(), String> {
+        let check = |what: &str, i: u32, have: usize| {
+            if (i as usize) < have {
+                return Ok(());
+            }
+            let s = match (have, what.ends_with("ch")) {
+                (1, _) => "",
+                (_, true) => "es",
+                _ => "s",
+            };
+            Err(format!(
+                "fault plan targets {what} {i}, but the run has {have} {what}{s}"
+            ))
+        };
+        for e in &self.events {
+            // WAN faults are federation-global: their site is ignored.
+            if !e.kind.is_wan() {
+                check("site", e.site, run.sites)?;
+            }
+            match e.kind {
+                FaultKind::ServerCrash { server }
+                | FaultKind::ServerRecover { server }
+                | FaultKind::ServerStraggle { server, .. }
+                | FaultKind::ServerStraggleEnd { server } => check("server", server, run.servers)?,
+                FaultKind::SwitchDown { switch } | FaultKind::SwitchUp { switch } => {
+                    check("switch", switch, run.switches)?
+                }
+                FaultKind::LinkDown { link } | FaultKind::LinkUp { link } => {
+                    check("link", link, run.links)?
+                }
+                FaultKind::WanLinkDown { link } | FaultKind::WanLinkUp { link } => {
+                    check("WAN link", link, run.wan_links)?
+                }
+            }
+        }
+        for r in &self.random {
+            check("site", r.site, run.sites)?;
+            check("server", r.server, run.servers)?;
+        }
+        Ok(())
     }
 
     /// The WAN-scoped scripted events, sorted by time (stable on ties).
@@ -592,6 +704,59 @@ mod tests {
         assert!(FaultPlan::parse("straggle@1s:0,1.5,1s").is_err());
         assert!(FaultPlan::parse("retry:max=x").is_err());
         assert!(FaultPlan::parse("mtbf:server=0,mtbf=1s").is_err());
+    }
+
+    #[test]
+    fn outages_track_state_and_accumulate_downtime() {
+        let t = SimTime::from_millis;
+        let mut o = Outages::new(3);
+        assert!(o.fail(1, t(100)));
+        assert!(!o.fail(1, t(150)), "already down");
+        assert!(!o.fail(3, t(150)), "unknown component");
+        assert!(!o.recover(0, t(150)), "already up");
+        assert!(o.fail(2, t(200)));
+        assert!(o.is_down(1) && o.is_down(2) && !o.is_down(0) && !o.is_down(9));
+        assert_eq!(o.down_count(), 2);
+        assert!(o.recover(1, t(400)));
+        assert_eq!(o.down_count(), 1);
+        // 300 ms closed on component 1, plus component 2 open since 200 ms.
+        assert!((o.downtime_s(t(1000)) - 1.1).abs() < 1e-12);
+        assert!((o.downtime_s(t(400)) - 0.5).abs() < 1e-12);
+        assert_eq!(Outages::new(0).downtime_s(t(5)), 0.0);
+    }
+
+    #[test]
+    fn check_targets_rejects_missing_components() {
+        let run = Components {
+            sites: 2,
+            servers: 16,
+            switches: 4,
+            links: 32,
+            wan_links: 1,
+        };
+        let check = |spec: &str| FaultPlan::parse(spec).unwrap().check_targets(&run);
+        check(
+            "crash@1s:15; straggle@1s:0,0.5,1s; switch-down@1s:3; link-up@1s:31; \
+             wan-down@1s:0; site1.mtbf:server=15,mtbf=1s,mttr=1s; site9.wan-up@2s:0",
+        )
+        .unwrap();
+        for (spec, what) in [
+            ("crash@1s:16", "server 16"),
+            ("recover@1s:999", "server 999"),
+            ("straggle@1s:20,0.5,1s", "server 20"),
+            ("switch-up@1s:4", "switch 4"),
+            ("link-down@1s:32", "link 32"),
+            ("wan-down@1s:1", "WAN link 1"),
+            ("mtbf:server=99,mtbf=1s,mttr=1s", "server 99"),
+            ("site2.crash@1s:0", "site 2"),
+            ("site3.mtbf:server=0,mtbf=1s,mttr=1s", "site 3"),
+        ] {
+            let err = check(spec).unwrap_err();
+            assert!(err.contains(what), "{spec}: {err}");
+        }
+        assert!(FaultPlan::default()
+            .check_targets(&Components::default())
+            .is_ok());
     }
 
     #[test]

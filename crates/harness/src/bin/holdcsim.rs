@@ -21,9 +21,10 @@ use holdcsim::config::{
     ClusterConfig, NetworkConfig, PolicyKind, SimConfig, WanConfig, WanLinkMode,
 };
 use holdcsim::experiments::fat_tree_k_for;
-use holdcsim::sim::Simulation;
+use holdcsim::sim::{Datacenter, Simulation};
 use holdcsim_cluster::Federation;
 use holdcsim_des::time::SimDuration;
+use holdcsim_faults::Components;
 use holdcsim_harness::artifacts;
 use holdcsim_harness::exec::{default_threads, run_plan};
 use holdcsim_harness::figs::{self, FigScale};
@@ -241,7 +242,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         cfg.faults = Some(holdcsim_faults::load_plan(s)?);
     }
     cfg.obs = obs.cfg;
-    let (report, arts) = Simulation::new(cfg).run_with_obs();
+    let sim = Simulation::new(cfg);
+    if let Some(plan) = &sim.datacenter().config().faults {
+        plan.check_targets(&site_components(sim.datacenter()))?;
+    }
+    let (report, arts) = sim.run_with_obs();
     if opts.contains_key("json") {
         println!("{}", report.to_json());
     } else {
@@ -484,6 +489,13 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         }
     }
     let fed = Federation::new(&cc);
+    if let Some(plan) = &cc.faults {
+        plan.check_targets(&Components {
+            sites: fed.site_count(),
+            wan_links: cc.wan.links.len(),
+            ..site_components(fed.site(0))
+        })?;
+    }
     let report = if opts.contains_key("fed-serial") {
         fed.run_serial()
     } else if let Some(w) = opts.get("fed-workers") {
@@ -506,6 +518,19 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The components a built site offers fault plans: one site, its
+/// servers and fabric, no WAN.
+fn site_components(dc: &Datacenter) -> Components {
+    let net = dc.net();
+    Components {
+        sites: 1,
+        servers: dc.servers().len(),
+        switches: net.map_or(0, |n| n.switches.len()),
+        links: net.map_or(0, |n| n.topology.links().len()),
+        wan_links: 0,
+    }
 }
 
 fn cmd_trace_diff(args: &[String]) -> Result<(), String> {
@@ -625,5 +650,40 @@ mod tests {
             assert!(cmd_sweep(&args(bad)).is_err(), "sweep {bad}");
         }
         assert!(cmd_federate(&args("--sites 0")).is_err());
+    }
+
+    #[test]
+    fn fault_plans_naming_missing_components_are_rejected() {
+        let run = |opts: &str, plan: &str| {
+            let mut a: Vec<String> = opts.split(' ').map(String::from).collect();
+            a.extend(["--duration".into(), "0.05".into(), "--json".into()]);
+            a.extend(["--faults".into(), plan.into()]);
+            a
+        };
+        for (opts, plan, what) in [
+            ("--servers 16", "crash@10ms:999", "server 999"),
+            ("--servers 16", "switch-down@10ms:3", "switch 3"),
+            ("--servers 16 --net", "link-down@10ms:5000", "link 5000"),
+            (
+                "--servers 16",
+                "mtbf:server=99,mtbf=10ms,mttr=1ms",
+                "server 99",
+            ),
+            ("--servers 16", "wan-down@10ms:0", "WAN link 0"),
+        ] {
+            let err = cmd_run(&run(opts, plan)).unwrap_err();
+            assert!(err.contains(what), "run {plan}: {err}");
+        }
+        let err = cmd_federate(&run("--sites 3", "site7.crash@10ms:0")).unwrap_err();
+        assert!(err.contains("site 7"), "{err}");
+        let err = cmd_federate(&run("--sites 3", "wan-down@10ms:42")).unwrap_err();
+        assert!(err.contains("WAN link 42"), "{err}");
+        // Every component named here exists.
+        cmd_run(&run(
+            "--servers 16 --net",
+            "crash@10ms:15; link-down@20ms:0",
+        ))
+        .unwrap();
+        cmd_federate(&run("--sites 3", "site2.crash@10ms:7; wan-down@20ms:2")).unwrap();
     }
 }

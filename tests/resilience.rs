@@ -80,6 +80,11 @@ fn fault_plans_are_byte_identical_across_federation_worker_counts() {
                 site1.crash@400ms:0; site1.recover@700ms:0; \
                 wan-down@500ms:0; wan-up@900ms:0";
     let reference = Federation::new(&fed_cfg(Some(plan))).run_serial();
+    assert_eq!(
+        fnv1a64(&reference.to_json()),
+        "44b171ff32defbc9",
+        "serial report bytes moved"
+    );
     assert!(reference.jobs_forwarded() > 0, "the WAN must be exercised");
     let r = reference.resilience.expect("fault run reports resilience");
     assert_eq!(r.faults_injected, 2, "one crash per site");
@@ -214,9 +219,12 @@ fn fault_fabric_reports_are_pinned() {
 /// crash wave) produces exactly these report bytes at seed 42. Run (a) is
 /// a 256-server delay-timer farm under the canned bench fault spec; (b)
 /// is a 64-server one whose extra straggler pushes most placements onto
-/// the fallbacks.
+/// the fallbacks; (c) is a 32-server WASP pool farm under the on-demand
+/// DVFS governor, whose crashes land on servers the pool manager keeps
+/// promoting and demoting.
 #[test]
 fn farm_reports_are_pinned() {
+    use holdcsim::config::{ControllerConfig, DvfsConfig, PolicyKind};
     use holdcsim::experiments::delay_timer_farm;
     use holdcsim_harness::bench_scale::default_fault_spec;
 
@@ -227,6 +235,26 @@ fn farm_reports_are_pinned() {
         cfg.faults = Some(FaultPlan::parse(&spec).expect("plan parses"));
         cfg
     };
+    let mut pools =
+        SimConfig::server_farm(32, 4, 0.3, WorkloadPreset::WebSearch.template(), horizon)
+            .with_seed(42)
+            .with_policy(PolicyKind::PackFirst);
+    pools.controller = Some(ControllerConfig::Pools {
+        t_wakeup: 3.2,
+        t_sleep: 2.2,
+        sleep_pool_tau: SimDuration::from_millis(100),
+        initial_active: 8,
+    });
+    pools.controller_period = SimDuration::from_millis(5);
+    pools.dvfs = Some(DvfsConfig::ondemand());
+    pools.faults = Some(
+        FaultPlan::parse(
+            "crash@100ms:16; recover@600ms:16; crash@150ms:14; recover@700ms:14; \
+             crash@200ms:2; recover@450ms:2; straggle@250ms:5,0.5,300ms; \
+             mtbf:server=9,mtbf=150ms,mttr=60ms",
+        )
+        .expect("plan parses"),
+    );
     let runs = [
         ("a", farm(256, ""), "89415762e0afb341"),
         (
@@ -234,6 +262,7 @@ fn farm_reports_are_pinned() {
             farm(64, "; straggle@300ms:3,0.5,200ms"),
             "1d852ef7016f4abf",
         ),
+        ("c", pools, "72b07ec4c9f4bcc6"),
     ];
     for (name, cfg, want) in runs {
         let report = Simulation::new(cfg).run();

@@ -150,9 +150,9 @@ fn miri(root: &Path, require: bool) -> ExitCode {
 
 /// `cargo xtask tsan`: build std + the scoped-thread tests with
 /// ThreadSanitizer and run the worker-count determinism suites (the
-/// harness executor, the federation grid runner, and the federation's
-/// conservative-window pool — `parallel_windows_bitwise_identical_to_serial`
-/// matches the filter — are the places real threads touch shared state).
+/// harness executor and the federation's conservative-window pool —
+/// `parallel_windows_bitwise_identical_to_serial` matches the filter —
+/// are the places real threads touch shared state).
 fn tsan(root: &Path, require: bool) -> ExitCode {
     if !nightly_has("rust-src") {
         return skip_or_fail(
@@ -182,9 +182,7 @@ fn tsan(root: &Path, require: bool) -> ExitCode {
         .status();
     match status {
         Ok(s) if s.success() => {
-            println!(
-                "xtask tsan: PASS (harness executor + federation grid + window pool under TSan)"
-            );
+            println!("xtask tsan: PASS (harness executor + window pool under TSan)");
             ExitCode::SUCCESS
         }
         Ok(_) => ExitCode::from(1),
