@@ -1,13 +1,11 @@
 //! # holdcsim-bench
 //!
-//! Figure/table regeneration binaries (`src/bin/`) and dependency-free
-//! benchmarks (`benches/`, `harness = false`) for HolDCSim-RS. Each binary
-//! prints the rows or series of one table/figure from the paper; see
-//! DESIGN.md §5 for the index and EXPERIMENTS.md for recorded
-//! paper-vs-measured outcomes.
+//! Dependency-free benchmarks (`benches/`, `harness = false`) for
+//! HolDCSim-RS. The paper's figures and tables are reproduced by
+//! `holdcsim fig <id>` (`holdcsim-harness`), not here.
 //!
-//! Binaries accept `--quick` to run a reduced-scale version (useful in CI).
-//! Benchmarks use the [`bench()`] mini-harness below (best-of-N wall-clock
+//! Benchmarks accept `--quick` for a reduced sample count (useful in CI)
+//! and use the [`bench()`] mini-harness below (best-of-N wall-clock
 //! timing via `std::time::Instant`), so `cargo bench` needs no external
 //! benchmarking crate and CI's `cargo bench --no-run` keeps the sources
 //! compiling.
@@ -43,27 +41,4 @@ pub fn bench<R>(name: &str, samples: u32, elements: Option<u64>, mut f: impl FnM
         None => println!("{name:<40} best {best:>11.6} s  mean {mean:>11.6} s"),
     }
     best
-}
-
-/// Scales a full-size parameter down in quick mode.
-pub fn scaled(full: u64, quick: u64) -> u64 {
-    if quick_mode() {
-        quick
-    } else {
-        full
-    }
-}
-
-/// Prints a markdown-style table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn scaled_picks_full_without_flag() {
-        // Test binaries carry extra args, but never `--quick`.
-        assert_eq!(super::scaled(10, 1), 10);
-    }
 }

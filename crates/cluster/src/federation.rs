@@ -6,12 +6,11 @@
 //! a site does before `earliest event + WAN lookahead floor` can reach
 //! another site — so the coordinator computes that safe horizon, runs
 //! every site up to it ([`Engine::run_window`], concurrently on a pooled
-//! scoped-thread substrate or inline in the serial reference arm), then
-//! exchanges the accumulated outboxes through the WAN in global send
-//! order and refreshes the dispatch load snapshot, window after window.
-//! Both arms drive the identical coordination loop, so
-//! [`FederationReport::to_json`] is byte-identical at any worker count
-//! and to [`Federation::run_serial`].
+//! scoped-thread substrate, or inline with one worker), then exchanges
+//! the accumulated outboxes through the WAN in global send order and
+//! refreshes the dispatch load snapshot, window after window. Every
+//! worker count drives the identical coordination loop, so
+//! [`FederationReport::to_json`] is byte-identical at any worker count.
 //!
 //! Each site is a complete, self-driven fabric built by
 //! [`Simulation::new`] from its own [`SimConfig`](holdcsim::config::SimConfig) (derived by
@@ -141,8 +140,7 @@ impl Federation {
 
     /// Runs the federation to its horizon with the default worker count
     /// (the machine's available parallelism, capped at the site count)
-    /// and produces the report. Byte-identical to
-    /// [`run_serial`](Federation::run_serial) and to every other worker
+    /// and produces the report. Byte-identical to every other worker
     /// count.
     pub fn run(self) -> FederationReport {
         let workers = std::thread::available_parallelism()
@@ -152,24 +150,11 @@ impl Federation {
     }
 
     /// Runs the federation with exactly `workers` pooled threads burning
-    /// down site windows (clamped to `1..=site_count`; `1` runs inline
-    /// without spawning).
-    pub fn run_with_workers(self, workers: usize) -> FederationReport {
-        self.execute(workers)
-    }
-
-    /// The serial reference arm: the identical conservative-window loop,
-    /// sites advanced inline in index order. Exists so tests (and
-    /// `--fed-serial`) can pin the parallel arms against a thread-free
-    /// execution byte for byte.
-    pub fn run_serial(self) -> FederationReport {
-        self.execute(1)
-    }
-
-    /// Runs the conservative-window coordination loop to the horizon and
-    /// assembles the report.
+    /// down site windows (clamped to `1..=site_count`). `1` runs inline
+    /// without spawning, sites advanced in index order: the thread-free
+    /// reference the parallel arms are pinned against byte for byte.
     #[allow(clippy::disallowed_methods)] // summary-only wall_s; excluded from to_json (see analysis.toml D002 entry)
-    fn execute(self, workers: usize) -> FederationReport {
+    pub fn run_with_workers(self, workers: usize) -> FederationReport {
         let t0 = std::time::Instant::now();
         let Federation { sites, mut coord } = self;
         let cells: Vec<Mutex<SiteEngine>> = sites.into_iter().map(Mutex::new).collect();
@@ -514,8 +499,8 @@ impl Coordinator {
 
     /// Recomputes the per-site load snapshot and republishes it into
     /// every [`FedPort`] — only when it actually changed, and only at
-    /// window boundaries (never per event), identically in the serial
-    /// and parallel arms. The denominator is the *surviving* capacity
+    /// window boundaries (never per event), identically at any worker
+    /// count. The denominator is the *surviving* capacity
     /// (cores minus fault-downed ones): a crash wave inflates the site's
     /// apparent load so geo dispatch drains away from it within one
     /// window, and a fully dead site reads as infinitely loaded.

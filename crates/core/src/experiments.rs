@@ -1,10 +1,10 @@
 //! Ready-made harnesses for every table and figure of the paper's
 //! evaluation (§IV, §V, Table I). Each function builds the corresponding
-//! experiment from public API pieces and returns structured results; the
-//! `holdcsim-bench` binaries print them in the paper's row/series format.
+//! experiment from public API pieces and returns structured results;
+//! `holdcsim fig <id>` prints them in the paper's row/series format.
 //!
 //! All harnesses take explicit scale parameters so tests can run them small
-//! while the bench binaries run them at paper scale.
+//! while `holdcsim fig` runs them at paper scale.
 
 use std::time::Instant;
 

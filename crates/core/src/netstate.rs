@@ -121,7 +121,8 @@ pub struct NetState {
     pub topology: Topology,
     /// Host NIC of each server (`hosts[i]` serves `ServerId(i)`).
     pub hosts: Vec<NodeId>,
-    /// Shortest-path router with distance cache.
+    /// Shortest-path router with distance cache and the fabric's fault
+    /// mask.
     pub router: Router,
     /// Flow-level model (present in both comm modes; only used in Flow).
     pub flows: FlowNet,
@@ -147,14 +148,6 @@ pub struct NetState {
     /// port (packet mode coalesces per-port idle checks to at most one
     /// outstanding timer; see `NetState::schedule_lpi_check`).
     pub lpi_armed: Vec<Vec<SimTime>>,
-    /// Fault mask: `down_nodes[n]` marks node `n` (a failed switch)
-    /// unusable for routing.
-    pub down_nodes: Vec<bool>,
-    /// Fault mask: `down_links[l]` marks fabric link `l` unusable.
-    pub down_links: Vec<bool>,
-    /// Number of currently-down fabric components. Non-zero switches
-    /// [`NetState::route_between`] to the masked (uncached) router path.
-    pub fabric_down: u32,
     /// Live flows, keyed by raw flow id (the window issues the ids):
     /// flow-completion and admission events index instead of hashing.
     flow_slots: SlotWindow<FlowSt>,
@@ -258,8 +251,6 @@ impl NetState {
             .iter()
             .map(|sw| vec![SimTime::ZERO; sw.port_count()])
             .collect();
-        let down_nodes = vec![false; topology.node_count()];
-        let down_links = vec![false; topology.links().len()];
         NetState {
             hosts: built.hosts,
             router,
@@ -274,9 +265,6 @@ impl NetState {
             name: built.name,
             port_link,
             lpi_armed,
-            down_nodes,
-            down_links,
-            fabric_down: 0,
             flow_slots: SlotWindow::new(),
             flows_done: VecDeque::new(),
             flow_check_armed: SimTime::ZERO,
@@ -304,71 +292,11 @@ impl NetState {
     /// The seed is folded into one of [`NetState::ECMP_WAYS`] buckets
     /// (like a switch hashing the flow tuple into a bounded next-hop
     /// table), so the router's shared-route cache serves steady-state
-    /// transfers without a path walk or a `Route` allocation.
+    /// transfers without a path walk or a `Route` allocation, inside
+    /// fault windows as well as outside them.
     pub(crate) fn route_hosts(&mut self, ha: NodeId, hb: NodeId, seed: u64) -> Option<Arc<Route>> {
         let bucket = ecmp_bucket(seed, Self::ECMP_WAYS);
-        if self.fabric_down > 0 {
-            // Masked BFS on the surviving fabric; uncached because fault
-            // windows are transient — the caller owns the `Arc`.
-            return self
-                .router
-                .route_avoiding(
-                    &self.topology,
-                    ha,
-                    hb,
-                    bucket,
-                    &self.down_nodes,
-                    &self.down_links,
-                )
-                .map(Arc::new);
-        }
         self.router.route_shared(&self.topology, ha, hb, bucket)
-    }
-
-    /// Marks `node` down (`true`) or back up (`false`), dropping the route
-    /// caches. Returns `false` if the mask already had that state (the
-    /// transition is a no-op and should be ignored by the caller).
-    pub fn set_node_down(&mut self, node: NodeId, down: bool) -> bool {
-        let slot = &mut self.down_nodes[node.0 as usize];
-        if *slot == down {
-            return false;
-        }
-        *slot = down;
-        self.fabric_down = if down {
-            self.fabric_down + 1
-        } else {
-            self.fabric_down - 1
-        };
-        self.router.clear_cache();
-        true
-    }
-
-    /// Marks fabric link `link` down/up; same contract as
-    /// [`NetState::set_node_down`].
-    pub fn set_link_down(&mut self, link: LinkId, down: bool) -> bool {
-        let slot = &mut self.down_links[link.0 as usize];
-        if *slot == down {
-            return false;
-        }
-        *slot = down;
-        self.fabric_down = if down {
-            self.fabric_down + 1
-        } else {
-            self.fabric_down - 1
-        };
-        self.router.clear_cache();
-        true
-    }
-
-    /// `true` if `route` traverses a currently-down node or link at or
-    /// after hop `from`.
-    fn route_dead_from(&self, route: &Route, from: usize) -> bool {
-        route.nodes[from..]
-            .iter()
-            .any(|n| self.down_nodes[n.0 as usize])
-            || route.links[from..]
-                .iter()
-                .any(|l| self.down_links[l.0 as usize])
     }
 
     /// Switch-side `(switch index, port)` endpoints of `link`, by value
@@ -473,7 +401,7 @@ impl NetState {
             return self.launch_flow(ctx, hs, hd, bytes, dispatch);
         };
         let Some(route) = self.route_hosts(hs, hd, seed) else {
-            debug_assert!(self.fabric_down > 0, "topology is connected");
+            debug_assert!(self.router.down_count() > 0, "topology is connected");
             return false;
         };
         // Packetize arithmetically (no segment vector): `full` MTU-sized
@@ -518,7 +446,7 @@ impl NetState {
     ) -> bool {
         let key = self.flow_slots.next_key();
         let Some(route) = self.route_hosts(hs, hd, key) else {
-            debug_assert!(self.fabric_down > 0, "topology is connected");
+            debug_assert!(self.router.down_count() > 0, "topology is connected");
             return false;
         };
         let net_key = self.admit_or_park(ctx, key, &route, bytes);
@@ -657,7 +585,7 @@ impl NetState {
     pub(crate) fn severed_flows(&self) -> Vec<u64> {
         self.flow_slots
             .iter()
-            .filter(|(_, st)| self.route_dead_from(&st.route, 0))
+            .filter(|(_, st)| self.router.is_severed(&st.route, 0))
             .map(|(k, _)| k)
             .collect()
     }
@@ -687,7 +615,7 @@ impl NetState {
             let Some(tr) = self.transfer_slots.get(st.xfer) else {
                 continue;
             };
-            if self.route_dead_from(&st.packet.route, st.packet.hop)
+            if self.router.is_severed(&st.packet.route, st.packet.hop)
                 && !doomed.contains(&tr.dispatch)
             {
                 doomed.push(tr.dispatch);

@@ -288,13 +288,13 @@ impl Datacenter {
                 let Some(node) = net.switches.get(i as usize).map(|s| s.node()) else {
                     return false;
                 };
-                (&mut f.switches, i, net.set_node_down(node, down))
+                (&mut f.switches, i, net.router.set_node_down(node, down))
             }
             FaultKind::LinkDown { link: i } | FaultKind::LinkUp { link: i } => {
                 if i as usize >= net.topology.links().len() {
                     return false;
                 }
-                (&mut f.links, i, net.set_link_down(LinkId(i), down))
+                (&mut f.links, i, net.router.set_link_down(LinkId(i), down))
             }
             _ => return false,
         };
@@ -303,10 +303,11 @@ impl Datacenter {
         }
         if down {
             outages.fail(i as usize, now);
-            self.on_fabric_down(ctx);
+            self.reroute_severed(ctx);
         } else {
-            // Recovery needs no in-flight fixups: the cleared mask (and
-            // dropped route cache) lets new transfers use the component.
+            // Recovery needs no in-flight fixups: the router's cleared
+            // mask (and dropped caches) lets new transfers use the
+            // component.
             outages.recover(i as usize, now);
         }
         true
@@ -315,7 +316,7 @@ impl Datacenter {
     /// A switch or link just died: every in-flight transfer whose route
     /// crosses it restarts on a surviving route, or — when no route
     /// survives — kills its dispatch and retries the consumer task.
-    fn on_fabric_down(&mut self, ctx: &mut Context<'_, DcEvent>) {
+    fn reroute_severed(&mut self, ctx: &mut Context<'_, DcEvent>) {
         let Some(net) = self.net.as_ref() else { return };
         // A packet burst cannot reroute mid-flight: its consumer dispatch
         // restarts from scratch.

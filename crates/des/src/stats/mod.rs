@@ -7,21 +7,17 @@
 //! * [`Residency`] — time spent per state of a state machine (Fig. 8).
 //! * [`SampleSet`] — exact/reservoir quantiles and CDFs (tail latency,
 //!   Fig. 11b).
-//! * [`LogHistogram`] — streaming log-linear quantiles with bounded memory
-//!   (exact tails for the 20 K-server runs).
 //! * [`TimeSeries`] — fixed-interval sampled traces (power traces,
 //!   Fig. 4/12/13).
 
-mod histogram;
 mod quantile;
 mod residency;
 mod series;
 mod tally;
 mod timeweighted;
 
-pub use histogram::LogHistogram;
 pub use quantile::SampleSet;
 pub use residency::Residency;
-pub use series::{mean_abs_diff, TimeSeries};
+pub use series::TimeSeries;
 pub use tally::Tally;
 pub use timeweighted::TimeWeighted;

@@ -118,19 +118,6 @@ impl TimeSeries {
     }
 }
 
-/// Mean absolute difference between two equally-sampled series, over the
-/// common prefix. Used by the validation harness (Fig. 12/13).
-pub fn mean_abs_diff(a: &TimeSeries, b: &TimeSeries) -> f64 {
-    let n = a.values().len().min(b.values().len());
-    if n == 0 {
-        return 0.0;
-    }
-    (0..n)
-        .map(|i| (a.values()[i] - b.values()[i]).abs())
-        .sum::<f64>()
-        / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,17 +158,6 @@ mod tests {
         assert_eq!(ts.values(), &[2.0, 2.0, 4.0, 4.0]);
         assert_eq!(ts.mean(), 3.0);
         assert_eq!(ts.std_dev(), 1.0);
-    }
-
-    #[test]
-    fn mean_abs_diff_over_common_prefix() {
-        let mut a = TimeSeries::new(SimDuration::from_secs(1));
-        a.observe(SimTime::ZERO, 1.0);
-        a.finish(SimTime::from_secs(3));
-        let mut b = TimeSeries::new(SimDuration::from_secs(1));
-        b.observe(SimTime::ZERO, 2.0);
-        b.finish(SimTime::from_secs(2));
-        assert_eq!(mean_abs_diff(&a, &b), 1.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!                [--presets web-search,web-serving] [--servers 8,50] [--cores 4]
 //!                [--replications N] [--duration S] [--seed S]
 //!                [--threads N] [--out DIR] [--name NAME]
-//! holdcsim fig <4|5|6|8|9|11|table1> [--quick] [--threads N] [--seed S]
+//! holdcsim fig <4|5|6|8|9|11|12|13|table1|footnote1> [--quick] [--threads N] [--seed S]
 //! ```
 
 // CLI flag maps are `--key value` lookups, never iterated (lint D001).
@@ -47,11 +47,12 @@ USAGE:
                    [--replications N] [--duration SECS] [--seed S]
                    [--faults SPEC|FILE|none, |-separated arms]
                    [--threads N] [--out DIR] [--name NAME] [OBS]
-    holdcsim fig   <4|5|6|8|9|11|table1> [--quick] [--threads N] [--seed S]
+    holdcsim fig   <4|5|6|8|9|11|12|13|table1|footnote1>
+                   [--quick] [--threads N] [--seed S]
     holdcsim federate [--sites N] [--servers N] [--cores C] [--rho R] [--preset P]
                    [--affinity w1,w2,...] [--geo POL] [--spill L] [--latency-weight W]
                    [--wan-gbps G] [--wan-latency-ms L] [--wan-mode pipe|flow] [--hub]
-                   [--job-bytes B] [--net] [--fed-workers N | --fed-serial]
+                   [--job-bytes B] [--net] [--fed-workers N]
                    [--faults SPEC|FILE]
                    [--duration SECS] [--seed S] [--json] [OBS]
     holdcsim trace-diff A.json B.json
@@ -74,8 +75,8 @@ a full-mesh WAN (--hub for hub-and-spoke), with the aggregate arrival
 rate split by --affinity weights and jobs geo-routed per --geo; prints
 per-site and federation-wide reports. Sites advance concurrently
 through conservative WAN-lookahead windows on --fed-workers pooled
-threads (default: the machine's parallelism); --fed-serial runs the
-thread-free reference arm. Reports are byte-identical either way.
+threads (default: the machine's parallelism; 1 runs the sites inline,
+without threads). Reports are byte-identical at any worker count.
 
 Fault plans (--faults, accepted by run, sweep, federate):
 an inline spec or a file of `;`/newline-separated entries (`#` comments):
@@ -157,12 +158,8 @@ fn parse_opts(args: &[String], allowed: &[&str]) -> Result<HashMap<String, Strin
         if !allowed.contains(&key) {
             return Err(format!("unknown option `--{key}`"));
         }
-        // Flags (no value): --json, --quick, --hub, --net, --profile,
-        // --fed-serial.
-        if matches!(
-            key,
-            "json" | "quick" | "hub" | "net" | "profile" | "fed-serial"
-        ) {
+        // Flags (no value): --json, --quick, --hub, --net, --profile.
+        if matches!(key, "json" | "quick" | "hub" | "net" | "profile") {
             opts.insert(key.to_string(), "true".to_string());
             i += 1;
             continue;
@@ -314,14 +311,22 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if let Some(s) = opts.get("faults") {
         // Fault specs contain `,` and `;`, so arms split on `|`;
         // `none` is the fault-free arm. Validate each spec here so a
-        // bad plan fails before any trial runs.
+        // bad plan fails before any trial runs. Sweep farms are
+        // server-only, and every arm runs on the smallest one.
+        let farm = Components {
+            sites: 1,
+            servers: plan.servers.iter().copied().min().unwrap_or(0),
+            switches: 0,
+            links: 0,
+            wan_links: 0,
+        };
         let mut arms = Vec::new();
         for arm in s.split('|') {
             let arm = arm.trim();
             if arm == "none" {
                 arms.push(None);
             } else {
-                holdcsim_faults::load_plan(arm)?;
+                holdcsim_faults::load_plan(arm)?.check_targets(&farm)?;
                 arms.push(Some(arm.to_string()));
             }
         }
@@ -374,7 +379,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 fn cmd_fig(args: &[String]) -> Result<(), String> {
     let which = args
         .first()
-        .ok_or("`fig` needs a figure id (4, 5, 6, 8, 9, 11, table1)")?
+        .ok_or("`fig` needs a figure id (4, 5, 6, 8, 9, 11, 12, 13, table1, footnote1)")?
         .clone();
     let opts = parse_opts(&args[1..], &["quick", "threads", "seed"])?;
     let scale = FigScale {
@@ -395,10 +400,13 @@ fn cmd_fig(args: &[String]) -> Result<(), String> {
         "8" => figs::fig8(&scale),
         "9" => figs::fig9(&scale),
         "11" => figs::fig11(&scale),
+        "12" => figs::fig12(&scale),
+        "13" => figs::fig13(&scale),
         "table1" | "1" => figs::table1(&scale),
+        "footnote1" => figs::footnote1(&scale),
         other => {
             return Err(format!(
-                "unknown figure `{other}` (try 4, 5, 6, 8, 9, 11, table1)"
+                "unknown figure `{other}` (try 4, 5, 6, 8, 9, 11, 12, 13, table1, footnote1)"
             ))
         }
     }
@@ -426,7 +434,6 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         "seed",
         "json",
         "fed-workers",
-        "fed-serial",
         "faults",
     ];
     allowed.extend_from_slice(&ObsCli::OPTS);
@@ -496,9 +503,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
             ..site_components(fed.site(0))
         })?;
     }
-    let report = if opts.contains_key("fed-serial") {
-        fed.run_serial()
-    } else if let Some(w) = opts.get("fed-workers") {
+    let report = if let Some(w) = opts.get("fed-workers") {
         fed.run_with_workers(parse_num(w, "federation worker count")?)
     } else {
         fed.run()
@@ -685,5 +690,29 @@ mod tests {
         ))
         .unwrap();
         cmd_federate(&run("--sites 3", "site2.crash@10ms:7; wan-down@20ms:2")).unwrap();
+    }
+
+    #[test]
+    fn sweep_fault_arms_must_fit_the_smallest_farm() {
+        let out =
+            std::env::temp_dir().join(format!("holdcsim-sweep-faults-{}", std::process::id()));
+        let sweep = |opts: &str, arms: &str| {
+            let mut a: Vec<String> = opts.split(' ').map(String::from).collect();
+            a.extend(["--duration", "0.05", "--threads", "1", "--out"].map(String::from));
+            a.push(out.display().to_string());
+            a.extend(["--faults".into(), arms.into()]);
+            cmd_sweep(&a)
+        };
+        for (opts, arms, what) in [
+            ("--servers 8", "crash@1s:99", "server 99"),
+            ("--servers 8", "switch-down@1s:0", "switch 0"),
+            ("--servers 8,50", "none|crash@1s:9", "server 9"),
+        ] {
+            let err = sweep(opts, arms).unwrap_err();
+            assert!(err.contains(what), "sweep {arms}: {err}");
+        }
+        assert!(!out.exists(), "a rejected plan runs no trial");
+        sweep("--servers 8", "none|crash@1s:7; recover@2s:7").unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
     }
 }

@@ -53,7 +53,11 @@ impl Route {
 ///
 /// Distances are computed by BFS from each destination on first use and
 /// cached (the "static routes" mode of the paper); [`Router::clear_cache`]
-/// supports dynamic recomputation after topology-state changes.
+/// supports dynamic recomputation after topology-state changes. A fault
+/// mask ([`Router::set_node_down`], [`Router::set_link_down`]) removes
+/// nodes and links from the graph every route is computed on; each change
+/// drops both caches, so routes inside a fault window come from the same
+/// caches as healthy ones.
 ///
 /// # Examples
 ///
@@ -85,6 +89,11 @@ pub struct Router {
     route_cache_cap: usize,
     /// Reusable equal-cost candidate buffer for path walks.
     scratch: Vec<(NodeId, LinkId)>,
+    /// Fault mask: `down_nodes[n]` marks node `n` removed. Empty until
+    /// the first failure; indices past the end are up.
+    down_nodes: Vec<bool>,
+    /// Fault mask: `down_links[l]` marks link `l` removed.
+    down_links: Vec<bool>,
     hits: u64,
     misses: u64,
     route_hits: u64,
@@ -102,6 +111,8 @@ impl Default for Router {
             route_cache: HashMap::new(),
             route_cache_cap: DEFAULT_ROUTE_CACHE_CAP,
             scratch: Vec::new(),
+            down_nodes: Vec::new(),
+            down_links: Vec::new(),
             hits: 0,
             misses: 0,
             route_hits: 0,
@@ -129,7 +140,8 @@ impl Router {
     /// different flows (different seeds) spread over parallel paths while
     /// any given flow routes stably.
     ///
-    /// Returns `None` if `dst` is unreachable from `src`.
+    /// Returns `None` if either endpoint is down or `dst` is unreachable
+    /// from `src` on the surviving graph.
     pub fn route(
         &mut self,
         topo: &Topology,
@@ -137,28 +149,29 @@ impl Router {
         dst: NodeId,
         ecmp_seed: u64,
     ) -> Option<Route> {
+        if self.node_down(src) || self.node_down(dst) {
+            return None;
+        }
         if src == dst {
             return Some(Route {
                 nodes: vec![src],
                 links: Vec::new(),
             });
         }
+        self.distance(topo, src, dst)?;
+        let dist = &self.dist_cache[&dst];
         let mut candidates = std::mem::take(&mut self.scratch);
-        let dist = self.distances(topo, dst);
-        if dist[src.0 as usize] == u32::MAX {
-            self.scratch = candidates;
-            return None;
-        }
         let mut nodes = vec![src];
         let mut links = Vec::new();
         let mut cur = src;
         while cur != dst {
             let d = dist[cur.0 as usize];
             // Candidates one hop closer to dst (reusable scratch buffer).
+            // A down node has no distance, so only links need the mask.
             candidates.clear();
             candidates.extend(
                 topo.neighbors(cur)
-                    .filter(|(n, _)| dist[n.0 as usize] == d - 1),
+                    .filter(|&(n, l)| dist[n.0 as usize] == d - 1 && !self.link_down(l)),
             );
             debug_assert!(!candidates.is_empty(), "distance field is inconsistent");
             candidates.sort_by_key(|(n, l)| (n.0, l.0));
@@ -203,80 +216,8 @@ impl Router {
         route
     }
 
-    /// Computes a shortest route from `src` to `dst` on the surviving
-    /// graph: nodes with `down_nodes[n]` set and links with
-    /// `down_links[l]` set are treated as removed. Uncached — fault
-    /// windows are transient, so each call runs a fresh masked BFS and
-    /// the caller owns the result (wrapping it in an `Arc` if shared).
-    ///
-    /// Returns `None` if either endpoint is down or no surviving path
-    /// exists.
-    pub fn route_avoiding(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        ecmp_seed: u64,
-        down_nodes: &[bool],
-        down_links: &[bool],
-    ) -> Option<Route> {
-        if down_nodes[src.0 as usize] || down_nodes[dst.0 as usize] {
-            return None;
-        }
-        if src == dst {
-            return Some(Route {
-                nodes: vec![src],
-                links: Vec::new(),
-            });
-        }
-        let mut dist = vec![u32::MAX; topo.node_count()];
-        dist[dst.0 as usize] = 0;
-        let mut q = VecDeque::new();
-        q.push_back(dst);
-        while let Some(n) = q.pop_front() {
-            let d = dist[n.0 as usize];
-            for (next, link) in topo.neighbors(n) {
-                if down_links[link.0 as usize] || down_nodes[next.0 as usize] {
-                    continue;
-                }
-                if dist[next.0 as usize] == u32::MAX {
-                    dist[next.0 as usize] = d + 1;
-                    q.push_back(next);
-                }
-            }
-        }
-        if dist[src.0 as usize] == u32::MAX {
-            return None;
-        }
-        let mut candidates = std::mem::take(&mut self.scratch);
-        let mut nodes = vec![src];
-        let mut links = Vec::new();
-        let mut cur = src;
-        while cur != dst {
-            let d = dist[cur.0 as usize];
-            candidates.clear();
-            candidates.extend(topo.neighbors(cur).filter(|(n, l)| {
-                !down_links[l.0 as usize]
-                    && !down_nodes[n.0 as usize]
-                    && dist[n.0 as usize] == d - 1
-            }));
-            debug_assert!(
-                !candidates.is_empty(),
-                "masked distance field is inconsistent"
-            );
-            candidates.sort_by_key(|(n, l)| (n.0, l.0));
-            let pick = (hash64(cur.0 as u64 ^ ecmp_seed.rotate_left(17)) % candidates.len() as u64)
-                as usize;
-            let (next, link) = candidates[pick];
-            nodes.push(next);
-            links.push(link);
-            cur = next;
-        }
-        self.scratch = candidates;
-        Some(Route { nodes, links })
-    }
-
-    /// Hop distance from `src` to `dst` (`None` if unreachable).
+    /// Hop distance from `src` to `dst` on the surviving graph (`None`
+    /// if unreachable).
     pub fn distance(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<u32> {
         let d = self.distances(topo, dst)[src.0 as usize];
         (d != u32::MAX).then_some(d)
@@ -287,6 +228,51 @@ impl Router {
     pub fn clear_cache(&mut self) {
         self.dist_cache.clear();
         self.route_cache.clear();
+    }
+
+    /// Marks `node` down (`true`) or back up (`false`), dropping both
+    /// caches. Returns `false` if the mask already had that state (the
+    /// transition is a no-op and should be ignored by the caller).
+    pub fn set_node_down(&mut self, node: NodeId, down: bool) -> bool {
+        let changed = set_flag(&mut self.down_nodes, node.0 as usize, down);
+        if changed {
+            self.clear_cache();
+        }
+        changed
+    }
+
+    /// Marks `link` down or back up; same contract as
+    /// [`Router::set_node_down`].
+    pub fn set_link_down(&mut self, link: LinkId, down: bool) -> bool {
+        let changed = set_flag(&mut self.down_links, link.0 as usize, down);
+        if changed {
+            self.clear_cache();
+        }
+        changed
+    }
+
+    /// Nodes and links currently down.
+    pub fn down_count(&self) -> usize {
+        self.down_nodes
+            .iter()
+            .chain(&self.down_links)
+            .filter(|&&d| d)
+            .count()
+    }
+
+    /// `true` if `route` crosses a down node or link at or after hop
+    /// `from`.
+    pub fn is_severed(&self, route: &Route, from: usize) -> bool {
+        route.nodes[from..].iter().any(|&n| self.node_down(n))
+            || route.links[from..].iter().any(|&l| self.link_down(l))
+    }
+
+    fn node_down(&self, n: NodeId) -> bool {
+        self.down_nodes.get(n.0 as usize) == Some(&true)
+    }
+
+    fn link_down(&self, l: LinkId) -> bool {
+        self.down_links.get(l.0 as usize) == Some(&true)
     }
 
     /// `(cache hits, cache misses)` since creation — the path-cache
@@ -305,13 +291,20 @@ impl Router {
             self.hits += 1;
         } else {
             self.misses += 1;
+            // BFS on the surviving graph: a down destination reaches
+            // nothing, and down nodes and links are never entered.
             let mut dist = vec![u32::MAX; topo.node_count()];
-            dist[dst.0 as usize] = 0;
             let mut q = VecDeque::new();
-            q.push_back(dst);
+            if !self.node_down(dst) {
+                dist[dst.0 as usize] = 0;
+                q.push_back(dst);
+            }
             while let Some(n) = q.pop_front() {
                 let d = dist[n.0 as usize];
-                for (next, _) in topo.neighbors(n) {
+                for (next, link) in topo.neighbors(n) {
+                    if self.link_down(link) || self.node_down(next) {
+                        continue;
+                    }
                     if dist[next.0 as usize] == u32::MAX {
                         dist[next.0 as usize] = d + 1;
                         q.push_back(next);
@@ -322,6 +315,19 @@ impl Router {
         }
         &self.dist_cache[&dst]
     }
+}
+
+/// Sets `mask[i]` to `down`, growing the mask on the first failure past
+/// its end; returns whether the entry changed.
+fn set_flag(mask: &mut Vec<bool>, i: usize, down: bool) -> bool {
+    if (mask.get(i) == Some(&true)) == down {
+        return false;
+    }
+    if mask.len() <= i {
+        mask.resize(i + 1, false);
+    }
+    mask[i] = down;
+    true
 }
 
 #[inline]
@@ -518,61 +524,53 @@ mod tests {
     }
 
     #[test]
-    fn route_avoiding_skips_dead_components() {
+    fn masked_routes_skip_dead_components() {
         let built = fat_tree(4, LinkSpec::gigabit());
+        let (t, src, dst) = (&built.topology, built.hosts[0], built.hosts[15]);
         let mut r = Router::new();
-        let mut down_nodes = vec![false; built.topology.node_count()];
-        let mut down_links = vec![false; built.topology.links().len()];
-        let base = r
-            .route_avoiding(
-                &built.topology,
-                built.hosts[0],
-                built.hosts[15],
-                3,
-                &down_nodes,
-                &down_links,
-            )
-            .unwrap();
+        let base = r.route_shared(t, src, dst, 3).unwrap();
         assert_eq!(base.hops(), 6);
+        // Kill the base route's aggregation–core link: the reroute avoids
+        // it, though that core stays reachable over its other links.
+        let uplink = base.links[2];
+        assert!(r.set_link_down(uplink, true));
+        let around = r.route_shared(t, src, dst, 3).unwrap();
+        assert_eq!(around.hops(), 6);
+        assert!(!around.links.contains(&uplink));
+        assert!(r.set_link_down(uplink, false));
         // Kill the core switch the base route used: the reroute avoids it.
         let core = base.nodes[3];
-        down_nodes[core.0 as usize] = true;
-        let rerouted = r
-            .route_avoiding(
-                &built.topology,
-                built.hosts[0],
-                built.hosts[15],
-                3,
-                &down_nodes,
-                &down_links,
-            )
-            .unwrap();
+        assert!(r.set_node_down(core, true));
+        assert!(
+            !r.set_node_down(core, true),
+            "a repeated failure is a no-op"
+        );
+        assert!(r.is_severed(&base, 0));
+        assert!(!r.is_severed(&base, 4), "the hops past the core are clear");
+        let rerouted = r.route_shared(t, src, dst, 3).unwrap();
         assert_eq!(rerouted.hops(), 6);
         assert!(!rerouted.nodes.contains(&core));
+        assert!(!r.is_severed(&rerouted, 0));
         // Kill the destination's access link: now unreachable.
-        down_links[rerouted.links[5].0 as usize] = true;
-        assert!(r
-            .route_avoiding(
-                &built.topology,
-                built.hosts[0],
-                built.hosts[15],
-                3,
-                &down_nodes,
-                &down_links,
-            )
-            .is_none());
-        // A down endpoint short-circuits to None.
-        down_nodes[built.hosts[0].0 as usize] = true;
-        assert!(r
-            .route_avoiding(
-                &built.topology,
-                built.hosts[0],
-                built.hosts[1],
-                0,
-                &down_nodes,
-                &down_links,
-            )
-            .is_none());
+        let access = rerouted.links[5];
+        assert!(r.set_link_down(access, true));
+        assert_eq!(r.down_count(), 2);
+        assert!(r.route_shared(t, src, dst, 3).is_none());
+        assert_eq!(r.distance(t, src, dst), None);
+        // A down endpoint has no route, not even to itself.
+        assert!(r.set_node_down(src, true));
+        assert!(r.route(t, src, built.hosts[1], 0).is_none());
+        assert!(r.route(t, src, src, 0).is_none());
+        // Recovery brings the original route back.
+        assert!(r.set_node_down(src, false));
+        assert!(r.set_link_down(access, false));
+        assert!(r.set_node_down(core, false));
+        assert!(
+            !r.set_link_down(access, false),
+            "a repeated recovery is a no-op"
+        );
+        assert_eq!(r.down_count(), 0);
+        assert_eq!(r.route_shared(t, src, dst, 3).unwrap(), base);
     }
 
     #[test]

@@ -1,25 +1,24 @@
 //! The optional global task queue (§III-E): tasks the global scheduler
 //! could not place wait here until a server frees up.
 //!
-//! Entries live in a [`SlotWindow`] (sequential keys double as age), and
-//! per-server-class sub-queues index the window so a class-constrained
-//! pull ([`GlobalQueue::pop_eligible`]) inspects at most two sub-queue
-//! fronts — O(1) amortized — instead of linearly scanning the whole queue,
-//! while preserving exactly the global FIFO order among matching tasks
-//! that the old linear scan produced.
+//! Tasks wait in per-server-class sub-queues, each in arrival order and
+//! tagged with a global arrival sequence, so a class-constrained pull
+//! ([`GlobalQueue::pop_eligible`]) compares at most two sub-queue fronts
+//! — O(1) — instead of linearly scanning the whole queue, while
+//! preserving exactly the global FIFO order among matching tasks that a
+//! linear scan produces. Tasks leave only from sub-queue fronts.
 
 use std::collections::VecDeque;
 
-use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_server::task::TaskHandle;
 
-/// One queued task: enqueue time, the task, and its class constraint
-/// (which names the sub-queue holding its key).
-type QueueEntry = (SimTime, TaskHandle, Option<u32>);
+/// One queued task: its global arrival sequence, enqueue time, and the
+/// task.
+type QueueEntry = (u64, SimTime, TaskHandle);
 
 /// A FIFO of unplaced tasks with waiting-time statistics and per-class
-/// sub-queue indices.
+/// sub-queues.
 ///
 /// # Examples
 ///
@@ -38,28 +37,19 @@ type QueueEntry = (SimTime, TaskHandle, Option<u32>);
 /// ```
 #[derive(Debug, Default)]
 pub struct GlobalQueue {
-    /// Waiting tasks; the window key is the global arrival sequence.
-    entries: SlotWindow<QueueEntry>,
-    /// Arrival sequences of tasks with no class constraint.
-    unclassed: VecDeque<u64>,
-    /// Arrival sequences per task class (linear class lookup: class counts
-    /// are tiny, and this avoids hashing on the pull path entirely).
-    classed: Vec<(u32, VecDeque<u64>)>,
+    /// Tasks with no class constraint.
+    unclassed: VecDeque<QueueEntry>,
+    /// Tasks per class constraint (linear class lookup: class counts are
+    /// tiny, and this avoids hashing on the pull path entirely).
+    classed: Vec<(u32, VecDeque<QueueEntry>)>,
+    len: usize,
     max_len: usize,
     total_enqueued: u64,
 }
 
-/// The front of sub-queue `q`. Every removal path purges its sub-queue
-/// key eagerly, so fronts are always live — mixed `pop_matching` and
-/// class-pull workloads cannot accumulate dead fronts (checked here in
-/// debug builds).
-fn live_front(entries: &SlotWindow<QueueEntry>, q: &VecDeque<u64>) -> Option<u64> {
-    let front = q.front().copied();
-    debug_assert!(
-        front.is_none_or(|k| entries.contains(k)),
-        "sub-queue front must be purged eagerly on removal"
-    );
-    front
+/// Arrival sequence of `q`'s front; an empty sub-queue sorts last.
+fn front_seq(q: &VecDeque<QueueEntry>) -> u64 {
+    q.front().map_or(u64::MAX, |&(seq, _, _)| seq)
 }
 
 impl GlobalQueue {
@@ -74,125 +64,75 @@ impl GlobalQueue {
         self.push_classed(now, task, None);
     }
 
-    /// Enqueues an unplaced task at `now`, indexing it under its
-    /// server-class constraint so class-aware pulls are O(1).
+    /// Enqueues an unplaced task at `now` on the sub-queue of its
+    /// server-class constraint, so class-aware pulls are O(1).
     pub fn push_classed(&mut self, now: SimTime, task: TaskHandle, class: Option<u32>) {
-        let key = self.entries.insert((now, task, class));
-        self.subqueue_mut(class).push_back(key);
-        self.max_len = self.max_len.max(self.entries.len());
-        self.total_enqueued += 1;
-    }
-
-    fn subqueue_mut(&mut self, class: Option<u32>) -> &mut VecDeque<u64> {
-        match class {
+        let entry = (self.total_enqueued, now, task);
+        let q = match class {
             None => &mut self.unclassed,
             Some(c) => {
-                if let Some(i) = self.classed.iter().position(|(cc, _)| *cc == c) {
-                    &mut self.classed[i].1
-                } else {
-                    self.classed.push((c, VecDeque::new()));
-                    &mut self.classed.last_mut().expect("just pushed").1
-                }
+                let i = match self.classed.iter().position(|(cc, _)| *cc == c) {
+                    Some(i) => i,
+                    None => {
+                        self.classed.push((c, VecDeque::new()));
+                        self.classed.len() - 1
+                    }
+                };
+                &mut self.classed[i].1
             }
-        }
+        };
+        q.push_back(entry);
+        self.len += 1;
+        self.max_len = self.max_len.max(self.len);
+        self.total_enqueued += 1;
     }
 
     /// Dequeues the oldest task overall, returning it with its queueing
     /// delay.
     pub fn pop(&mut self, now: SimTime) -> Option<(TaskHandle, SimDuration)> {
-        let mut best: Option<(u64, usize)> = None;
-        if let Some(k) = live_front(&self.entries, &self.unclassed) {
-            best = Some((k, usize::MAX));
-        }
+        let mut best = (front_seq(&self.unclassed), None);
         for (i, (_, q)) in self.classed.iter().enumerate() {
-            if let Some(k) = live_front(&self.entries, q) {
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, i));
-                }
-            }
+            best = best.min((front_seq(q), Some(i)));
         }
-        let (key, qi) = best?;
-        self.take(key, qi, now)
+        self.take(best.1, now)
     }
 
     /// Dequeues the oldest task a server of class `server_class` may run:
     /// the earliest-queued among unclassed tasks and tasks constrained to
-    /// exactly that class. O(1) amortized — two sub-queue fronts are
-    /// compared, matching the old linear scan's order exactly.
+    /// exactly that class. O(1) — two sub-queue fronts are compared,
+    /// matching a linear scan's order exactly.
     pub fn pop_eligible(
         &mut self,
         now: SimTime,
         server_class: u32,
     ) -> Option<(TaskHandle, SimDuration)> {
-        let mut best: Option<(u64, usize)> = None;
-        if let Some(k) = live_front(&self.entries, &self.unclassed) {
-            best = Some((k, usize::MAX));
-        }
+        let mut best = (front_seq(&self.unclassed), None);
         if let Some(i) = self.classed.iter().position(|(c, _)| *c == server_class) {
-            if let Some(k) = live_front(&self.entries, &self.classed[i].1) {
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, i));
-                }
-            }
+            best = best.min((front_seq(&self.classed[i].1), Some(i)));
         }
-        let (key, qi) = best?;
-        self.take(key, qi, now)
+        self.take(best.1, now)
     }
 
-    /// Removes `key` (the head of sub-queue `qi`) and returns its task.
-    fn take(&mut self, key: u64, qi: usize, now: SimTime) -> Option<(TaskHandle, SimDuration)> {
-        let popped = if qi == usize::MAX {
-            self.unclassed.pop_front()
-        } else {
-            self.classed[qi].1.pop_front()
+    /// Pops the front of class sub-queue `class` (`None`: the unclassed
+    /// one) and returns its task.
+    fn take(&mut self, class: Option<usize>, now: SimTime) -> Option<(TaskHandle, SimDuration)> {
+        let q = match class {
+            None => &mut self.unclassed,
+            Some(i) => &mut self.classed[i].1,
         };
-        debug_assert_eq!(popped, Some(key), "take must consume its sub-queue front");
-        let (enq, task, _) = self.entries.remove(key).expect("front key is live");
+        let (_, enq, task) = q.pop_front()?;
+        self.len -= 1;
         Some((task, now.saturating_duration_since(enq)))
-    }
-
-    /// Dequeues the oldest task satisfying `pred`, preserving order among
-    /// the rest. This is the fully general (linear) path; class-shaped
-    /// predicates should use [`pop_eligible`](Self::pop_eligible).
-    pub fn pop_matching(
-        &mut self,
-        now: SimTime,
-        mut pred: impl FnMut(&TaskHandle) -> bool,
-    ) -> Option<(TaskHandle, SimDuration)> {
-        let mut best: Option<u64> = None;
-        for (k, (_, t, _)) in self.entries.iter() {
-            if best.is_none_or(|b| k < b) && pred(t) {
-                best = Some(k);
-            }
-        }
-        let key = best?;
-        let (enq, task, class) = self.entries.remove(key).expect("key from live iter");
-        self.purge_key(class, key);
-        Some((task, now.saturating_duration_since(enq)))
-    }
-
-    /// Eagerly removes `key` from its class sub-queue after an
-    /// out-of-band (non-front) removal, preserving the invariant that
-    /// sub-queue fronts are always live (linear in that one sub-queue —
-    /// only [`pop_matching`](Self::pop_matching), already the linear
-    /// path, removes out of band).
-    fn purge_key(&mut self, class: Option<u32>, key: u64) {
-        let q = self.subqueue_mut(class);
-        if let Some(pos) = q.iter().position(|&k| k == key) {
-            q.remove(pos);
-        } else {
-            debug_assert!(false, "removed entry missing from its sub-queue");
-        }
     }
 
     /// Tasks currently waiting.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` if no tasks wait.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// High-water mark of the queue length.
@@ -277,43 +217,11 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    #[test]
-    fn pop_matching_purges_subqueues_and_preserves_order() {
-        // pop_matching removes out of band; the matching sub-queue key is
-        // purged eagerly and order among the rest is undisturbed.
-        let mut q = GlobalQueue::new();
-        q.push_classed(SimTime::ZERO, th(0), Some(0));
-        q.push_classed(SimTime::ZERO, th(1), Some(0));
-        q.push_classed(SimTime::ZERO, th(2), None);
-        let (m, _) = q.pop_matching(SimTime::ZERO, |t| t.id.job.0 == 1).unwrap();
-        assert_eq!(m.id.job.0, 1);
-        assert_eq!(q.len(), 2);
-        let (a, _) = q.pop_eligible(SimTime::ZERO, 0).unwrap();
-        let (b, _) = q.pop_eligible(SimTime::ZERO, 0).unwrap();
-        assert_eq!((a.id.job.0, b.id.job.0), (0, 2));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_matching_only_usage_does_not_grow_subqueues() {
-        // A consumer using only push + pop_matching (the pre-PR API) must
-        // keep sub-queue memory at O(waiting), not O(total enqueued).
-        let mut q = GlobalQueue::new();
-        q.push_classed(SimTime::ZERO, th(u64::MAX), Some(9)); // never matched
-        for i in 0..10_000u64 {
-            q.push_classed(SimTime::ZERO, th(i), Some(i as u32 % 2));
-            let (t, _) = q.pop_matching(SimTime::ZERO, |t| t.id.job.0 == i).unwrap();
-            assert_eq!(t.id.job.0, i);
-        }
-        assert_eq!(q.len(), 1);
-        let held: usize = q.unclassed.len() + q.classed.iter().map(|(_, v)| v.len()).sum::<usize>();
-        assert_eq!(held, 1, "sub-queues must not accumulate dead keys");
-    }
-
-    /// A workload mixing heavy `pop_matching` with class pulls and plain
-    /// pops must never accumulate dead keys in any sub-queue: removal is
-    /// eagerly purged, so held sub-queue keys always equal the waiting
-    /// count.
+    /// A workload mixing class pulls (some for classes no task names) and
+    /// plain pops must never leave entries behind in any sub-queue: held
+    /// sub-queue entries always equal the waiting count. The name dates
+    /// from the removed `pop_matching`, whose out-of-band removals were
+    /// the original source of dead keys.
     #[test]
     fn mixed_pop_matching_and_class_pulls_hold_no_dead_keys() {
         let root = SimRng::seed_from(0xDEAD5);
@@ -332,9 +240,8 @@ mod tests {
                         next_job += 1;
                     }
                     5..=6 => {
-                        // Match an arbitrary (often mid-queue) job id.
-                        let probe = rng.below(next_job.max(1));
-                        q.pop_matching(SimTime::ZERO, |t| t.id.job.0 >= probe);
+                        // Classes 3 and 4 are never pushed.
+                        q.pop_eligible(SimTime::ZERO, rng.below(5) as u32);
                     }
                     7..=8 => {
                         q.pop_eligible(SimTime::ZERO, rng.below(3) as u32);
@@ -346,12 +253,13 @@ mod tests {
                 let held: usize =
                     q.unclassed.len() + q.classed.iter().map(|(_, v)| v.len()).sum::<usize>();
                 assert_eq!(held, q.len(), "trial {trial}: dead sub-queue keys");
+                assert_eq!(q.is_empty(), held == 0, "trial {trial}");
             }
         }
     }
 
-    /// Equivalence: `pop_eligible` must reproduce the old linear-scan
-    /// `pop_matching` semantics under a randomized class workload.
+    /// Equivalence: `pop_eligible` and `pop` must reproduce a linear scan
+    /// of one global FIFO under a randomized class workload.
     #[test]
     fn pop_eligible_matches_linear_scan_reference() {
         let root = SimRng::seed_from(0xC1A55);
@@ -370,6 +278,10 @@ mod tests {
                     q.push_classed(SimTime::ZERO, th(next_job), class);
                     model.push_back((next_job, class));
                     next_job += 1;
+                } else if rng.chance(0.2) {
+                    // Reference: the front of the global FIFO.
+                    let got = q.pop(SimTime::ZERO).map(|(t, _)| t.id.job.0);
+                    assert_eq!(got, model.pop_front().map(|(j, _)| j), "trial {trial}");
                 } else {
                     let server_class = rng.below(3) as u32;
                     let got = q

@@ -65,21 +65,21 @@ fn empty_fault_plan_is_byte_identical_to_plan_less_runs() {
         );
         assert!(baseline.resilience.is_none(), "no resilience section");
     }
-    let baseline = Federation::new(&fed_cfg(None)).run_serial();
-    let armed = Federation::new(&fed_cfg(Some(""))).run_serial();
+    let baseline = Federation::new(&fed_cfg(None)).run_with_workers(1);
+    let armed = Federation::new(&fed_cfg(Some(""))).run_with_workers(1);
     assert_eq!(baseline.to_json(), armed.to_json());
     assert!(baseline.resilience.is_none());
 }
 
 /// Satellite property: a crash+recover plan (with a WAN partition in the
-/// middle) produces byte-identical federation reports at 1, 2, and 4
-/// workers vs the thread-free serial arm.
+/// middle) produces byte-identical federation reports at 2 and 4
+/// workers vs the thread-free one-worker arm.
 #[test]
 fn fault_plans_are_byte_identical_across_federation_worker_counts() {
     let plan = "site0.crash@300ms:1; site0.recover@600ms:1; \
                 site1.crash@400ms:0; site1.recover@700ms:0; \
                 wan-down@500ms:0; wan-up@900ms:0";
-    let reference = Federation::new(&fed_cfg(Some(plan))).run_serial();
+    let reference = Federation::new(&fed_cfg(Some(plan))).run_with_workers(1);
     assert_eq!(
         fnv1a64(&reference.to_json()),
         "44b171ff32defbc9",
@@ -90,7 +90,7 @@ fn fault_plans_are_byte_identical_across_federation_worker_counts() {
     assert_eq!(r.faults_injected, 2, "one crash per site");
     assert!(r.server_downtime_s > 0.0);
     assert!(r.wan_link_downtime_s > 0.0, "the partition really happened");
-    for workers in [1usize, 2, 4] {
+    for workers in [2usize, 4] {
         let parallel = Federation::new(&fed_cfg(Some(plan))).run_with_workers(workers);
         assert_eq!(
             reference.to_json(),
@@ -136,13 +136,16 @@ fn fnv1a64(json: &str) -> String {
 
 /// Regression pin: the fault × fabric paths (reroutes of admitted and
 /// wake-delayed flows, unreachable kills, parked relaunches, doomed
-/// packet bursts) produce exactly these report bytes at seed 42. Run (a)
-/// is `holdcsim run --servers 16 --duration 2 --rho 0.02 --seed 42 --net
+/// packet bursts) produce exactly these report bytes. Run (a) is
+/// `holdcsim run --servers 16 --duration 2 --rho 0.02 --seed 42 --net
 /// --faults '...'`; (b) is a two-tier global-queue flow fabric under
-/// scripted and MTBF faults; (c) is (b) in packet mode.
+/// scripted and MTBF faults; (c) is (b) in packet mode; (d) is `holdcsim
+/// run --servers 16 --duration 2 --rho 0.3 --seed 7 --net --policy
+/// network-aware --faults '...'`, whose placements probe wake costs over
+/// routes computed inside fault windows.
 #[test]
 fn fault_fabric_reports_are_pinned() {
-    use holdcsim::config::NetworkConfig;
+    use holdcsim::config::{NetworkConfig, PolicyKind};
     use holdcsim::experiments::{fat_tree_k_for, net_scalability_template};
     use holdcsim_workload::service::ServiceDist;
     use holdcsim_workload::templates::JobTemplate;
@@ -195,10 +198,32 @@ fn fault_fabric_reports_are_pinned() {
         cfg
     };
 
+    let mut d = SimConfig::server_farm(
+        16,
+        4,
+        0.3,
+        WorkloadPreset::WebSearch.template(),
+        SimDuration::from_secs(2),
+    )
+    .with_seed(7)
+    .with_policy(PolicyKind::NetworkAware);
+    d.template = net_scalability_template();
+    let mut net = NetworkConfig::fat_tree(fat_tree_k_for(16));
+    net.comm = CommModel::Flow;
+    d.network = Some(net);
+    d.faults = Some(
+        FaultPlan::parse(
+            "switch-down@200ms:16; switch-up@1800ms:16; switch-down@400ms:18; \
+             switch-up@1200ms:18; link-down@300ms:20; link-up@1500ms:20",
+        )
+        .expect("plan parses"),
+    );
+
     let runs = [
         ("a", a, "0dc5d85786607ae5"),
         ("b", two_tier(CommModel::Flow), "32c69b6f376282ce"),
         ("c", two_tier(PACKET), "45c1927abb7967ee"),
+        ("d", d, "19a5f51a96a3d987"),
     ];
     for (name, cfg, want) in runs {
         let report = Simulation::new(cfg).run();
@@ -313,7 +338,7 @@ fn no_admitted_job_is_lost_under_fault_storms() {
     // The federation ledger closes too: unfinished = jobs pending in the
     // site tables plus jobs caught mid-WAN at the horizon.
     let plan = "site0.crash@300ms:1; site0.recover@600ms:1; wan-down@500ms:0; wan-up@900ms:0";
-    let report = Federation::new(&fed_cfg(Some(plan))).run_serial();
+    let report = Federation::new(&fed_cfg(Some(plan))).run_with_workers(1);
     let r = report.resilience.expect("resilience reported");
     let mid_wan = report.wan.transfers - report.wan.delivered;
     assert_eq!(
