@@ -12,8 +12,8 @@
 //!   [`holdcsim::sim::DcEvent::RemoteJobArrive`] events on the
 //!   destination site's calendar.
 //! * [`wan::Wan`] — the inter-cluster network: per-link selectable FIFO
-//!   pipes or max-min fair-shared flow links (through the kernel's
-//!   [`holdcsim_network::flow::FlowNet`] solver arms), point-to-point or
+//!   pipes or max-min fair-shared flow links (on the kernel's
+//!   [`holdcsim_network::flow::FlowNet`]), point-to-point or
 //!   hub topologies, latency/bandwidth/transport-energy accounting, and
 //!   scripted link outages (paths recompute, crossing transfers restart
 //!   or park; downtime accrues in a [`holdcsim_faults::Outages`] ledger,

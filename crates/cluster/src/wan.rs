@@ -1,7 +1,7 @@
 //! The inter-cluster WAN: forwarded jobs traverse their site-to-site path
 //! hop by hop, each hop either a FIFO pipe (serialization + propagation)
-//! or a max-min fair-shared flow link driven through the kernel's
-//! [`FlowNet`] solver arms — selectable per link via [`WanLinkMode`].
+//! or a max-min fair-shared flow link on the kernel's [`FlowNet`] —
+//! selectable per link via [`WanLinkMode`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -213,7 +213,7 @@ impl Wan {
             });
         }
         let topo = builder.build();
-        let flows = FlowNet::with_solver(&topo, cfg.flow_solver);
+        let flows = FlowNet::new(&topo);
         let graph: Vec<(u32, u32, SimDuration)> =
             cfg.links.iter().map(|l| (l.a, l.b, l.latency)).collect();
         let down = Outages::new(links.len());
@@ -675,28 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_links_deliver_identically_across_solver_arms() {
-        use holdcsim_network::flow::FlowSolverKind;
-        // A contended hub WAN (every pair relays through one node) driven
-        // through each fair-share solver arm must produce the very same
-        // delivery schedule — the cohort arm's virtual-time cells are as
-        // selectable for WAN links as for the intra-site fabric.
-        let mut results: Vec<Vec<(SimTime, u32)>> = Vec::new();
-        for kind in [FlowSolverKind::Reference, FlowSolverKind::Cohort] {
-            let mut cfg = WanConfig::hub(3, 1_000_000_000, SimDuration::from_millis(10))
-                .with_mode(WanLinkMode::Flow);
-            cfg.flow_solver = kind;
-            let mut wan = Wan::build(&cfg, 3);
-            for (src, dst) in [(0u32, 2u32), (1, 2), (0, 1), (1, 0)] {
-                wan.send(SimTime::ZERO, src, dst, 2_000_000, job());
-            }
-            results.push(drain(&mut wan));
-        }
-        assert_eq!(results[0], results[1], "cohort arm diverged on the WAN");
-        assert_eq!(results[0].len(), 4);
-    }
-
-    #[test]
     fn lookahead_is_the_minimum_site_pair_latency() {
         // Hub: every pair pays two 10 ms hops.
         let cfg = WanConfig::hub(3, 1_000_000_000, SimDuration::from_millis(10));
@@ -715,7 +693,6 @@ mod tests {
         let empty = WanConfig {
             links: Vec::new(),
             extra_nodes: 0,
-            flow_solver: Default::default(),
         };
         assert_eq!(Wan::build(&empty, 2).lookahead(), None);
     }
@@ -725,7 +702,6 @@ mod tests {
         let cfg = WanConfig {
             links: vec![WanLink::new(0, 1, 1_000, SimDuration::from_millis(1))],
             extra_nodes: 0,
-            flow_solver: Default::default(),
         };
         let wan = Wan::build(&cfg, 3);
         assert!(wan.path_latency_s(0)[2].is_infinite());
@@ -738,7 +714,6 @@ mod tests {
         let cfg = WanConfig {
             links: Vec::new(),
             extra_nodes: 0,
-            flow_solver: Default::default(),
         };
         let mut wan = Wan::build(&cfg, 2);
         wan.send(SimTime::ZERO, 0, 1, 1, job());

@@ -364,8 +364,9 @@ pub enum WanLinkMode {
     /// propagation latency, queueing behind earlier transfers.
     #[default]
     Pipe,
-    /// Concurrent transfers share the link max-min fairly, driven through
-    /// the same [`FlowSolverKind`] arms as intra-site flow traffic.
+    /// Concurrent transfers share the link max-min fairly, solved by the
+    /// default [`FlowSolverKind`] arm, the production solver of intra-site
+    /// flow traffic.
     Flow,
 }
 
@@ -414,8 +415,6 @@ pub struct WanConfig {
     /// Relay/hub nodes beyond the site gateways (WAN node ids
     /// `sites .. sites + extra_nodes`).
     pub extra_nodes: u32,
-    /// Fair-share solver arm for [`WanLinkMode::Flow`] links.
-    pub flow_solver: FlowSolverKind,
 }
 
 impl WanConfig {
@@ -430,7 +429,6 @@ impl WanConfig {
         WanConfig {
             links,
             extra_nodes: 0,
-            flow_solver: FlowSolverKind::default(),
         }
     }
 
@@ -445,7 +443,6 @@ impl WanConfig {
         WanConfig {
             links,
             extra_nodes: 1,
-            flow_solver: FlowSolverKind::default(),
         }
     }
 

@@ -1,7 +1,9 @@
 //! Ready-made harnesses for every table and figure of the paper's
 //! evaluation (§IV, §V, Table I). Each function builds the corresponding
-//! experiment from public API pieces and returns structured results;
-//! `holdcsim fig <id>` prints them in the paper's row/series format.
+//! experiment from public API pieces and returns structured results, or,
+//! for the Fig. 5 and Fig. 6 sweeps, the configurations the harness runs
+//! in parallel; `holdcsim fig <id>` prints them in the paper's row/series
+//! format.
 //!
 //! All harnesses take explicit scale parameters so tests can run them small
 //! while `holdcsim fig` runs them at paper scale.
@@ -109,6 +111,13 @@ impl DelayTimerCurve {
 /// per-server delay timer τ (shared by the Fig. 5 sweep and Fig. 6's
 /// single-timer arm).
 ///
+/// As the in-flight job count fluctuates, the controller parks and
+/// recalls the marginal server, so an over-aggressive τ pays repeated
+/// suspend/resume cycles (the left wall of Fig. 5's U) while an
+/// over-conservative one burns idle power waiting (the right wall). The
+/// park/recall timescale follows the mean service time, which is why
+/// each workload has its own optimum.
+///
 /// Public so the `holdcsim-harness` sweep runner can expand τ/ρ grids
 /// into trial configs without duplicating the farm construction.
 pub fn delay_timer_farm(
@@ -132,40 +141,6 @@ pub fn delay_timer_farm(
     });
     cfg.controller_period = preset.mean_service();
     cfg
-}
-
-/// Fig. 5: sweeps the single delay timer τ for one workload preset at
-/// several utilizations, returning one curve per ρ.
-///
-/// The farm is the §IV-A configuration (consolidating dispatch plus the
-/// provisioning controller): as the in-flight job count fluctuates, the
-/// marginal server is parked and recalled, so an over-aggressive τ pays
-/// repeated suspend/resume cycles (the left wall of the U) while an
-/// over-conservative one burns idle power waiting (the right wall). The
-/// park/recall timescale follows the queue's natural timescale — the mean
-/// service time — which is why each workload has its own optimum.
-pub fn fig5_delay_timer(
-    preset: WorkloadPreset,
-    rhos: &[f64],
-    taus_s: &[f64],
-    servers: usize,
-    cores: u32,
-    duration: SimDuration,
-    seed: u64,
-) -> Vec<DelayTimerCurve> {
-    rhos.iter()
-        .map(|&rho| {
-            let points = taus_s
-                .iter()
-                .map(|&tau| {
-                    let cfg = delay_timer_farm(preset, rho, servers, cores, tau, duration, seed);
-                    let report = Simulation::new(cfg).run();
-                    (tau, report.server_energy_j())
-                })
-                .collect();
-            DelayTimerCurve { rho, points }
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -256,27 +231,6 @@ pub fn fig6_from_reports(rho: f64, servers: usize, reports: &[SimReport; 3]) -> 
         p95_dual_s: dual.latency.p95,
         p95_active_idle_s: active_idle.latency.p95,
     }
-}
-
-/// Fig. 6: dual delay timers vs Active-Idle (and vs the best single τ) for
-/// one workload at one utilization and farm size (single-threaded
-/// reference; the harness runs the same arms in parallel).
-pub fn fig6_dual_timer(
-    preset: WorkloadPreset,
-    rho: f64,
-    servers: usize,
-    cores: u32,
-    single_tau_s: f64,
-    duration: SimDuration,
-    seed: u64,
-) -> DualTimerResult {
-    let [a, s, d] = fig6_configs(preset, rho, servers, cores, single_tau_s, duration, seed);
-    let reports = [
-        Simulation::new(a).run(),
-        Simulation::new(s).run(),
-        Simulation::new(d).run(),
-    ];
-    fig6_from_reports(rho, servers, &reports)
 }
 
 // ---------------------------------------------------------------------
@@ -772,17 +726,21 @@ mod tests {
 
     #[test]
     fn fig5_curves_have_u_shape_tendency() {
-        let curves = fig5_delay_timer(
-            WorkloadPreset::WebSearch,
-            &[0.3],
-            &[0.05, 1.0, 30.0],
-            8,
-            2,
-            SimDuration::from_secs(30),
-            3,
-        );
-        assert_eq!(curves.len(), 1);
-        let pts = &curves[0].points;
+        let pts: Vec<(f64, f64)> = [0.05, 1.0, 30.0]
+            .into_iter()
+            .map(|tau| {
+                let cfg = delay_timer_farm(
+                    WorkloadPreset::WebSearch,
+                    0.3,
+                    8,
+                    2,
+                    tau,
+                    SimDuration::from_secs(30),
+                    3,
+                );
+                (tau, Simulation::new(cfg).run().server_energy_j())
+            })
+            .collect();
         assert_eq!(pts.len(), 3);
         // A very long timer must not beat the mid timer (it never sleeps).
         assert!(
@@ -795,7 +753,7 @@ mod tests {
 
     #[test]
     fn fig6_dual_beats_active_idle() {
-        let r = fig6_dual_timer(
+        let arms = fig6_configs(
             WorkloadPreset::WebSearch,
             0.1,
             8,
@@ -803,7 +761,9 @@ mod tests {
             0.5,
             SimDuration::from_secs(40),
             5,
-        );
+        )
+        .map(|cfg| Simulation::new(cfg).run());
+        let r = fig6_from_reports(0.1, 8, &arms);
         assert!(
             r.reduction_vs_active_idle() > 0.2,
             "reduction {}",

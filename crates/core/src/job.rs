@@ -5,7 +5,7 @@ use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::SimTime;
 use holdcsim_server::server::ServerId;
 use holdcsim_workload::dag::JobDag;
-use holdcsim_workload::ids::{JobId, TaskId};
+use holdcsim_workload::ids::JobId;
 
 /// One in-flight job.
 #[derive(Debug)]
@@ -257,12 +257,6 @@ impl JobTable {
     pub fn total_unfinished_tasks(&self) -> u64 {
         self.window.iter().map(|(_, j)| j.unfinished as u64).sum()
     }
-}
-
-/// A helper for mapping `(server, task)` completion events back to jobs:
-/// the `TaskId` carries the `JobId`, so the table is keyed directly.
-pub fn task_index(id: TaskId) -> u32 {
-    id.index
 }
 
 #[cfg(test)]

@@ -5,10 +5,6 @@
 //! burst) and runs the port LPI timers, so the event driver in
 //! [`crate::sim`] never needs to know which model is configured.
 
-// Switch/port index maps are keyed lookups only — never iterated (lint
-// D001): the event loop resolves node → device and port → link by key.
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -115,7 +111,6 @@ impl IntoIterator for LinkPorts {
 /// Everything network-side, owned by the simulation driver: the fabric,
 /// its devices, and the in-flight transfers of both comm models.
 #[derive(Debug)]
-#[allow(clippy::disallowed_types)] // point-lookup indices; never iterated
 pub struct NetState {
     /// The graph.
     pub topology: Topology,
@@ -130,8 +125,12 @@ pub struct NetState {
     pub packets: PacketNet,
     /// Switch power devices, parallel to `topology.switches()`.
     pub switches: Vec<SwitchDevice>,
-    /// Map from switch node to index into `switches`.
-    pub switch_index: HashMap<NodeId, usize>,
+    /// Index into `switches` of each node, by node id (`None` for hosts).
+    switch_of: Vec<Option<usize>>,
+    /// The switch-side endpoints of each link, by link id.
+    link_ports: Vec<LinkPorts>,
+    /// The link on each switch port: `port_link[switch][port]`.
+    port_link: Vec<Vec<LinkId>>,
     /// Communication granularity.
     pub comm: CommModel,
     /// LPI hold time, if enabled.
@@ -142,8 +141,6 @@ pub struct NetState {
     pub ingress_bytes: Option<(u64, u64)>,
     /// Topology display name.
     pub name: String,
-    /// Reverse map: `(switch index, port)` → the link on that port.
-    pub port_link: HashMap<(usize, u32), LinkId>,
     /// Deadline of the furthest-out `LpiCheck` event armed per switch
     /// port (packet mode coalesces per-port idle checks to at most one
     /// outstanding timer; see `NetState::schedule_lpi_check`).
@@ -183,7 +180,6 @@ impl NetState {
     /// # Panics
     ///
     /// Panics if the requested topology yields fewer hosts than servers.
-    #[allow(clippy::disallowed_types)] // constructs the point-lookup indices
     pub fn build(now: SimTime, cfg: &NetworkConfig, server_count: usize) -> Self {
         let built: BuiltTopology = match cfg.topology {
             TopologySpec::FatTree { k } => fat_tree(k, cfg.link),
@@ -204,7 +200,7 @@ impl NetState {
         );
         let topology = built.topology;
         let mut switches = Vec::new();
-        let mut switch_index = HashMap::new();
+        let mut switch_of = vec![None; topology.node_count()];
         for &sw in topology.switches() {
             let NodeKind::Switch {
                 linecards,
@@ -213,7 +209,7 @@ impl NetState {
             else {
                 unreachable!("switch list contains only switches")
             };
-            switch_index.insert(sw, switches.len());
+            switch_of[sw.0 as usize] = Some(switches.len());
             switches.push(SwitchDevice::new(
                 now,
                 sw,
@@ -222,13 +218,20 @@ impl NetState {
                 cfg.switch_profile.clone(),
             ));
         }
-        let mut port_link = HashMap::new();
+        // The builder hands each node its ports in link order, so pushing
+        // links in id order puts every link at its port's index.
+        let mut link_ports = Vec::with_capacity(topology.links().len());
+        let mut port_link = vec![Vec::new(); switches.len()];
         for (i, l) in topology.links().iter().enumerate() {
+            let mut ports = LinkPorts::default();
             for p in [l.a, l.b] {
-                if let Some(&sw) = switch_index.get(&p.node) {
-                    port_link.insert((sw, p.port), LinkId(i as u32));
+                if let Some(sw) = switch_of[p.node.0 as usize] {
+                    debug_assert_eq!(port_link[sw].len(), p.port as usize);
+                    port_link[sw].push(LinkId(i as u32));
+                    ports.push((sw, p.port));
                 }
             }
+            link_ports.push(ports);
         }
         let mut router = Router::new();
         // Cover the whole bounded route key space (hosts² × ECMP ways)
@@ -257,13 +260,14 @@ impl NetState {
             flows,
             packets,
             switches,
-            switch_index,
+            switch_of,
+            link_ports,
+            port_link,
             comm: cfg.comm,
             lpi_hold: cfg.lpi_hold,
             use_alr: cfg.use_alr,
             ingress_bytes: cfg.ingress_bytes,
             name: built.name,
-            port_link,
             lpi_armed,
             flow_slots: SlotWindow::new(),
             flows_done: VecDeque::new(),
@@ -302,14 +306,7 @@ impl NetState {
     /// Switch-side `(switch index, port)` endpoints of `link`, by value
     /// (allocation-free; the wake paths call this per link per event).
     pub fn switch_ports_of_link(&self, link: LinkId) -> LinkPorts {
-        let l = self.topology.link(link);
-        let mut ports = LinkPorts::default();
-        for p in [l.a, l.b] {
-            if let Some(&i) = self.switch_index.get(&p.node) {
-                ports.push((i, p.port));
-            }
-        }
-        ports
+        self.link_ports[link.0 as usize]
     }
 
     /// Wakes the switch ports at both ends of `link` for transmission,
@@ -338,7 +335,7 @@ impl NetState {
             };
             cost += 0.02 * route.hops() as f64;
             for node in &route.nodes {
-                if let Some(&sw) = self.switch_index.get(node) {
+                if let Some(sw) = self.switch_of[node.0 as usize] {
                     if !self.switches[sw].any_port_active() {
                         cost += 1.0;
                     }
@@ -682,10 +679,10 @@ impl NetState {
         // Wake the egress port if this node is a switch; the wake latency
         // delays the transmission start.
         let mut start = now;
-        let sw_port = self.switch_index.get(&node).copied().map(|swi| {
-            let l = self.topology.link(link);
-            let port = l.endpoint_on(node).expect("link touches node").port;
-            (swi, port)
+        let sw_port = self.switch_of[node.0 as usize].and_then(|swi| {
+            self.link_ports[link.0 as usize]
+                .into_iter()
+                .find(|&(sw, _)| sw == swi)
         });
         if let Some((swi, port)) = sw_port {
             let wake = self.switches[swi].wake_for_tx(now, port);
@@ -773,7 +770,7 @@ impl NetState {
         if is_packet && self.lpi_armed[switch][port as usize] > now {
             return;
         }
-        let link = self.port_link[&(switch, port)];
+        let link = self.port_link[switch][port as usize];
         let busy = if is_packet {
             let sw_node = self.switches[switch].node();
             self.packets

@@ -192,11 +192,6 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         &mut self.model
     }
 
-    /// Consumes the engine, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
     /// Shared access to the observer.
     pub fn observer(&self) -> &O {
         &self.observer

@@ -1,20 +1,44 @@
-//! Switch devices: per-port and per-line-card power-state machines with
-//! LPI and ALR mechanisms (§III-B), built on `holdcsim-power`.
+//! Switch devices (§III-B): ports that are Active, in Low Power Idle or
+//! Off, line cards that are Active, asleep or Off, and the LPI and ALR
+//! mechanisms that idle them, over the power profiles of
+//! `holdcsim-power`.
 
 use holdcsim_des::stats::TimeWeighted;
 use holdcsim_des::time::{SimDuration, SimTime};
-use holdcsim_power::machine::PowerStateMachine;
 use holdcsim_power::states::{LineCardPowerState, PortPowerState};
 use holdcsim_power::switch_profile::SwitchPowerProfile;
 
 use crate::ids::NodeId;
 
+/// One port or line card: its power state and its draw over time.
+#[derive(Debug)]
+struct Part<S> {
+    state: S,
+    draw: TimeWeighted,
+}
+
+impl<S> Part<S> {
+    fn new(now: SimTime, state: S, power_w: f64) -> Self {
+        Part {
+            state,
+            draw: TimeWeighted::new(now, power_w),
+        }
+    }
+
+    /// Enters `state` at `now`, drawing `power_w` from then on.
+    fn set(&mut self, now: SimTime, state: S, power_w: f64) {
+        self.state = state;
+        self.draw.set(now, power_w);
+    }
+}
+
 /// One switch's power model: chassis + line cards + ports.
 ///
-/// Wake/sleep timing model: port LPI exit and line-card wake latencies are
-/// *charged to the traffic* (returned from [`SwitchDevice::wake_for_tx`] so
-/// the caller delays the packet/flow) while the state flips immediately for
-/// power accounting. At microsecond/millisecond scales this misattributes a
+/// Wake/sleep timing model: every port and card transition is
+/// instantaneous. Port LPI exit and line-card wake latencies are *charged
+/// to the traffic* (returned from [`SwitchDevice::wake_for_tx`] so the
+/// caller delays the packet/flow) while the state flips at once for power
+/// accounting. At microsecond/millisecond scales this misattributes a
 /// negligible sliver of energy and keeps every transition single-event.
 ///
 /// # Examples
@@ -36,8 +60,8 @@ pub struct SwitchDevice {
     profile: SwitchPowerProfile,
     ports_per_card: u32,
     chassis: TimeWeighted,
-    cards: Vec<PowerStateMachine<LineCardPowerState>>,
-    ports: Vec<PowerStateMachine<PortPowerState>>,
+    cards: Vec<Part<LineCardPowerState>>,
+    ports: Vec<Part<PortPowerState>>,
     /// Per-port negotiated rate (None = full rate) for ALR.
     port_rates: Vec<Option<u64>>,
     /// Last time each port finished transmitting (LPI-policy input).
@@ -57,12 +81,10 @@ impl SwitchDevice {
     ) -> Self {
         let n_ports = (linecards * ports_per_card) as usize;
         let cards = (0..linecards)
-            .map(|_| {
-                PowerStateMachine::new(now, LineCardPowerState::Active, profile.linecard.active_w)
-            })
+            .map(|_| Part::new(now, LineCardPowerState::Active, profile.linecard.active_w))
             .collect();
         let ports = (0..n_ports)
-            .map(|_| PowerStateMachine::new(now, PortPowerState::Active, profile.port.active_w))
+            .map(|_| Part::new(now, PortPowerState::Active, profile.port.active_w))
             .collect();
         SwitchDevice {
             node,
@@ -105,76 +127,65 @@ impl SwitchDevice {
 
     /// Current state of `port`.
     pub fn port_state(&self, port: u32) -> PortPowerState {
-        self.ports[port as usize]
-            .steady()
-            .expect("port transitions are instantaneous")
+        self.ports[port as usize].state
     }
 
     /// Current state of line card `card`.
     pub fn card_state(&self, card: usize) -> LineCardPowerState {
-        self.cards[card]
-            .steady()
-            .expect("card transitions are instantaneous")
+        self.cards[card].state
     }
 
     /// Ensures `port` (and its line card) can transmit at `now`, flipping
     /// them active and returning the wake latency to charge the traffic
     /// (zero when already active).
     pub fn wake_for_tx(&mut self, now: SimTime, port: u32) -> SimDuration {
-        let mut delay = SimDuration::ZERO;
         let card = self.card_of(port);
-        match self.card_state(card) {
-            LineCardPowerState::Active => {}
-            LineCardPowerState::Sleep | LineCardPowerState::Off => {
-                delay += self.profile.linecard.wake_latency;
-                self.cards[card].set_state(
-                    now,
-                    LineCardPowerState::Active,
-                    self.profile.linecard.active_w,
-                );
-                self.refresh_chassis(now);
-            }
+        let mut delay = self.card_wake(card);
+        if self.card_state(card) != LineCardPowerState::Active {
+            self.cards[card].set(
+                now,
+                LineCardPowerState::Active,
+                self.profile.linecard.active_w,
+            );
+            self.refresh_chassis(now);
         }
         // A port parked at a reduced ALR rate renegotiates back to full
         // speed; the switching time is approximated by the LPI exit latency
         // (both are PHY resynchronizations of the same order).
-        if self.port_rates[port as usize].is_some() {
+        if self.port_rates[port as usize].take().is_some() {
             delay += self.profile.port.lpi_exit;
-            self.port_rates[port as usize] = None;
         }
-        let active_w = self.active_port_power(port);
-        match self.port_state(port) {
-            PortPowerState::Active => {
-                // Power may have changed if only the rate was restored.
-                self.ports[port as usize].set_power(now, active_w);
-            }
-            PortPowerState::Lpi => {
-                delay += self.profile.port.lpi_exit;
-                self.ports[port as usize].set_state(now, PortPowerState::Active, active_w);
-            }
-            PortPowerState::Off => {
-                // Re-enabling a disabled port: modeled like a card wake.
-                delay += self.profile.linecard.wake_latency;
-                self.ports[port as usize].set_state(now, PortPowerState::Active, active_w);
-            }
-        }
+        delay += self.port_wake(port);
+        // Set even on an active port: restoring the full rate changes
+        // its draw.
+        self.ports[port as usize].set(now, PortPowerState::Active, self.profile.port.active_w);
         delay
     }
 
     /// The wake latency [`wake_for_tx`](Self::wake_for_tx) *would* charge,
     /// without changing any state (the network-aware scheduler's cost probe).
     pub fn wake_cost(&self, port: u32) -> SimDuration {
-        let mut delay = SimDuration::ZERO;
-        match self.card_state(self.card_of(port)) {
-            LineCardPowerState::Active => {}
-            _ => delay += self.profile.linecard.wake_latency,
+        self.card_wake(self.card_of(port)) + self.port_wake(port)
+    }
+
+    /// The wake latency of line card `card` alone.
+    fn card_wake(&self, card: usize) -> SimDuration {
+        match self.card_state(card) {
+            LineCardPowerState::Active => SimDuration::ZERO,
+            LineCardPowerState::Sleep | LineCardPowerState::Off => {
+                self.profile.linecard.wake_latency
+            }
         }
+    }
+
+    /// The wake latency of `port` alone, without its card's.
+    fn port_wake(&self, port: u32) -> SimDuration {
         match self.port_state(port) {
-            PortPowerState::Active => {}
-            PortPowerState::Lpi => delay += self.profile.port.lpi_exit,
-            PortPowerState::Off => delay += self.profile.linecard.wake_latency,
+            PortPowerState::Active => SimDuration::ZERO,
+            PortPowerState::Lpi => self.profile.port.lpi_exit,
+            // Re-enabling a disabled port: modeled like a card wake.
+            PortPowerState::Off => self.profile.linecard.wake_latency,
         }
-        delay
     }
 
     /// Records that `port` finished a transmission at `tx_end` (the LPI
@@ -193,9 +204,9 @@ impl SwitchDevice {
     /// before `now` (callers check their hold-time policy first).
     /// Returns `true` if the port entered LPI.
     pub fn enter_lpi(&mut self, now: SimTime, port: u32) -> bool {
-        if self.port_state(port) == PortPowerState::Active && self.last_tx_end[port as usize] <= now
-        {
-            self.ports[port as usize].set_state(now, PortPowerState::Lpi, self.profile.port.lpi_w);
+        let p = &mut self.ports[port as usize];
+        if p.state == PortPowerState::Active && self.last_tx_end[port as usize] <= now {
+            p.set(now, PortPowerState::Lpi, self.profile.port.lpi_w);
             self.lpi_entries += 1;
             true
         } else {
@@ -210,7 +221,7 @@ impl SwitchDevice {
         let hi = lo + self.ports_per_card;
         let all_idle = (lo..hi).all(|p| self.port_state(p) != PortPowerState::Active);
         if all_idle && self.card_state(card) == LineCardPowerState::Active {
-            self.cards[card].set_state(
+            self.cards[card].set(
                 now,
                 LineCardPowerState::Sleep,
                 self.profile.linecard.sleep_w,
@@ -229,7 +240,7 @@ impl SwitchDevice {
         let any_active = self
             .cards
             .iter()
-            .any(|c| c.steady() == Some(LineCardPowerState::Active));
+            .any(|c| c.state == LineCardPowerState::Active);
         let w = if any_active {
             self.profile.chassis_w
         } else {
@@ -238,18 +249,16 @@ impl SwitchDevice {
         self.chassis.set(now, w);
     }
 
-    /// Administratively disables `port` (state Off, zero power).
-    pub fn port_off(&mut self, now: SimTime, port: u32) {
-        self.ports[port as usize].set_state(now, PortPowerState::Off, 0.0);
-    }
-
     /// Negotiates `port` down/up to `rate_bps` (ALR), adjusting active
     /// power. Pass `None` to restore the full rate.
     pub fn set_port_rate(&mut self, now: SimTime, port: u32, rate_bps: Option<u64>) {
         self.port_rates[port as usize] = rate_bps;
         if self.port_state(port) == PortPowerState::Active {
-            let w = self.active_port_power(port);
-            self.ports[port as usize].set_power(now, w);
+            let port_profile = &self.profile.port;
+            let w = rate_bps.map_or(port_profile.active_w, |rate| {
+                port_profile.active_power_at_rate_w(rate)
+            });
+            self.ports[port as usize].draw.set(now, w);
         }
     }
 
@@ -261,15 +270,15 @@ impl SwitchDevice {
     /// Instantaneous switch power (chassis + cards + ports).
     pub fn power_w(&self) -> f64 {
         self.chassis.value()
-            + self.cards.iter().map(|c| c.power_w()).sum::<f64>()
-            + self.ports.iter().map(|p| p.power_w()).sum::<f64>()
+            + self.cards.iter().map(|c| c.draw.value()).sum::<f64>()
+            + self.ports.iter().map(|p| p.draw.value()).sum::<f64>()
     }
 
     /// Total energy consumed through `now`, in joules (chassis included).
     pub fn energy_j(&self, now: SimTime) -> f64 {
         self.chassis.integral(now)
-            + self.cards.iter().map(|c| c.energy_j(now)).sum::<f64>()
-            + self.ports.iter().map(|p| p.energy_j(now)).sum::<f64>()
+            + self.cards.iter().map(|c| c.draw.integral(now)).sum::<f64>()
+            + self.ports.iter().map(|p| p.draw.integral(now)).sum::<f64>()
     }
 
     /// `(LPI entries, card sleeps)` counters.
@@ -280,16 +289,7 @@ impl SwitchDevice {
     /// `true` if any port is active (the "switch is awake" predicate the
     /// network-aware policy uses).
     pub fn any_port_active(&self) -> bool {
-        self.ports
-            .iter()
-            .any(|p| p.steady() == Some(PortPowerState::Active))
-    }
-
-    fn active_port_power(&self, port: u32) -> f64 {
-        match self.port_rates[port as usize] {
-            Some(rate) => self.profile.port.active_power_at_rate_w(rate),
-            None => self.profile.port.active_w,
-        }
+        self.ports.iter().any(|p| p.state == PortPowerState::Active)
     }
 }
 

@@ -181,11 +181,6 @@ impl Observer {
         self.active
     }
 
-    /// The rolling fingerprint hash so far (None when fingerprinting is off).
-    pub fn current_fingerprint(&self) -> Option<u64> {
-        self.fingerprinter.as_ref().map(|f| f.current_hash())
-    }
-
     /// The active-capability path of `on_event`; kept out of the inlined
     /// hot path so the off case stays small.
     fn observe<M: ProbeSource>(&mut self, now: SimTime, info: EventInfo, model: &M) {

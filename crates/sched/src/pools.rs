@@ -104,11 +104,6 @@ impl PoolManager {
         self.active.iter().copied()
     }
 
-    /// Iterates the sleep pool ascending by id without allocating.
-    pub fn sleeping_iter(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.sleeping.iter().copied()
-    }
-
     /// `true` if `id` is currently in the active pool.
     pub fn is_active(&self, id: ServerId) -> bool {
         self.active.contains(&id)

@@ -371,7 +371,6 @@ pub struct Server {
     // --- accounting ---
     residency: Residency<Band>,
     busy_cores_tw: TimeWeighted,
-    queue_len_tw: TimeWeighted,
     cores_w: TimeWeighted,
     pkg_w: TimeWeighted,
     dram_w: TimeWeighted,
@@ -429,7 +428,6 @@ impl Server {
             fault_speed: 1.0,
             residency: Residency::new(now, mode.band()),
             busy_cores_tw: TimeWeighted::new(now, 0.0),
-            queue_len_tw: TimeWeighted::new(now, 0.0),
             cores_w: TimeWeighted::new(now, 0.0),
             pkg_w: TimeWeighted::new(now, 0.0),
             dram_w: TimeWeighted::new(now, 0.0),
@@ -516,11 +514,6 @@ impl Server {
     /// Mean busy cores over time / total cores — the server's utilization.
     pub fn utilization(&self, now: SimTime) -> f64 {
         self.busy_cores_tw.time_average(now) / self.cfg.cores as f64
-    }
-
-    /// Time-averaged local queue length.
-    pub fn mean_queue_len(&self, now: SimTime) -> f64 {
-        self.queue_len_tw.time_average(now)
     }
 
     /// CPU energy (cores + uncore) in joules through `now`.
@@ -847,7 +840,6 @@ impl Server {
 
     fn note_load(&mut self, now: SimTime) {
         self.busy_cores_tw.set(now, self.busy_cores() as f64);
-        self.queue_len_tw.set(now, self.queue_len() as f64);
     }
 
     /// Recomputes the four component power draws from the logical state.

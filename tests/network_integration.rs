@@ -1,6 +1,9 @@
 //! Integration tests spanning the network substrate and the driver:
 //! DAG jobs communicating over topologies in both flow and packet modes.
 
+mod common;
+
+use common::fnv1a64;
 use holdcsim::config::{ArrivalConfig, CommModel, NetworkConfig, TopologySpec};
 use holdcsim::prelude::*;
 use holdcsim_network::topologies::LinkSpec;
@@ -279,4 +282,74 @@ fn fan_out_jobs_traverse_network() {
     assert_eq!(report.jobs_completed, 50);
     // Fan-out latency ≥ root + leaf + agg = 12 ms.
     assert!(report.latency.p50 >= 0.012);
+}
+
+/// Regression pin: the switch power paths produce exactly these report
+/// bytes. Run (a) is a packet-mode fat tree whose idle ports downshift
+/// to the lowest ALR rate and renegotiate full speed on the next
+/// transmission; (b) is the §V-B validation star (Cisco profile, LPI,
+/// line-card sleep) driven by front-end ingress traffic on the access
+/// ports. Each run also checks that it reaches the path it pins.
+#[test]
+fn switch_power_reports_are_pinned() {
+    use holdcsim::sim::finish_report;
+
+    let alr = |lpi_hold: Option<SimDuration>| {
+        let template = JobTemplate::two_tier(
+            ServiceDist::Exponential {
+                mean: SimDuration::from_millis(4),
+            },
+            ServiceDist::Exponential {
+                mean: SimDuration::from_millis(6),
+            },
+            48_000,
+        );
+        let mut cfg =
+            SimConfig::server_farm(16, 2, 0.2, template, SimDuration::from_secs(1)).with_seed(42);
+        let mut net = NetworkConfig::fat_tree(4);
+        net.comm = CommModel::Packet {
+            mtu: 1_500,
+            buffer_bytes: 1 << 20,
+        };
+        net.use_alr = true;
+        net.lpi_hold = lpi_hold;
+        cfg.network = Some(net);
+        Simulation::new(cfg).run()
+    };
+    let a = alr(Some(SimDuration::from_millis(10)));
+    let always_on = alr(None);
+    let (e_alr, e_on) = (
+        a.network.as_ref().expect("net").switch_energy_j,
+        always_on.network.as_ref().expect("net").switch_energy_j,
+    );
+    assert!(e_alr < e_on, "ALR {e_alr} must undercut always-on {e_on}");
+    assert_eq!(
+        fnv1a64(&a.to_json()),
+        "09e02a151941fadb",
+        "run (a) report bytes moved"
+    );
+
+    let mut b = SimConfig::server_farm(
+        8,
+        2,
+        0.01,
+        WorkloadPreset::WebSearch.template(),
+        SimDuration::from_secs(5),
+    )
+    .with_seed(42);
+    b.network = Some(NetworkConfig::validation_star());
+    let end = SimTime::ZERO + b.duration;
+    let mut engine = Simulation::new(b).into_engine();
+    engine.run_until(end);
+    let events = engine.events_processed();
+    let (dc, _) = engine.into_parts();
+    let (lpi_entries, card_sleeps) = dc.net().expect("net").switches[0].power_event_counts();
+    assert!(lpi_entries > 0, "no port entered LPI");
+    assert!(card_sleeps > 0, "the line card never slept");
+    let b = finish_report(dc, end, events, 0.0);
+    assert_eq!(
+        fnv1a64(&b.to_json()),
+        "72897c07e44c1dc8",
+        "run (b) report bytes moved"
+    );
 }

@@ -3,6 +3,9 @@
 //! counts and flow-solver arms, and the job ledger reconciles — no
 //! admitted job is ever silently lost.
 
+mod common;
+
+use common::fnv1a64;
 use holdcsim::config::{ClusterConfig, CommModel, SimConfig, WanConfig};
 use holdcsim::experiments::net_scalability_config;
 use holdcsim::sim::Simulation;
@@ -124,14 +127,6 @@ fn fault_runs_are_byte_identical_across_flow_solver_arms() {
         run(FlowSolverKind::Cohort).to_json(),
         "fault run diverged under the cohort arm"
     );
-}
-
-/// 64-bit FNV-1a over the report bytes, hex.
-fn fnv1a64(json: &str) -> String {
-    let h = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{h:016x}")
 }
 
 /// Regression pin: the fault × fabric paths (reroutes of admitted and
