@@ -1,5 +1,7 @@
-//! Design-choice ablations (DESIGN.md §6): flow vs packet communication
-//! granularity, and unified vs per-core local queues.
+//! Design-choice ablations: flow vs packet communication granularity, and
+//! unified vs per-core local queues. Each pair runs one workload under
+//! both choices, so the gap between its two lines is the cost of the
+//! choice.
 //!
 //! Run with `cargo bench --bench ablations` (add `-- --quick` for a
 //! reduced sample count); compiled in CI via `cargo bench --no-run`.

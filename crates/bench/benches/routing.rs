@@ -1,5 +1,8 @@
-//! Routing benchmarks and the path-cache ablation (DESIGN.md §6.1):
-//! BFS-on-demand vs the cached distance fields, on fat-tree and BCube.
+//! Routing benchmarks and the path-cache ablation: BFS-on-demand vs the
+//! cached distance fields, on fat-tree and BCube. A cold router runs one
+//! BFS per new destination; a warm one answers every route from the
+//! distance fields it already holds, which is the cost the simulator pays
+//! once its cache has seen each destination.
 //!
 //! Run with `cargo bench --bench routing` (add `-- --quick` for a reduced
 //! sample count); compiled in CI via `cargo bench --no-run`.

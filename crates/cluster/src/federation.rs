@@ -344,9 +344,9 @@ struct Coordinator {
     job_bytes: u64,
     horizon: SimTime,
     /// Reusable delivery buffer.
-    deliveries: Vec<(u32, JobState)>,
+    deliveries: Vec<(u32, Box<JobState>)>,
     /// Reusable outbox merge buffer: `(send time, src, dst, job)`.
-    sendbuf: Vec<(SimTime, u32, u32, JobState)>,
+    sendbuf: Vec<(SimTime, u32, u32, Box<JobState>)>,
 }
 
 impl Coordinator {

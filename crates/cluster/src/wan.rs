@@ -48,7 +48,7 @@ struct Transfer {
     /// The solver key of the flow serializing the current hop (flow-mode
     /// links only, until it completes).
     flow: Option<u64>,
-    job: JobState,
+    job: Box<JobState>,
 }
 
 /// Aggregate WAN outcome of a federated run.
@@ -270,7 +270,7 @@ impl Wan {
     ///
     /// Panics if the sites are unreachable with every link healthy, or
     /// `bytes == 0`.
-    pub fn send(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64, job: JobState) {
+    pub fn send(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64, job: Box<JobState>) {
         assert!(bytes > 0, "WAN transfers carry payload");
         assert!(
             self.paths[src as usize][dst as usize].is_some() || self.down.down_count() > 0,
@@ -352,7 +352,7 @@ impl Wan {
 
     /// Processes every WAN event due at or before `now`, appending fully
     /// delivered jobs to `deliveries` as `(destination site, job)`.
-    pub fn advance(&mut self, now: SimTime, deliveries: &mut Vec<(u32, JobState)>) {
+    pub fn advance(&mut self, now: SimTime, deliveries: &mut Vec<(u32, Box<JobState>)>) {
         loop {
             let mut progressed = false;
             // Flow-mode serializations that finished: append propagation.
@@ -600,12 +600,12 @@ mod tests {
     use holdcsim_des::time::SimDuration;
     use holdcsim_workload::dag::TaskSpec;
 
-    fn job() -> JobState {
+    fn job() -> Box<JobState> {
         let dag = holdcsim_workload::dag::JobDag::builder()
             .task(TaskSpec::compute(SimDuration::from_millis(1)))
             .build()
             .unwrap();
-        JobState::new(dag, SimTime::ZERO)
+        Box::new(JobState::new(dag, SimTime::ZERO))
     }
 
     fn drain(wan: &mut Wan) -> Vec<(SimTime, u32)> {

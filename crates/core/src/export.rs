@@ -1,6 +1,7 @@
 //! Plot-ready CSV/JSON rendering of [`SimReport`]
-//! contents — the hand-rolled exporter that replaces a serde dependency
-//! (DESIGN.md §3). The [`JsonObj`] builder is also the substrate for the
+//! contents — the hand-rolled exporter that replaces a serde dependency,
+//! since the workspace builds with no external crates (README
+//! § Architecture). The [`JsonObj`] builder is also the substrate for the
 //! `holdcsim-harness` JSONL trial artifacts.
 
 use std::fmt::Write as _;

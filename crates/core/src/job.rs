@@ -71,18 +71,6 @@ impl JobState {
         self.abandoned = false;
     }
 
-    /// Task indices ready at arrival (no predecessors).
-    pub fn initial_ready(&self) -> Vec<u32> {
-        self.dag.roots().to_vec()
-    }
-
-    /// Records that `task` finished; returns successors that became ready.
-    pub fn finish_task(&mut self, task: u32) -> Vec<u32> {
-        let mut ready = Vec::new();
-        self.finish_task_into(task, &mut ready);
-        ready
-    }
-
     /// Records that `task` finished, appending newly ready successors to
     /// `ready` (the driver passes a reusable scratch buffer, keeping the
     /// completion hot path allocation-free).
@@ -179,10 +167,15 @@ impl JobState {
 /// lookups on the per-event hot path are a single index instead of a hash
 /// probe, and one long-running straggler job cannot pin the window (it
 /// compacts into the window's sparse overflow).
+///
+/// Jobs are held boxed: a job's state is written once, when it is
+/// generated, and from then on only its pointer moves — into the table,
+/// through a straggler's overflow, out on completion and back to the
+/// recycling pool (on a federation, across the WAN as well).
 #[derive(Debug, Default)]
 pub struct JobTable {
     /// In-flight jobs, keyed by job id (the window issues the ids).
-    window: SlotWindow<JobState>,
+    window: SlotWindow<Box<JobState>>,
     submitted: u64,
     completed: u64,
 }
@@ -206,7 +199,7 @@ impl JobTable {
     ///
     /// Panics if `id` was not the most recently allocated id: jobs enter
     /// the table in allocation order.
-    pub fn insert(&mut self, id: JobId, state: JobState) {
+    pub fn insert(&mut self, id: JobId, state: Box<JobState>) {
         let key = self.window.insert(state);
         assert_eq!(key, id.0, "jobs must be inserted in allocation order");
         self.submitted += 1;
@@ -231,7 +224,7 @@ impl JobTable {
     }
 
     /// Removes a completed job, returning its state.
-    pub fn remove_completed(&mut self, id: JobId) -> JobState {
+    pub fn remove_completed(&mut self, id: JobId) -> Box<JobState> {
         let state = self.window.remove(id.0).expect("job not in flight");
         self.completed += 1;
         state
@@ -276,14 +269,31 @@ mod tests {
             .unwrap()
     }
 
+    fn boxed_chain3() -> Box<JobState> {
+        Box::new(JobState::new(chain3(), SimTime::ZERO))
+    }
+
+    /// Finishes every task in index order (a chain's topological order).
+    fn finish_all(js: &mut JobState) {
+        let mut ready = Vec::new();
+        for t in 0..js.dag.len() as u32 {
+            js.finish_task_into(t, &mut ready);
+        }
+    }
+
     #[test]
     fn readiness_flows_down_the_chain() {
         let mut js = JobState::new(chain3(), SimTime::ZERO);
-        assert_eq!(js.initial_ready(), vec![0]);
-        assert_eq!(js.finish_task(0), vec![1]);
+        assert_eq!(js.dag.roots(), &[0]);
+        let mut ready = Vec::new();
+        js.finish_task_into(0, &mut ready);
+        assert_eq!(ready, [1]);
         assert!(!js.is_complete());
-        assert_eq!(js.finish_task(1), vec![2]);
-        assert_eq!(js.finish_task(2), Vec::<u32>::new());
+        // Newly ready successors append to the caller's buffer.
+        js.finish_task_into(1, &mut ready);
+        assert_eq!(ready, [1, 2]);
+        js.finish_task_into(2, &mut ready);
+        assert_eq!(ready, [1, 2]);
         assert!(js.is_complete());
     }
 
@@ -298,9 +308,12 @@ mod tests {
             .build()
             .unwrap();
         let mut js = JobState::new(dag, SimTime::ZERO);
-        assert_eq!(js.initial_ready(), vec![0, 1]);
-        assert_eq!(js.finish_task(0), Vec::<u32>::new());
-        assert_eq!(js.finish_task(1), vec![2]);
+        assert_eq!(js.dag.roots(), &[0, 1]);
+        let mut ready = Vec::new();
+        js.finish_task_into(0, &mut ready);
+        assert!(ready.is_empty());
+        js.finish_task_into(1, &mut ready);
+        assert_eq!(ready, [2]);
     }
 
     #[test]
@@ -321,20 +334,48 @@ mod tests {
     }
 
     #[test]
+    fn recycled_state_matches_a_fresh_one() {
+        // Completed jobs return to a pool (a forwarded job to its
+        // destination site's), so a recycled state must keep nothing of
+        // its last job. Wear one out, regenerate its DAG both ways
+        // `JobTemplate::generate_into` does, reset, and compare with a
+        // fresh state on the same DAG.
+        fn wear(js: &mut JobState) {
+            js.assign(0, ServerId(3));
+            js.add_transfers(0, 2);
+            assert_eq!(js.note_retry(0), 1);
+            assert!(js.mark_fault_affected());
+            js.mark_abandoned();
+            js.finish_task_into(0, &mut Vec::new());
+        }
+        let at = SimTime::from_millis(5);
+        let single = TaskSpec::compute(SimDuration::from_millis(2));
+        let mut js = JobState::new(chain3(), SimTime::ZERO);
+        wear(&mut js);
+        js.dag.reset_single(single.clone());
+        js.reset(at);
+        let fresh = JobState::new(JobDag::single(single), at);
+        assert_eq!(format!("{js:?}"), format!("{fresh:?}"));
+        // And back from a single task to a multi-task chain.
+        wear(&mut js);
+        js.dag = chain3();
+        js.reset(at);
+        let fresh = JobState::new(chain3(), at);
+        assert_eq!(format!("{js:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
     fn straggler_job_does_not_pin_the_window() {
         // One never-finishing job at the window front while thousands of
         // later jobs complete: the window must compact the straggler into
         // the sparse overflow instead of growing per job submitted.
         let mut t = JobTable::new();
         let straggler = t.alloc_id();
-        t.insert(straggler, JobState::new(chain3(), SimTime::ZERO));
+        t.insert(straggler, boxed_chain3());
         for _ in 0..20_000 {
             let id = t.alloc_id();
-            t.insert(id, JobState::new(chain3(), SimTime::ZERO));
-            let js = t.get_mut(id);
-            js.finish_task(0);
-            js.finish_task(1);
-            js.finish_task(2);
+            t.insert(id, boxed_chain3());
+            finish_all(t.get_mut(id));
             t.remove_completed(id);
         }
         assert_eq!(t.in_flight(), 1);
@@ -346,10 +387,7 @@ mod tests {
         // The compacted job is still fully addressable.
         assert_eq!(t.get(straggler).dag.len(), 3);
         assert_eq!(t.total_unfinished_tasks(), 3);
-        let js = t.get_mut(straggler);
-        js.finish_task(0);
-        js.finish_task(1);
-        js.finish_task(2);
+        finish_all(t.get_mut(straggler));
         assert!(t.get(straggler).is_complete());
         t.remove_completed(straggler);
         assert_eq!(t.in_flight(), 0);
@@ -361,14 +399,11 @@ mod tests {
         let mut t = JobTable::new();
         let id = t.alloc_id();
         assert_eq!(id, JobId(0));
-        t.insert(id, JobState::new(chain3(), SimTime::ZERO));
+        t.insert(id, boxed_chain3());
         assert_eq!(t.in_flight(), 1);
         assert_eq!(t.submitted(), 1);
         assert_eq!(t.total_unfinished_tasks(), 3);
-        let js = t.get_mut(id);
-        js.finish_task(0);
-        js.finish_task(1);
-        js.finish_task(2);
+        finish_all(t.get_mut(id));
         assert!(t.get(id).is_complete());
         t.remove_completed(id);
         assert_eq!(t.completed(), 1);

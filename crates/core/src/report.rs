@@ -315,8 +315,8 @@ impl SimReport {
         s
     }
 
-    /// Serializes the headline numbers as a small JSON object (hand-rolled;
-    /// see DESIGN.md §3 for why no serde).
+    /// Serializes the headline numbers as a small JSON object (hand-rolled:
+    /// the workspace builds with no external crates, so no serde).
     pub fn to_json(&self) -> String {
         let net = match &self.network {
             Some(n) => format!(

@@ -216,7 +216,7 @@ pub struct FedPort {
     /// `(send time, target site, job state)`. The coordinator drains
     /// these into the WAN at window boundaries, merging all sites'
     /// entries back into global send order.
-    pub outbox: Vec<(SimTime, u32, JobState)>,
+    pub outbox: Vec<(SimTime, u32, Box<JobState>)>,
     /// Jobs forwarded off-site over the run.
     pub forwarded: u64,
 }
@@ -239,7 +239,11 @@ pub struct Datacenter {
     scratch_ready: Vec<u32>,
     /// Recycled job states: completed jobs return here so arrivals reuse
     /// their DAG and bookkeeping allocations.
-    job_pool: Vec<JobState>,
+    // Boxed like every in-flight job, so recycling moves a pointer;
+    // unboxing the pool would bring back a state copy on each push and
+    // pop.
+    #[allow(clippy::vec_box)]
+    job_pool: Vec<Box<JobState>>,
     /// Reusable effect buffer threaded through every server call.
     fx: EffectBuf,
     controller: Controller,
@@ -255,7 +259,7 @@ pub struct Datacenter {
     fed: Option<FedPort>,
     /// Jobs delivered by the WAN but not yet admitted (slot keys ride in
     /// [`DcEvent::RemoteJobArrive`]).
-    remote_inbox: SlotWindow<JobState>,
+    remote_inbox: SlotWindow<Box<JobState>>,
     /// Fault-injection state (only when the config carries a non-empty
     /// plan; `None` keeps fault-free runs bitwise identical).
     faults: Option<Box<FaultState>>,
@@ -403,7 +407,7 @@ impl Datacenter {
     /// Parks a WAN-delivered job in the remote inbox, returning the slot
     /// the coordinator must carry in the matching
     /// [`DcEvent::RemoteJobArrive`] it schedules on this site's calendar.
-    pub fn accept_remote_job(&mut self, state: JobState) -> u64 {
+    pub fn accept_remote_job(&mut self, state: Box<JobState>) -> u64 {
         self.remote_inbox.insert(state)
     }
 
@@ -717,7 +721,7 @@ impl Datacenter {
 
     /// Draws the next job's DAG from the template (recycling a completed
     /// job's allocations when possible).
-    fn generate_job(&mut self, now: SimTime) -> JobState {
+    fn generate_job(&mut self, now: SimTime) -> Box<JobState> {
         match self.job_pool.pop() {
             Some(mut recycled) => {
                 self.cfg
@@ -728,13 +732,13 @@ impl Datacenter {
             }
             None => {
                 let dag = self.cfg.template.generate(&mut self.rng_workload);
-                JobState::new(dag, now)
+                Box::new(JobState::new(dag, now))
             }
         }
     }
 
     /// Inserts `state` as job `id` and places its ready roots.
-    fn admit_job(&mut self, ctx: &mut Context<'_, DcEvent>, id: JobId, state: JobState) {
+    fn admit_job(&mut self, ctx: &mut Context<'_, DcEvent>, id: JobId, state: Box<JobState>) {
         let mut ready = std::mem::take(&mut self.scratch_ready);
         ready.clear();
         ready.extend_from_slice(state.dag.roots());

@@ -5,7 +5,10 @@
 //! The paper replays a trace through both the simulator and the physical
 //! hardware, then compares 1-second power samples. Without the physical
 //! testbed we follow the same replay-and-compare pipeline with a
-//! *reference model* in place of the hardware (see DESIGN.md §2):
+//! *reference model* in place of the hardware. The comparison then checks
+//! the simulator's own accounting (which power states it visits, for how
+//! long, and what each draws) against an independent computation from the
+//! same trace:
 //!
 //! * **Server (Fig. 12)** — the reference is the profile's power table
 //!   applied to the simulated busy/idle trace, plus an OS-overhead term

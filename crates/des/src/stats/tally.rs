@@ -16,7 +16,7 @@ use std::fmt;
 /// }
 /// assert_eq!(t.count(), 8);
 /// assert_eq!(t.mean(), 5.0);
-/// assert_eq!(t.population_std_dev(), 2.0);
+/// assert_eq!(t.population_variance(), 4.0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tally {
@@ -87,11 +87,6 @@ impl Tally {
         } else {
             self.m2 / (self.count - 1) as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Sample standard deviation.

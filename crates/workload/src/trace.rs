@@ -2,8 +2,10 @@
 //!
 //! The paper drives several case studies from the Wikipedia request trace
 //! \[59\] and the NLANR HTTP trace \[2\]; neither is redistributable here, so
-//! this module generates statistically similar arrival-time vectors (see
-//! DESIGN.md §2 for the substitution argument):
+//! this module generates statistically similar arrival-time vectors. The
+//! case studies consume a trace only as arrival instants, and what they
+//! exercise (provisioning against a daily swing, sleep timers against
+//! bursts) depends on the trace's shape, which the generators reproduce:
 //!
 //! * [`SyntheticTrace::wikipedia_like`] — diurnal sinusoid + slow weekly
 //!   modulation + multiplicative noise over an inhomogeneous Poisson
