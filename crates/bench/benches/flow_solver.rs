@@ -1,10 +1,9 @@
 //! Fair-share solver microbenchmarks: the add/remove/re-solve microcosts
-//! of both [`holdcsim_network::flow::FlowSolverKind`] arms over a fat
-//! tree — a steady churn of random-pair flows, plus an overloaded-fabric
-//! incast scenario (many flows per bottleneck link) where the per-flow
-//! reference arm pays O(flows) per rate shift and the cohort arm pays
-//! O(links) — the isolated cost of what `FlowNet` does once per
-//! admission and completion in flow mode.
+//! of [`holdcsim_network::flow::FlowNet`] over a fat tree — a steady
+//! churn of random-pair flows, plus an overloaded-fabric incast scenario
+//! (many flows per bottleneck link, where a rate shift moves one cohort
+//! cell instead of every member flow) — the isolated cost of what
+//! `FlowNet` does once per admission and completion in flow mode.
 //!
 //! Run with `cargo bench --bench flow_solver` (add `-- --quick` for a
 //! reduced grid); compiled in CI via `cargo bench --no-run`.
@@ -12,7 +11,7 @@
 use holdcsim_bench::{bench, quick_mode};
 use holdcsim_des::rng::SimRng;
 use holdcsim_des::time::{SimDuration, SimTime};
-use holdcsim_network::flow::{FlowNet, FlowSolverKind};
+use holdcsim_network::flow::FlowNet;
 use holdcsim_network::ids::FlowId;
 use holdcsim_network::routing::Router;
 use holdcsim_network::topologies::{fat_tree, LinkSpec};
@@ -20,12 +19,12 @@ use holdcsim_network::topologies::{fat_tree, LinkSpec};
 /// One churn run: fill the fabric with `live` flows, then sustain
 /// `steps` of add + complete-next at steady state. Returns the number of
 /// solver invocations (adds + completion batches).
-fn churn(kind: FlowSolverKind, k: usize, live: usize, steps: usize, seed: u64) -> u64 {
+fn churn(k: usize, live: usize, steps: usize, seed: u64) -> u64 {
     let built = fat_tree(k, LinkSpec::gigabit());
     let topo = built.topology;
     let hosts = built.hosts;
     let mut router = Router::new();
-    let mut net = FlowNet::with_solver(&topo, kind);
+    let mut net = FlowNet::new(&topo);
     let mut rng = SimRng::seed_from(seed);
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
@@ -64,21 +63,14 @@ fn churn(kind: FlowSolverKind, k: usize, live: usize, steps: usize, seed: u64) -
 /// converge on each of `sinks` hot hosts (every hot downlink carries one
 /// big bottleneck cohort), then sustain `steps` of add-into-the-incast +
 /// complete-next. Every admission and completion shifts a whole
-/// cohort's fair share, so the per-flow arms settle/retime `fan_in`
-/// flows per op while the cohort arm updates one cell.
-fn incast(
-    kind: FlowSolverKind,
-    k: usize,
-    sinks: usize,
-    fan_in: usize,
-    steps: usize,
-    seed: u64,
-) -> u64 {
+/// cohort's fair share, which the solver updates as one cell instead of
+/// settling and retiming `fan_in` flows.
+fn incast(k: usize, sinks: usize, fan_in: usize, steps: usize, seed: u64) -> u64 {
     let built = fat_tree(k, LinkSpec::gigabit());
     let topo = built.topology;
     let hosts = built.hosts;
     let mut router = Router::new();
-    let mut net = FlowNet::with_solver(&topo, kind);
+    let mut net = FlowNet::new(&topo);
     let mut rng = SimRng::seed_from(seed);
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
@@ -127,13 +119,9 @@ fn main() {
     } else {
         &[(4, 64), (8, 512), (8, 2048)][..]
     } {
-        for kind in FlowSolverKind::ALL {
-            let label = format!("flow_solver/{}/k{k}_live{live}", kind.label());
-            let ops = churn(kind, k, live, steps, 42);
-            bench(&label, samples, Some(ops), || {
-                churn(kind, k, live, steps, 42)
-            });
-        }
+        let label = format!("flow_solver/k{k}_live{live}");
+        let ops = churn(k, live, steps, 42);
+        bench(&label, samples, Some(ops), || churn(k, live, steps, 42));
     }
     // Overloaded fabric: few hot links, many flows per bottleneck.
     for &(k, sinks, fan_in) in if quick {
@@ -141,15 +129,10 @@ fn main() {
     } else {
         &[(4, 2, 64), (8, 4, 128)][..]
     } {
-        for kind in FlowSolverKind::ALL {
-            let label = format!(
-                "flow_solver/{}/incast_k{k}_s{sinks}_f{fan_in}",
-                kind.label()
-            );
-            let ops = incast(kind, k, sinks, fan_in, steps, 42);
-            bench(&label, samples, Some(ops), || {
-                incast(kind, k, sinks, fan_in, steps, 42)
-            });
-        }
+        let label = format!("flow_solver/incast_k{k}_s{sinks}_f{fan_in}");
+        let ops = incast(k, sinks, fan_in, steps, 42);
+        bench(&label, samples, Some(ops), || {
+            incast(k, sinks, fan_in, steps, 42)
+        });
     }
 }

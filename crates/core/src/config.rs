@@ -6,7 +6,6 @@
 use holdcsim_des::rng::SimRng;
 use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_faults::FaultPlan;
-use holdcsim_network::flow::FlowSolverKind;
 use holdcsim_network::topologies::LinkSpec;
 use holdcsim_obs::ObsConfig;
 use holdcsim_power::server_profile::ServerPowerProfile;
@@ -99,15 +98,11 @@ pub struct NetworkConfig {
     pub link: LinkSpec,
     /// Switch power profile.
     pub switch_profile: SwitchPowerProfile,
-    /// Communication granularity.
+    /// Communication granularity. The flow model shares each link max-min
+    /// fairly through [`FlowNet`](holdcsim_network::flow::FlowNet), the
+    /// one fair-share solver, which tests hold to the max-min oracle
+    /// after every solve.
     pub comm: CommModel,
-    /// Fair-share solver of the flow comm model (`Cohort`, the default,
-    /// is the production arm: it tracks whole bottleneck cohorts as
-    /// virtual-time rate cells; `Reference` re-runs global progressive
-    /// filling on every change, kept selectable as the A/B oracle). Both
-    /// retrace byte-identical trajectories on the same seed. Ignored in
-    /// packet mode.
-    pub flow_solver: FlowSolverKind,
     /// Port LPI hold time: a port enters Low Power Idle after being idle
     /// this long (`None` disables idle power management entirely).
     pub lpi_hold: Option<SimDuration>,
@@ -131,7 +126,6 @@ impl NetworkConfig {
             link: LinkSpec::gigabit(),
             switch_profile: SwitchPowerProfile::datacenter_48port(),
             comm: CommModel::Flow,
-            flow_solver: FlowSolverKind::default(),
             lpi_hold: Some(SimDuration::from_millis(10)),
             use_alr: false,
             ingress_bytes: None,
@@ -148,7 +142,6 @@ impl NetworkConfig {
                 mtu: 1_500,
                 buffer_bytes: 512 * 1024,
             },
-            flow_solver: FlowSolverKind::default(),
             lpi_hold: Some(SimDuration::from_millis(50)),
             use_alr: false,
             ingress_bytes: Some((1_500, 8_000)),
@@ -364,9 +357,9 @@ pub enum WanLinkMode {
     /// propagation latency, queueing behind earlier transfers.
     #[default]
     Pipe,
-    /// Concurrent transfers share the link max-min fairly, solved by the
-    /// default [`FlowSolverKind`] arm, the production solver of intra-site
-    /// flow traffic.
+    /// Concurrent transfers share the link max-min fairly, solved by
+    /// [`FlowNet`](holdcsim_network::flow::FlowNet), the solver of
+    /// intra-site flow traffic.
     Flow,
 }
 

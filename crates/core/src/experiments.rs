@@ -686,14 +686,10 @@ pub fn net_incast_template() -> JobTemplate {
     }
 }
 
-/// The configuration of one incast stress arm with an explicit
-/// fair-share solver.
-pub fn net_incast_config_with_solver(
-    servers: usize,
-    duration: SimDuration,
-    seed: u64,
-    solver: FlowSolverKind,
-) -> SimConfig {
+/// The configuration of the incast stress point: `servers` on a flow-mode
+/// fat tree, fan-in-[`NET_INCAST_FANOUT`] gathers at utilization
+/// [`NET_INCAST_RHO`].
+pub fn net_incast_config(servers: usize, duration: SimDuration, seed: u64) -> SimConfig {
     let mut cfg = SimConfig::server_farm(
         servers,
         SCALABILITY_CORES,
@@ -705,9 +701,20 @@ pub fn net_incast_config_with_solver(
     .with_policy(SCALABILITY_POLICY);
     let mut net = NetworkConfig::fat_tree(fat_tree_k_for(servers));
     net.comm = crate::config::CommModel::Flow;
-    net.flow_solver = solver;
     cfg.network = Some(net);
     cfg
+}
+
+/// [`net_incast_config`]; the solver argument names the one solver there
+/// is. Kept only because `perfbench/` still calls it; ROADMAP item 1's
+/// benchmark change deletes it.
+pub fn net_incast_config_with_solver(
+    servers: usize,
+    duration: SimDuration,
+    seed: u64,
+    _solver: FlowSolverKind,
+) -> SimConfig {
+    net_incast_config(servers, duration, seed)
 }
 
 #[cfg(test)]

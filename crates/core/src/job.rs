@@ -244,12 +244,6 @@ impl JobTable {
     pub fn completed(&self) -> u64 {
         self.completed
     }
-
-    /// Tasks pending across all in-flight jobs (running + queued + waiting
-    /// transfers) — the global load signal.
-    pub fn total_unfinished_tasks(&self) -> u64 {
-        self.window.iter().map(|(_, j)| j.unfinished as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -386,7 +380,6 @@ mod tests {
         );
         // The compacted job is still fully addressable.
         assert_eq!(t.get(straggler).dag.len(), 3);
-        assert_eq!(t.total_unfinished_tasks(), 3);
         finish_all(t.get_mut(straggler));
         assert!(t.get(straggler).is_complete());
         t.remove_completed(straggler);
@@ -402,7 +395,6 @@ mod tests {
         t.insert(id, boxed_chain3());
         assert_eq!(t.in_flight(), 1);
         assert_eq!(t.submitted(), 1);
-        assert_eq!(t.total_unfinished_tasks(), 3);
         finish_all(t.get_mut(id));
         assert!(t.get(id).is_complete());
         t.remove_completed(id);

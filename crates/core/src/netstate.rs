@@ -244,7 +244,7 @@ impl NetState {
             .saturating_mul(Self::ECMP_WAYS)
             .min(1 << 22);
         router.set_route_cache_cap(key_space as usize);
-        let flows = FlowNet::with_solver(&topology, cfg.flow_solver);
+        let flows = FlowNet::new(&topology);
         let buffer = match cfg.comm {
             CommModel::Packet { buffer_bytes, .. } => buffer_bytes,
             CommModel::Flow => 1 << 20,

@@ -1229,44 +1229,6 @@ mod tests {
         assert!(net.flows > 1_000, "transfers really flowed");
     }
 
-    /// The cohort fair-share solver must retrace the reference arm's
-    /// whole trajectory: fixed-point integer shares and the cohort arm's
-    /// exact virtual-time clocks keep both solvers' rates equal far below
-    /// the nanosecond event resolution, so the full reports (jobs,
-    /// latencies, energies, event counts) come out byte-identical.
-    #[test]
-    fn flow_solver_arms_produce_identical_reports() {
-        use holdcsim_network::flow::FlowSolverKind;
-        let run = |incast: bool, kind| {
-            let mut cfg = slot_indexed_cfg(CommModel::Flow);
-            if incast {
-                // Fan-in-32 incast at overload: fat cohorts on hot downlinks.
-                let horizon = SimDuration::from_millis(50);
-                cfg = crate::experiments::net_incast_config_with_solver(16, horizon, 7, kind);
-            }
-            cfg.network
-                .as_mut()
-                .expect("network configured")
-                .flow_solver = kind;
-            Simulation::new(cfg).run()
-        };
-        for incast in [false, true] {
-            let reference = run(incast, FlowSolverKind::Reference);
-            let cohort = run(incast, FlowSolverKind::Cohort);
-            assert_eq!(
-                reference.to_json(),
-                cohort.to_json(),
-                "cohort arm must agree with reference byte-for-byte"
-            );
-            let (a, b) = (
-                reference.network.as_ref().expect("network report"),
-                cohort.network.as_ref().expect("network report"),
-            );
-            assert_eq!(a.flows, b.flows, "identical completed-flow counts");
-            assert!(a.flows > 0, "transfers really flowed");
-        }
-    }
-
     #[test]
     fn crash_and_recovery_retry_work_and_report_availability() {
         use holdcsim_faults::FaultPlan;

@@ -30,7 +30,6 @@ use holdcsim_harness::exec::{default_threads, run_plan};
 use holdcsim_harness::figs::{self, FigScale};
 use holdcsim_harness::grid::SweepPlan;
 use holdcsim_harness::obs_cli::ObsCli;
-use holdcsim_network::flow::FlowSolverKind;
 use holdcsim_obs::fingerprint;
 use holdcsim_sched::geo::GeoPolicy;
 use holdcsim_workload::presets::WorkloadPreset;
@@ -40,8 +39,7 @@ const USAGE: &str = "holdcsim — HolDCSim-RS experiment runner
 USAGE:
     holdcsim run   [--servers N] [--cores C] [--rho R] [--preset P] [--tau T]
                    [--policy POL] [--duration SECS] [--seed S] [--json]
-                   [--faults SPEC|FILE]
-                   [--net [--flow-solver cohort|reference]] [OBS]
+                   [--faults SPEC|FILE] [--net] [OBS]
     holdcsim sweep [--policies a,b,c] [--rhos 0.1,0.3] [--taus 0.4,1.6]
                    [--presets web-search,web-serving] [--servers 8,50] [--cores 4]
                    [--replications N] [--duration SECS] [--seed S]
@@ -119,12 +117,6 @@ fn parse_preset(s: &str) -> Result<WorkloadPreset, String> {
     }
 }
 
-/// Parses one `--flow-solver` arm name.
-fn parse_flow_solver(s: &str) -> Result<FlowSolverKind, String> {
-    let names = FlowSolverKind::ALL.map(FlowSolverKind::label).join("|");
-    FlowSolverKind::parse(s).ok_or(format!("unknown flow solver `{s}` (expected {names})"))
-}
-
 fn parse_list<T, F: Fn(&str) -> Result<T, String>>(s: &str, f: F) -> Result<Vec<T>, String> {
     s.split(',').map(|x| f(x.trim())).collect()
 }
@@ -176,17 +168,7 @@ fn parse_opts(args: &[String], allowed: &[&str]) -> Result<HashMap<String, Strin
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut allowed = vec![
-        "servers",
-        "cores",
-        "rho",
-        "preset",
-        "tau",
-        "policy",
-        "duration",
-        "seed",
-        "json",
-        "net",
-        "flow-solver",
+        "servers", "cores", "rho", "preset", "tau", "policy", "duration", "seed", "json", "net",
         "faults",
     ];
     allowed.extend_from_slice(&ObsCli::OPTS);
@@ -217,23 +199,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         Some(p) => cfg.with_policy(parse_policy(p)?),
         None => cfg,
     };
-    // --net attaches a fat-tree fabric with flow-model comm and swaps
-    // in the fan-out/fan-in communicating workload (the presets are
-    // compute-only, so the fabric would otherwise carry zero flows);
-    // the solver arm is selectable so the CI smoke can A/B both arms
-    // on one seed.
+    // --net attaches a fat-tree fabric with flow-model comm, shared by
+    // the one max-min fair-share solver, and swaps in the fan-out/fan-in
+    // communicating workload (the presets are compute-only, so the
+    // fabric would otherwise carry zero flows).
     if opts.contains_key("net") {
-        let solver = match opts.get("flow-solver") {
-            Some(s) => parse_flow_solver(s)?,
-            None => FlowSolverKind::default(),
-        };
         cfg.template = holdcsim::experiments::net_scalability_template();
         let mut net = NetworkConfig::fat_tree(fat_tree_k_for(servers));
         net.comm = holdcsim::config::CommModel::Flow;
-        net.flow_solver = solver;
         cfg.network = Some(net);
-    } else if opts.contains_key("flow-solver") {
-        return Err("--flow-solver requires --net".to_string());
     }
     if let Some(s) = opts.get("faults") {
         cfg.faults = Some(holdcsim_faults::load_plan(s)?);
@@ -620,12 +594,13 @@ mod tests {
     }
 
     #[test]
-    fn flow_solver_names_round_trip_and_retired_arm_is_rejected() {
-        for kind in FlowSolverKind::ALL {
-            assert_eq!(parse_flow_solver(kind.label()), Ok(kind));
+    fn flow_solver_option_is_unknown() {
+        // One fair-share solver, so no option selects one.
+        let args = |a: &str| a.split(' ').map(String::from).collect::<Vec<_>>();
+        for run in ["--net --flow-solver cohort", "--flow-solver reference"] {
+            let err = cmd_run(&args(run)).unwrap_err();
+            assert_eq!(err, "unknown option `--flow-solver`", "run {run}");
         }
-        let err = parse_flow_solver("incremental").unwrap_err();
-        assert!(err.contains("cohort|reference"), "{err}");
     }
 
     #[test]

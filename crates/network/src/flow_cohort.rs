@@ -1,9 +1,8 @@
-//! Cohort-cell backend for the [`Cohort`](crate::flow::FlowSolverKind)
-//! solver arm: every bottleneck cohort — the flows fixed at one link's
-//! fair share — is represented by a single *rate cell* carrying a
-//! virtual-time clock, so a rate-level shift is O(1) bookkeeping per
-//! affected *link* (update the cell's share) instead of O(flows)
-//! settles and retimes.
+//! The cohort engine behind [`FlowNet`](crate::flow::FlowNet): every
+//! bottleneck cohort — the flows fixed at one link's fair share — is
+//! represented by a single *rate cell* carrying a virtual-time clock, so
+//! a rate-level shift is O(1) bookkeeping per affected *link* (update the
+//! cell's share) instead of O(flows) settles and retimes.
 //!
 //! # The virtual-time cell model
 //!
@@ -23,11 +22,11 @@
 //!
 //! Because progress is exact integer arithmetic (associative
 //! multiply-subtracts), any schedule of cell settles lands on the same
-//! remainders as the reference arm's per-flow settles, and the identity
+//! remainders as per-flow settles would, and the identity
 //! `ceil((R − s·Δ)/s) = ceil(R/s) − Δ` makes completion instants
 //! invariant under partial settles at constant share — which is what
-//! lets this backend retrace the reference arm's trajectories
-//! byte-for-byte while doing O(cells) work per re-solve.
+//! lets the engine keep per-flow completion instants while doing
+//! O(cells) work per re-solve.
 //!
 //! Flows materialize real timestamps only when they complete, migrate
 //! cells (split/merge rebases their `vfinish` onto the new cell's
@@ -43,8 +42,13 @@
 //! from the exact share-weighted allocation aggregate), and re-runs
 //! progressive filling on the sub-problem, popping canonical `(share,
 //! link)` bottlenecks from a [`LazyHeap`]. Because shares are exact
-//! integers, the reservation sums are order-independent and the
-//! sub-problem reproduces the global solve's rates bitwise. A
+//! integers, the reservation sums are order-independent, so a link's
+//! budget never counts capacity twice and no link is ever allocated past
+//! its capacity. A reservation made at a floor-division tie may sit a
+//! quantum or a few away from the share the global fill would give it,
+//! so the sub-problem's rates track the canonical fill's within
+//! [`FlowNet::check_max_min`]'s tolerance rather than bitwise (see the
+//! [`flow`](crate::flow) module docs for the measured gaps). A
 //! post-solve audit expands the dirty set and re-solves in the (rare)
 //! case a dirty link's new fair level undercuts a reserved share. Cells
 //! whose members straddle a bottleneck are split (smaller half moves),
@@ -59,8 +63,8 @@ use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::SimTime;
 
 use crate::flow::{
-    drained_units, due_after, link_capacities, progress_units, CompletedFlow, RouteLinks,
-    RATE_UNIT_PER_BPS,
+    drained_units, due_after, link_capacities, max_min_shares, progress_units, CompletedFlow,
+    RouteLinks, RATE_UNIT_PER_BPS,
 };
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::topology::Topology;
@@ -90,8 +94,8 @@ struct CFlow {
     member_pos: u32,
     /// `true` once the flow's payload has drained but its completion is
     /// deferred (its cell's share did not change at the resolve that
-    /// discovered it) — it completes at the next [`CohortNet::advance_due`]
-    /// with its original due, parked in [`CohortNet::overdue`].
+    /// discovered it) — it completes at the next [`FlowNet::advance_due`]
+    /// with its original due, parked in [`FlowNet::overdue`].
     overdue: bool,
     src: NodeId,
     dst: NodeId,
@@ -189,11 +193,10 @@ fn settle_cell(
 ) {
     let dt = now.saturating_duration_since(cell.last_update).as_nanos();
     if dt == 0 {
-        // Mirror the per-flow arm's settle exactly: the clock origin
-        // moves to `now` even when `now` precedes `last_update` (a
-        // resolve triggered by a stale past due), re-charging the
-        // overlap — the reference arm banks that same surplus, so
-        // tracing it bit-for-bit means reproducing it.
+        // The clock origin moves to `now` even when `now` precedes
+        // `last_update` (a resolve triggered by a stale past due),
+        // re-charging the overlap: a per-flow settle banks that same
+        // surplus, and the lockstep shadow in the tests mirrors it.
         cell.last_update = now;
         return;
     }
@@ -248,11 +251,9 @@ fn refresh_cell_due(
     }
 }
 
-/// The cohort-cell flow engine (the `cohort` arm's backend). Public
-/// surface mirrors the per-flow backend exactly; see the module docs
-/// for the model.
+/// The cohort-cell flow engine; see the module docs for the model.
 #[derive(Debug)]
-pub(crate) struct CohortNet {
+pub struct FlowNet {
     /// Link capacities in rate units.
     capacity: Vec<u64>,
     flows: SlotWindow<CFlow>,
@@ -278,8 +279,8 @@ pub(crate) struct CohortNet {
     /// Parked past-due members: `(original due, key, share at parking)`.
     /// A parked flow completes at the next `advance_due` — or at the
     /// first commit that changes its cell's share away from the parked
-    /// share, which is the cell-world image of the per-flow diff pass
-    /// settling a rate-changed flow to zero remaining.
+    /// share, the cell-world image of settling a rate-changed flow to
+    /// zero remaining.
     overdue: Vec<(SimTime, u64, u64)>,
     completed: Vec<CompletedFlow>,
     total_admitted: u64,
@@ -337,12 +338,12 @@ pub(crate) struct CohortNet {
     harvest: Vec<(SimTime, u64)>,
 }
 
-impl CohortNet {
-    /// Creates a cohort-cell network over `topo`'s links.
+impl FlowNet {
+    /// Creates a flow network over `topo`'s links.
     pub fn new(topo: &Topology) -> Self {
         let capacity = link_capacities(topo);
         let n = capacity.len();
-        CohortNet {
+        FlowNet {
             capacity,
             flows: SlotWindow::new(),
             cells: Vec::new(),
@@ -414,14 +415,14 @@ impl CohortNet {
         self.free_cells.push(c);
     }
 
-    /// Admits a flow, re-solves, and returns its key (see
-    /// [`FlowNet::add_flow`](crate::flow::FlowNet::add_flow) for the
-    /// contract).
+    /// Admits a flow of `bytes` over `links` at `now`, re-solves the
+    /// affected component, and returns the flow's key. Reschedule the
+    /// completion check if [`next_due`](Self::next_due) moved earlier.
     ///
     /// # Panics
     ///
-    /// Panics if the flow id is already active, the route is empty, or
-    /// `bytes == 0`.
+    /// Panics if the flow id is already active, the route is empty (same-
+    /// host transfers never reach the network), or `bytes == 0`.
     pub fn add_flow(
         &mut self,
         now: SimTime,
@@ -436,9 +437,15 @@ impl CohortNet {
         key
     }
 
-    /// Deferred-re-solve admission: each flow becomes a singleton cell
-    /// (share 0, fresh clock) seeded for the next flush's solve, where
-    /// the commit's merge pass folds it into its cohort's cell.
+    /// Like [`add_flow`](Self::add_flow) but defers the re-solve,
+    /// accumulating seeds until [`flush`](Self::flush) (or any reading
+    /// call that flushes) runs. Admissions that land in the same event —
+    /// a task's inbound transfer fan-in — share one re-solve this way;
+    /// with max-min fairness the final rates only depend on the final
+    /// flow set, so batching at one instant is exact. Each flow becomes a
+    /// singleton cell (share 0, fresh clock) seeded for the flush's
+    /// solve, where the commit's merge pass folds it into its cohort's
+    /// cell.
     ///
     /// # Panics
     ///
@@ -518,13 +525,15 @@ impl CohortNet {
     }
 
     /// The earliest projected completion among active flows: the
-    /// cell-due head against the parked minimum. Exact and O(parked).
+    /// cell-due head against the parked minimum. Exact (no stale entry is
+    /// ever reported) and O(parked). Arm one calendar event at this
+    /// instant. Batched admissions must be flushed first.
     pub fn next_due(&mut self) -> Option<SimTime> {
         debug_assert!(
             self.seed_cells.is_empty() && self.seed_links.is_empty(),
             "flush batched admissions before reading completions"
         );
-        let CohortNet { overdue, flows, .. } = self;
+        let FlowNet { overdue, flows, .. } = self;
         overdue.retain(|&(_, key, _)| flows.contains(key));
         let mut min = self.overdue.iter().map(|&(d, _, _)| d).min();
         if let Some((_, d)) = self.cell_due.peek() {
@@ -533,8 +542,11 @@ impl CohortNet {
         min
     }
 
-    /// Completes every flow due at or before `now` in `(due, key)`
-    /// order, then re-solves the freed components in one batch.
+    /// Completes every flow whose projection is due at or before `now`
+    /// (they land in [`take_completed`](Self::take_completed) in
+    /// deterministic `(due, key)` order), then re-solves the freed
+    /// component(s) in one batch, retiming neighbors whose rate changed.
+    /// A no-op when nothing is due.
     pub fn advance_due(&mut self, now: SimTime) {
         self.flush(now);
         self.seed_links.clear();
@@ -548,7 +560,7 @@ impl CohortNet {
             }
             let c = c as u32;
             {
-                let CohortNet {
+                let FlowNet {
                     cells,
                     flows,
                     overdue,
@@ -556,7 +568,7 @@ impl CohortNet {
                 } = self;
                 settle_cell(&mut cells[c as usize], c, flows, now, overdue);
             }
-            let CohortNet {
+            let FlowNet {
                 cells,
                 flows,
                 cell_due,
@@ -567,7 +579,7 @@ impl CohortNet {
         let mut harvest = std::mem::take(&mut self.harvest);
         harvest.clear();
         {
-            let CohortNet { overdue, flows, .. } = self;
+            let FlowNet { overdue, flows, .. } = self;
             overdue.retain(|&(due, key, _)| {
                 if !flows.contains(key) {
                     return false;
@@ -632,7 +644,7 @@ impl CohortNet {
         if self.cells[c as usize].members.is_empty() {
             self.free_cell(c);
         } else {
-            let CohortNet {
+            let FlowNet {
                 cells,
                 flows,
                 cell_due,
@@ -694,7 +706,7 @@ impl CohortNet {
     /// Fixes cell `c` wholly at `(bl, share)`, charging its footprint
     /// against the fill's residuals.
     fn fix_cell(&mut self, c: u32, bl: u32, share: u64) {
-        let CohortNet {
+        let FlowNet {
             cells,
             cap,
             cnt,
@@ -723,7 +735,7 @@ impl CohortNet {
     /// rebased, which the settle-invariance identity makes transparent.
     fn split_cell(&mut self, c: u32, bl: u32, now: SimTime) -> u32 {
         {
-            let CohortNet {
+            let FlowNet {
                 cells,
                 flows,
                 overdue,
@@ -759,7 +771,7 @@ impl CohortNet {
             self.cells[dst].bottleneck = self.cells[src].bottleneck;
             self.cells[dst].new_bottleneck = NO_BOTTLENECK;
             self.cells[dst].fixed = false;
-            let CohortNet { cells, flows, .. } = self;
+            let FlowNet { cells, flows, .. } = self;
             for &k in &part {
                 let f = flows.get_mut(k).expect("member is live");
                 f.cell = nc;
@@ -842,9 +854,11 @@ impl CohortNet {
             }
             // Budget phase: capacity minus the committed shares of
             // untouched cells, from the exact aggregates — O(1) per
-            // dirty link. Exact integers make the residual equal what
-            // the global solve would carry into this link's bottleneck
-            // round.
+            // dirty link. Exact integers make the budget independent of
+            // summation order, so fixing the sub-problem inside it never
+            // over-allocates the link; the reserved shares it leaves out
+            // are the committed ones, which may sit a few quanta off the
+            // global fill's at floor-division ties.
             self.heap.clear();
             for i in 0..self.dirty_links.len() {
                 let li = self.dirty_links[i];
@@ -1047,7 +1061,7 @@ impl CohortNet {
             if bl != NO_BOTTLENECK {
                 self.cells_at[bl as usize].push(c);
             }
-            let CohortNet {
+            let FlowNet {
                 cells,
                 flows,
                 cell_due,
@@ -1058,9 +1072,9 @@ impl CohortNet {
         order.clear();
         self.order_scratch = order;
         // Parked-overdue members whose cell's share changed this solve
-        // complete now — exactly the flows the per-flow diff pass would
-        // have settled to zero remaining. Unchanged shares stay parked.
-        let CohortNet {
+        // complete now — exactly the flows that settling at the rate
+        // change finds drained. Unchanged shares stay parked.
+        let FlowNet {
             overdue,
             flows,
             cells,
@@ -1087,7 +1101,7 @@ impl CohortNet {
         let changed = self.cells[c as usize].new_share != self.cells[c as usize].share;
         if changed {
             {
-                let CohortNet {
+                let FlowNet {
                     cells,
                     flows,
                     overdue,
@@ -1136,7 +1150,7 @@ impl CohortNet {
     fn merge_into(&mut self, t: u32, s: u32, now: SimTime) {
         debug_assert_eq!(self.cells[t as usize].share, self.cells[s as usize].share);
         {
-            let CohortNet {
+            let FlowNet {
                 cells,
                 flows,
                 overdue,
@@ -1200,10 +1214,9 @@ impl CohortNet {
     }
 
     // ------------------------------------------------------------------
-    // Observers — identical contracts to the per-flow arm. These are the
-    // materialization points: reading a flow's rate, progress, or
-    // projected completion converts the cell's virtual time into real
-    // quantities on demand.
+    // Observers. These are the materialization points: reading a flow's
+    // rate, progress, or projected completion converts the cell's
+    // virtual time into real quantities on demand.
     // ------------------------------------------------------------------
 
     /// Drains the flows that have completed since the last call.
@@ -1211,15 +1224,17 @@ impl CohortNet {
         std::mem::take(&mut self.completed)
     }
 
-    /// Drains the completed flows without surrendering the buffer.
+    /// Drains the completed flows without surrendering the buffer
+    /// (allocation-free on the driving simulation's hot path).
     pub fn drain_completed(&mut self) -> std::vec::Drain<'_, CompletedFlow> {
         self.completed.drain(..)
     }
 
-    /// The projected completion of a live flow with a positive rate.
+    /// The projected completion of a live flow with a positive rate (an
+    /// observer for tests and tools — the driving simulation arms a
+    /// single event at [`next_due`](Self::next_due) instead).
     /// Parked-overdue flows report the instant their virtual deadline
-    /// elapsed (the per-flow arm likewise projects from the flow's last
-    /// settled state).
+    /// elapsed.
     pub fn completion_of(&self, flow: u64) -> Option<SimTime> {
         let f = self.flows.get(flow)?;
         if f.overdue {
@@ -1249,9 +1264,9 @@ impl CohortNet {
         self.total_admitted
     }
 
-    /// Member flows covered by the most recent re-solve's dirty cell
-    /// set — 0 before any solve. Comparable to the per-flow arm's
-    /// touched count, though cohort work no longer scales with it.
+    /// Size of the most recent re-solve's dirty set, in flows: the
+    /// members of the cells it re-rated — 0 before any solve. A locality
+    /// observable sampled by the metrics probes.
     pub fn last_solve_touched(&self) -> usize {
         self.last_solve_touched
     }
@@ -1279,9 +1294,77 @@ impl CohortNet {
         self.flows.iter().find(|(_, f)| f.id == id).map(|(_, f)| f)
     }
 
-    /// Test-only state dump in the per-flow arm's shape: `(id, rate,
-    /// route)` per live flow, sorted by id.
-    #[cfg(test)]
+    /// Fraction of `link`'s capacity currently allocated.
+    pub fn link_utilization(&self, link: LinkId) -> f64 {
+        let cap = self.capacity[link.0 as usize];
+        if cap == 0 {
+            return 0.0;
+        }
+        self.alloc[link.0 as usize] as f64 / cap as f64
+    }
+
+    /// Number of active flows crossing `link`.
+    pub fn flows_on_link(&self, link: LinkId) -> usize {
+        self.nflows[link.0 as usize] as usize
+    }
+
+    /// Checks the committed allocation against the max-min oracle
+    /// ([`max_min_shares`] over the live flows): no link carries more
+    /// rate units than its capacity, exactly, and every flow's rate is
+    /// within 4 quanta (2⁻²⁰ bps each) or 10⁻⁹ relative of the oracle's
+    /// share. Parked past-due flows count: they hold their share until
+    /// they complete. O(flows × route length) plus the oracle — an
+    /// audit for tests and tools, not the event hot path.
+    ///
+    /// # Errors
+    ///
+    /// Names the first over-allocated link or the first flow whose rate
+    /// strays from the oracle, or reports admissions still awaiting a
+    /// [`flush`](Self::flush).
+    pub fn check_max_min(&self) -> Result<(), String> {
+        if !(self.seed_cells.is_empty() && self.seed_links.is_empty()) {
+            return Err("batched admissions await a flush".to_string());
+        }
+        let mut used = vec![0u128; self.capacity.len()];
+        let mut routes = Vec::with_capacity(self.flows.len());
+        for (_, f) in self.flows.iter() {
+            let share = self.cells[f.cell as usize].share;
+            for l in f.links.as_slice() {
+                used[l.0 as usize] += u128::from(share);
+            }
+            routes.push(f.links.as_slice());
+        }
+        for (li, (&carried, &cap)) in used.iter().zip(&self.capacity).enumerate() {
+            if carried > u128::from(cap) {
+                return Err(format!(
+                    "link {li} carries {carried} rate units, over its capacity of {cap}"
+                ));
+            }
+        }
+        let oracle = max_min_shares(&self.capacity, &routes);
+        for ((_, f), &want) in self.flows.iter().zip(&oracle) {
+            let got = self.cells[f.cell as usize].share;
+            let tolerance = (got.max(want) / 1_000_000_000).max(4);
+            if got.abs_diff(want) > tolerance {
+                return Err(format!(
+                    "flow {} runs at {got} rate units; the max-min oracle gives {want}",
+                    f.id
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl FlowNet {
+    /// Live cell count — the structural observable the engine's
+    /// complexity claim rests on.
+    fn live_cells(&self) -> usize {
+        self.cells.iter().filter(|c| c.live).count()
+    }
+
+    /// State dump: `(id, rate units, route)` per live flow, sorted by id.
     pub(crate) fn dump(&self) -> Vec<(u64, u64, Vec<u32>)> {
         let mut v: Vec<_> = self
             .flows
@@ -1298,29 +1381,6 @@ impl CohortNet {
         v.sort();
         v
     }
-
-    /// Fraction of `link`'s capacity currently allocated.
-    pub fn link_utilization(&self, link: LinkId) -> f64 {
-        let cap = self.capacity[link.0 as usize];
-        if cap == 0 {
-            return 0.0;
-        }
-        self.alloc[link.0 as usize] as f64 / cap as f64
-    }
-
-    /// Number of active flows crossing `link`.
-    pub fn flows_on_link(&self, link: LinkId) -> usize {
-        self.nflows[link.0 as usize] as usize
-    }
-}
-
-#[cfg(test)]
-impl CohortNet {
-    /// Live cell count — the structural observable the cohort arm's
-    /// complexity claim rests on.
-    fn live_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.live).count()
-    }
 }
 
 #[cfg(test)]
@@ -1334,7 +1394,7 @@ mod tests {
         router.route(topo, a, b, seed).unwrap().links
     }
 
-    /// Incast is the cohort arm's raison d'être: N senders converging on
+    /// Incast is the cohort engine's raison d'être: N senders converging on
     /// one receiver share the receiver's downlink fair share, so the
     /// whole hot set must coalesce into a single rate cell.
     #[test]
@@ -1343,7 +1403,7 @@ mod tests {
         let topo = built.topology;
         let h = built.hosts.clone();
         let mut router = Router::new();
-        let mut net = CohortNet::new(&topo);
+        let mut net = FlowNet::new(&topo);
         for i in 1..16u64 {
             let links = route(&topo, &mut router, h[i as usize], h[0], i);
             net.add_flow(
@@ -1373,7 +1433,7 @@ mod tests {
         let topo = built.topology;
         let h = built.hosts.clone();
         let mut router = Router::new();
-        let mut net = CohortNet::new(&topo);
+        let mut net = FlowNet::new(&topo);
         for i in 1..8u64 {
             let links = route(&topo, &mut router, h[i as usize], h[0], i);
             net.add_flow_batched(
@@ -1398,7 +1458,7 @@ mod tests {
         let topo = built.topology;
         let h = built.hosts.clone();
         let mut router = Router::new();
-        let mut net = CohortNet::new(&topo);
+        let mut net = FlowNet::new(&topo);
         // Two flows into h0: one cohort on h0's downlink at cap/2 each.
         for (i, src) in [(1u64, 1usize), (2, 2)] {
             let links = route(&topo, &mut router, h[src], h[0], i);
@@ -1423,6 +1483,53 @@ mod tests {
         assert!((r2 - (1_000_000_000.0 - third)).abs() < 2.0, "{r2}");
     }
 
+    /// The max-min check passes a solved net and names each way a
+    /// corrupted one breaks the contract: a share past a link's capacity
+    /// and a share that strays from the oracle's, beyond its tolerance.
+    #[test]
+    fn check_max_min_names_over_allocation_and_drift() {
+        let built = star(3, LinkSpec::gigabit());
+        let topo = built.topology;
+        let h = built.hosts.clone();
+        let mut router = Router::new();
+        let mut net = FlowNet::new(&topo);
+        for (i, (a, b)) in [(1usize, 0usize), (2, 0), (1, 2)].into_iter().enumerate() {
+            let links = route(&topo, &mut router, h[a], h[b], i as u64);
+            net.add_flow(
+                SimTime::ZERO,
+                FlowId(i as u64),
+                h[a],
+                h[b],
+                &links,
+                1_000_000,
+            );
+        }
+        assert_eq!(net.check_max_min(), Ok(()));
+        let cell_of = |net: &FlowNet, id: u64| {
+            net.flows
+                .iter()
+                .find(|(_, f)| f.id == FlowId(id))
+                .map(|(_, f)| f.cell as usize)
+                .unwrap()
+        };
+        // Flows 0 and 1 fill h0's downlink: one more unit overflows it.
+        let c = cell_of(&net, 0);
+        net.cells[c].share += 1;
+        let err = net.check_max_min().unwrap_err();
+        assert!(err.contains("over its capacity"), "{err}");
+        net.cells[c].share -= 1;
+        // Flow 2 runs at 0.5 Gb/s, where the tolerance is 10⁻⁹ relative:
+        // one unit past it is drift, and lowering a share never
+        // over-allocates.
+        let c = cell_of(&net, 2);
+        let tolerance = net.cells[c].share / 1_000_000_000;
+        net.cells[c].share -= tolerance + 1;
+        let err = net.check_max_min().unwrap_err();
+        assert!(err.contains("flow f2"), "{err}");
+        net.cells[c].share += 1;
+        assert_eq!(net.check_max_min(), Ok(()), "the tolerance itself passes");
+    }
+
     /// A flow whose virtual deadline elapsed mid-settle while its share
     /// was unchanged stays parked with its original due and completes at
     /// the next `advance_due` — never earlier, never retimed.
@@ -1432,7 +1539,7 @@ mod tests {
         let topo = built.topology;
         let h = built.hosts.clone();
         let mut router = Router::new();
-        let mut net = CohortNet::new(&topo);
+        let mut net = FlowNet::new(&topo);
         let links = route(&topo, &mut router, h[1], h[0], 1);
         net.add_flow(SimTime::ZERO, FlowId(1), h[1], h[0], &links, 125_000);
         let due = net.next_due().unwrap();

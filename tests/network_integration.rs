@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::fnv1a64;
+use common::{fnv1a64, stepped_oracle_run};
 use holdcsim::config::{ArrivalConfig, CommModel, NetworkConfig, TopologySpec};
 use holdcsim::prelude::*;
 use holdcsim_network::topologies::LinkSpec;
@@ -36,6 +36,63 @@ fn flow_mode_completes_all_dag_jobs() {
     assert_eq!(report.jobs_completed, 200);
     let net = report.network.expect("network simulated");
     assert!(net.flows > 0, "no flows admitted");
+}
+
+/// The fair-share solver holds to the max-min oracle at every solve of
+/// a whole simulation — every step that admits or retires a flow passes
+/// its max-min check, and the stepped run reproduces `Simulation::run`'s
+/// bytes — on an 8-server two-tier fabric (2-core servers in two classes
+/// behind a global queue) and on a fan-in-32 incast at overload (fat
+/// cohorts on hot downlinks).
+#[test]
+fn flow_runs_pass_the_max_min_check_at_every_solve() {
+    let template = JobTemplate::two_tier(
+        ServiceDist::Exponential {
+            mean: SimDuration::from_millis(4),
+        },
+        ServiceDist::Exponential {
+            mean: SimDuration::from_millis(6),
+        },
+        48_000,
+    );
+    let mut two_tier = SimConfig::server_farm(8, 2, 0.5, template, SimDuration::from_secs(3));
+    two_tier.server_classes = (0..8).map(|i| (i % 2) as u32).collect();
+    two_tier.use_global_queue = true;
+    let mut net = NetworkConfig::fat_tree(4);
+    net.comm = CommModel::Flow;
+    two_tier.network = Some(net);
+    let incast = holdcsim::experiments::net_incast_config(16, SimDuration::from_millis(50), 7);
+    for cfg in [two_tier, incast] {
+        let (report, checks) = stepped_oracle_run(cfg);
+        assert!(checks > 0, "the solver ran");
+        assert!(report.network.expect("network report").flows > 0);
+    }
+}
+
+/// `holdcsim run --servers 16 --duration 2 --seed 42 --net`, stepped:
+/// every step that admits or retires a flow passes the fair-share
+/// solver's max-min check, and the stepped run reproduces
+/// `Simulation::run`'s bytes. Slow in debug builds; CI runs it in
+/// release.
+#[test]
+#[ignore = "minutes in a debug build; CI runs it with --release"]
+fn cli_net_run_passes_the_max_min_check_at_every_solve() {
+    use holdcsim::experiments::{fat_tree_k_for, net_scalability_template};
+    let mut cfg = SimConfig::server_farm(
+        16,
+        4,
+        0.3,
+        WorkloadPreset::WebSearch.template(),
+        SimDuration::from_secs(2),
+    )
+    .with_seed(42);
+    cfg.template = net_scalability_template();
+    let mut net = NetworkConfig::fat_tree(fat_tree_k_for(16));
+    net.comm = CommModel::Flow;
+    cfg.network = Some(net);
+    let (report, checks) = stepped_oracle_run(cfg);
+    assert!(checks > 0, "the solver ran");
+    assert!(report.network.expect("network report").flows > 0);
 }
 
 #[test]

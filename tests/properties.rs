@@ -8,11 +8,21 @@ use holdcsim_des::queue::EventQueue;
 use holdcsim_des::rng::SimRng;
 use holdcsim_des::stats::{SampleSet, Tally, TimeWeighted};
 use holdcsim_des::time::{SimDuration, SimTime};
-use holdcsim_network::flow::{FlowNet, FlowSolverKind};
+use holdcsim_network::flow::FlowNet;
 use holdcsim_network::ids::{FlowId, LinkId};
 use holdcsim_network::routing::Router;
 use holdcsim_network::topologies::{fat_tree, star, LinkSpec};
 use holdcsim_workload::dag::{JobDag, TaskSpec};
+
+/// The lockstep shadow, shared with `holdcsim-network`'s flow tests.
+mod lockstep {
+    use holdcsim_des::time::{SimDuration, SimTime};
+    use holdcsim_network::flow::{max_min_shares, FlowNet};
+    use holdcsim_network::ids::{FlowId, LinkId, NodeId};
+    use holdcsim_network::topology::Topology;
+    include!("common/lockstep.rs");
+}
+use lockstep::Lockstep;
 
 const CASES: usize = 64;
 
@@ -157,16 +167,11 @@ fn flow_rates_respect_capacity() {
     }
 }
 
-/// One randomized flow-churn pass over a fat tree: add random-pair
-/// flows, cancel some, and run completions, reporting each live flow's
-/// rate after every op via `observe` and every completion batch via
-/// `completions`.
-fn drive_flow_churn(
-    net: &mut FlowNet,
-    trial: u64,
-    mut observe: impl FnMut(u64, FlowId, f64),
-    mut completions: impl FnMut(u64, &[(FlowId, SimTime)]),
-) {
+/// One randomized flow-churn pass over a fat tree, in lockstep with the
+/// max-min shadow: add random-pair flows, cancel some, and run
+/// completions, reporting each live flow's rate after every op via
+/// `observe`. Completions land in `ls.done`.
+fn drive_flow_churn(ls: &mut Lockstep, trial: u64, mut observe: impl FnMut(u64, FlowId, f64)) {
     let built = fat_tree(4, LinkSpec::gigabit());
     let topo = built.topology;
     let hosts = built.hosts;
@@ -177,6 +182,7 @@ fn drive_flow_churn(
     let mut now = SimTime::ZERO;
     for step in 0..300u64 {
         now += SimDuration::from_micros(1 + rng.below(40));
+        let before = ls.done.len();
         match rng.below(10) {
             0..=4 => {
                 let i = rng.below(16) as usize;
@@ -184,7 +190,7 @@ fn drive_flow_churn(
                 let links = router.route(&topo, hosts[i], hosts[j], next_id).unwrap();
                 let id = FlowId(next_id);
                 next_id += 1;
-                let key = net.add_flow(
+                let key = ls.add_flow(
                     now,
                     id,
                     hosts[i],
@@ -196,93 +202,59 @@ fn drive_flow_churn(
             }
             5..=7 if !live.is_empty() => {
                 let i = rng.below(live.len() as u64) as usize;
-                let (key, _) = live.swap_remove(i);
-                assert!(net.remove_flow(now, key));
+                let (key, id) = live.swap_remove(i);
+                ls.remove_flow(now, key, id);
             }
             _ => {
-                if let Some(due) = net.next_due() {
+                if let Some(due) = ls.advance() {
                     now = now.max(due);
-                    net.advance_due(due);
                 }
             }
         }
-        let done: Vec<(FlowId, SimTime)> = net
-            .take_completed()
-            .into_iter()
-            .map(|c| (c.id, now))
-            .collect();
+        let done = &ls.done[before..];
         live.retain(|(_, id)| !done.iter().any(|(d, _)| d == id));
-        completions(step, &done);
         for &(_, id) in &live {
-            observe(step, id, net.flow_rate_bps(id).expect("live flow is rated"));
+            observe(
+                step,
+                id,
+                ls.net.flow_rate_bps(id).expect("live flow is rated"),
+            );
         }
     }
 }
 
 /// Satellite check: over arbitrary unbatched add/remove/complete
-/// sequences on fat-tree topologies, the cohort solver's rates match the
-/// reference progressive-filling solver within 1e-9 (relative; plus a
-/// couple of 2⁻²⁰ bps quanta absolute — the fixed-point max-min solution
-/// is non-unique at exact floor ties).
+/// sequences on fat-tree topologies, the cohort solver passes the
+/// max-min check after every operation (rates within 1e-9 relative or 4
+/// 2⁻²⁰ bps quanta of the reference progressive fill — the fixed-point
+/// max-min solution is non-unique at exact floor ties), and completes
+/// flows in the order of the oracle-rated shadow, each within 1 ns.
 #[test]
 fn cohort_flow_solver_matches_reference_on_fat_trees() {
     for trial in 0..6u64 {
         let built = fat_tree(4, LinkSpec::gigabit());
-        let mut reference = FlowNet::with_solver(&built.topology, FlowSolverKind::Reference);
-        let mut cohort = FlowNet::with_solver(&built.topology, FlowSolverKind::Cohort);
-        let mut ref_rates: Vec<(u64, u64, f64)> = Vec::new();
-        let mut coh_rates: Vec<(u64, u64, f64)> = Vec::new();
-        let mut ref_done: Vec<(FlowId, SimTime)> = Vec::new();
-        let mut coh_done: Vec<(FlowId, SimTime)> = Vec::new();
-        drive_flow_churn(
-            &mut reference,
-            trial,
-            |step, id, rate| ref_rates.push((step, id.0, rate)),
-            |_, done| ref_done.extend_from_slice(done),
-        );
-        drive_flow_churn(
-            &mut cohort,
-            trial,
-            |step, id, rate| coh_rates.push((step, id.0, rate)),
-            |_, done| coh_done.extend_from_slice(done),
-        );
-        assert_eq!(ref_rates.len(), coh_rates.len(), "trial {trial}");
-        let quantum = 1.0 / (1u64 << 20) as f64;
-        for (&(s, id, ra), &(_, _, rb)) in ref_rates.iter().zip(&coh_rates) {
-            assert!(
-                (ra - rb).abs() <= (1e-9 * ra.max(rb)).max(4.0 * quantum),
-                "trial {trial} step {s} flow {id}: {ra} vs {rb}"
-            );
-        }
-        let ids_a: Vec<FlowId> = ref_done.iter().map(|&(id, _)| id).collect();
-        let ids_b: Vec<FlowId> = coh_done.iter().map(|&(id, _)| id).collect();
-        assert_eq!(ids_a, ids_b, "trial {trial}: completion sequences differ");
+        let mut ls = Lockstep::new(&built.topology);
+        drive_flow_churn(&mut ls, trial, |_, _, _| {});
+        assert!(!ls.done.is_empty(), "trial {trial}: flows completed");
     }
 }
 
-/// One randomized batched-churn pass: admissions arrive in bursts via
-/// `add_flow_batched` + `flush` (half biased into an incast on host 0),
-/// interleaved with cancellations and completion advances. Returns the
-/// full rate trajectory and every completion with the instant it was
-/// harvested at (the due for advances, the op time otherwise).
-/// `(step, flow id, rate bps)` samples plus `(flow, harvest instant)`
-/// completions from one churn pass.
-type ChurnTrace = (Vec<(u64, u64, f64)>, Vec<(FlowId, SimTime)>);
-
-fn drive_batched_churn(net: &mut FlowNet, trial: u64) -> ChurnTrace {
+/// One randomized batched-churn pass in lockstep with the max-min
+/// shadow: admissions arrive in bursts via `add_flow_batched` + `flush`
+/// (half biased into an incast on host 0), interleaved with
+/// cancellations and completion advances. Completions land in `ls.done`.
+fn drive_batched_churn(ls: &mut Lockstep, trial: u64) {
     let built = fat_tree(4, LinkSpec::gigabit());
     let topo = built.topology;
     let hosts = built.hosts;
     let mut router = Router::new();
     let mut rng = SimRng::seed_from(0xBA7C4).substream(trial);
     let mut live: Vec<(u64, FlowId)> = Vec::new();
-    let mut rates: Vec<(u64, u64, f64)> = Vec::new();
-    let mut done: Vec<(FlowId, SimTime)> = Vec::new();
     let mut next_id = 0u64;
     let mut now = SimTime::ZERO;
-    for step in 0..200u64 {
+    for _ in 0..200u64 {
         now += SimDuration::from_micros(1 + rng.below(40));
-        let mut instant = now;
+        let before = ls.done.len();
         match rng.below(10) {
             0..=4 => {
                 // An admission wave: one flush-time solve covers it all.
@@ -300,7 +272,7 @@ fn drive_batched_churn(net: &mut FlowNet, trial: u64) -> ChurnTrace {
                     let links = router.route(&topo, hosts[i], hosts[j], next_id).unwrap();
                     let id = FlowId(next_id);
                     next_id += 1;
-                    let key = net.add_flow_batched(
+                    let key = ls.add_flow_batched(
                         now,
                         id,
                         hosts[i],
@@ -310,97 +282,51 @@ fn drive_batched_churn(net: &mut FlowNet, trial: u64) -> ChurnTrace {
                     );
                     live.push((key, id));
                 }
-                net.flush(now);
+                ls.flush(now);
             }
             5..=6 if !live.is_empty() => {
                 let i = rng.below(live.len() as u64) as usize;
-                let (key, _) = live.swap_remove(i);
-                assert!(net.remove_flow(now, key));
+                let (key, id) = live.swap_remove(i);
+                ls.remove_flow(now, key, id);
             }
             _ => {
-                if let Some(due) = net.next_due() {
+                if let Some(due) = ls.advance() {
                     now = now.max(due);
-                    instant = due;
-                    net.advance_due(due);
                 }
             }
         }
-        let batch: Vec<(FlowId, SimTime)> = net
-            .take_completed()
-            .into_iter()
-            .map(|c| (c.id, instant))
-            .collect();
-        live.retain(|(_, id)| !batch.iter().any(|(d, _)| d == id));
-        done.extend(batch);
-        for &(_, id) in &live {
-            rates.push((
-                step,
-                id.0,
-                net.flow_rate_bps(id).expect("live flow is rated"),
-            ));
-        }
+        let done = &ls.done[before..];
+        live.retain(|(_, id)| !done.iter().any(|(d, _)| d == id));
     }
-    (rates, done)
 }
 
 /// Tentpole equivalence property: arbitrary batched-admission /
-/// cancellation / completion sequences produce identical rate
-/// trajectories and completion instants across both solver arms.
-/// Rates match to fixed-point quanta; completion instants to the 1 ns
-/// ceil-guard the due computation carries.
+/// cancellation / completion sequences keep the solver on the max-min
+/// oracle after every flush, cancellation and completion (rates to
+/// fixed-point quanta), and complete flows in the order of the
+/// oracle-rated shadow, each within the 1 ns ceil-guard the due
+/// computation carries.
 #[test]
 fn flow_solver_arms_agree_on_batched_incast_churn() {
-    let kinds = [FlowSolverKind::Reference, FlowSolverKind::Cohort];
     for trial in 0..4u64 {
         let built = fat_tree(4, LinkSpec::gigabit());
-        let runs: Vec<ChurnTrace> = kinds
-            .iter()
-            .map(|&kind| {
-                let mut net = FlowNet::with_solver(&built.topology, kind);
-                drive_batched_churn(&mut net, trial)
-            })
-            .collect();
-        let (ref_rates, ref_done) = &runs[0];
-        let quantum = 1.0 / (1u64 << 20) as f64;
-        for (run, kind) in runs[1..].iter().zip(&kinds[1..]) {
-            let (rates, done) = run;
-            assert_eq!(ref_rates.len(), rates.len(), "trial {trial} vs {kind:?}");
-            for (&(s, id, ra), &(_, _, rb)) in ref_rates.iter().zip(rates) {
-                assert!(
-                    (ra - rb).abs() <= (1e-9 * ra.max(rb)).max(4.0 * quantum),
-                    "trial {trial} step {s} flow {id}: {ra} vs {rb} ({kind:?})"
-                );
-            }
-            assert_eq!(ref_done.len(), done.len(), "trial {trial} vs {kind:?}");
-            for (&(ida, ta), &(idb, tb)) in ref_done.iter().zip(done) {
-                assert_eq!(ida, idb, "trial {trial}: completion order ({kind:?})");
-                let gap = ta.max(tb).saturating_duration_since(ta.min(tb));
-                assert!(
-                    gap <= SimDuration::from_nanos(1),
-                    "trial {trial} flow {ida}: completion {ta} vs {tb} ({kind:?})"
-                );
-            }
-        }
+        let mut ls = Lockstep::new(&built.topology);
+        drive_batched_churn(&mut ls, trial);
+        assert!(!ls.done.is_empty(), "trial {trial}: flows completed");
     }
 }
 
-/// Satellite check: flow completions under the default solver are
-/// bitwise deterministic — two runs of the same fixed-seed churn produce
-/// identical completion sequences, rates, and instants.
+/// Satellite check: flow completions are bitwise deterministic — two
+/// runs of the same fixed-seed churn produce identical completion
+/// sequences, rates, and instants.
 #[test]
 fn flow_completions_bitwise_deterministic_under_default_solver() {
     let run = |trial: u64| {
         let built = fat_tree(4, LinkSpec::gigabit());
-        let mut net = FlowNet::new(&built.topology);
+        let mut ls = Lockstep::new(&built.topology);
         let mut rates: Vec<u64> = Vec::new();
-        let mut done: Vec<(FlowId, SimTime)> = Vec::new();
-        drive_flow_churn(
-            &mut net,
-            trial,
-            |_, _, rate| rates.push(rate.to_bits()),
-            |_, batch| done.extend_from_slice(batch),
-        );
-        (rates, done)
+        drive_flow_churn(&mut ls, trial, |_, _, rate| rates.push(rate.to_bits()));
+        (rates, ls.done)
     };
     for trial in 0..3u64 {
         assert_eq!(run(trial), run(trial), "trial {trial}");

@@ -1,18 +1,18 @@
 //! Cross-crate fault-injection properties: an empty plan is bitwise
 //! invisible, fault schedules are deterministic across federation worker
-//! counts and flow-solver arms, and the job ledger reconciles — no
-//! admitted job is ever silently lost.
+//! counts, fault runs keep the fair-share solver on the max-min oracle,
+//! and the job ledger reconciles — no admitted job is ever silently
+//! lost.
 
 mod common;
 
-use common::fnv1a64;
+use common::{fnv1a64, stepped_oracle_run};
 use holdcsim::config::{ClusterConfig, CommModel, SimConfig, WanConfig};
 use holdcsim::experiments::net_scalability_config;
 use holdcsim::sim::Simulation;
 use holdcsim_cluster::Federation;
 use holdcsim_des::time::SimDuration;
 use holdcsim_faults::FaultPlan;
-use holdcsim_network::flow::FlowSolverKind;
 use holdcsim_workload::presets::WorkloadPreset;
 
 const PACKET: CommModel = CommModel::Packet {
@@ -21,11 +21,9 @@ const PACKET: CommModel = CommModel::Packet {
 };
 
 /// A communicating fabric config: every arm carries real transfers so
-/// the comm model and solver choice genuinely matter.
-fn net_cfg(comm: CommModel, solver: FlowSolverKind, seed: u64) -> SimConfig {
-    let mut cfg = net_scalability_config(16, comm, SimDuration::from_millis(200), seed);
-    cfg.network.as_mut().expect("fabric attached").flow_solver = solver;
-    cfg
+/// the comm model genuinely matters.
+fn net_cfg(comm: CommModel, seed: u64) -> SimConfig {
+    net_scalability_config(16, comm, SimDuration::from_millis(200), seed)
 }
 
 /// A 2-site federation whose affinity skew forces WAN forwarding.
@@ -47,24 +45,19 @@ fn fed_cfg(faults: Option<&str>) -> ClusterConfig {
 }
 
 /// Satellite property: an empty `FaultPlan` yields byte-identical report
-/// JSON to a plan-less run — across the flow and packet comm models and
-/// both flow-solver arms, and across a whole federation.
+/// JSON to a plan-less run — across the flow and packet comm models, and
+/// across a whole federation.
 #[test]
 fn empty_fault_plan_is_byte_identical_to_plan_less_runs() {
-    let arms = [
-        (CommModel::Flow, FlowSolverKind::Reference),
-        (CommModel::Flow, FlowSolverKind::Cohort),
-        (PACKET, FlowSolverKind::default()),
-    ];
-    for (comm, solver) in arms {
-        let baseline = Simulation::new(net_cfg(comm, solver, 11)).run();
-        let mut cfg = net_cfg(comm, solver, 11);
+    for comm in [CommModel::Flow, PACKET] {
+        let baseline = Simulation::new(net_cfg(comm, 11)).run();
+        let mut cfg = net_cfg(comm, 11);
         cfg.faults = Some(FaultPlan::default());
         let armed = Simulation::new(cfg).run();
         assert_eq!(
             baseline.to_json(),
             armed.to_json(),
-            "empty plan must be invisible ({comm:?}, {solver:?})"
+            "empty plan must be invisible ({comm:?})"
         );
         assert!(baseline.resilience.is_none(), "no resilience section");
     }
@@ -103,30 +96,25 @@ fn fault_plans_are_byte_identical_across_federation_worker_counts() {
     }
 }
 
-/// Acceptance property: the same fault schedule (a mid-run switch outage
-/// plus a crash wave on a flow fabric) leaves both solver arms
-/// byte-identical to each other.
+/// Acceptance property: under a fault schedule (a mid-run switch outage
+/// plus a crash wave on a flow fabric), every step that admits, retires
+/// or cancels a flow passes the solver's max-min check, and the stepped
+/// run reproduces `Simulation::run`'s bytes.
 #[test]
-fn fault_runs_are_byte_identical_across_flow_solver_arms() {
-    let run = |solver| {
-        let mut cfg = net_cfg(CommModel::Flow, solver, 7);
-        cfg.faults = Some(
-            FaultPlan::parse(
-                "switch-down@50ms:0; switch-up@120ms:0; \
-                 crash@40ms:3; recover@90ms:3; crash@60ms:9; recover@130ms:9",
-            )
-            .expect("plan parses"),
-        );
-        Simulation::new(cfg).run()
-    };
-    let reference = run(FlowSolverKind::Reference);
-    let r = reference.resilience.as_ref().expect("resilience reported");
-    assert!(r.faults_injected >= 3 && r.switch_downtime_s > 0.0);
-    assert_eq!(
-        reference.to_json(),
-        run(FlowSolverKind::Cohort).to_json(),
-        "fault run diverged under the cohort arm"
+fn fault_runs_pass_the_max_min_check_at_every_solve() {
+    let mut cfg = net_cfg(CommModel::Flow, 7);
+    cfg.faults = Some(
+        FaultPlan::parse(
+            "switch-down@50ms:0; switch-up@120ms:0; \
+             crash@40ms:3; recover@90ms:3; crash@60ms:9; recover@130ms:9",
+        )
+        .expect("plan parses"),
     );
+    let (report, checks) = stepped_oracle_run(cfg);
+    assert!(checks > 0, "the solver ran");
+    assert!(report.network.as_ref().expect("network report").flows > 0);
+    let r = report.resilience.as_ref().expect("resilience reported");
+    assert!(r.faults_injected >= 3 && r.switch_downtime_s > 0.0);
 }
 
 /// Regression pin: the fault × fabric paths (reroutes of admitted and
@@ -156,7 +144,6 @@ fn fault_fabric_reports_are_pinned() {
     a.template = net_scalability_template();
     let mut net = NetworkConfig::fat_tree(fat_tree_k_for(16));
     net.comm = CommModel::Flow;
-    net.flow_solver = FlowSolverKind::default();
     a.network = Some(net);
     a.faults = Some(
         FaultPlan::parse(
@@ -305,7 +292,7 @@ fn no_admitted_job_is_lost_under_fault_storms() {
                  mtbf:server=11,mtbf=70ms,mttr=15ms; \
                  retry:max=2,backoff=5ms,mult=2";
     for (seed, comm) in [(1u64, CommModel::Flow), (2, PACKET), (3, CommModel::Flow)] {
-        let mut cfg = net_cfg(comm, FlowSolverKind::default(), seed);
+        let mut cfg = net_cfg(comm, seed);
         cfg.faults = Some(FaultPlan::parse(storm).expect("plan parses"));
         let report = Simulation::new(cfg).run();
         let r = report.resilience.as_ref().expect("resilience reported");
