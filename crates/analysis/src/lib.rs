@@ -6,13 +6,13 @@
 //! (fingerprints + `trace-diff` bisection); this crate is the *static*
 //! half: a dependency-free AST-lite walker ([`lexer`] + [`source`])
 //! over every workspace crate, running the lint family in [`lints`]
-//! (D001–D004, U001, P001) under a checked-in `analysis.toml`
-//! allowlist ([`config`]) where every suppression carries a reason and
-//! stale entries are errors.
+//! (D001–D004, U001, P001, and the workspace pass N001) under a
+//! checked-in `analysis.toml` allowlist ([`config`]) where every
+//! suppression carries a reason and stale entries are errors.
 //!
 //! Entry points: the `holdcsim-lint` binary, `cargo xtask analyze
-//! --deny` (the CI gate), and [`analyze_tree`] / [`gate`] for tests
-//! and tooling.
+//! --deny` (the CI gate), and [`analyze_sources`] / [`analyze_tree`] /
+//! [`gate`] for tests and tooling.
 
 pub mod config;
 pub mod lexer;
@@ -26,39 +26,58 @@ use std::path::{Path, PathBuf};
 pub use config::{parse as parse_allowlist, AllowEntry, Applied};
 pub use lints::{Finding, LINTS};
 
-/// Lints a single source text as if it lived at `rel_path` (workspace-
-/// relative, `/`-separated). The path determines lint scope (crate,
-/// hot-path module, report path), which is what lets fixture tests
-/// exercise every scope without touching the real tree.
-pub fn analyze_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    lints::run_lints(&source::SourceFile::parse(rel_path, src))
-}
-
-/// Walks the workspace source tree under `root` (`crates/*/src`,
-/// `xtask/src`, and the umbrella `src/`) and lints every `.rs` file.
-/// Traversal order is sorted, so findings are deterministic — the lint
-/// engine holds itself to the contract it enforces.
-pub fn analyze_tree(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    for dir in source_roots(root)? {
-        collect_rs(&dir, &mut files)?;
-    }
-    files.sort();
-    let mut findings = Vec::new();
-    for path in files {
-        let rel = rel_unix(root, &path);
-        let src = fs::read_to_string(&path)?;
-        findings.extend(analyze_source(&rel, &src));
-    }
+/// Lints an in-memory file set as if each file lived at its
+/// workspace-relative, `/`-separated path. The path selects each lint's
+/// scope (crate, hot-path module, report path) and the file's role:
+/// files under a `tests/` directory are skipped, benches, examples and
+/// `perfbench/` only supply N001 callers, and every other file is
+/// linted. This is what lets fixture tests exercise every scope, N001's
+/// cross-file one included, without touching the real tree.
+pub fn analyze_sources(files: &[(&str, &str)]) -> Vec<Finding> {
+    let parsed: Vec<source::SourceFile> = files
+        .iter()
+        .filter(|(path, _)| !path.split('/').any(|dir| dir == "tests"))
+        .map(|(path, src)| source::SourceFile::parse(path, src))
+        .collect();
+    let mut findings: Vec<Finding> = parsed
+        .iter()
+        .filter(|f| !lints::caller_only(&f.rel_path))
+        .flat_map(lints::run_lints)
+        .collect();
+    findings.extend(lints::n001(&parsed));
     findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    Ok(findings)
+    findings
 }
 
-/// The directories that hold lintable source: every `crates/<name>/src`
-/// plus `src/` and `xtask/src` when present.
+/// Walks the workspace source tree under `root` and lints it through
+/// [`analyze_sources`]: every `.rs` file of `crates/*/src`, `xtask/src`
+/// and the umbrella `src/`, plus the N001 callers in `crates/*/benches`,
+/// `examples/` and `perfbench/src`. Traversal order is sorted, so
+/// findings are deterministic — the lint engine holds itself to the
+/// contract it enforces.
+pub fn analyze_tree(root: &Path) -> io::Result<Vec<Finding>> {
+    let mut paths: Vec<PathBuf> = Vec::new();
+    for dir in source_roots(root)? {
+        collect_rs(&dir, &mut paths)?;
+    }
+    paths.sort();
+    let files = paths
+        .iter()
+        .map(|p| Ok((rel_unix(root, p), fs::read_to_string(p)?)))
+        .collect::<io::Result<Vec<(String, String)>>>()?;
+    let refs: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(p, s)| (p.as_str(), s.as_str()))
+        .collect();
+    Ok(analyze_sources(&refs))
+}
+
+/// The directories [`analyze_tree`] reads: every `crates/<name>/src`
+/// and `crates/<name>/benches`, plus `src/`, `xtask/src`, `examples/`
+/// and `perfbench/src` when present.
 fn source_roots(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut roots = Vec::new();
-    for top in ["src", "xtask/src"] {
+    for top in ["src", "xtask/src", "examples", "perfbench/src"] {
         let p = root.join(top);
         if p.is_dir() {
             roots.push(p);
@@ -72,9 +91,11 @@ fn source_roots(root: &Path) -> io::Result<Vec<PathBuf>> {
             .collect();
         names.sort();
         for c in names {
-            let src = c.join("src");
-            if src.is_dir() {
-                roots.push(src);
+            for sub in ["src", "benches"] {
+                let dir = c.join(sub);
+                if dir.is_dir() {
+                    roots.push(dir);
+                }
             }
         }
     }
@@ -121,12 +142,6 @@ pub struct GateOutcome {
 }
 
 impl GateOutcome {
-    /// True when the tree passes under `--deny`: no unsuppressed
-    /// findings, no stale entries, no config error.
-    pub fn clean(&self) -> bool {
-        self.unsuppressed.is_empty() && self.stale.is_empty() && self.config_error.is_none()
-    }
-
     /// Renders the outcome as the CLI/xtask report.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -24,9 +24,14 @@
 //! * **P001** — `unwrap`/`expect`/`panic!` in the enumerated engine
 //!   hot-path modules; invariants there should be documented (and
 //!   allowlisted) or converted to recoverable forms.
+//! * **N001** — a plain-`pub` item in `crates/*/src` that no non-test
+//!   code names outside its own definition. Unlike the others it is a
+//!   workspace pass ([`n001`]): the caller may live in any file.
 //!
 //! Lints run over the token stream of [`SourceFile`]; all but U001 skip
 //! `#[cfg(test)]`/`#[test]` regions (see [`crate::source`]).
+
+use std::collections::BTreeMap;
 
 use crate::lexer::{TokKind, Token};
 use crate::source::{matching_brace, SourceFile};
@@ -69,6 +74,10 @@ pub const LINTS: &[(&str, &str)] = &[
     ),
     ("U001", "`unsafe` without a `// SAFETY:` comment nearby"),
     ("P001", "unwrap/expect/panic! in an engine hot-path module"),
+    (
+        "N001",
+        "plain-`pub` item in crates/*/src that no non-test code names outside its definition",
+    ),
 ];
 
 /// True when `id` names a known lint.
@@ -514,4 +523,147 @@ fn p001(f: &SourceFile, out: &mut Vec<Finding>) {
             ));
         }
     }
+}
+
+/// Item kinds N001 reports on. `mod`, `use` and fields are out of scope.
+const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// True for files whose identifiers count as N001 callers but which no
+/// lint reports on: benches, examples and `perfbench/`.
+pub fn caller_only(rel_path: &str) -> bool {
+    rel_path.starts_with("examples/")
+        || rel_path.starts_with("perfbench/")
+        || rel_path.contains("/benches/")
+}
+
+/// A plain-`pub` item: its name token and the token span `start..=end`
+/// of its definition (from `pub` to the closing `}` or `;`).
+struct PubItem {
+    kind_idx: usize,
+    name_idx: usize,
+    start: usize,
+    end: usize,
+}
+
+/// N001 over the whole file set. An identifier token in a non-test
+/// region of any file counts as a caller of every item of that name,
+/// except the tokens inside the item's own definition, so recursion is
+/// no caller and a name shared with another item hides both.
+pub fn n001(files: &[SourceFile]) -> Vec<Finding> {
+    let items: Vec<(&SourceFile, PubItem)> = files
+        .iter()
+        .filter(|f| {
+            f.rel_path.starts_with("crates/") && f.rel_path.split('/').nth(2) == Some("src")
+        })
+        .flat_map(|f| pub_items(f).into_iter().map(move |it| (f, it)))
+        .collect();
+    let mut mentions: BTreeMap<&str, usize> = items
+        .iter()
+        .map(|(f, it)| (f.tokens[it.name_idx].text.as_str(), 0))
+        .collect();
+    for f in files {
+        for (t, &test) in f.tokens.iter().zip(&f.in_test) {
+            if !test && t.kind == TokKind::Ident {
+                if let Some(n) = mentions.get_mut(t.text.as_str()) {
+                    *n += 1;
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (f, it) in items {
+        let name = f.tokens[it.name_idx].text.as_str();
+        let own = (it.start..=it.end)
+            .filter(|&k| !f.in_test[k] && is_ident(&f.tokens[k], name))
+            .count();
+        if mentions[name] > own {
+            continue;
+        }
+        out.push(finding(
+            f,
+            "N001",
+            f.tokens[it.name_idx].line,
+            format!(
+                "`pub {} {name}` has no caller: no non-test code outside its definition names it",
+                f.tokens[it.kind_idx].text
+            ),
+            "delete it, with any state only it reads and any test that only tests it; keep \
+             an oracle that tests compare against, or the only way a test can observe a \
+             behaviour that stays, with an analysis.toml entry scoped by `contains` whose \
+             reason names that test",
+        ));
+    }
+    out
+}
+
+/// The plain-`pub` items of one file's non-test regions. `pub(crate)`
+/// and other restricted visibilities are rustc `dead_code`'s business.
+fn pub_items(f: &SourceFile) -> Vec<PubItem> {
+    let toks = &f.tokens;
+    let mut items = Vec::new();
+    for start in 0..toks.len() {
+        if !is_ident(&toks[start], "pub") || f.in_test[start] {
+            continue;
+        }
+        // Skip qualifiers: `const fn`, `unsafe`, `async`, `extern "C"`.
+        let mut k = start + 1;
+        while k + 1 < toks.len()
+            && (is_ident(&toks[k], "unsafe")
+                || is_ident(&toks[k], "async")
+                || is_ident(&toks[k], "extern")
+                || toks[k].kind == TokKind::Str
+                || (is_ident(&toks[k], "const") && toks[k + 1].kind == TokKind::Ident && {
+                    let next = toks[k + 1].text.as_str();
+                    matches!(next, "fn" | "unsafe" | "async" | "extern")
+                }))
+        {
+            k += 1;
+        }
+        let Some(kind) = toks.get(k).filter(|t| t.kind == TokKind::Ident) else {
+            continue;
+        };
+        if !ITEM_KINDS.contains(&kind.text.as_str()) {
+            continue;
+        }
+        let braced = matches!(kind.text.as_str(), "fn" | "struct" | "enum" | "trait");
+        let mut name_idx = k + 1;
+        if kind.text == "static" && toks.get(name_idx).is_some_and(|t| is_ident(t, "mut")) {
+            name_idx += 1;
+        }
+        if toks.get(name_idx).is_none_or(|t| t.kind != TokKind::Ident) {
+            continue;
+        }
+        items.push(PubItem {
+            kind_idx: k,
+            name_idx,
+            start,
+            end: item_end(toks, name_idx, braced),
+        });
+    }
+    items
+}
+
+/// Index of the token that ends the item whose name sits at `from`: the
+/// first `;` outside brackets, or, for a `braced` item (fn, struct,
+/// enum, trait), the `}` matching its first top-level `{`.
+fn item_end(toks: &[Token], from: usize, braced: bool) -> usize {
+    let mut depth = 0i64;
+    for (k, t) in toks.iter().enumerate().skip(from) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "{" if depth == 0 && braced => return matching_brace(toks, k),
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth < 0 {
+                    return k;
+                }
+            }
+            ";" if depth == 0 => return k,
+            _ => {}
+        }
+    }
+    toks.len().saturating_sub(1)
 }

@@ -1,11 +1,20 @@
 //! Fixture tests: every lint id is demonstrated by a pair of source
 //! files under `tests/fixtures/` — one that must trigger it and one
-//! that must stay clean — run through [`holdcsim_analysis::analyze_source`]
-//! with pretend workspace paths that select the lint's scope. A second
-//! group round-trips findings through an `analysis.toml` allowlist,
-//! including the stale-entry ⇒ error contract.
+//! that must stay clean — run with pretend workspace paths that select
+//! the lint's scope: the per-file lints through [`run_lints`] one file
+//! at a time, N001 through [`analyze_sources`] over in-memory file
+//! lists. A second group round-trips findings through an
+//! `analysis.toml` allowlist, including the stale-entry ⇒ error
+//! contract.
 
-use holdcsim_analysis::{analyze_source, config, Finding};
+use holdcsim_analysis::lints::run_lints;
+use holdcsim_analysis::source::SourceFile;
+use holdcsim_analysis::{analyze_sources, config, Finding};
+
+/// The per-file lints over one source text at `rel_path`.
+fn analyze_source(rel_path: &str, src: &str) -> Vec<Finding> {
+    run_lints(&SourceFile::parse(rel_path, src))
+}
 
 /// Lint ids present in `findings`, deduped, in first-seen order.
 fn ids(findings: &[Finding]) -> Vec<&'static str> {
@@ -223,6 +232,137 @@ fn p001_out_of_scope_outside_hot_path_modules() {
         include_str!("fixtures/p001_trigger.rs"),
     );
     assert!(findings.is_empty(), "{findings:#?}");
+}
+
+// ---------------------------------------------------------------------
+// N001 — public items without a non-test caller (a workspace pass).
+// ---------------------------------------------------------------------
+
+/// The names of the items N001 reports in `findings`, in order.
+fn n001_names(findings: &[Finding]) -> Vec<String> {
+    findings
+        .iter()
+        .filter(|f| f.lint == "N001")
+        .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
+        .collect()
+}
+
+#[test]
+fn n001_triggers_on_items_only_docs_strings_recursion_and_tests_name() {
+    let findings = analyze_sources(&[(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/n001_trigger.rs"),
+    )]);
+    assert_only(&findings, "N001");
+    assert_eq!(
+        n001_names(&findings),
+        [
+            "pub fn merge_counts",
+            "pub fn depth",
+            "pub struct Probe",
+            "pub const LIMIT"
+        ],
+        "{findings:#?}"
+    );
+    assert!(findings[0].line_text.starts_with("pub fn merge_counts("));
+}
+
+#[test]
+fn n001_clean_callers_pub_crate_and_trait_impls_pass() {
+    let findings = analyze_sources(&[(
+        "crates/core/src/bin/fixture.rs",
+        include_str!("fixtures/n001_clean.rs"),
+    )]);
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
+const LIB: &str = "pub fn probe() {}\npub fn other() {}\n";
+
+#[test]
+fn n001_callers_in_other_crates_benches_examples_and_perfbench_count() {
+    let callers = [
+        "crates/core/src/sim.rs",
+        "crates/bench/benches/engine.rs",
+        "examples/quickstart.rs",
+        "perfbench/src/main.rs",
+        "src/lib.rs",
+        "xtask/src/main.rs",
+    ];
+    for caller in callers {
+        let findings = analyze_sources(&[
+            ("crates/des/src/lib.rs", LIB),
+            (caller, "fn main() { holdcsim_des::probe(); }\n"),
+        ]);
+        assert_eq!(n001_names(&findings), ["pub fn other"], "caller {caller}");
+    }
+}
+
+#[test]
+fn n001_test_regions_and_tests_dirs_are_no_callers() {
+    let test_only = [
+        (
+            "crates/core/src/sim.rs",
+            "#[cfg(test)]\nmod tests { fn t() { probe(); } }\n",
+        ),
+        ("crates/core/src/sim.rs", "#[test]\nfn t() { probe(); }\n"),
+        (
+            "crates/core/src/sim.rs",
+            "/// Calls `probe()`.\nfn f() { g(\"probe\"); }\n",
+        ),
+        ("tests/end_to_end.rs", "fn main() { probe(); }\n"),
+        ("crates/des/tests/model.rs", "fn main() { probe(); }\n"),
+    ];
+    for (path, src) in test_only {
+        let findings = analyze_sources(&[("crates/des/src/lib.rs", LIB), (path, src)]);
+        assert_eq!(
+            n001_names(&findings),
+            ["pub fn probe", "pub fn other"],
+            "{path}: {src}"
+        );
+    }
+}
+
+#[test]
+fn n001_polices_only_crate_sources() {
+    // An uncalled `pub fn` outside `crates/*/src` is no finding: benches,
+    // examples, perfbench, the umbrella crate and xtask only call.
+    for path in [
+        "crates/bench/benches/engine.rs",
+        "examples/quickstart.rs",
+        "perfbench/src/main.rs",
+        "src/lib.rs",
+        "xtask/src/main.rs",
+    ] {
+        assert!(analyze_sources(&[(path, LIB)]).is_empty(), "{path}");
+    }
+}
+
+#[test]
+fn n001_entry_goes_stale_when_its_item_gains_a_caller() {
+    let entries = config::parse(
+        r#"
+        [[allow]]
+        lint = "N001"
+        path = "crates/des/src/lib.rs"
+        contains = "fn probe("
+        reason = "fixture: only a test observes it"
+        "#,
+    )
+    .expect("valid allowlist");
+    let uncalled = config::apply(analyze_sources(&[("crates/des/src/lib.rs", LIB)]), &entries);
+    assert_eq!(uncalled.suppressed, 1);
+    assert_eq!(n001_names(&uncalled.unsuppressed), ["pub fn other"]);
+    assert!(uncalled.stale.is_empty());
+    let called = config::apply(
+        analyze_sources(&[
+            ("crates/des/src/lib.rs", LIB),
+            ("examples/quickstart.rs", "fn main() { probe(); }\n"),
+        ]),
+        &entries,
+    );
+    assert_eq!(called.suppressed, 0);
+    assert_eq!(called.stale.len(), 1);
+    assert_eq!(called.stale[0].lint, "N001");
 }
 
 // ---------------------------------------------------------------------

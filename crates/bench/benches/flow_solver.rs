@@ -52,7 +52,7 @@ fn churn(k: usize, live: usize, steps: usize, seed: u64) -> u64 {
         if let Some(due) = net.next_due() {
             now = now.max(due);
             net.advance_due(due);
-            net.take_completed();
+            net.drain_completed();
         }
         ops += 2;
     }
@@ -103,7 +103,7 @@ fn incast(k: usize, sinks: usize, fan_in: usize, steps: usize, seed: u64) -> u64
         if let Some(due) = net.next_due() {
             now = now.max(due);
             net.advance_due(due);
-            net.take_completed();
+            net.drain_completed();
         }
         ops += 2;
     }

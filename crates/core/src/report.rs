@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn latency_stats_from_uniform() {
-        let mut s = SampleSet::unbounded();
+        let mut s = SampleSet::with_capacity(usize::MAX);
         for i in 1..=100 {
             s.record(i as f64 / 1000.0);
         }
@@ -430,7 +430,7 @@ mod tests {
 
     #[test]
     fn empty_latency_is_zeroed() {
-        let s = SampleSet::unbounded();
+        let s = SampleSet::with_capacity(usize::MAX);
         let (stats, cdf) = latency_report(&s);
         assert_eq!(stats.count, 0);
         assert_eq!(stats.p95, 0.0);

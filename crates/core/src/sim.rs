@@ -1005,13 +1005,6 @@ impl Simulation {
         self.engine.model()
     }
 
-    /// Advances the simulation clock to `at` (events at exactly `at` are
-    /// processed), for mid-run inspection via
-    /// [`datacenter`](Self::datacenter) before [`run`](Self::run).
-    pub fn run_to(&mut self, at: SimTime) {
-        self.engine.run_until(at);
-    }
-
     /// Consumes the simulation, exposing the underlying engine — the
     /// building block for coordinators that drive several sites in
     /// lockstep (see the `holdcsim-cluster` crate). The engine comes
@@ -1329,10 +1322,10 @@ mod tests {
         // With bounded ECMP buckets the route cache must serve the steady
         // state: misses are bounded by (pairs × ways), hits grow with the
         // transfer count.
-        let mut sim = Simulation::new(slot_indexed_cfg(CommModel::Flow));
-        sim.run_to(SimTime::ZERO + SimDuration::from_secs(3));
-        let (hits, misses) = sim
-            .datacenter()
+        let mut engine = Simulation::new(slot_indexed_cfg(CommModel::Flow)).into_engine();
+        engine.run_until(SimTime::ZERO + SimDuration::from_secs(3));
+        let (hits, misses) = engine
+            .model()
             .net()
             .expect("network configured")
             .router

@@ -103,7 +103,6 @@ impl<M: Model, O: EventObserver<M>> Drop for PanicGuard<'_, M, O> {
 pub struct Context<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop: &'a mut bool,
 }
 
 impl<'a, E> Context<'a, E> {
@@ -132,11 +131,6 @@ impl<'a, E> Context<'a, E> {
         );
         self.queue.push(at, event);
     }
-
-    /// Requests the engine stop after this handler returns.
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
 /// The discrete-event engine: event calendar + clock + a [`Model`], plus an
@@ -148,7 +142,6 @@ pub struct Engine<M: Model, O: EventObserver<M> = NoObserver> {
     queue: EventQueue<M::Event>,
     now: SimTime,
     processed: u64,
-    stopped: bool,
 }
 
 impl<M: Model> Engine<M> {
@@ -168,7 +161,6 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
-            stopped: false,
         }
     }
 
@@ -218,17 +210,13 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         self.queue.push(self.now + delay, event);
     }
 
-    /// Processes a single event. Returns `false` when the calendar is empty
-    /// or a handler called [`Context::stop`].
+    /// Processes a single event. Returns `false` when the calendar is empty.
     pub fn step(&mut self) -> bool {
-        if self.stopped {
-            return false;
-        }
         let Some((at, event)) = self.queue.pop() else {
             return false;
         };
         self.dispatch(at, event);
-        !self.stopped
+        true
     }
 
     /// Advances the clock to `at` and hands `event` to the observer and
@@ -242,7 +230,6 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         let mut ctx = Context {
             now: self.now,
             queue: &mut self.queue,
-            stop: &mut self.stopped,
         };
         if O::PANIC_HOOK {
             let guard = PanicGuard::<M, O> {
@@ -257,21 +244,18 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         }
     }
 
-    /// Runs until the calendar drains or a handler stops the engine.
+    /// Runs until the calendar drains.
     pub fn run(&mut self) {
         while self.step() {}
     }
 
     /// Runs until the clock would pass `deadline` (events at exactly
-    /// `deadline` are processed), the calendar drains, or a handler stops
-    /// the engine. Unless stopped, the clock then advances to `deadline`;
-    /// it never rewinds, so a deadline already passed processes nothing
-    /// and leaves the clock where it is.
+    /// `deadline` are processed) or the calendar drains. The clock then
+    /// advances to `deadline`; it never rewinds, so a deadline already
+    /// passed processes nothing and leaves the clock where it is.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.run_window(deadline);
-        if !self.stopped {
-            self.now = self.now.max(deadline);
-        }
+        self.now = self.now.max(deadline);
     }
 
     /// Processes every event at or before `cap` — including events that
@@ -285,31 +269,19 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
     /// no cross-engine message can precede, independently of the others.
     pub fn run_window(&mut self, cap: SimTime) -> u64 {
         let before = self.processed;
-        while !self.stopped {
-            let Some((at, event)) = self.queue.pop_until(cap) else {
-                break;
-            };
+        while let Some((at, event)) = self.queue.pop_until(cap) {
             self.dispatch(at, event);
         }
         self.processed - before
     }
 
-    /// The instant of the next scheduled event, if any (and the engine has
-    /// not been stopped).
+    /// The instant of the next scheduled event, if any.
     ///
     /// This is the coordination primitive for running several engines
     /// together — e.g. a multi-datacenter federation computing the next
     /// safe window from the globally earliest event.
     pub fn peek_next_time(&self) -> Option<SimTime> {
-        if self.stopped {
-            return None;
-        }
         self.queue.peek_time()
-    }
-
-    /// `true` once a handler has called [`Context::stop`].
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
     }
 
     /// Number of live events still scheduled.
@@ -324,24 +296,17 @@ mod tests {
 
     struct Recorder {
         seen: Vec<(SimTime, u32)>,
-        stop_at: Option<u32>,
     }
 
     impl Model for Recorder {
         type Event = u32;
         fn handle(&mut self, ctx: &mut Context<'_, u32>, ev: u32) {
             self.seen.push((ctx.now(), ev));
-            if Some(ev) == self.stop_at {
-                ctx.stop();
-            }
         }
     }
 
     fn recorder() -> Engine<Recorder> {
-        Engine::new(Recorder {
-            seen: Vec::new(),
-            stop_at: None,
-        })
+        Engine::new(Recorder { seen: Vec::new() })
     }
 
     #[test]
@@ -356,18 +321,6 @@ mod tests {
         );
         assert_eq!(e.now(), SimTime::from_secs(2));
         assert_eq!(e.events_processed(), 2);
-    }
-
-    #[test]
-    fn stop_halts_run() {
-        let mut e = recorder();
-        e.model_mut().stop_at = Some(1);
-        e.schedule_at(SimTime::from_secs(1), 1);
-        e.schedule_at(SimTime::from_secs(2), 2);
-        e.run();
-        assert_eq!(e.model().seen.len(), 1);
-        assert!(e.is_stopped());
-        assert_eq!(e.pending_events(), 1);
     }
 
     #[test]
@@ -528,13 +481,7 @@ mod tests {
             last: std::cell::Cell::new(0),
             panicked_at: Default::default(),
         };
-        let mut e = Engine::with_observer(
-            Recorder {
-                seen: Vec::new(),
-                stop_at: None,
-            },
-            tap,
-        );
+        let mut e = Engine::with_observer(Recorder { seen: Vec::new() }, tap);
         e.schedule_at(SimTime::from_secs(2), 20);
         e.schedule_at(SimTime::from_secs(1), 10);
         e.run();
@@ -591,13 +538,7 @@ mod tests {
             last: std::cell::Cell::new(0),
             panicked_at: report.clone(),
         };
-        let mut e = Engine::with_observer(
-            Recorder {
-                seen: Vec::new(),
-                stop_at: None,
-            },
-            tap,
-        );
+        let mut e = Engine::with_observer(Recorder { seen: Vec::new() }, tap);
         e.schedule_at(SimTime::from_secs(1), 1);
         e.run();
         assert_eq!(report.get(), None);

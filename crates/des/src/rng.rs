@@ -139,11 +139,6 @@ impl SimRng {
         -u.ln() / rate
     }
 
-    /// A Bernoulli trial that succeeds with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.uniform_f64() < p.clamp(0.0, 1.0)
-    }
-
     /// Picks a uniformly random element of `slice`.
     ///
     /// Returns `None` for an empty slice.
@@ -274,12 +269,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = SimRng::seed_from(19);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
     }
 }

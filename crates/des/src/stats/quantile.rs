@@ -14,7 +14,7 @@ use crate::rng::SimRng;
 /// ```
 /// use holdcsim_des::stats::SampleSet;
 ///
-/// let mut s = SampleSet::unbounded();
+/// let mut s = SampleSet::with_capacity(usize::MAX);
 /// for i in 1..=100 {
 ///     s.record(i as f64);
 /// }
@@ -32,12 +32,8 @@ pub struct SampleSet {
 }
 
 impl SampleSet {
-    /// A set that stores every sample exactly (no downsampling).
-    pub fn unbounded() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// A set that reservoir-samples beyond `capacity` stored values.
+    /// A set that reservoir-samples beyond `capacity` stored values
+    /// (`usize::MAX` keeps every sample exactly).
     pub fn with_capacity(capacity: usize) -> Self {
         SampleSet {
             samples: Vec::new(),
@@ -135,14 +131,14 @@ mod tests {
 
     #[test]
     fn empty_set_has_no_quantiles() {
-        let s = SampleSet::unbounded();
+        let s = SampleSet::with_capacity(usize::MAX);
         assert_eq!(s.quantile(0.5), None);
         assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
     fn exact_quantiles_small() {
-        let mut s = SampleSet::unbounded();
+        let mut s = SampleSet::with_capacity(usize::MAX);
         for x in [5.0, 1.0, 3.0, 2.0, 4.0] {
             s.record(x);
         }
@@ -168,7 +164,7 @@ mod tests {
 
     #[test]
     fn cdf_points_monotone() {
-        let mut s = SampleSet::unbounded();
+        let mut s = SampleSet::with_capacity(usize::MAX);
         for x in [3.0, 1.0, 2.0] {
             s.record(x);
         }
@@ -178,7 +174,7 @@ mod tests {
 
     #[test]
     fn batch_quantiles_match_single() {
-        let mut s = SampleSet::unbounded();
+        let mut s = SampleSet::with_capacity(usize::MAX);
         for i in 1..=1000 {
             s.record(i as f64);
         }
@@ -190,7 +186,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantile out of")]
     fn quantile_rejects_out_of_range() {
-        let mut s = SampleSet::unbounded();
+        let mut s = SampleSet::with_capacity(usize::MAX);
         s.record(1.0);
         let _ = s.quantile(1.5);
     }

@@ -16,7 +16,7 @@ use std::fmt;
 /// }
 /// assert_eq!(t.count(), 8);
 /// assert_eq!(t.mean(), 5.0);
-/// assert_eq!(t.population_variance(), 4.0);
+/// assert!((t.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tally {
@@ -71,15 +71,6 @@ impl Tally {
         }
     }
 
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance with Bessel's correction (0 if fewer than 2).
     pub fn sample_variance(&self) -> f64 {
         if self.count < 2 {
@@ -102,27 +93,6 @@ impl Tally {
     /// Largest observation (`None` if empty).
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another tally into this one (parallel-friendly).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.mean = (n1 * self.mean + n2 * other.mean) / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -167,7 +137,7 @@ mod tests {
         let t = Tally::new();
         assert_eq!(t.count(), 0);
         assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.population_variance(), 0.0);
+        assert_eq!(t.sample_variance(), 0.0);
         assert_eq!(t.min(), None);
         assert_eq!(t.max(), None);
     }
@@ -179,29 +149,6 @@ mod tests {
         assert_eq!(t.min(), Some(5.0));
         assert_eq!(t.max(), Some(5.0));
         assert_eq!(t.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let whole: Tally = data.iter().copied().collect();
-        let mut left: Tally = data[..37].iter().copied().collect();
-        let right: Tally = data[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut t: Tally = [1.0, 2.0].into_iter().collect();
-        t.merge(&Tally::new());
-        assert_eq!(t.count(), 2);
-        let mut e = Tally::new();
-        e.merge(&t);
-        assert_eq!(e.count(), 2);
-        assert_eq!(e.mean(), 1.5);
     }
 
     #[test]

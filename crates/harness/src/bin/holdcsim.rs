@@ -68,7 +68,8 @@ Geo policies: site-local (spill past --spill in-flight jobs/core),
               load-balanced, latency-aware (--latency-weight load units/s).
 
 `federate` runs a multi-datacenter federation: N sites (each its own
-fabric and RNG substream; add a fat-tree + flow comm with --net) behind
+fabric and RNG substream; --net, as on `run`, gives each a flow-mode fat
+tree and the fan-out/fan-in communicating workload) behind
 a full-mesh WAN (--hub for hub-and-spoke), with the aggregate arrival
 rate split by --affinity weights and jobs geo-routed per --geo; prints
 per-site and federation-wide reports. Sites advance concurrently
@@ -125,9 +126,9 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what}: `{s}`"))
 }
 
-/// Parses a site, server or core count or a utilization, which the
-/// simulator asserts is finite and positive. Every integer also reads as
-/// a finite f64, and NaN fails the `>`.
+/// Parses a site, server or core count, a utilization, a WAN rate or a
+/// job payload, which the simulator asserts is finite and positive.
+/// Every integer also reads as a finite f64, and NaN fails the `>`.
 fn parse_positive<T>(s: &str, what: &str) -> Result<T, String>
 where
     T: std::str::FromStr + PartialOrd + Default,
@@ -136,6 +137,17 @@ where
     let ok = s.parse::<f64>().is_ok_and(f64::is_finite) && v > T::default();
     ok.then_some(v)
         .ok_or(format!("{what} must be finite and positive: `{s}`"))
+}
+
+/// Parses a `--duration` in seconds: finite and positive, and at least
+/// the 1 ns tick, below which `SimDuration::from_secs_f64` rounds the
+/// run to nothing.
+fn parse_duration(s: &str) -> Result<SimDuration, String> {
+    let d = SimDuration::from_secs_f64(parse_positive(s, "duration")?);
+    if d.is_zero() {
+        return Err(format!("duration must be at least 1 ns: `{s}`"));
+    }
+    Ok(d)
 }
 
 /// Splits `args` into `--key value` options; rejects unknown keys.
@@ -166,6 +178,18 @@ fn parse_opts(args: &[String], allowed: &[&str]) -> Result<HashMap<String, Strin
     Ok(opts)
 }
 
+/// `--net` on `run` and `federate`: a fat-tree fabric for `servers`
+/// hosts with flow-model comm, shared by the one max-min fair-share
+/// solver, and the fan-out/fan-in communicating workload in place of the
+/// preset's (the presets are compute-only, so the fabric would otherwise
+/// carry zero flows).
+fn attach_net(cfg: &mut SimConfig, servers: usize) {
+    cfg.template = holdcsim::experiments::net_scalability_template();
+    let mut net = NetworkConfig::fat_tree(fat_tree_k_for(servers));
+    net.comm = holdcsim::config::CommModel::Flow;
+    cfg.network = Some(net);
+}
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut allowed = vec![
         "servers", "cores", "rho", "preset", "tau", "policy", "duration", "seed", "json", "net",
@@ -179,7 +203,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let cores: u32 = parse_positive(&get("cores", "4"), "core count")?;
     let rho: f64 = parse_positive(&get("rho", "0.3"), "utilization")?;
     let preset = parse_preset(&get("preset", "web-search"))?;
-    let duration = SimDuration::from_secs_f64(parse_num(&get("duration", "30"), "duration")?);
+    let duration = parse_duration(&get("duration", "30"))?;
     let seed: u64 = parse_num(&get("seed", "42"), "seed")?;
     let cfg = match opts.get("tau") {
         Some(t) if t != "active-idle" => holdcsim::experiments::delay_timer_farm(
@@ -199,15 +223,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         Some(p) => cfg.with_policy(parse_policy(p)?),
         None => cfg,
     };
-    // --net attaches a fat-tree fabric with flow-model comm, shared by
-    // the one max-min fair-share solver, and swaps in the fan-out/fan-in
-    // communicating workload (the presets are compute-only, so the
-    // fabric would otherwise carry zero flows).
     if opts.contains_key("net") {
-        cfg.template = holdcsim::experiments::net_scalability_template();
-        let mut net = NetworkConfig::fat_tree(fat_tree_k_for(servers));
-        net.comm = holdcsim::config::CommModel::Flow;
-        cfg.network = Some(net);
+        attach_net(&mut cfg, servers);
     }
     if let Some(s) = opts.get("faults") {
         cfg.faults = Some(holdcsim_faults::load_plan(s)?);
@@ -277,7 +294,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         plan = plan.replications(parse_num(s, "replications")?);
     }
     if let Some(s) = opts.get("duration") {
-        plan = plan.duration(SimDuration::from_secs_f64(parse_num(s, "duration")?));
+        plan = plan.duration(parse_duration(s)?);
     }
     if let Some(s) = opts.get("seed") {
         plan = plan.seed(parse_num(s, "seed")?);
@@ -419,14 +436,18 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     let cores: u32 = parse_positive(&get("cores", "4"), "core count")?;
     let rho: f64 = parse_positive(&get("rho", "0.3"), "utilization")?;
     let preset = parse_preset(&get("preset", "web-search"))?;
-    let duration = SimDuration::from_secs_f64(parse_num(&get("duration", "10"), "duration")?);
+    let duration = parse_duration(&get("duration", "10"))?;
     let seed: u64 = parse_num(&get("seed", "42"), "seed")?;
     let mut base = SimConfig::server_farm(servers, cores, rho, preset.template(), duration);
     base.obs = obs.cfg;
     if opts.contains_key("net") {
-        base.network = Some(NetworkConfig::fat_tree(fat_tree_k_for(servers)));
+        attach_net(&mut base, servers);
     }
-    let rate_bps = (parse_num::<f64>(&get("wan-gbps", "10"), "WAN rate")? * 1e9) as u64;
+    let gbps = get("wan-gbps", "10");
+    let rate_bps = (parse_positive::<f64>(&gbps, "WAN rate")? * 1e9) as u64;
+    if rate_bps == 0 {
+        return Err(format!("WAN rate must be at least 1 bps: `{gbps}`"));
+    }
     let latency = SimDuration::from_secs_f64(
         parse_num::<f64>(&get("wan-latency-ms", "10"), "WAN latency")? / 1e3,
     );
@@ -453,7 +474,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     let mut cc = ClusterConfig::uniform(base, sites, wan)
         .with_geo(geo)
         .with_seed(seed);
-    cc.job_bytes = parse_num(&get("job-bytes", "1048576"), "job bytes")?;
+    cc.job_bytes = parse_positive(&get("job-bytes", "1048576"), "job bytes")?;
     if let Some(s) = opts.get("faults") {
         cc.faults = Some(holdcsim_faults::load_plan(s)?);
     }
@@ -614,7 +635,8 @@ mod tests {
             );
             assert!(parse_positive::<f64>(bad, "utilization").is_err(), "{bad}");
         }
-        // Each command rejects them before a simulation can assert.
+        // Each command rejects them before a simulation can assert, and
+        // a duration that rounds to 0 ns, which would simulate nothing.
         let args = |a: &str| a.split(' ').map(String::from).collect::<Vec<_>>();
         for bad in [
             "--servers 0",
@@ -622,14 +644,34 @@ mod tests {
             "--rho 0",
             "--rho -0.3",
             "--rho nan",
+            "--duration -1",
+            "--duration nan",
+            "--duration 0",
+            "--duration 1e-12",
         ] {
             assert!(cmd_run(&args(bad)).is_err(), "run {bad}");
             assert!(cmd_federate(&args(bad)).is_err(), "federate {bad}");
         }
-        for bad in ["--servers 8,0", "--cores 0", "--rhos 0.3,nan"] {
+        for bad in [
+            "--servers 8,0",
+            "--cores 0",
+            "--rhos 0.3,nan",
+            "--duration -1",
+            "--duration nan",
+            "--duration 0",
+        ] {
             assert!(cmd_sweep(&args(bad)).is_err(), "sweep {bad}");
         }
-        assert!(cmd_federate(&args("--sites 0")).is_err());
+        // Federation only: no sites, a WAN rate under 1 bps, no payload.
+        for bad in [
+            "--sites 0",
+            "--wan-gbps 0",
+            "--wan-gbps nan",
+            "--wan-gbps 1e-12",
+            "--job-bytes 0",
+        ] {
+            assert!(cmd_federate(&args(bad)).is_err(), "federate {bad}");
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl RouteLinks {
     }
 }
 
-/// A completed flow, as reported by [`FlowNet::take_completed`].
+/// A completed flow, as reported by [`FlowNet::drain_completed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedFlow {
     /// The flow that finished.
@@ -250,7 +250,7 @@ pub fn max_min_shares(capacity_units: &[u64], routes: &[&[LinkId]]) -> Vec<u64> 
 /// let due = net.next_due().unwrap();
 /// assert!((due.as_secs_f64() - 1.0).abs() < 1e-6);
 /// net.advance_due(due);
-/// assert_eq!(net.take_completed().len(), 1);
+/// assert_eq!(net.drain_completed().count(), 1);
 /// assert_eq!(net.check_max_min(), Ok(()));
 /// ```
 pub use crate::flow_cohort::FlowNet;
@@ -362,7 +362,7 @@ mod tests {
         // At 0.5 Gb/s each, flow 1 finishes at t=2 s.
         let t1 = fire_next(&mut net).unwrap();
         assert!((t1.as_secs_f64() - 2.0).abs() < 1e-6, "t1 {t1}");
-        let done = net.take_completed();
+        let done = net.drain_completed().collect::<Vec<_>>();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, FlowId(1));
         // Flow 2 now gets the full link: 1 Gb of its 2 Gb remain.
@@ -370,7 +370,7 @@ mod tests {
         assert!((rate - 1e9).abs() < 1.0, "rate {rate}");
         let t2 = fire_next(&mut net).unwrap();
         assert!((t2.as_secs_f64() - 3.0).abs() < 1e-6, "t2 {t2}");
-        assert_eq!(net.take_completed()[0].id, FlowId(2));
+        assert_eq!(net.drain_completed().collect::<Vec<_>>()[0].id, FlowId(2));
         assert_eq!(net.active_flows(), 0);
     }
 
@@ -465,7 +465,7 @@ mod tests {
         // Advancing to the superseded (earlier) instant completes
         // nothing.
         net.advance_due(solo);
-        assert!(net.take_completed().is_empty());
+        assert!(net.drain_completed().collect::<Vec<_>>().is_empty());
         assert_eq!(net.active_flows(), 2);
     }
 
@@ -478,7 +478,7 @@ mod tests {
         net.add_flow(SimTime::ZERO, FlowId(2), hosts[0], hosts[1], &links, 1_000);
         assert!(net.remove_flow(SimTime::ZERO, k1));
         assert!(!net.remove_flow(SimTime::ZERO, k1), "already gone");
-        assert!(net.take_completed().is_empty());
+        assert!(net.drain_completed().collect::<Vec<_>>().is_empty());
         assert_eq!(net.flow_rate_bps(FlowId(2)), Some(1e9));
     }
 
@@ -501,7 +501,7 @@ mod tests {
             );
         }
         fire_next(&mut net).unwrap();
-        let done = net.take_completed();
+        let done = net.drain_completed().collect::<Vec<_>>();
         assert_eq!(done.len(), 2, "both identical flows complete together");
         assert_eq!(done[0].id, FlowId(1));
         assert_eq!(done[1].id, FlowId(2));

@@ -30,7 +30,7 @@
 //!
 //! Flows materialize real timestamps only when they complete, migrate
 //! cells (split/merge rebases their `vfinish` onto the new cell's
-//! clock), or are observed (`completion_of`, `flow_progress`).
+//! clock), or are observed (`completion_of`).
 //!
 //! # The bottleneck-aware re-solve
 //!
@@ -56,7 +56,7 @@
 //! (smaller into larger) at commit.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use holdcsim_des::lazy_heap::LazyHeap;
 use holdcsim_des::slot_window::SlotWindow;
@@ -86,8 +86,6 @@ struct CFlow {
     /// The owning cell's virtual time at which this flow's payload has
     /// fully drained. Rebased on cell migration.
     vfinish: u128,
-    /// Payload in progress units (for `flow_progress`).
-    total: u128,
     /// The owning cell.
     cell: u32,
     /// This flow's index in the owning cell's member list.
@@ -257,6 +255,8 @@ pub struct FlowNet {
     /// Link capacities in rate units.
     capacity: Vec<u64>,
     flows: SlotWindow<CFlow>,
+    /// The ids of the live flows: admission refuses a reused one.
+    live_ids: BTreeSet<FlowId>,
     cells: Vec<Cell>,
     free_cells: Vec<u32>,
     /// Σ share · crossing-count over live cells, per link — the exact
@@ -346,6 +346,7 @@ impl FlowNet {
         FlowNet {
             capacity,
             flows: SlotWindow::new(),
+            live_ids: BTreeSet::new(),
             cells: Vec::new(),
             free_cells: Vec::new(),
             alloc: vec![0; n],
@@ -462,10 +463,7 @@ impl FlowNet {
     ) -> u64 {
         assert!(!links.is_empty(), "flow with empty route");
         assert!(bytes > 0, "flow with no data");
-        debug_assert!(
-            self.flows.iter().all(|(_, f)| f.id != id),
-            "flow id {id} reused while active"
-        );
+        assert!(self.live_ids.insert(id), "flow id {id} reused while active");
         debug_assert!(
             self.seed_cells.is_empty() || self.pending_since == now,
             "a batch must not span sim times; flush first"
@@ -475,7 +473,6 @@ impl FlowNet {
             id,
             links: RouteLinks::default(),
             vfinish: 0,
-            total: 0,
             cell: NO_CELL,
             member_pos: 0,
             overdue: false,
@@ -486,7 +483,6 @@ impl FlowNet {
         st.id = id;
         st.links.set(links);
         st.vfinish = progress_units(bytes);
-        st.total = st.vfinish;
         st.cell = c;
         st.member_pos = 0;
         st.overdue = false;
@@ -543,7 +539,7 @@ impl FlowNet {
     }
 
     /// Completes every flow whose projection is due at or before `now`
-    /// (they land in [`take_completed`](Self::take_completed) in
+    /// (they land in [`drain_completed`](Self::drain_completed) in
     /// deterministic `(due, key)` order), then re-solves the freed
     /// component(s) in one batch, retiming neighbors whose rate changed.
     /// A no-op when nothing is due.
@@ -621,6 +617,7 @@ impl FlowNet {
     /// this flow).
     fn unlink(&mut self, flow: u64, completed: bool) {
         let f = self.flows.remove(flow).expect("live flow");
+        self.live_ids.remove(&f.id);
         let c = f.cell;
         let pos = f.member_pos as usize;
         let cell = &mut self.cells[c as usize];
@@ -1219,13 +1216,9 @@ impl FlowNet {
     // virtual time into real quantities on demand.
     // ------------------------------------------------------------------
 
-    /// Drains the flows that have completed since the last call.
-    pub fn take_completed(&mut self) -> Vec<CompletedFlow> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Drains the completed flows without surrendering the buffer
-    /// (allocation-free on the driving simulation's hot path).
+    /// Drains the flows that have completed since the last call, without
+    /// surrendering the buffer (allocation-free on the driving
+    /// simulation's hot path).
     pub fn drain_completed(&mut self) -> std::vec::Drain<'_, CompletedFlow> {
         self.completed.drain(..)
     }
@@ -1276,18 +1269,6 @@ impl FlowNet {
     pub fn flow_rate_bps(&self, id: FlowId) -> Option<f64> {
         self.find(id)
             .map(|f| self.cells[f.cell as usize].share as f64 / RATE_UNIT_PER_BPS as f64)
-    }
-
-    /// Fraction of `id`'s bytes delivered by `now` (in `[0, 1]`), if
-    /// active (a linear scan — an observer, not the event hot path).
-    pub fn flow_progress(&self, id: FlowId, now: SimTime) -> Option<f64> {
-        self.find(id).map(|f| {
-            let cell = &self.cells[f.cell as usize];
-            let dt = now.saturating_duration_since(cell.last_update).as_nanos();
-            let v = cell.vclock + drained_units(cell.share, dt);
-            let rem = f.vfinish.saturating_sub(v);
-            1.0 - (rem as f64 / f.total as f64).clamp(0.0, 1.0)
-        })
     }
 
     fn find(&self, id: FlowId) -> Option<&CFlow> {
@@ -1420,7 +1401,7 @@ mod tests {
         // All members finish together: one due instant drains them all.
         let due = net.next_due().expect("pending completions");
         net.advance_due(due);
-        assert_eq!(net.take_completed().len(), 15);
+        assert_eq!(net.drain_completed().collect::<Vec<_>>().len(), 15);
         assert_eq!(net.active_flows(), 0);
         assert_eq!(net.live_cells(), 0);
     }
@@ -1548,7 +1529,7 @@ mod tests {
         // Drive the net well past the due via an unrelated observation
         // instant: the completion must still report the original due.
         net.advance_due(due + SimDuration::from_millis(5));
-        let done = net.take_completed();
+        let done = net.drain_completed().collect::<Vec<_>>();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, FlowId(1));
     }

@@ -8,7 +8,8 @@
 //! adaptive link rate built on `holdcsim-power`.
 //!
 //! ```
-//! use holdcsim_network::prelude::*;
+//! use holdcsim_network::routing::Router;
+//! use holdcsim_network::topologies::{fat_tree, LinkSpec};
 //!
 //! let built = fat_tree(4, LinkSpec::gigabit());
 //! assert_eq!(built.hosts.len(), 16);
@@ -40,16 +41,3 @@ pub use topologies::{
     bcube, camcube, fat_tree, flattened_butterfly, star, BuiltTopology, LinkSpec,
 };
 pub use topology::{Link, NodeKind, Topology, TopologyBuilder, TopologyError};
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::flow::{CompletedFlow, FlowNet};
-    pub use crate::ids::{FlowId, LinkId, NodeId, PacketId, PortRef};
-    pub use crate::packet::{segment, Packet, PacketNet, TxOutcome};
-    pub use crate::routing::{Route, Router};
-    pub use crate::switch::SwitchDevice;
-    pub use crate::topologies::{
-        bcube, camcube, fat_tree, flattened_butterfly, star, BuiltTopology, LinkSpec,
-    };
-    pub use crate::topology::{Link, NodeKind, Topology, TopologyError};
-}

@@ -115,11 +115,6 @@ impl SwitchDevice {
         self.ports.len()
     }
 
-    /// Number of line cards.
-    pub fn card_count(&self) -> usize {
-        self.cards.len()
-    }
-
     /// The line card carrying `port`.
     pub fn card_of(&self, port: u32) -> usize {
         (port / self.ports_per_card) as usize
@@ -262,11 +257,6 @@ impl SwitchDevice {
         }
     }
 
-    /// The negotiated ALR rate of `port`, if reduced.
-    pub fn port_rate(&self, port: u32) -> Option<u64> {
-        self.port_rates[port as usize]
-    }
-
     /// Instantaneous switch power (chassis + cards + ports).
     pub fn power_w(&self) -> f64 {
         self.chassis.value()
@@ -312,7 +302,7 @@ mod tests {
         let sw = cisco(SimTime::ZERO);
         assert!((sw.power_w() - 20.22).abs() < 1e-9);
         assert_eq!(sw.port_count(), 24);
-        assert_eq!(sw.card_count(), 1);
+        assert_eq!(sw.card_of(23), 0, "one card carries every port");
     }
 
     #[test]
@@ -405,7 +395,6 @@ mod tests {
         let p_full = sw.power_w();
         sw.set_port_rate(SimTime::from_secs(1), 0, Some(1_000_000_000));
         assert!(sw.power_w() < p_full);
-        assert_eq!(sw.port_rate(0), Some(1_000_000_000));
         sw.set_port_rate(SimTime::from_secs(2), 0, None);
         assert!((sw.power_w() - p_full).abs() < 1e-9);
     }
@@ -449,7 +438,11 @@ mod tests {
         sw.set_port_rate(SimTime::from_secs(1), 0, Some(100_000_000));
         let d = sw.wake_for_tx(SimTime::from_secs(2), 0);
         assert_eq!(d, SimDuration::from_micros(5));
-        assert_eq!(sw.port_rate(0), None, "rate restored to full");
+        assert_eq!(
+            sw.wake_for_tx(SimTime::from_secs(3), 0),
+            SimDuration::ZERO,
+            "rate restored to full: no second renegotiation"
+        );
     }
 
     #[test]

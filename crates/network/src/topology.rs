@@ -57,34 +57,6 @@ pub struct Link {
     pub latency: SimDuration,
 }
 
-impl Link {
-    /// The endpoint on `node`, if the link touches it.
-    pub fn endpoint_on(&self, node: NodeId) -> Option<PortRef> {
-        if self.a.node == node {
-            Some(self.a)
-        } else if self.b.node == node {
-            Some(self.b)
-        } else {
-            None
-        }
-    }
-
-    /// The node opposite `node` over this link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link does not touch `node`.
-    pub fn opposite(&self, node: NodeId) -> NodeId {
-        if self.a.node == node {
-            self.b.node
-        } else if self.b.node == node {
-            self.a.node
-        } else {
-            panic!("link does not touch {node}")
-        }
-    }
-}
-
 /// Errors from [`TopologyBuilder`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -364,7 +336,7 @@ mod tests {
         let switch_ports: Vec<u32> = t
             .links()
             .iter()
-            .map(|l| l.endpoint_on(sw).unwrap().port)
+            .map(|l| if l.a.node == sw { l.a.port } else { l.b.port })
             .collect();
         assert_eq!(switch_ports, vec![0, 1, 2]);
     }
@@ -409,19 +381,5 @@ mod tests {
         b.add_host();
         let t = b.build();
         assert!(!t.is_connected());
-    }
-
-    #[test]
-    fn link_opposite_and_endpoint() {
-        let mut b = Topology::builder();
-        let a = b.add_host();
-        let c = b.add_host();
-        b.link(a, c, GBE, lat()).unwrap();
-        let t = b.build();
-        let l = t.link(LinkId(0));
-        assert_eq!(l.opposite(a), c);
-        assert_eq!(l.opposite(c), a);
-        assert_eq!(l.endpoint_on(a).unwrap().node, a);
-        assert_eq!(l.endpoint_on(NodeId(42)), None);
     }
 }

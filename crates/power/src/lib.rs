@@ -9,7 +9,8 @@
 //! live in `holdcsim-server` and `holdcsim-network`.
 //!
 //! ```
-//! use holdcsim_power::prelude::*;
+//! use holdcsim_power::server_profile::ServerPowerProfile;
+//! use holdcsim_power::switch_profile::SwitchPowerProfile;
 //!
 //! let server = ServerPowerProfile::xeon_e5_2680();
 //! assert_eq!(server.package.pc0_w, 14.0);
@@ -31,12 +32,3 @@ pub use server_profile::{
 };
 pub use states::{CoreCState, LineCardPowerState, PState, PkgCState, PortPowerState, SystemState};
 pub use switch_profile::{LineCardPowerProfile, PortPowerProfile, SwitchPowerProfile};
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::server_profile::ServerPowerProfile;
-    pub use crate::states::{
-        CoreCState, LineCardPowerState, PState, PkgCState, PortPowerState, SystemState,
-    };
-    pub use crate::switch_profile::SwitchPowerProfile;
-}

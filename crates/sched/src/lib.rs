@@ -7,8 +7,8 @@
 //! WASP two-pool manager, and dual-delay-timer assignment.
 //!
 //! ```
-//! use holdcsim_sched::prelude::*;
-//! use holdcsim_server::prelude::*;
+//! use holdcsim_sched::policy::{ClusterView, GlobalPolicy, LeastLoaded, NoNetworkCost};
+//! use holdcsim_server::server::{Server, ServerConfig, ServerId};
 //! use holdcsim_des::time::SimTime;
 //!
 //! let servers: Vec<Server> = (0..4)
@@ -38,15 +38,3 @@ pub use policy::{
 pub use pools::{dual_timer_policies, PoolAction, PoolManager};
 pub use provisioning::{ProvisionAction, ProvisioningController};
 pub use queue::GlobalQueue;
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::geo::{route_site, GeoPolicy};
-    pub use crate::policy::{
-        ClusterView, GlobalPolicy, LeastLoaded, NetworkAware, NetworkCost, NoNetworkCost,
-        PackFirst, Random, RoundRobin,
-    };
-    pub use crate::pools::{dual_timer_policies, PoolAction, PoolManager};
-    pub use crate::provisioning::{ProvisionAction, ProvisioningController};
-    pub use crate::queue::GlobalQueue;
-}

@@ -490,8 +490,10 @@ mod tests {
     /// server-class filter) — through both saturation fallbacks.
     #[test]
     fn pack_first_bitmap_matches_linear_scan() {
-        use holdcsim_server::policy::DeepState;
+        use holdcsim_server::policy::SleepPolicy;
 
+        // Suspends to RAM the moment the server is idle.
+        let deep_now = SleepPolicy::delay_timer(SimDuration::ZERO);
         let mut rng = SimRng::seed_from(0xB17_3A9);
         let (mut packed, mut queued, mut woken) = (0, 0, 0);
         for case in 0..300 {
@@ -505,15 +507,15 @@ mod tests {
                 let mut s = Server::new(SimTime::ZERO, ServerId(i), ServerConfig::new(cores));
                 // Awake, suspending, or asleep (resuming once loaded).
                 match rng.below(4) {
-                    2 => s.request_deep_sleep(SimTime::ZERO, DeepState::SuspendToRam, &mut fx),
+                    2 => s.set_policy(SimTime::ZERO, deep_now, &mut fx),
                     3 => {
-                        s.request_deep_sleep(SimTime::ZERO, DeepState::SuspendToRam, &mut fx);
+                        s.set_policy(SimTime::ZERO, deep_now, &mut fx);
                         s.transition_done(SimTime::ZERO, &mut fx);
                     }
                     _ => {}
                 }
                 servers.push(s);
-                let tasks = if rng.chance(fill) {
+                let tasks = if rng.uniform_f64() < fill {
                     u64::from(cores) + rng.below(3)
                 } else {
                     rng.below(u64::from(cores) + 1)
@@ -522,15 +524,17 @@ mod tests {
             }
             let committed: Vec<u32> = (0..n)
                 .map(|_| {
-                    if rng.chance(0.3) {
+                    if rng.uniform_f64() < 0.3 {
                         rng.below(3) as u32
                     } else {
                         0
                     }
                 })
                 .collect();
-            let eligible: Vec<ServerId> =
-                (0..n).map(ServerId).filter(|_| rng.chance(0.8)).collect();
+            let eligible: Vec<ServerId> = (0..n)
+                .map(ServerId)
+                .filter(|_| rng.uniform_f64() < 0.8)
+                .collect();
             let plain = ClusterView::with_committed(&servers, &committed);
             let mut bits = vec![0u64; (n as usize).div_ceil(64)];
             for &id in eligible.iter().filter(|&&id| plain.has_free_core(id)) {
@@ -541,7 +545,7 @@ mod tests {
             let subset: Vec<ServerId> = eligible
                 .iter()
                 .copied()
-                .filter(|_| rng.chance(0.5))
+                .filter(|_| rng.uniform_f64() < 0.5)
                 .collect();
             let lowest_free = plain.first_with_free_core(&eligible);
             let without_lowest: Vec<ServerId> = eligible

@@ -270,7 +270,7 @@ mod tests {
             let mut model: VecDeque<(u64, Option<u32>)> = VecDeque::new();
             let mut next_job = 0u64;
             for _ in 0..2_000 {
-                if model.is_empty() || rng.chance(0.55) {
+                if model.is_empty() || rng.uniform_f64() < 0.55 {
                     let class = match rng.below(4) {
                         0 => None,
                         c => Some((c - 1) as u32),
@@ -278,7 +278,7 @@ mod tests {
                     q.push_classed(SimTime::ZERO, th(next_job), class);
                     model.push_back((next_job, class));
                     next_job += 1;
-                } else if rng.chance(0.2) {
+                } else if rng.uniform_f64() < 0.2 {
                     // Reference: the front of the global FIFO.
                     let got = q.pop(SimTime::ZERO).map(|(t, _)| t.id.job.0);
                     assert_eq!(got, model.pop_front().map(|(j, _)| j), "trial {trial}");

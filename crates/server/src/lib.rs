@@ -10,7 +10,8 @@
 //! with the current time and schedules the returned [`server::Effect`]s.
 //!
 //! ```
-//! use holdcsim_server::prelude::*;
+//! use holdcsim_server::server::{EffectBuf, Server, ServerConfig, ServerId};
+//! use holdcsim_server::task::TaskHandle;
 //! use holdcsim_des::time::{SimDuration, SimTime};
 //! use holdcsim_workload::ids::{JobId, TaskId};
 //!
@@ -33,12 +34,3 @@ pub use server::{
     Band, Effect, EffectBuf, LocalQueueMode, Server, ServerConfig, ServerId, ServerMode,
 };
 pub use task::TaskHandle;
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::policy::{DeepState, IdleDescent, SleepPolicy};
-    pub use crate::server::{
-        Band, Effect, EffectBuf, LocalQueueMode, Server, ServerConfig, ServerId, ServerMode,
-    };
-    pub use crate::task::TaskHandle;
-}

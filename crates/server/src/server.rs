@@ -255,48 +255,9 @@ impl ServerConfig {
         }
     }
 
-    /// Splits the cores over `sockets` processor packages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sockets` is zero or does not divide the core count.
-    pub fn with_sockets(mut self, sockets: u32) -> Self {
-        assert!(sockets > 0, "need at least one socket");
-        assert_eq!(
-            self.cores % sockets,
-            0,
-            "cores must split evenly over sockets"
-        );
-        self.sockets = sockets;
-        self
-    }
-
-    /// Makes the processor heterogeneous: `speeds[i]` scales core `i`'s
-    /// execution speed (big.LITTLE-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length does not match `cores` or a factor is not
-    /// strictly positive.
-    pub fn with_core_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert_eq!(speeds.len(), self.cores as usize, "one speed per core");
-        assert!(
-            speeds.iter().all(|&s| s > 0.0),
-            "core speeds must be positive"
-        );
-        self.core_speeds = speeds;
-        self
-    }
-
     /// Replaces the sleep policy.
     pub fn with_policy(mut self, policy: SleepPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Replaces the queue mode.
-    pub fn with_queue_mode(mut self, mode: LocalQueueMode) -> Self {
-        self.queue_mode = mode;
         self
     }
 }
@@ -392,6 +353,10 @@ impl Server {
         assert!(
             cfg.core_speeds.is_empty() || cfg.core_speeds.len() == cfg.cores as usize,
             "core_speeds must be empty or one per core"
+        );
+        assert!(
+            cfg.core_speeds.iter().all(|&s| s > 0.0),
+            "core speeds must be positive"
         );
         assert!(
             cfg.sockets > 0 && cfg.cores.is_multiple_of(cfg.sockets),
@@ -644,16 +609,6 @@ impl Server {
             other => panic!("transition_done in non-transitional mode {other:?}"),
         }
         self.note_load(now);
-    }
-
-    /// Control-plane: ask the server to enter deep sleep now (pool
-    /// managers). No-op unless it is awake and workless.
-    pub fn request_deep_sleep(&mut self, now: SimTime, deep: DeepState, fx: &mut EffectBuf) {
-        fx.clear();
-        if self.mode.is_awake() && self.pending() == 0 {
-            self.timer_gen += 1;
-            self.begin_suspend(now, deep, fx);
-        }
     }
 
     /// Control-plane: wake the server from deep sleep (pool managers,
@@ -965,10 +920,10 @@ mod tests {
         b.to_vec()
     }
 
-    fn request_deep_sleep(s: &mut Server, now: SimTime, deep: DeepState) -> Vec<Effect> {
-        let mut b = EffectBuf::new();
-        s.request_deep_sleep(now, deep, &mut b);
-        b.to_vec()
+    /// A control-plane deep-sleep request: a policy that suspends to RAM
+    /// the moment the server is idle.
+    fn request_deep_sleep(s: &mut Server, now: SimTime) -> Vec<Effect> {
+        set_policy(s, now, SleepPolicy::delay_timer(SimDuration::ZERO))
     }
 
     fn request_wake(s: &mut Server, now: SimTime) -> Vec<Effect> {
@@ -1145,14 +1100,17 @@ mod tests {
 
     #[test]
     fn request_deep_sleep_and_wake_roundtrip() {
-        let cfg = ServerConfig::new(1).with_policy(SleepPolicy::shallow_only());
+        let shallow = SleepPolicy::shallow_only();
+        let cfg = ServerConfig::new(1).with_policy(shallow);
         let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
-        let fx = request_deep_sleep(&mut s, SimTime::from_secs(1), DeepState::SuspendToRam);
+        let fx = request_deep_sleep(&mut s, SimTime::from_secs(1));
         let [Effect::TransitionDoneIn { after }] = fx[..] else {
             panic!()
         };
         transition_done(&mut s, SimTime::from_secs(1) + after);
         assert_eq!(s.mode(), ServerMode::DeepSleep(SystemState::S3));
+        // Asleep, a policy swap waits for the next idle descent.
+        assert!(set_policy(&mut s, SimTime::from_secs(5), shallow).is_empty());
         let fx = request_wake(&mut s, SimTime::from_secs(10));
         let [Effect::TransitionDoneIn { after }] = fx[..] else {
             panic!()
@@ -1167,14 +1125,17 @@ mod tests {
     fn request_deep_sleep_refused_with_work() {
         let mut s = active_idle_server(1);
         submit(&mut s, SimTime::ZERO, th(1, 10));
-        let fx = request_deep_sleep(&mut s, SimTime::from_millis(1), DeepState::SuspendToRam);
+        let fx = request_deep_sleep(&mut s, SimTime::from_millis(1));
         assert!(fx.is_empty());
         assert_eq!(s.mode(), ServerMode::Active);
     }
 
     #[test]
     fn per_core_queues_join_shortest() {
-        let cfg = ServerConfig::new(2).with_queue_mode(LocalQueueMode::PerCore);
+        let cfg = ServerConfig {
+            queue_mode: LocalQueueMode::PerCore,
+            ..ServerConfig::new(2)
+        };
         let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
         // Fill both cores, then queue two more: they split across queues.
         submit(&mut s, SimTime::ZERO, th(1, 10));
@@ -1293,7 +1254,10 @@ mod tests {
     #[test]
     fn heterogeneous_dispatch_prefers_fast_cores() {
         // Core 1 is the "big" core (2x); it must be chosen first.
-        let cfg = ServerConfig::new(2).with_core_speeds(vec![0.5, 2.0]);
+        let cfg = ServerConfig {
+            core_speeds: vec![0.5, 2.0],
+            ..ServerConfig::new(2)
+        };
         let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
         let fx = submit(&mut s, SimTime::ZERO, th(1, 10));
         let [Effect::TaskStarted {
@@ -1323,7 +1287,10 @@ mod tests {
     #[test]
     fn heterogeneous_busy_power_scales_quadratically() {
         let profile = ServerPowerProfile::xeon_e5_2680();
-        let cfg = ServerConfig::new(2).with_core_speeds(vec![1.0, 2.0]);
+        let cfg = ServerConfig {
+            core_speeds: vec![1.0, 2.0],
+            ..ServerConfig::new(2)
+        };
         let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
         let idle = s.power_w();
         submit(&mut s, SimTime::ZERO, th(1, 10)); // big core first: 4x busy power
@@ -1355,16 +1322,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one speed per core")]
+    #[should_panic(expected = "core_speeds must be empty or one per core")]
     fn mismatched_core_speeds_rejected() {
-        let _ = ServerConfig::new(4).with_core_speeds(vec![1.0, 2.0]);
+        let cfg = ServerConfig {
+            core_speeds: vec![1.0, 2.0],
+            ..ServerConfig::new(4)
+        };
+        Server::new(SimTime::ZERO, ServerId(0), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "core speeds must be positive")]
+    fn zero_core_speed_rejected() {
+        let cfg = ServerConfig {
+            core_speeds: vec![1.0, 0.0],
+            ..ServerConfig::new(2)
+        };
+        Server::new(SimTime::ZERO, ServerId(0), cfg);
     }
 
     #[test]
     fn idle_socket_naps_in_pc2_while_other_works() {
         let profile = ServerPowerProfile::xeon_e5_2680();
         // 2 sockets x 2 cores; one task occupies socket 0 only.
-        let cfg = ServerConfig::new(4).with_sockets(2);
+        let cfg = ServerConfig {
+            sockets: 2,
+            ..ServerConfig::new(4)
+        };
         let mut dual = Server::new(SimTime::ZERO, ServerId(0), cfg);
         submit(&mut dual, SimTime::ZERO, th(1, 10));
         let cfg1 = ServerConfig::new(4);
@@ -1390,9 +1374,11 @@ mod tests {
     #[test]
     fn shallow_sleep_gates_all_sockets() {
         let profile = ServerPowerProfile::xeon_e5_2680();
-        let cfg = ServerConfig::new(4)
-            .with_sockets(2)
-            .with_policy(SleepPolicy::shallow_only());
+        let cfg = ServerConfig {
+            sockets: 2,
+            ..ServerConfig::new(4)
+        }
+        .with_policy(SleepPolicy::shallow_only());
         let s = Server::new(SimTime::ZERO, ServerId(0), cfg);
         let expected = profile.platform.s0_w
             + profile.dram.idle_w
@@ -1408,7 +1394,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "cores must split evenly")]
     fn uneven_socket_split_rejected() {
-        let _ = ServerConfig::new(3).with_sockets(2);
+        let cfg = ServerConfig {
+            sockets: 2,
+            ..ServerConfig::new(3)
+        };
+        Server::new(SimTime::ZERO, ServerId(0), cfg);
     }
 
     #[test]

@@ -191,12 +191,6 @@ impl JobDag {
         &self.predecessors[index as usize]
     }
 
-    /// Number of predecessors of each task (the simulator's ready-counting
-    /// seed).
-    pub fn in_degrees(&self) -> Vec<u32> {
-        self.predecessors.iter().map(|p| p.len() as u32).collect()
-    }
-
     /// A topological order of task indices.
     pub fn topo_order(&self) -> &[u32] {
         &self.topo_order
@@ -208,13 +202,6 @@ impl JobDag {
             .iter()
             .find(|e| e.from == from && e.to == to)
             .map(|e| e.bytes)
-    }
-
-    /// Total nominal service time across tasks (work content).
-    pub fn total_work(&self) -> SimDuration {
-        self.tasks
-            .iter()
-            .fold(SimDuration::ZERO, |acc, t| acc + t.service)
     }
 
     /// Critical-path length through the DAG counting service times only
@@ -337,7 +324,6 @@ mod tests {
             .unwrap();
         assert_eq!(dag.roots(), &[0]);
         assert_eq!(dag.critical_path(), SimDuration::from_millis(6));
-        assert_eq!(dag.total_work(), SimDuration::from_millis(6));
         assert_eq!(dag.topo_order(), &[0, 1, 2]);
     }
 
@@ -356,7 +342,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(dag.critical_path(), SimDuration::from_millis(11));
-        assert_eq!(dag.in_degrees(), vec![0, 1, 1, 2]);
+        let in_degrees: Vec<usize> = (0..4).map(|i| dag.predecessors(i).len()).collect();
+        assert_eq!(in_degrees, [0, 1, 1, 2]);
         assert_eq!(dag.successors(0), &[1, 2]);
         assert_eq!(dag.predecessors(3), &[1, 2]);
     }

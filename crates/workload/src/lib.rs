@@ -7,7 +7,7 @@
 //! dependence.
 //!
 //! ```
-//! use holdcsim_workload::prelude::*;
+//! use holdcsim_workload::presets::WorkloadPreset;
 //! use holdcsim_des::rng::SimRng;
 //!
 //! let mut rng = SimRng::seed_from(7);
@@ -33,14 +33,3 @@ pub use ids::{JobId, TaskId};
 pub use presets::WorkloadPreset;
 pub use service::ServiceDist;
 pub use templates::JobTemplate;
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::arrivals::{ArrivalProcess, Mmpp2Arrivals, PoissonArrivals, TraceArrivals};
-    pub use crate::dag::{JobDag, TaskSpec};
-    pub use crate::ids::{JobId, TaskId};
-    pub use crate::presets::WorkloadPreset;
-    pub use crate::service::ServiceDist;
-    pub use crate::templates::JobTemplate;
-    pub use crate::trace::SyntheticTrace;
-}

@@ -210,9 +210,8 @@ impl Lockstep {
     /// Matches the net's completions since the last check against the
     /// shadow's, then runs the net's max-min check.
     fn check(&mut self, now: SimTime) {
-        let got: Vec<(FlowId, SimTime)> = (self.net.take_completed().into_iter())
-            .map(|c| (c.id, now))
-            .collect();
+        let got: Vec<(FlowId, SimTime)> =
+            self.net.drain_completed().map(|c| (c.id, now)).collect();
         let want = std::mem::take(&mut self.shadow_done);
         let ids = |v: &[(FlowId, SimTime)]| v.iter().map(|&(id, _)| id).collect::<Vec<_>>();
         assert_eq!(ids(&got), ids(&want), "completions at {now}");

@@ -133,7 +133,8 @@ fn deep_sleep_trades_latency_for_energy() {
 #[test]
 fn dvfs_slows_execution_and_cuts_core_power() {
     use holdcsim_des::time::SimTime as T;
-    use holdcsim_server::prelude::*;
+    use holdcsim_server::server::{Effect, EffectBuf, Server, ServerConfig, ServerId};
+    use holdcsim_server::task::TaskHandle;
     use holdcsim_workload::ids::{JobId, TaskId};
 
     let profile = holdcsim_power::server_profile::ServerPowerProfile::xeon_e5_2680();

@@ -302,10 +302,11 @@ fn global_queue_pull_never_overcommits_cores() {
     net.topology = TopologySpec::Star;
     net.comm = CommModel::Flow;
     cfg.network = Some(net);
-    let mut sim = Simulation::new(cfg);
+    let end = SimTime::ZERO + cfg.duration;
+    let mut engine = Simulation::new(cfg).into_engine();
     for step in 1..=2_000u64 {
-        sim.run_to(SimTime::from_millis(step * 10));
-        let dc = sim.datacenter();
+        engine.run_until(SimTime::from_millis(step * 10));
+        let dc = engine.model();
         for (s, &committed) in dc.servers().iter().zip(dc.committed()) {
             assert!(
                 s.busy_cores() + committed <= s.core_count(),
@@ -318,7 +319,9 @@ fn global_queue_pull_never_overcommits_cores() {
             );
         }
     }
-    let report = sim.run();
+    engine.run_until(end);
+    let events = engine.events_processed();
+    let report = holdcsim::sim::finish_report(engine.into_parts().0, end, events, 0.0);
     assert_eq!(report.jobs_completed, 40);
 }
 
