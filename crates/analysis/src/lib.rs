@@ -29,7 +29,7 @@ pub use lints::{Finding, LINTS};
 /// Lints an in-memory file set as if each file lived at its
 /// workspace-relative, `/`-separated path. The path selects each lint's
 /// scope (crate, hot-path module, report path) and the file's role:
-/// files under a `tests/` directory are skipped, benches, examples and
+/// files under a `tests/` directory are skipped, examples and
 /// `perfbench/` only supply N001 callers, and every other file is
 /// linted. This is what lets fixture tests exercise every scope, N001's
 /// cross-file one included, without touching the real tree.
@@ -51,10 +51,10 @@ pub fn analyze_sources(files: &[(&str, &str)]) -> Vec<Finding> {
 
 /// Walks the workspace source tree under `root` and lints it through
 /// [`analyze_sources`]: every `.rs` file of `crates/*/src`, `xtask/src`
-/// and the umbrella `src/`, plus the N001 callers in `crates/*/benches`,
-/// `examples/` and `perfbench/src`. Traversal order is sorted, so
-/// findings are deterministic — the lint engine holds itself to the
-/// contract it enforces.
+/// and the umbrella `src/`, plus the N001 callers in `examples/` and
+/// `perfbench/src`. Traversal order is sorted, so findings are
+/// deterministic — the lint engine holds itself to the contract it
+/// enforces.
 pub fn analyze_tree(root: &Path) -> io::Result<Vec<Finding>> {
     let mut paths: Vec<PathBuf> = Vec::new();
     for dir in source_roots(root)? {
@@ -72,9 +72,9 @@ pub fn analyze_tree(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(analyze_sources(&refs))
 }
 
-/// The directories [`analyze_tree`] reads: every `crates/<name>/src`
-/// and `crates/<name>/benches`, plus `src/`, `xtask/src`, `examples/`
-/// and `perfbench/src` when present.
+/// The directories [`analyze_tree`] reads: every `crates/<name>/src`,
+/// plus `src/`, `xtask/src`, `examples/` and `perfbench/src` when
+/// present.
 fn source_roots(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut roots = Vec::new();
     for top in ["src", "xtask/src", "examples", "perfbench/src"] {
@@ -91,11 +91,9 @@ fn source_roots(root: &Path) -> io::Result<Vec<PathBuf>> {
             .collect();
         names.sort();
         for c in names {
-            for sub in ["src", "benches"] {
-                let dir = c.join(sub);
-                if dir.is_dir() {
-                    roots.push(dir);
-                }
+            let dir = c.join("src");
+            if dir.is_dir() {
+                roots.push(dir);
             }
         }
     }

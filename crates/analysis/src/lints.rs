@@ -88,9 +88,9 @@ pub fn is_known_lint(id: &str) -> bool {
 /// Crates whose state drives the simulation trajectory: D001 scope.
 const SIM_CRATES: &[&str] = &["des", "core", "network", "sched", "cluster"];
 
-/// Crates allowed to read the wall clock (benchmark timing, the
-/// observability layer, the analysis tooling itself).
-const WALL_CLOCK_CRATES: &[&str] = &["obs", "harness", "bench", "analysis", "xtask"];
+/// Crates allowed to read the wall clock (the observability layer, the
+/// CLI harness, the analysis tooling and xtask).
+const WALL_CLOCK_CRATES: &[&str] = &["obs", "harness", "analysis", "xtask"];
 
 /// Engine hot-path modules: P001 scope. These are the files on the
 /// per-event path where a panic aborts a multi-hour sweep.
@@ -529,11 +529,9 @@ fn p001(f: &SourceFile, out: &mut Vec<Finding>) {
 const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
 
 /// True for files whose identifiers count as N001 callers but which no
-/// lint reports on: benches, examples and `perfbench/`.
+/// lint reports on: examples and `perfbench/`.
 pub fn caller_only(rel_path: &str) -> bool {
-    rel_path.starts_with("examples/")
-        || rel_path.starts_with("perfbench/")
-        || rel_path.contains("/benches/")
+    rel_path.starts_with("examples/") || rel_path.starts_with("perfbench/")
 }
 
 /// A plain-`pub` item: its name token and the token span `start..=end`
@@ -548,7 +546,8 @@ struct PubItem {
 /// N001 over the whole file set. An identifier token in a non-test
 /// region of any file counts as a caller of every item of that name,
 /// except the tokens inside the item's own definition, so recursion is
-/// no caller and a name shared with another item hides both.
+/// no caller, and those inside a `use` declaration, so an import or a
+/// re-export is none either. A name shared with another item hides both.
 pub fn n001(files: &[SourceFile]) -> Vec<Finding> {
     let items: Vec<(&SourceFile, PubItem)> = files
         .iter()
@@ -562,8 +561,13 @@ pub fn n001(files: &[SourceFile]) -> Vec<Finding> {
         .map(|(f, it)| (f.tokens[it.name_idx].text.as_str(), 0))
         .collect();
     for f in files {
+        let mut in_use = false;
         for (t, &test) in f.tokens.iter().zip(&f.in_test) {
-            if !test && t.kind == TokKind::Ident {
+            if in_use {
+                in_use = !is_punct(t, ";");
+            } else if is_ident(t, "use") {
+                in_use = true;
+            } else if !test && t.kind == TokKind::Ident {
                 if let Some(n) = mentions.get_mut(t.text.as_str()) {
                     *n += 1;
                 }

@@ -139,6 +139,17 @@ where
         .ok_or(format!("{what} must be finite and positive: `{s}`"))
 }
 
+/// Parses a sleep delay τ, a WAN latency or an affinity weight, for
+/// which zero is legal but a negative or NaN value is not: the first two
+/// would reach `SimDuration::from_secs_f64`, which clamps them to zero,
+/// and the simulator asserts the third.
+fn parse_non_negative(s: &str, what: &str) -> Result<f64, String> {
+    let v: f64 = parse_num(s, what)?;
+    (v.is_finite() && v >= 0.0)
+        .then_some(v)
+        .ok_or(format!("{what} must be finite and non-negative: `{s}`"))
+}
+
 /// Parses a `--duration` in seconds: finite and positive, and at least
 /// the 1 ns tick, below which `SimDuration::from_secs_f64` rounds the
 /// run to nothing.
@@ -211,7 +222,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             rho,
             servers,
             cores,
-            parse_num(t, "tau")?,
+            parse_non_negative(t, "tau")?,
             duration,
             seed,
         ),
@@ -279,7 +290,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             if x == "active-idle" {
                 Ok(None)
             } else {
-                parse_num(x, "tau").map(Some)
+                parse_non_negative(x, "tau").map(Some)
             }
         })?;
         plan = plan.taus_opt(&taus);
@@ -449,7 +460,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         return Err(format!("WAN rate must be at least 1 bps: `{gbps}`"));
     }
     let latency = SimDuration::from_secs_f64(
-        parse_num::<f64>(&get("wan-latency-ms", "10"), "WAN latency")? / 1e3,
+        parse_non_negative(&get("wan-latency-ms", "10"), "WAN latency")? / 1e3,
     );
     let mut wan = if opts.contains_key("hub") {
         WanConfig::hub(sites, rate_bps, latency)
@@ -479,12 +490,16 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         cc.faults = Some(holdcsim_faults::load_plan(s)?);
     }
     if let Some(s) = opts.get("affinity") {
-        let weights: Vec<f64> = parse_list(s, |x| parse_num(x, "affinity weight"))?;
+        let weights = parse_list(s, |x| parse_non_negative(x, "affinity weight"))?;
         if weights.len() != sites {
             return Err(format!(
                 "--affinity needs one weight per site ({} != {sites})",
                 weights.len()
             ));
+        }
+        let total: f64 = weights.iter().sum();
+        if !(total > 0.0 && total.is_finite()) {
+            return Err(format!("--affinity needs a finite, positive sum: `{s}`"));
         }
         for (spec, w) in cc.sites.iter_mut().zip(weights) {
             spec.affinity = Some(w);
@@ -672,6 +687,36 @@ mod tests {
         ] {
             assert!(cmd_federate(&args(bad)).is_err(), "federate {bad}");
         }
+        // τ, a WAN latency and an affinity weight may be zero, but a
+        // negative or NaN one clamps to zero or fails an assert, and so
+        // does a zero affinity sum; an infinite sum gives no site load.
+        for bad in ["--tau -1", "--tau nan"] {
+            let err = cmd_run(&args(bad)).unwrap_err();
+            assert!(err.contains("non-negative"), "run {bad}: {err}");
+        }
+        for bad in ["--taus -1", "--taus 0.4,nan"] {
+            let err = cmd_sweep(&args(bad)).unwrap_err();
+            assert!(err.contains("non-negative"), "sweep {bad}: {err}");
+        }
+        for bad in [
+            "--wan-latency-ms -1",
+            "--wan-latency-ms nan",
+            "--sites 2 --affinity -1,2",
+            "--sites 2 --affinity nan,1",
+            "--sites 2 --affinity 0,0",
+            "--sites 2 --affinity 1e308,1e308",
+        ] {
+            let err = cmd_federate(&args(bad)).unwrap_err();
+            assert!(
+                err.contains("non-negative") || err.contains("positive sum"),
+                "federate {bad}: {err}"
+            );
+        }
+        cmd_run(&args("--tau 0 --duration 0.05 --json")).unwrap();
+        cmd_federate(&args(
+            "--sites 2 --affinity 0,1 --wan-latency-ms 0 --duration 0.05 --json",
+        ))
+        .unwrap();
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod topology;
 
 pub use flow::{CompletedFlow, FlowNet};
 pub use ids::{FlowId, LinkId, NodeId, PacketId, PortRef};
-pub use packet::{segment, Packet, PacketNet, TxOutcome, DEFAULT_MTU_BYTES};
+pub use packet::{Packet, PacketNet, TxOutcome};
 pub use routing::{Route, Router};
 pub use switch::SwitchDevice;
 pub use topologies::{

@@ -15,9 +15,6 @@ use crate::ids::{LinkId, NodeId, PacketId};
 use crate::routing::Route;
 use crate::topology::Topology;
 
-/// Default Ethernet MTU payload used when packetizing task transfers.
-pub const DEFAULT_MTU_BYTES: u64 = 1_500;
-
 /// A packet traversing a precomputed route.
 ///
 /// The route is shared (`Arc`): every packet of a transfer — and, with
@@ -62,25 +59,6 @@ impl Packet {
     }
 }
 
-/// Splits `bytes` into MTU-sized segments (last may be short).
-///
-/// # Panics
-///
-/// Panics if `mtu == 0`.
-pub fn segment(bytes: u64, mtu: u64) -> Vec<u64> {
-    assert!(mtu > 0, "mtu must be positive");
-    if bytes == 0 {
-        return Vec::new();
-    }
-    let full = bytes / mtu;
-    let tail = bytes % mtu;
-    let mut v = vec![mtu; full as usize];
-    if tail > 0 {
-        v.push(tail);
-    }
-    v
-}
-
 /// Outcome of a transmission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxOutcome {
@@ -104,7 +82,7 @@ struct Egress {
 /// # Examples
 ///
 /// ```
-/// use holdcsim_network::packet::{segment, PacketNet, TxOutcome};
+/// use holdcsim_network::packet::{PacketNet, TxOutcome};
 /// use holdcsim_network::routing::Router;
 /// use holdcsim_network::topologies::{star, LinkSpec};
 /// use holdcsim_des::time::SimTime;
@@ -233,13 +211,6 @@ mod tests {
             .route(&built.topology, built.hosts[0], built.hosts[1], 0)
             .unwrap();
         (built.topology, built.hosts, route)
-    }
-
-    #[test]
-    fn segment_splits_at_mtu() {
-        assert_eq!(segment(0, 1500), Vec::<u64>::new());
-        assert_eq!(segment(1500, 1500), vec![1500]);
-        assert_eq!(segment(3100, 1500), vec![1500, 1500, 100]);
     }
 
     #[test]

@@ -95,6 +95,28 @@ fn cli_net_run_passes_the_max_min_check_at_every_solve() {
     assert!(report.network.expect("network report").flows > 0);
 }
 
+/// Flow comm costs a few events per transfer, packet comm one per packet
+/// hop (§III-B's granularity trade-off). On one two-tier trace over a
+/// 16-server fat tree, with 300 kB (200-packet) edges, both modes
+/// complete every job, and flow mode processes at least 10× fewer
+/// events.
+#[test]
+fn flow_mode_processes_at_most_a_tenth_of_packet_mode_events() {
+    let packet = CommModel::Packet {
+        mtu: 1_500,
+        buffer_bytes: 1 << 20,
+    };
+    let [flow, packet] =
+        [CommModel::Flow, packet].map(|comm| Simulation::new(dag_cfg(comm, 300_000, 200, 5)).run());
+    assert_eq!((flow.jobs_completed, packet.jobs_completed), (200, 200));
+    assert!(
+        flow.events_processed * 10 <= packet.events_processed,
+        "flow {} vs packet {} events",
+        flow.events_processed,
+        packet.events_processed
+    );
+}
+
 #[test]
 fn packet_mode_completes_all_dag_jobs() {
     let report = Simulation::new(dag_cfg(
