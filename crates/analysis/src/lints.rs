@@ -25,8 +25,9 @@
 //!   hot-path modules; invariants there should be documented (and
 //!   allowlisted) or converted to recoverable forms.
 //! * **N001** — a plain-`pub` item in `crates/*/src` that no non-test
-//!   code names outside its own definition. Unlike the others it is a
-//!   workspace pass ([`n001`]): the caller may live in any file.
+//!   code names outside its own definition and impl blocks. Unlike the
+//!   others it is a workspace pass ([`n001`]): the caller may live in
+//!   any file.
 //!
 //! Lints run over the token stream of [`SourceFile`]; all but U001 skip
 //! `#[cfg(test)]`/`#[test]` regions (see [`crate::source`]).
@@ -76,7 +77,7 @@ pub const LINTS: &[(&str, &str)] = &[
     ("P001", "unwrap/expect/panic! in an engine hot-path module"),
     (
         "N001",
-        "plain-`pub` item in crates/*/src that no non-test code names outside its definition",
+        "plain-`pub` item in crates/*/src that no non-test code names outside its definition and impls",
     ),
 ];
 
@@ -546,39 +547,37 @@ struct PubItem {
 /// N001 over the whole file set. An identifier token in a non-test
 /// region of any file counts as a caller of every item of that name,
 /// except the tokens inside the item's own definition, so recursion is
-/// no caller, and those inside a `use` declaration, so an import or a
-/// re-export is none either. A name shared with another item hides both.
+/// no caller; those inside a `use` declaration, so an import or a
+/// re-export is none either; and those an `impl` block owns: inside
+/// `impl X` and `impl Trait for X`, every `X`, and in a trait impl's
+/// header the trait's name, so a type's own impls and a trait's impls
+/// are none. A name shared with another item hides both.
 pub fn n001(files: &[SourceFile]) -> Vec<Finding> {
-    let items: Vec<(&SourceFile, PubItem)> = files
+    let callers: Vec<Vec<bool>> = files.iter().map(caller_tokens).collect();
+    let items: Vec<(&SourceFile, &[bool], PubItem)> = files
         .iter()
-        .filter(|f| {
+        .zip(&callers)
+        .filter(|(f, _)| {
             f.rel_path.starts_with("crates/") && f.rel_path.split('/').nth(2) == Some("src")
         })
-        .flat_map(|f| pub_items(f).into_iter().map(move |it| (f, it)))
+        .flat_map(|(f, calls)| pub_items(f).into_iter().map(move |it| (f, &calls[..], it)))
         .collect();
     let mut mentions: BTreeMap<&str, usize> = items
         .iter()
-        .map(|(f, it)| (f.tokens[it.name_idx].text.as_str(), 0))
+        .map(|(f, _, it)| (f.tokens[it.name_idx].text.as_str(), 0))
         .collect();
-    for f in files {
-        let mut in_use = false;
-        for (t, &test) in f.tokens.iter().zip(&f.in_test) {
-            if in_use {
-                in_use = !is_punct(t, ";");
-            } else if is_ident(t, "use") {
-                in_use = true;
-            } else if !test && t.kind == TokKind::Ident {
-                if let Some(n) = mentions.get_mut(t.text.as_str()) {
-                    *n += 1;
-                }
+    for (f, calls) in files.iter().zip(&callers) {
+        for (t, _) in f.tokens.iter().zip(calls).filter(|(_, &c)| c) {
+            if let Some(n) = mentions.get_mut(t.text.as_str()) {
+                *n += 1;
             }
         }
     }
     let mut out = Vec::new();
-    for (f, it) in items {
+    for (f, calls, it) in items {
         let name = f.tokens[it.name_idx].text.as_str();
         let own = (it.start..=it.end)
-            .filter(|&k| !f.in_test[k] && is_ident(&f.tokens[k], name))
+            .filter(|&k| calls[k] && is_ident(&f.tokens[k], name))
             .count();
         if mentions[name] > own {
             continue;
@@ -588,7 +587,7 @@ pub fn n001(files: &[SourceFile]) -> Vec<Finding> {
             "N001",
             f.tokens[it.name_idx].line,
             format!(
-                "`pub {} {name}` has no caller: no non-test code outside its definition names it",
+                "`pub {} {name}` has no caller: no non-test code outside its definition and impls names it",
                 f.tokens[it.kind_idx].text
             ),
             "delete it, with any state only it reads and any test that only tests it; keep \
@@ -598,6 +597,78 @@ pub fn n001(files: &[SourceFile]) -> Vec<Finding> {
         ));
     }
     out
+}
+
+/// `calls[k]` is true when token `k` of `f` may name a caller: a
+/// non-test identifier outside every `use` declaration that no `impl`
+/// block owns.
+fn caller_tokens(f: &SourceFile) -> Vec<bool> {
+    let owned = impl_owned(&f.tokens);
+    let mut in_use = false;
+    let mut calls = vec![false; f.tokens.len()];
+    for (k, t) in f.tokens.iter().enumerate() {
+        if in_use {
+            in_use = !is_punct(t, ";");
+        } else if is_ident(t, "use") {
+            in_use = true;
+        } else {
+            calls[k] = !f.in_test[k] && !owned[k] && t.kind == TokKind::Ident;
+        }
+    }
+    calls
+}
+
+/// `owned[k]` is true when an `impl` block owns token `k`: every token
+/// naming the block's self type X, in its header and body (`impl X`
+/// and `impl Trait for X` alike), and in a trait impl's header, the
+/// trait's name. An `impl` counts as a block only where an item may
+/// start, so `-> impl Trait` and `arg: impl Trait` are no blocks.
+fn impl_owned(toks: &[Token]) -> Vec<bool> {
+    let mut owned = vec![false; toks.len()];
+    let blocks = (0..toks.len()).filter(|&i| {
+        is_ident(&toks[i], "impl")
+            && (i == 0
+                || ["}", ";", "{", "]"]
+                    .iter()
+                    .any(|c| is_punct(&toks[i - 1], c))
+                || is_ident(&toks[i - 1], "unsafe"))
+    });
+    for i in blocks {
+        // Walk the header to the body's `{`. A path names what its last
+        // identifier outside brackets names (`a::B<C>` is a `B`, `&mut D`
+        // a `D`), and a `>` after `-` closes no bracket.
+        let (mut depth, mut in_where) = (0i64, false);
+        let (mut trait_name, mut self_name, mut open) = (None, None, None);
+        for (k, t) in toks.iter().enumerate().skip(i + 1) {
+            let arrow = is_punct(t, ">") && is_punct(&toks[k - 1], "-");
+            if ["<", "(", "["].iter().any(|c| is_punct(t, c)) {
+                depth += 1;
+            } else if !arrow && [">", ")", "]"].iter().any(|c| is_punct(t, c)) {
+                depth -= 1;
+            } else if depth == 0 && (is_punct(t, "{") || is_punct(t, ";")) {
+                open = is_punct(t, "{").then_some(k);
+                break;
+            } else if depth == 0 && !in_where && t.kind == TokKind::Ident {
+                match t.text.as_str() {
+                    "for" => trait_name = self_name.take(),
+                    "where" => in_where = true,
+                    _ => self_name = Some(k),
+                }
+            }
+        }
+        let (Some(open), Some(self_name)) = (open, self_name) else {
+            continue;
+        };
+        if let Some(k) = trait_name {
+            owned[k] = true;
+        }
+        let close = matching_brace(toks, open);
+        let name = toks[self_name].text.as_str();
+        for (o, t) in owned[i..=close].iter_mut().zip(&toks[i..=close]) {
+            *o |= is_ident(t, name);
+        }
+    }
+    owned
 }
 
 /// The plain-`pub` items of one file's non-test regions. `pub(crate)`

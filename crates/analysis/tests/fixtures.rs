@@ -260,7 +260,9 @@ fn n001_triggers_on_items_only_docs_strings_recursion_and_tests_name() {
             "pub fn merge_counts",
             "pub fn depth",
             "pub struct Probe",
-            "pub const LIMIT"
+            "pub const LIMIT",
+            "pub struct Gauge",
+            "pub trait Sink"
         ],
         "{findings:#?}"
     );

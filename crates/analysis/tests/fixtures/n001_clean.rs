@@ -25,6 +25,22 @@ impl fmt::Display for Meter {
     }
 }
 
+/// Named by `sink`'s return type: an `impl Trait` type is no impl
+/// block, so it is a caller.
+pub trait Sink {
+    fn put(&mut self, v: u64);
+}
+
+impl Sink for Meter {
+    fn put(&mut self, v: u64) {
+        self.record(v);
+    }
+}
+
+fn sink() -> impl Sink {
+    Meter::new()
+}
+
 /// Restricted visibility is rustc `dead_code`'s business.
 pub(crate) fn unused_helper() {}
 
@@ -32,4 +48,5 @@ fn main() {
     let mut m = Meter::new();
     m.record(3);
     println!("{m}");
+    sink().put(1);
 }

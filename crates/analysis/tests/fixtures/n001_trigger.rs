@@ -1,6 +1,7 @@
 //! N001 trigger: public items that no non-test code names outside
 //! their own definitions. Each is named only where a name is no caller:
-//! a doc comment, a string literal, its own body, or a test.
+//! a doc comment, a string literal, its own body, its own impl blocks,
+//! or a test.
 
 /// Adds two counts; only this doc and the test module name `merge_counts`.
 pub fn merge_counts(a: u64, b: u64) -> u64 {
@@ -21,6 +22,34 @@ pub struct Probe;
 
 /// A bound that only a `#[test]` function names.
 pub const LIMIT: u32 = 8;
+
+/// A gauge that only its own impl blocks name, header and body.
+pub struct Gauge {
+    level: u64,
+}
+
+impl Gauge {
+    fn empty() -> Gauge {
+        Gauge { level: 0 }
+    }
+}
+
+impl Default for Gauge {
+    fn default() -> Self {
+        Gauge::empty()
+    }
+}
+
+/// A trait that only its definition and an impl header name.
+pub trait Sink {
+    fn put(&mut self, v: u64);
+}
+
+impl Sink for Gauge {
+    fn put(&mut self, v: u64) {
+        self.level += v;
+    }
+}
 
 fn main() {
     println!("Probe");

@@ -259,8 +259,6 @@ pub struct SimConfig {
     pub controller: Option<ControllerConfig>,
     /// Controller sampling period.
     pub controller_period: SimDuration,
-    /// Statistics sampling period (time series).
-    pub sample_period: SimDuration,
     /// Observability: tracing, fingerprints, metrics probes, profiling.
     /// Defaults to everything off, which costs one branch per event.
     pub obs: ObsConfig,
@@ -307,7 +305,6 @@ impl SimConfig {
             network: None,
             controller: None,
             controller_period: SimDuration::from_millis(100),
-            sample_period: SimDuration::from_secs(1),
             obs: ObsConfig::default(),
             faults: None,
         }

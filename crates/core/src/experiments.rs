@@ -834,7 +834,18 @@ mod tests {
     fn scalability_runs_at_1k() {
         let pts = scalability(&[1_000], SimDuration::from_millis(200), 11);
         assert_eq!(pts[0].servers, 1_000);
-        assert!(pts[0].events > 1_000);
+        // Exact on any host: the run is a function of its seed.
+        assert_eq!(pts[0].events, 95_053);
+    }
+
+    /// The Table I throughput floor: the 1,000-server farm processes
+    /// over 10,000 events per host second. A wall-clock test, so it runs
+    /// on request, optimized and alone:
+    /// `cargo test --release -q -p holdcsim --lib scalability_ -- --ignored --test-threads 1`.
+    #[test]
+    #[ignore = "wall-clock floor: run in release with --ignored --test-threads 1"]
+    fn scalability_tops_10k_events_per_s_at_1k() {
+        let pts = scalability(&[1_000], SimDuration::from_millis(200), 11);
         assert!(
             pts[0].events_per_s > 10_000.0,
             "rate {}",

@@ -11,10 +11,7 @@
 //! placement then finds its first choice by walking set bits instead of
 //! probing every eligible server.
 
-use holdcsim_sched::policy::{
-    ClusterView, GlobalPolicy, LeastLoaded, NetworkAware, NetworkCost, NoNetworkCost, PackFirst,
-    Random, RoundRobin,
-};
+use holdcsim_sched::policy::{ClusterView, Policy};
 use holdcsim_server::server::{Server, ServerId};
 
 use crate::config::{PolicyKind, SimConfig};
@@ -23,7 +20,7 @@ use crate::netstate::NetState;
 /// The placement layer of the driver: where each ready task goes.
 #[derive(Debug)]
 pub(crate) struct Placement {
-    policy: Box<dyn GlobalPolicy>,
+    policy: Policy,
     /// Placement-eligible servers, ascending by id. Maintained
     /// incrementally by controller and fault decisions; never rebuilt per
     /// placement.
@@ -38,8 +35,9 @@ pub(crate) struct Placement {
     /// Scratch for the class/free-core-filtered candidate list (reused
     /// across placements; no per-placement allocation).
     scratch_candidates: Vec<ServerId>,
-    /// Server-indexed NetworkAware wake-cost table (reused; only entries
-    /// for the current candidate set are meaningful).
+    /// Server-indexed network wake-cost table (reused; only entries for
+    /// the current candidate set are meaningful). All zeros unless the
+    /// policy is network-aware and the run has a fabric.
     cost_scratch: Vec<f64>,
 }
 
@@ -49,12 +47,12 @@ impl Placement {
     /// work, so the bitmap starts as the eligibility mask and is built
     /// without reading the servers.
     pub(crate) fn new(cfg: &SimConfig, servers: &[Server], eligible: Vec<ServerId>) -> Self {
-        let policy: Box<dyn GlobalPolicy> = match cfg.policy {
-            PolicyKind::RoundRobin => Box::new(RoundRobin::new()),
-            PolicyKind::LeastLoaded => Box::new(LeastLoaded::new()),
-            PolicyKind::PackFirst => Box::new(PackFirst::new()),
-            PolicyKind::Random => Box::new(Random::new(cfg.seed ^ 0xD15C0)),
-            PolicyKind::NetworkAware => Box::new(NetworkAware::new()),
+        let policy = match cfg.policy {
+            PolicyKind::RoundRobin => Policy::RoundRobin { next: 0 },
+            PolicyKind::LeastLoaded => Policy::LeastLoaded,
+            PolicyKind::PackFirst => Policy::PackFirst,
+            PolicyKind::Random => Policy::random(cfg.seed ^ 0xD15C0),
+            PolicyKind::NetworkAware => Policy::NetworkAware,
         };
         let n = cfg.server_count;
         debug_assert!(eligible.windows(2).all(|w| w[0] < w[1]));
@@ -196,8 +194,7 @@ impl Placement {
         };
         // Network-aware placement needs per-candidate wake costs; fill the
         // server-indexed scratch table for exactly the candidate set.
-        let use_costs = matches!(cfg.policy, PolicyKind::NetworkAware) && net.is_some();
-        if let Some(net) = net.filter(|_| use_costs) {
+        if let Some(net) = net.filter(|_| matches!(self.policy, Policy::NetworkAware)) {
             for &id in candidates {
                 self.cost_scratch[id.0 as usize] = net.wake_cost(srcs, id, seed);
             }
@@ -213,21 +210,6 @@ impl Placement {
                 .all(|&id| self.bit(id) == view.has_free_core(id)),
             "free-core bitmap out of step with the servers"
         );
-        if use_costs {
-            let probe = CostTable(&self.cost_scratch);
-            self.policy.select(&view, candidates, &probe)
-        } else {
-            self.policy.select(&view, candidates, &NoNetworkCost)
-        }
-    }
-}
-
-/// A server-indexed wake-cost table over the placement's reusable scratch
-/// vector; only entries for the current candidate set are meaningful.
-struct CostTable<'a>(&'a [f64]);
-
-impl NetworkCost for CostTable<'_> {
-    fn wake_cost(&self, server: ServerId) -> f64 {
-        self.0[server.0 as usize]
+        self.policy.select(&view, candidates, &self.cost_scratch)
     }
 }

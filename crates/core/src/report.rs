@@ -355,6 +355,10 @@ impl SimReport {
     }
 }
 
+/// The sampling period of every [`Metrics`] time series: one sample a
+/// second, the paper's power-sampling method behind Fig. 12.
+pub(crate) const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(1);
+
 /// Metrics accumulated while a simulation runs.
 #[derive(Debug)]
 pub struct Metrics {

@@ -15,16 +15,18 @@ use holdcsim_network::ids::LinkId;
 use holdcsim_obs::{EventInfo, ObsArtifacts, Observer, ProbeSource, TraceEvent};
 use holdcsim_sched::geo::{route_site, GeoPolicy};
 use holdcsim_sched::queue::GlobalQueue;
-use holdcsim_server::server::{Effect, EffectBuf, Server, ServerConfig, ServerId};
+use holdcsim_server::server::{Effect, Server, ServerConfig, ServerId};
 use holdcsim_server::task::TaskHandle;
-use holdcsim_workload::arrivals::{ArrivalProcess, Mmpp2Arrivals, PoissonArrivals, TraceArrivals};
+use holdcsim_workload::arrivals::{Mmpp2Arrivals, PoissonArrivals, TraceArrivals};
 use holdcsim_workload::ids::{JobId, TaskId};
 
 use crate::config::{ArrivalConfig, SimConfig};
 use crate::job::{JobState, JobTable};
 use crate::netstate::NetState;
 use crate::placement::Placement;
-use crate::report::{latency_report, Metrics, NetworkReport, ServerReport, SimReport};
+use crate::report::{
+    latency_report, Metrics, NetworkReport, ServerReport, SimReport, SAMPLE_PERIOD,
+};
 use controller::Controller;
 use faults::FaultState;
 
@@ -244,8 +246,10 @@ pub struct Datacenter {
     // pop.
     #[allow(clippy::vec_box)]
     job_pool: Vec<Box<JobState>>,
-    /// Reusable effect buffer threaded through every server call.
-    fx: EffectBuf,
+    /// The effect buffer threaded through every server call, which clears
+    /// and refills it; one for the whole run, so it stops allocating once
+    /// it has grown to the largest burst.
+    fx: Vec<Effect>,
     controller: Controller,
     /// The fabric and every transfer in flight on it (network runs only).
     net: Option<NetState>,
@@ -266,6 +270,8 @@ pub struct Datacenter {
     metrics: Metrics,
 }
 
+/// The configured §III-D arrival process: the one dispatch over the
+/// three.
 #[derive(Debug)]
 enum Arrivals {
     Poisson(PoissonArrivals),
@@ -327,7 +333,7 @@ impl Datacenter {
             .as_ref()
             .map(|nc| NetState::build(now, nc, cfg.server_count));
         let controller = Controller::new(&cfg);
-        let metrics = Metrics::new(cfg.sample_period);
+        let metrics = Metrics::new(SAMPLE_PERIOD);
         let faults = FaultState::build(&cfg, &root_rng, net.as_ref());
         let eligible = controller.initially_eligible(cfg.server_count);
         let placement = Placement::new(&cfg, &servers, eligible);
@@ -341,7 +347,7 @@ impl Datacenter {
             scratch_srcs: Vec::new(),
             scratch_ready: Vec::new(),
             job_pool: Vec::new(),
-            fx: EffectBuf::new(),
+            fx: Vec::new(),
             controller,
             net,
             dispatch_slots: SlotWindow::new(),
@@ -577,8 +583,8 @@ impl Datacenter {
     /// generation `gen`. Associated (not `&mut self`) so the reusable
     /// buffer can be borrowed from `self` at every call site without
     /// conflict.
-    fn apply_effects(ctx: &mut Context<'_, DcEvent>, sid: ServerId, fx: &EffectBuf, gen: u32) {
-        for &e in fx.as_slice() {
+    fn apply_effects(ctx: &mut Context<'_, DcEvent>, sid: ServerId, fx: &[Effect], gen: u32) {
+        for &e in fx {
             match e {
                 Effect::TaskStarted {
                     core,
@@ -792,8 +798,8 @@ impl Datacenter {
         self.metrics
             .cpu0_power
             .observe(now, self.servers[0].cpu_power_w());
-        if now + self.cfg.sample_period <= SimTime::ZERO + self.cfg.duration {
-            ctx.schedule_in(self.cfg.sample_period, DcEvent::StatsSample);
+        if now + SAMPLE_PERIOD <= SimTime::ZERO + self.cfg.duration {
+            ctx.schedule_in(SAMPLE_PERIOD, DcEvent::StatsSample);
         }
     }
 

@@ -15,7 +15,7 @@
 //! ```
 //! use holdcsim_des::engine::{Context, Engine, Model};
 //! use holdcsim_des::rng::SimRng;
-//! use holdcsim_des::stats::Tally;
+//! use holdcsim_des::stats::SampleSet;
 //! use holdcsim_des::time::{SimDuration, SimTime};
 //!
 //! enum Ev { Arrival, Departure }
@@ -26,7 +26,7 @@
 //!     mu: f64,
 //!     in_system: u32,
 //!     arrivals_left: u32,
-//!     latencies: Tally,
+//!     latencies: SampleSet,
 //!     queue: Vec<SimTime>,
 //! }
 //!
@@ -66,7 +66,7 @@
 //!     mu: 1.0,
 //!     in_system: 0,
 //!     arrivals_left: 5_000,
-//!     latencies: Tally::new(),
+//!     latencies: SampleSet::with_capacity(usize::MAX),
 //!     queue: Vec::new(),
 //! };
 //! let mut engine = Engine::new(model);

@@ -1,7 +1,5 @@
 //! Runtime statistics collection for simulations.
 //!
-//! * [`Tally`] — streaming mean/variance/min/max of discrete observations
-//!   (e.g. per-job latency).
 //! * [`TimeWeighted`] — integrals and time averages of piecewise-constant
 //!   signals (e.g. queue length, watts → joules).
 //! * [`Residency`] — time spent per state of a state machine (Fig. 8).
@@ -13,11 +11,9 @@
 mod quantile;
 mod residency;
 mod series;
-mod tally;
 mod timeweighted;
 
 pub use quantile::SampleSet;
 pub use residency::Residency;
 pub use series::TimeSeries;
-pub use tally::Tally;
 pub use timeweighted::TimeWeighted;

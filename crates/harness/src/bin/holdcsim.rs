@@ -139,10 +139,13 @@ where
         .ok_or(format!("{what} must be finite and positive: `{s}`"))
 }
 
-/// Parses a sleep delay τ, a WAN latency or an affinity weight, for
-/// which zero is legal but a negative or NaN value is not: the first two
-/// would reach `SimDuration::from_secs_f64`, which clamps them to zero,
-/// and the simulator asserts the third.
+/// Parses a sleep delay τ, a WAN latency, an affinity weight, a spill
+/// load or a latency weight, for which zero is legal but a negative or
+/// NaN value is not: the first two would reach
+/// `SimDuration::from_secs_f64`, which clamps them to zero, the
+/// simulator asserts the third, a NaN spill load spills like zero, and
+/// a negative latency weight rewards WAN distance instead of charging
+/// for it.
 fn parse_non_negative(s: &str, what: &str) -> Result<f64, String> {
     let v: f64 = parse_num(s, what)?;
     (v.is_finite() && v >= 0.0)
@@ -474,11 +477,11 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     };
     let geo = match get("geo", "site-local").as_str() {
         "site-local" => GeoPolicy::SiteLocalFirst {
-            spill_load: parse_num(&get("spill", "1.0"), "spill load")?,
+            spill_load: parse_non_negative(&get("spill", "1.0"), "spill load")?,
         },
         "load-balanced" => GeoPolicy::LoadBalanced,
         "latency-aware" => GeoPolicy::LatencyAware {
-            latency_weight: parse_num(&get("latency-weight", "5.0"), "latency weight")?,
+            latency_weight: parse_non_negative(&get("latency-weight", "5.0"), "latency weight")?,
         },
         other => return Err(format!("unknown geo policy `{other}`")),
     };
@@ -687,9 +690,10 @@ mod tests {
         ] {
             assert!(cmd_federate(&args(bad)).is_err(), "federate {bad}");
         }
-        // τ, a WAN latency and an affinity weight may be zero, but a
-        // negative or NaN one clamps to zero or fails an assert, and so
-        // does a zero affinity sum; an infinite sum gives no site load.
+        // τ, a WAN latency, an affinity weight, a spill load and a
+        // latency weight may be zero, but a negative or NaN one clamps to
+        // zero, fails an assert or turns a geo policy around, and so does
+        // a zero affinity sum; an infinite sum gives no site load.
         for bad in ["--tau -1", "--tau nan"] {
             let err = cmd_run(&args(bad)).unwrap_err();
             assert!(err.contains("non-negative"), "run {bad}: {err}");
@@ -705,6 +709,10 @@ mod tests {
             "--sites 2 --affinity nan,1",
             "--sites 2 --affinity 0,0",
             "--sites 2 --affinity 1e308,1e308",
+            "--spill nan",
+            "--spill -3",
+            "--geo latency-aware --latency-weight nan",
+            "--geo latency-aware --latency-weight -5",
         ] {
             let err = cmd_federate(&args(bad)).unwrap_err();
             assert!(
@@ -715,6 +723,11 @@ mod tests {
         cmd_run(&args("--tau 0 --duration 0.05 --json")).unwrap();
         cmd_federate(&args(
             "--sites 2 --affinity 0,1 --wan-latency-ms 0 --duration 0.05 --json",
+        ))
+        .unwrap();
+        cmd_federate(&args("--sites 2 --spill 0 --duration 0.05 --json")).unwrap();
+        cmd_federate(&args(
+            "--sites 2 --geo latency-aware --latency-weight 0 --duration 0.05 --json",
         ))
         .unwrap();
     }

@@ -69,6 +69,16 @@ impl ObsCli {
         fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
             s.parse().map_err(|_| format!("invalid {what}: `{s}`"))
         }
+        // A cadence or sample rate of 0 would silently run as 1.
+        fn at_least_one<T>(s: &str, what: &str) -> Result<T, String>
+        where
+            T: std::str::FromStr + PartialOrd + From<u8>,
+        {
+            let v: T = num(s, what)?;
+            (v >= T::from(1))
+                .then_some(v)
+                .ok_or(format!("{what} must be at least 1: `{s}`"))
+        }
         let mut cfg = ObsConfig::default();
         let trace_path = opts.get("trace").map(PathBuf::from);
         if trace_path.is_some() {
@@ -89,7 +99,15 @@ impl ObsCli {
         if metrics_path.is_some() {
             let mut mc = MetricsConfig::default();
             if let Some(s) = opts.get("metrics-period") {
-                mc.period = SimDuration::from_secs_f64(num(s, "metrics period")?);
+                let secs: f64 = num(s, "metrics period")?;
+                mc.period = SimDuration::from_secs_f64(secs);
+                // Zero, negative and NaN periods round to 0 ns, which the
+                // probe panel would silently replace with its default.
+                if !secs.is_finite() || mc.period.is_zero() {
+                    return Err(format!(
+                        "metrics period must be finite and at least 1 ns: `{s}`"
+                    ));
+                }
             }
             cfg.metrics = Some(mc);
         } else if opts.contains_key("metrics-period") {
@@ -99,7 +117,7 @@ impl ObsCli {
         if fingerprint_path.is_some() {
             let mut fc = FingerprintConfig::default();
             if let Some(s) = opts.get("fingerprint-every") {
-                fc.every = num(s, "fingerprint cadence")?;
+                fc.every = at_least_one(s, "fingerprint cadence")?;
             }
             cfg.fingerprint = Some(fc);
         } else if opts.contains_key("fingerprint-every") {
@@ -109,7 +127,7 @@ impl ObsCli {
         if profile {
             let mut pc = ProfileConfig::default();
             if let Some(s) = opts.get("profile-sample") {
-                pc.sample = num(s, "profile sample rate")?;
+                pc.sample = at_least_one(s, "profile sample rate")?;
             }
             cfg.profile = Some(pc);
         } else if opts.contains_key("profile-sample") {
@@ -237,6 +255,36 @@ mod tests {
         assert!(ObsCli::from_opts(&opts(&[("metrics-period", "1")])).is_err());
         assert!(ObsCli::from_opts(&opts(&[("fingerprint-every", "2")])).is_err());
         assert!(ObsCli::from_opts(&opts(&[("profile-sample", "8")])).is_err());
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected() {
+        for period in ["0", "-1", "nan", "inf", "1e-10"] {
+            let err =
+                ObsCli::from_opts(&opts(&[("metrics", "m.jsonl"), ("metrics-period", period)]))
+                    .unwrap_err();
+            assert!(err.contains("at least 1 ns"), "{period}: {err}");
+        }
+        for (flag, base) in [
+            ("fingerprint-every", ("fingerprint", "fp.json")),
+            ("profile-sample", ("profile", "true")),
+        ] {
+            let err = ObsCli::from_opts(&opts(&[base, (flag, "0")])).unwrap_err();
+            assert!(err.contains("at least 1"), "--{flag} 0: {err}");
+        }
+        // The smallest legal values still parse.
+        let cli = ObsCli::from_opts(&opts(&[
+            ("metrics", "m.jsonl"),
+            ("metrics-period", "1e-9"),
+            ("fingerprint", "fp.json"),
+            ("fingerprint-every", "1"),
+            ("profile", "true"),
+            ("profile-sample", "1"),
+        ]))
+        .unwrap();
+        assert_eq!(cli.cfg.metrics.unwrap().period, SimDuration::from_nanos(1));
+        assert_eq!(cli.cfg.fingerprint.unwrap().every, 1);
+        assert_eq!(cli.cfg.profile.unwrap().sample, 1);
     }
 
     #[test]

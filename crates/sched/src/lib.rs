@@ -1,13 +1,14 @@
 //! # holdcsim-sched
 //!
 //! Global scheduling and cluster-level power controllers for HolDCSim-RS
-//! (§III-E, §IV of the paper): placement policies (round-robin,
-//! least-loaded, consolidating pack-first, random, server-network-aware),
-//! the optional global task queue, the §IV-A provisioning controller, the
-//! WASP two-pool manager, and dual-delay-timer assignment.
+//! (§III-E, §IV of the paper): the placement policies as one [`Policy`]
+//! enum (round-robin, least-loaded, consolidating pack-first, random,
+//! server-network-aware), the optional global task queue, the §IV-A
+//! provisioning controller, the WASP two-pool manager, and
+//! dual-delay-timer assignment.
 //!
 //! ```
-//! use holdcsim_sched::policy::{ClusterView, GlobalPolicy, LeastLoaded, NoNetworkCost};
+//! use holdcsim_sched::policy::{ClusterView, Policy};
 //! use holdcsim_server::server::{Server, ServerConfig, ServerId};
 //! use holdcsim_des::time::SimTime;
 //!
@@ -15,9 +16,10 @@
 //!     .map(|i| Server::new(SimTime::ZERO, ServerId(i), ServerConfig::new(2)))
 //!     .collect();
 //! let ids: Vec<ServerId> = (0..4).map(ServerId).collect();
-//! let mut policy = LeastLoaded::new();
+//! let mut policy = Policy::LeastLoaded;
 //! let view = ClusterView::new(&servers);
-//! let pick = policy.select(&view, &ids, &NoNetworkCost);
+//! // No fabric: every server's network wake cost is zero.
+//! let pick = policy.select(&view, &ids, &[0.0; 4]);
 //! assert_eq!(pick, Some(ServerId(0)));
 //! ```
 
@@ -31,10 +33,7 @@ pub mod provisioning;
 pub mod queue;
 
 pub use geo::{route_site, GeoPolicy};
-pub use policy::{
-    ClusterView, GlobalPolicy, LeastLoaded, NetworkAware, NetworkCost, NoNetworkCost, PackFirst,
-    Random, RoundRobin,
-};
+pub use policy::{ClusterView, Policy};
 pub use pools::{dual_timer_policies, PoolAction, PoolManager};
 pub use provisioning::{ProvisionAction, ProvisioningController};
 pub use queue::GlobalQueue;

@@ -3,25 +3,6 @@
 use holdcsim_des::rng::SimRng;
 use holdcsim_server::server::{Server, ServerId};
 
-/// A probe for the network cost of activating a server — "the amount of
-/// additional switches to be woken up in order to allow communications to
-/// that server" (§IV-D). Implemented by the simulation driver over its
-/// switch devices; policies that ignore the network use [`NoNetworkCost`].
-pub trait NetworkCost {
-    /// Relative cost of steering new work to `server` (0 = free).
-    fn wake_cost(&self, server: ServerId) -> f64;
-}
-
-/// A [`NetworkCost`] that charges nothing (server-only studies).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoNetworkCost;
-
-impl NetworkCost for NoNetworkCost {
-    fn wake_cost(&self, _server: ServerId) -> f64 {
-        0.0
-    }
-}
-
 /// What placement policies see of the cluster: the servers plus any
 /// driver-side load not yet visible inside them (tasks committed to a
 /// server but still waiting on inbound network transfers), and
@@ -133,213 +114,110 @@ impl<'a> ClusterView<'a> {
     }
 }
 
-/// A global task-placement policy.
+/// A global task-placement policy (§III-E, §IV-D), with the state it
+/// carries between placements.
 ///
-/// `eligible` is the candidate set (the driver filters by server class and
-/// pool membership), ascending by id with no repeats — the free-core
-/// bitmap search of [`ClusterView::first_with_free_core`] relies on the
-/// order. Policies must return a member of it, or `None` to leave the
-/// task in the global queue.
-/// (The `Send` supertrait lets a boxed policy — and with it a whole site
-/// `Datacenter` — cross into a worker thread, which the federation's
-/// conservative-window coordinator relies on to run sites concurrently.)
-pub trait GlobalPolicy: std::fmt::Debug + Send {
-    /// Chooses a server for one task.
-    fn select(
-        &mut self,
-        view: &ClusterView<'_>,
-        eligible: &[ServerId],
-        net: &dyn NetworkCost,
-    ) -> Option<ServerId>;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Round-robin over the eligible set.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl RoundRobin {
-    /// Creates a round-robin policy starting at the first server.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl GlobalPolicy for RoundRobin {
-    fn select(
-        &mut self,
-        _view: &ClusterView<'_>,
-        eligible: &[ServerId],
-        _net: &dyn NetworkCost,
-    ) -> Option<ServerId> {
-        if eligible.is_empty() {
-            return None;
-        }
-        let pick = eligible[self.next % eligible.len()];
-        self.next = (self.next + 1) % eligible.len();
-        Some(pick)
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Least-loaded (the paper's load-balancing policy): minimum pending tasks,
-/// ties broken by lower id.
-#[derive(Debug, Default)]
-pub struct LeastLoaded;
-
-impl LeastLoaded {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        LeastLoaded
-    }
-}
-
-impl GlobalPolicy for LeastLoaded {
-    fn select(
-        &mut self,
-        view: &ClusterView<'_>,
-        eligible: &[ServerId],
-        _net: &dyn NetworkCost,
-    ) -> Option<ServerId> {
-        eligible
-            .iter()
-            .copied()
-            .min_by_key(|&id| (view.pending(id), id))
-    }
-
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-}
-
-/// Consolidating placement: fill the lowest-indexed server that can take
-/// the task immediately; only spill to sleeping/busy servers when every
-/// awake server is saturated. This is the dispatcher that lets delay-timer
-/// policies actually find idle periods (§IV-A/B).
-#[derive(Debug, Default)]
-pub struct PackFirst;
-
-impl PackFirst {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        PackFirst
-    }
-}
-
-impl GlobalPolicy for PackFirst {
-    fn select(
-        &mut self,
-        view: &ClusterView<'_>,
-        eligible: &[ServerId],
-        _net: &dyn NetworkCost,
-    ) -> Option<ServerId> {
-        // First choice: lowest-id awake server with a free core.
-        if let Some(id) = view.first_with_free_core(eligible) {
-            return Some(id);
-        }
-        // Second: the least-loaded awake server (queue there).
-        if let Some(id) = eligible
-            .iter()
-            .copied()
-            .filter(|&id| view.server(id).is_awake())
-            .min_by_key(|&id| (view.pending(id), id))
-        {
-            return Some(id);
-        }
-        // Last resort: wake the lowest-id sleeping server.
-        eligible.first().copied()
-    }
-
-    fn name(&self) -> &'static str {
-        "pack-first"
-    }
-}
-
-/// Uniform random placement.
+/// [`select`](Self::select) takes `eligible`, the candidate set (the
+/// driver filters by server class and pool membership), ascending by id
+/// with no repeats — the free-core bitmap search of
+/// [`ClusterView::first_with_free_core`] relies on the order. It returns
+/// a member of it, or `None` to leave the task in the global queue.
 #[derive(Debug)]
-pub struct Random {
-    rng: SimRng,
+pub enum Policy {
+    /// Round-robin over the eligible set.
+    RoundRobin {
+        /// Position of the next pick in the eligible set.
+        next: usize,
+    },
+    /// Least-loaded (the paper's load-balancing policy): minimum pending
+    /// tasks, ties broken by lower id.
+    LeastLoaded,
+    /// Consolidating placement: fill the lowest-indexed server that can
+    /// take the task immediately; only spill to sleeping/busy servers when
+    /// every awake server is saturated. This is the dispatcher that lets
+    /// delay-timer policies actually find idle periods (§IV-A/B).
+    PackFirst,
+    /// Uniform random placement from the policy's own RNG stream.
+    Random(SimRng),
+    /// The §IV-D Server-Network-Aware policy: prefer servers already
+    /// reachable without waking switches; when a server must be woken,
+    /// pick the one with the least network wake cost.
+    NetworkAware,
 }
 
-impl Random {
-    /// Creates the policy with its own RNG stream.
-    pub fn new(seed: u64) -> Self {
-        Random {
-            rng: SimRng::seed_from(seed),
+impl Policy {
+    /// Random placement with its own RNG stream.
+    pub fn random(seed: u64) -> Self {
+        Policy::Random(SimRng::seed_from(seed))
+    }
+
+    /// Chooses a server for one task. `costs[i]` is the network cost of
+    /// activating server `i` — "the amount of additional switches to be
+    /// woken up in order to allow communications to that server" (§IV-D);
+    /// only [`Policy::NetworkAware`] reads it, and only at eligible ids.
+    pub fn select(
+        &mut self,
+        view: &ClusterView<'_>,
+        eligible: &[ServerId],
+        costs: &[f64],
+    ) -> Option<ServerId> {
+        match self {
+            Policy::RoundRobin { next } => {
+                if eligible.is_empty() {
+                    return None;
+                }
+                let pick = eligible[*next % eligible.len()];
+                *next = (*next + 1) % eligible.len();
+                Some(pick)
+            }
+            Policy::LeastLoaded => eligible
+                .iter()
+                .copied()
+                .min_by_key(|&id| (view.pending(id), id)),
+            Policy::PackFirst => {
+                // First choice: lowest-id awake server with a free core.
+                if let Some(id) = view.first_with_free_core(eligible) {
+                    return Some(id);
+                }
+                // Second: the least-loaded awake server (queue there).
+                if let Some(id) = eligible
+                    .iter()
+                    .copied()
+                    .filter(|&id| view.server(id).is_awake())
+                    .min_by_key(|&id| (view.pending(id), id))
+                {
+                    return Some(id);
+                }
+                // Last resort: wake the lowest-id sleeping server.
+                eligible.first().copied()
+            }
+            Policy::Random(rng) => rng.choose(eligible).copied(),
+            // Rank: (needs wake?, network wake cost, pending, id). The cost
+            // term dominates: work stays on servers reachable without
+            // waking network elements (and, via the driver's distance
+            // term, close to its data sources), load-balancing only among
+            // equal-cost servers. When every cheap server is saturated,
+            // the server with the least network wake cost is activated
+            // (§IV-D's strategy).
+            Policy::NetworkAware => eligible.iter().copied().min_by(|&a, &b| {
+                let ka = rank_key(view, a, costs);
+                let kb = rank_key(view, b, costs);
+                ka.partial_cmp(&kb).expect("costs are finite")
+            }),
         }
     }
 }
 
-impl GlobalPolicy for Random {
-    fn select(
-        &mut self,
-        _view: &ClusterView<'_>,
-        eligible: &[ServerId],
-        _net: &dyn NetworkCost,
-    ) -> Option<ServerId> {
-        self.rng.choose(eligible).copied()
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
-}
-
-/// The §IV-D Server-Network-Aware policy: prefer servers already reachable
-/// without waking switches; when a server must be woken, pick the one with
-/// the least network wake cost.
-#[derive(Debug, Default)]
-pub struct NetworkAware;
-
-impl NetworkAware {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        NetworkAware
-    }
-}
-
-impl GlobalPolicy for NetworkAware {
-    fn select(
-        &mut self,
-        view: &ClusterView<'_>,
-        eligible: &[ServerId],
-        net: &dyn NetworkCost,
-    ) -> Option<ServerId> {
-        // Rank: (needs wake?, network wake cost, pending, id). The cost
-        // term dominates: work stays on servers reachable without waking
-        // network elements (and, via the driver's distance term, close to
-        // its data sources), load-balancing only among equal-cost servers.
-        // When every cheap server is saturated, the server with the least
-        // network wake cost is activated (§IV-D's strategy).
-        eligible.iter().copied().min_by(|&a, &b| {
-            let ka = rank_key(view, a, net);
-            let kb = rank_key(view, b, net);
-            ka.partial_cmp(&kb).expect("costs are finite")
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "server-network-aware"
-    }
-}
-
-fn rank_key(view: &ClusterView<'_>, id: ServerId, net: &dyn NetworkCost) -> (u8, f64, usize, u32) {
+fn rank_key(view: &ClusterView<'_>, id: ServerId, costs: &[f64]) -> (u8, f64, usize, u32) {
     let needs_wake = u8::from(!view.has_free_core(id));
-    (needs_wake, net.wake_cost(id), view.pending(id), id.0)
+    (needs_wake, costs[id.0 as usize], view.pending(id), id.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use holdcsim_des::time::{SimDuration, SimTime};
-    use holdcsim_server::server::{EffectBuf, ServerConfig};
+    use holdcsim_server::server::ServerConfig;
     use holdcsim_server::task::TaskHandle;
     use holdcsim_workload::ids::{JobId, TaskId};
 
@@ -356,7 +234,7 @@ mod tests {
     }
 
     fn load(servers: &mut [Server], id: ServerId, tasks: u64) {
-        let mut fx = EffectBuf::new();
+        let mut fx = Vec::new();
         for k in 0..tasks {
             let t = TaskHandle::new(
                 TaskId::new(JobId(id.0 as u64 * 100 + k), 0),
@@ -369,9 +247,9 @@ mod tests {
     #[test]
     fn round_robin_cycles() {
         let (servers, ids) = cluster(3);
-        let mut p = RoundRobin::new();
+        let mut p = Policy::RoundRobin { next: 0 };
         let picks: Vec<u32> = (0..6)
-            .map(|_| p.select(&view(&servers), &ids, &NoNetworkCost).unwrap().0)
+            .map(|_| p.select(&view(&servers), &ids, &[]).unwrap().0)
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -379,8 +257,8 @@ mod tests {
     #[test]
     fn round_robin_empty_eligible() {
         let (servers, _) = cluster(1);
-        let mut p = RoundRobin::new();
-        assert_eq!(p.select(&view(&servers), &[], &NoNetworkCost), None);
+        let mut p = Policy::RoundRobin { next: 0 };
+        assert_eq!(p.select(&view(&servers), &[], &[]), None);
     }
 
     #[test]
@@ -388,21 +266,15 @@ mod tests {
         let (mut servers, ids) = cluster(3);
         load(&mut servers, ServerId(0), 3);
         load(&mut servers, ServerId(1), 1);
-        let mut p = LeastLoaded::new();
-        assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
-            Some(ServerId(2))
-        );
+        let mut p = Policy::LeastLoaded;
+        assert_eq!(p.select(&view(&servers), &ids, &[]), Some(ServerId(2)));
     }
 
     #[test]
     fn least_loaded_ties_break_low_id() {
         let (servers, ids) = cluster(3);
-        let mut p = LeastLoaded::new();
-        assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
-            Some(ServerId(0))
-        );
+        let mut p = Policy::LeastLoaded;
+        assert_eq!(p.select(&view(&servers), &ids, &[]), Some(ServerId(0)));
     }
 
     #[test]
@@ -410,17 +282,11 @@ mod tests {
         let (mut servers, ids) = cluster(3);
         // Server 0 has one of two cores busy: still first choice.
         load(&mut servers, ServerId(0), 1);
-        let mut p = PackFirst::new();
-        assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
-            Some(ServerId(0))
-        );
+        let mut p = Policy::PackFirst;
+        assert_eq!(p.select(&view(&servers), &ids, &[]), Some(ServerId(0)));
         // Saturate 0: next free-core server is 1.
         load(&mut servers, ServerId(0), 1);
-        assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
-            Some(ServerId(1))
-        );
+        assert_eq!(p.select(&view(&servers), &ids, &[]), Some(ServerId(1)));
     }
 
     #[test]
@@ -428,28 +294,18 @@ mod tests {
         let (mut servers, ids) = cluster(2);
         load(&mut servers, ServerId(0), 4);
         load(&mut servers, ServerId(1), 3);
-        let mut p = PackFirst::new();
-        assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
-            Some(ServerId(1))
-        );
+        let mut p = Policy::PackFirst;
+        assert_eq!(p.select(&view(&servers), &ids, &[]), Some(ServerId(1)));
     }
 
     #[test]
     fn random_stays_in_eligible_set() {
         let (servers, _) = cluster(4);
         let ids = vec![ServerId(1), ServerId(3)];
-        let mut p = Random::new(9);
+        let mut p = Policy::random(9);
         for _ in 0..32 {
-            let pick = p.select(&view(&servers), &ids, &NoNetworkCost).unwrap();
+            let pick = p.select(&view(&servers), &ids, &[]).unwrap();
             assert!(ids.contains(&pick));
-        }
-    }
-
-    struct FixedCost(Vec<f64>);
-    impl NetworkCost for FixedCost {
-        fn wake_cost(&self, server: ServerId) -> f64 {
-            self.0[server.0 as usize]
         }
     }
 
@@ -457,9 +313,9 @@ mod tests {
     fn network_aware_prefers_cheap_paths() {
         let (servers, ids) = cluster(3);
         // All free; server 2's path is cheapest.
-        let net = FixedCost(vec![2.0, 1.0, 0.0]);
-        let mut p = NetworkAware::new();
-        assert_eq!(p.select(&view(&servers), &ids, &net), Some(ServerId(2)));
+        let costs = vec![2.0, 1.0, 0.0];
+        let mut p = Policy::NetworkAware;
+        assert_eq!(p.select(&view(&servers), &ids, &costs), Some(ServerId(2)));
     }
 
     #[test]
@@ -469,18 +325,9 @@ mod tests {
         load(&mut servers, ServerId(0), 2);
         // Server 1 is free but "expensive"; it still wins over waking... no:
         // server 1 is awake with a free core, so it wins despite cost.
-        let net = FixedCost(vec![0.0, 10.0]);
-        let mut p = NetworkAware::new();
-        assert_eq!(p.select(&view(&servers), &ids, &net), Some(ServerId(1)));
-    }
-
-    #[test]
-    fn policy_names() {
-        assert_eq!(RoundRobin::new().name(), "round-robin");
-        assert_eq!(LeastLoaded::new().name(), "least-loaded");
-        assert_eq!(PackFirst::new().name(), "pack-first");
-        assert_eq!(Random::new(0).name(), "random");
-        assert_eq!(NetworkAware::new().name(), "server-network-aware");
+        let costs = vec![0.0, 10.0];
+        let mut p = Policy::NetworkAware;
+        assert_eq!(p.select(&view(&servers), &ids, &costs), Some(ServerId(1)));
     }
 
     /// Property: with a free-core bitmap attached, pack-first picks what
@@ -501,7 +348,7 @@ mod tests {
             let cores = 1 + rng.below(8) as u32;
             // Per-case saturation: some clusters fill every core.
             let fill = rng.uniform_f64();
-            let mut fx = EffectBuf::new();
+            let mut fx = Vec::new();
             let mut servers = Vec::with_capacity(n as usize);
             for i in 0..n {
                 let mut s = Server::new(SimTime::ZERO, ServerId(i), ServerConfig::new(cores));
@@ -559,8 +406,8 @@ mod tests {
                     plain.first_with_free_core(cands),
                     "case {case}: first free server"
                 );
-                let want = PackFirst::new().select(&plain, cands, &NoNetworkCost);
-                let got = PackFirst::new().select(&fast, cands, &NoNetworkCost);
+                let want = Policy::PackFirst.select(&plain, cands, &[]);
+                let got = Policy::PackFirst.select(&fast, cands, &[]);
                 assert_eq!(got, want, "case {case}: pack-first pick");
                 match want {
                     Some(id) if plain.has_free_core(id) => packed += 1,
@@ -582,8 +429,8 @@ mod tests {
         // Both empty, but server 0 has 3 committed transfers inbound.
         let committed = vec![3u32, 0];
         let v = ClusterView::with_committed(&servers, &committed);
-        let mut p = LeastLoaded::new();
-        assert_eq!(p.select(&v, &ids, &NoNetworkCost), Some(ServerId(1)));
+        let mut p = Policy::LeastLoaded;
+        assert_eq!(p.select(&v, &ids, &[]), Some(ServerId(1)));
         assert_eq!(v.pending(ServerId(0)), 3);
         assert!(!v.has_free_core(ServerId(0)) || servers[0].core_count() > 3);
     }

@@ -158,11 +158,6 @@ impl PoolManager {
         assert!(self.active.remove(&id), "{id} was not active");
         self.sleeping.insert(id);
     }
-
-    /// The `(T_wakeup, T_sleep)` thresholds.
-    pub fn thresholds(&self) -> (f64, f64) {
-        (self.t_wakeup, self.t_sleep)
-    }
 }
 
 /// Dual-delay-timer assignment (§IV-B, Fig. 6): the first `n_high` servers

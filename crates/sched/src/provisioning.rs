@@ -68,11 +68,6 @@ impl ProvisioningController {
             ProvisionAction::Hold
         }
     }
-
-    /// The configured thresholds `(min, max)`.
-    pub fn thresholds(&self) -> (f64, f64) {
-        (self.min_load, self.max_load)
-    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,12 @@
 //! and CPU/DRAM/platform energy accounting.
 //!
 //! A [`Server`] is a passive state machine: the simulation driver calls it
-//! with the current time and a reusable [`EffectBuf`], then schedules the
-//! [`Effect`]s left in the buffer. This keeps the model engine-agnostic,
-//! directly unit-testable, and allocation-free on the per-event hot path.
+//! with the current time and a reusable `Vec<Effect>`, which every call
+//! clears and refills, then schedules the [`Effect`]s left in it. This
+//! keeps the model engine-agnostic and directly unit-testable; the driver
+//! owns one buffer for the whole run, and since `Vec::clear` keeps the
+//! capacity, the per-event hot path stops allocating after the first
+//! calls.
 
 use std::collections::VecDeque;
 
@@ -119,100 +122,6 @@ pub enum Effect {
     },
 }
 
-/// Inline capacity of an [`EffectBuf`]: covers a full dispatch burst on a
-/// typical server (one `TaskStarted` per core) without touching the heap.
-const INLINE_EFFECTS: usize = 8;
-
-/// Placeholder for unused inline slots (never observable).
-const NO_EFFECT: Effect = Effect::TransitionDoneIn {
-    after: SimDuration::ZERO,
-};
-
-/// A reusable buffer of [`Effect`]s: a hand-rolled inline array that spills
-/// to the heap only on bursts larger than the 8-effect inline capacity.
-///
-/// The driving loop owns one buffer and passes it to every server call, so
-/// the per-event hot path performs no allocation. Server methods clear the
-/// buffer on entry; the caller reads [`as_slice`](Self::as_slice) (or
-/// derefs — the buffer derefs to `[Effect]`) afterwards.
-///
-/// # Examples
-///
-/// ```
-/// use holdcsim_server::server::{Effect, EffectBuf};
-/// use holdcsim_des::time::SimDuration;
-///
-/// let mut buf = EffectBuf::new();
-/// buf.push(Effect::TransitionDoneIn { after: SimDuration::from_millis(1) });
-/// assert_eq!(buf.len(), 1);
-/// assert!(matches!(buf[0], Effect::TransitionDoneIn { .. }));
-/// buf.clear();
-/// assert!(buf.is_empty());
-/// ```
-#[derive(Debug, Clone)]
-pub struct EffectBuf {
-    /// Occupied inline slots (0 once spilled).
-    len: usize,
-    inline: [Effect; INLINE_EFFECTS],
-    /// Overflow storage; when non-empty it holds *all* effects in order.
-    spill: Vec<Effect>,
-}
-
-impl Default for EffectBuf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EffectBuf {
-    /// Creates an empty buffer (no heap allocation).
-    pub fn new() -> Self {
-        EffectBuf {
-            len: 0,
-            inline: [NO_EFFECT; INLINE_EFFECTS],
-            spill: Vec::new(),
-        }
-    }
-
-    /// Empties the buffer, keeping any spill capacity for reuse.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
-
-    /// Appends an effect.
-    pub fn push(&mut self, e: Effect) {
-        if !self.spill.is_empty() {
-            self.spill.push(e);
-        } else if self.len < INLINE_EFFECTS {
-            self.inline[self.len] = e;
-            self.len += 1;
-        } else {
-            // First overflow: move the inline prefix so `spill` holds all.
-            self.spill.extend_from_slice(&self.inline[..self.len]);
-            self.spill.push(e);
-            self.len = 0;
-        }
-    }
-
-    /// The buffered effects in push order.
-    pub fn as_slice(&self) -> &[Effect] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl std::ops::Deref for EffectBuf {
-    type Target = [Effect];
-
-    fn deref(&self) -> &[Effect] {
-        self.as_slice()
-    }
-}
-
 /// Configuration for one server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -303,14 +212,14 @@ impl LocalQueues {
 /// # Examples
 ///
 /// ```
-/// use holdcsim_server::server::{Effect, EffectBuf, Server, ServerConfig, ServerId, ServerMode};
+/// use holdcsim_server::server::{Effect, Server, ServerConfig, ServerId, ServerMode};
 /// use holdcsim_server::task::TaskHandle;
 /// use holdcsim_des::time::{SimDuration, SimTime};
 /// use holdcsim_workload::ids::{JobId, TaskId};
 ///
 /// let mut s = Server::new(SimTime::ZERO, ServerId(0), ServerConfig::new(4));
 /// let task = TaskHandle::new(TaskId::new(JobId(1), 0), SimDuration::from_millis(5));
-/// let mut effects = EffectBuf::new();
+/// let mut effects = Vec::new();
 /// s.submit(SimTime::ZERO, task, &mut effects);
 /// assert!(matches!(effects[0], Effect::TaskStarted { core: 0, .. }));
 /// assert_eq!(s.mode(), ServerMode::Active);
@@ -518,7 +427,7 @@ impl Server {
 
     /// Submits a task at `now`. Clears `fx` and fills it with the follow-up
     /// effects the driver must schedule.
-    pub fn submit(&mut self, now: SimTime, task: TaskHandle, fx: &mut EffectBuf) {
+    pub fn submit(&mut self, now: SimTime, task: TaskHandle, fx: &mut Vec<Effect>) {
         fx.clear();
         self.timer_gen += 1; // any activity cancels a pending descent
         self.queues.push(task);
@@ -543,7 +452,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `core` is not running a task.
-    pub fn complete(&mut self, now: SimTime, core: u32, fx: &mut EffectBuf) -> TaskId {
+    pub fn complete(&mut self, now: SimTime, core: u32, fx: &mut Vec<Effect>) -> TaskId {
         fx.clear();
         let finished = self.running[core as usize]
             .take()
@@ -566,7 +475,7 @@ impl Server {
     }
 
     /// The idle delay timer armed with `gen` fired at `now`.
-    pub fn timer_fired(&mut self, now: SimTime, gen: u64, fx: &mut EffectBuf) {
+    pub fn timer_fired(&mut self, now: SimTime, gen: u64, fx: &mut Vec<Effect>) {
         fx.clear();
         if gen != self.timer_gen {
             return; // stale: activity intervened
@@ -583,7 +492,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if no transition was in flight.
-    pub fn transition_done(&mut self, now: SimTime, fx: &mut EffectBuf) {
+    pub fn transition_done(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
         fx.clear();
         match self.mode {
             ServerMode::Suspending(s) => {
@@ -613,7 +522,7 @@ impl Server {
 
     /// Control-plane: wake the server from deep sleep (pool managers,
     /// provisioning). No-op if it is already awake or resuming.
-    pub fn request_wake(&mut self, now: SimTime, fx: &mut EffectBuf) {
+    pub fn request_wake(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
         fx.clear();
         match self.mode {
             ServerMode::DeepSleep(_) => self.begin_resume(now, fx),
@@ -624,7 +533,7 @@ impl Server {
 
     /// Control-plane: swap the sleep policy at `now` (WASP pool moves).
     /// Re-evaluates idleness under the new policy.
-    pub fn set_policy(&mut self, now: SimTime, policy: SleepPolicy, fx: &mut EffectBuf) {
+    pub fn set_policy(&mut self, now: SimTime, policy: SleepPolicy, fx: &mut Vec<Effect>) {
         fx.clear();
         self.cfg.policy = policy;
         if matches!(self.mode, ServerMode::Idle | ServerMode::ShallowSleep) && self.pending() == 0 {
@@ -719,7 +628,7 @@ impl Server {
         }
     }
 
-    fn dispatch_free_cores(&mut self, now: SimTime, effects: &mut EffectBuf) {
+    fn dispatch_free_cores(&mut self, now: SimTime, effects: &mut Vec<Effect>) {
         let pad = self.dispatch_pad();
         let speed = self.speed_ratio();
         let mut dispatched = false;
@@ -748,7 +657,7 @@ impl Server {
         }
     }
 
-    fn descend_idle(&mut self, now: SimTime, effects: &mut EffectBuf) {
+    fn descend_idle(&mut self, now: SimTime, effects: &mut Vec<Effect>) {
         match self.cfg.policy.idle_descent {
             IdleDescent::StayIdle => self.set_mode(now, ServerMode::Idle),
             IdleDescent::ShallowSleep => self.set_mode(now, ServerMode::ShallowSleep),
@@ -768,7 +677,7 @@ impl Server {
         }
     }
 
-    fn begin_suspend(&mut self, now: SimTime, deep: DeepState, effects: &mut EffectBuf) {
+    fn begin_suspend(&mut self, now: SimTime, deep: DeepState, effects: &mut Vec<Effect>) {
         debug_assert!(self.mode.is_awake());
         self.wake_after_suspend = false;
         self.set_mode(now, ServerMode::Suspending(deep.system_state()));
@@ -777,7 +686,7 @@ impl Server {
         });
     }
 
-    fn begin_resume(&mut self, now: SimTime, effects: &mut EffectBuf) {
+    fn begin_resume(&mut self, now: SimTime, effects: &mut Vec<Effect>) {
         let ServerMode::DeepSleep(s) = self.mode else {
             panic!("resume from non-sleep mode {:?}", self.mode);
         };
@@ -894,30 +803,30 @@ mod tests {
         Server::new(SimTime::ZERO, ServerId(0), ServerConfig::new(cores))
     }
 
-    // Vec-returning wrappers over the EffectBuf driving API keep the
+    // Vec-returning wrappers over the buffer-filling driving API keep the
     // state-machine assertions below readable.
     fn submit(s: &mut Server, now: SimTime, t: TaskHandle) -> Vec<Effect> {
-        let mut b = EffectBuf::new();
+        let mut b = Vec::new();
         s.submit(now, t, &mut b);
-        b.to_vec()
+        b
     }
 
     fn complete(s: &mut Server, now: SimTime, core: u32) -> (TaskId, Vec<Effect>) {
-        let mut b = EffectBuf::new();
+        let mut b = Vec::new();
         let id = s.complete(now, core, &mut b);
-        (id, b.to_vec())
+        (id, b)
     }
 
     fn timer_fired(s: &mut Server, now: SimTime, gen: u64) -> Vec<Effect> {
-        let mut b = EffectBuf::new();
+        let mut b = Vec::new();
         s.timer_fired(now, gen, &mut b);
-        b.to_vec()
+        b
     }
 
     fn transition_done(s: &mut Server, now: SimTime) -> Vec<Effect> {
-        let mut b = EffectBuf::new();
+        let mut b = Vec::new();
         s.transition_done(now, &mut b);
-        b.to_vec()
+        b
     }
 
     /// A control-plane deep-sleep request: a policy that suspends to RAM
@@ -927,15 +836,15 @@ mod tests {
     }
 
     fn request_wake(s: &mut Server, now: SimTime) -> Vec<Effect> {
-        let mut b = EffectBuf::new();
+        let mut b = Vec::new();
         s.request_wake(now, &mut b);
-        b.to_vec()
+        b
     }
 
     fn set_policy(s: &mut Server, now: SimTime, p: SleepPolicy) -> Vec<Effect> {
-        let mut b = EffectBuf::new();
+        let mut b = Vec::new();
         s.set_policy(now, p, &mut b);
-        b.to_vec()
+        b
     }
 
     #[test]

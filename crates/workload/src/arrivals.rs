@@ -1,37 +1,22 @@
 //! Job arrival processes (§III-D): Poisson, 2-state MMPP (bursty), and
-//! trace replay.
+//! trace replay. Each yields inter-arrival gaps through its own
+//! `next_gap`; trace replay is exhausted when it returns `None`, and the
+//! stochastic processes are unbounded.
 
 use holdcsim_des::rng::SimRng;
 use holdcsim_des::time::{SimDuration, SimTime};
-
-/// A source of job inter-arrival gaps.
-///
-/// Implementations are exhausted when they return `None` (trace replay);
-/// stochastic processes are unbounded.
-pub trait ArrivalProcess: std::fmt::Debug {
-    /// The gap between the previous arrival and the next one, or `None`
-    /// when the source is exhausted.
-    fn next_gap(&mut self, rng: &mut SimRng) -> Option<SimDuration>;
-
-    /// The long-run mean arrival rate in jobs/second, if known (used for
-    /// utilization bookkeeping and reports).
-    fn mean_rate(&self) -> Option<f64> {
-        None
-    }
-}
 
 /// Poisson arrivals: i.i.d. exponential gaps with rate λ (jobs/second).
 ///
 /// # Examples
 ///
 /// ```
-/// use holdcsim_workload::arrivals::{ArrivalProcess, PoissonArrivals};
+/// use holdcsim_workload::arrivals::PoissonArrivals;
 /// use holdcsim_des::rng::SimRng;
 ///
 /// let mut p = PoissonArrivals::new(100.0);
 /// let mut rng = SimRng::seed_from(1);
 /// assert!(p.next_gap(&mut rng).is_some());
-/// assert_eq!(p.mean_rate(), Some(100.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PoissonArrivals {
@@ -64,15 +49,10 @@ impl PoissonArrivals {
         let mu = 1.0 / mean_service.as_secs_f64();
         rho * mu * n_servers as f64 * n_cores as f64
     }
-}
 
-impl ArrivalProcess for PoissonArrivals {
-    fn next_gap(&mut self, rng: &mut SimRng) -> Option<SimDuration> {
+    /// The exponential gap to the next arrival (never `None`).
+    pub fn next_gap(&mut self, rng: &mut SimRng) -> Option<SimDuration> {
         Some(SimDuration::from_secs_f64(rng.exp(self.rate)))
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(self.rate)
     }
 }
 
@@ -170,10 +150,10 @@ impl Mmpp2Arrivals {
             MmppState::Calm => self.exit_calm,
         }
     }
-}
 
-impl ArrivalProcess for Mmpp2Arrivals {
-    fn next_gap(&mut self, rng: &mut SimRng) -> Option<SimDuration> {
+    /// The gap to the next arrival, walking the modulating chain through
+    /// any state switches on the way (never `None`).
+    pub fn next_gap(&mut self, rng: &mut SimRng) -> Option<SimDuration> {
         // Competing exponentials: next arrival vs next state switch; walk
         // through switches until an arrival wins.
         let mut gap = 0.0;
@@ -194,13 +174,6 @@ impl ArrivalProcess for Mmpp2Arrivals {
                 MmppState::Calm => MmppState::Bursty,
             };
         }
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        // Stationary fraction bursty = exit_calm/(exit_calm+exit_bursty)
-        // (dwell-time weighted).
-        let f_bursty = (1.0 / self.exit_bursty) / (1.0 / self.exit_bursty + 1.0 / self.exit_calm);
-        Some(f_bursty * self.lambda_h + (1.0 - f_bursty) * self.lambda_l)
     }
 }
 
@@ -241,24 +214,15 @@ impl TraceArrivals {
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
-}
 
-impl ArrivalProcess for TraceArrivals {
-    fn next_gap(&mut self, _rng: &mut SimRng) -> Option<SimDuration> {
+    /// The gap from the previous timestamp to the next one, or `None`
+    /// once the trace is exhausted. The RNG is unused.
+    pub fn next_gap(&mut self, _rng: &mut SimRng) -> Option<SimDuration> {
         let t = *self.times.get(self.next)?;
         self.next += 1;
         let gap = t.saturating_duration_since(self.last);
         self.last = t;
         Some(gap)
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        let (first, last) = (self.times.first()?, self.times.last()?);
-        let span = last.saturating_duration_since(*first).as_secs_f64();
-        if span <= 0.0 {
-            return None;
-        }
-        Some((self.times.len() - 1) as f64 / span)
     }
 }
 
@@ -266,18 +230,31 @@ impl ArrivalProcess for TraceArrivals {
 mod tests {
     use super::*;
 
-    fn drain_rate(p: &mut dyn ArrivalProcess, n: usize, seed: u64) -> f64 {
+    /// The empirical rate of `n` gaps drawn by `next_gap`.
+    fn drain_rate(
+        mut next_gap: impl FnMut(&mut SimRng) -> Option<SimDuration>,
+        n: usize,
+        seed: u64,
+    ) -> f64 {
         let mut rng = SimRng::seed_from(seed);
         let total: f64 = (0..n)
-            .map(|_| p.next_gap(&mut rng).unwrap().as_secs_f64())
+            .map(|_| next_gap(&mut rng).unwrap().as_secs_f64())
             .sum();
         n as f64 / total
+    }
+
+    /// The MMPP's long-run rate: each state's rate weighted by its
+    /// stationary share of time, mean dwell over the sum of mean dwells.
+    fn stationary_rate(p: &Mmpp2Arrivals) -> f64 {
+        let (dwell_h, dwell_l) = (1.0 / p.exit_bursty, 1.0 / p.exit_calm);
+        let f_bursty = dwell_h / (dwell_h + dwell_l);
+        f_bursty * p.lambda_h + (1.0 - f_bursty) * p.lambda_l
     }
 
     #[test]
     fn poisson_rate_converges() {
         let mut p = PoissonArrivals::new(50.0);
-        let r = drain_rate(&mut p, 100_000, 1);
+        let r = drain_rate(|rng| p.next_gap(rng), 100_000, 1);
         assert!((r - 50.0).abs() < 1.0, "rate {r}");
     }
 
@@ -291,8 +268,8 @@ mod tests {
     #[test]
     fn mmpp_mean_rate_matches_empirical() {
         let mut p = Mmpp2Arrivals::new(200.0, 20.0, 0.5, 2.0);
-        let analytic = p.mean_rate().unwrap();
-        let empirical = drain_rate(&mut p, 200_000, 2);
+        let analytic = stationary_rate(&p);
+        let empirical = drain_rate(|rng| p.next_gap(rng), 200_000, 2);
         assert!(
             (empirical - analytic).abs() / analytic < 0.05,
             "{empirical} vs {analytic}"
@@ -302,9 +279,9 @@ mod tests {
     #[test]
     fn mmpp_with_burstiness_preserves_base_rate() {
         let mut p = Mmpp2Arrivals::with_burstiness(100.0, 10.0, 0.2, 1.0);
-        let analytic = p.mean_rate().unwrap();
+        let analytic = stationary_rate(&p);
         assert!((analytic - 100.0).abs() < 1e-9, "analytic {analytic}");
-        let empirical = drain_rate(&mut p, 200_000, 3);
+        let empirical = drain_rate(|rng| p.next_gap(rng), 200_000, 3);
         assert!((empirical - 100.0).abs() < 5.0, "empirical {empirical}");
     }
 
@@ -336,13 +313,6 @@ mod tests {
         assert_eq!(t.next_gap(&mut rng), Some(SimDuration::from_millis(20)));
         assert_eq!(t.next_gap(&mut rng), None);
         assert_eq!(t.remaining(), 0);
-    }
-
-    #[test]
-    fn trace_mean_rate() {
-        let t = TraceArrivals::new((0..=10).map(SimTime::from_secs).collect());
-        assert_eq!(t.mean_rate(), Some(1.0));
-        assert_eq!(TraceArrivals::new(vec![]).mean_rate(), None);
     }
 
     #[test]

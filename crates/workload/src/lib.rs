@@ -1,12 +1,13 @@
 //! # holdcsim-workload
 //!
-//! Workload modeling for HolDCSim-RS (§III-C/D of the paper): arrival
-//! processes (Poisson, 2-state MMPP, trace replay), synthetic trace
-//! generators standing in for the Wikipedia/NLANR traces, service-time
-//! distributions, and DAG-structured jobs with spatial and temporal
-//! dependence.
+//! Workload modeling for HolDCSim-RS (§III-C/D of the paper): the three
+//! arrival processes (Poisson, 2-state MMPP, trace replay, each drawing
+//! gaps through its own `next_gap`), synthetic trace generators standing
+//! in for the Wikipedia/NLANR traces, service-time distributions, and
+//! DAG-structured jobs with spatial and temporal dependence.
 //!
 //! ```
+//! use holdcsim_workload::arrivals::PoissonArrivals;
 //! use holdcsim_workload::presets::WorkloadPreset;
 //! use holdcsim_des::rng::SimRng;
 //!
@@ -14,6 +15,8 @@
 //! let tmpl = WorkloadPreset::WebSearch.template();
 //! let dag = tmpl.generate(&mut rng);
 //! assert_eq!(dag.len(), 1);
+//! // Jobs arrive at 100/s; a stochastic process never runs dry.
+//! assert!(PoissonArrivals::new(100.0).next_gap(&mut rng).is_some());
 //! ```
 
 #![warn(missing_docs)]
@@ -27,7 +30,7 @@ pub mod service;
 pub mod templates;
 pub mod trace;
 
-pub use arrivals::{ArrivalProcess, Mmpp2Arrivals, PoissonArrivals, TraceArrivals};
+pub use arrivals::{Mmpp2Arrivals, PoissonArrivals, TraceArrivals};
 pub use dag::{BuildDagError, DagEdge, JobDag, JobDagBuilder, TaskSpec};
 pub use ids::{JobId, TaskId};
 pub use presets::WorkloadPreset;

@@ -19,7 +19,7 @@
 use holdcsim_des::rng::SimRng;
 use holdcsim_des::time::{SimDuration, SimTime};
 
-use crate::arrivals::{ArrivalProcess, Mmpp2Arrivals};
+use crate::arrivals::Mmpp2Arrivals;
 
 /// Generators for synthetic arrival traces.
 #[derive(Debug)]

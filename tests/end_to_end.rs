@@ -133,7 +133,7 @@ fn deep_sleep_trades_latency_for_energy() {
 #[test]
 fn dvfs_slows_execution_and_cuts_core_power() {
     use holdcsim_des::time::SimTime as T;
-    use holdcsim_server::server::{Effect, EffectBuf, Server, ServerConfig, ServerId};
+    use holdcsim_server::server::{Effect, Server, ServerConfig, ServerId};
     use holdcsim_server::task::TaskHandle;
     use holdcsim_workload::ids::{JobId, TaskId};
 
@@ -146,8 +146,8 @@ fn dvfs_slows_execution_and_cuts_core_power() {
     let mut slow = mk(0);
     let mut fast = mk(profile.pstates.len() - 1);
     let t = TaskHandle::new(TaskId::new(JobId(1), 0), SimDuration::from_millis(10));
-    let mut fx_slow = EffectBuf::new();
-    let mut fx_fast = EffectBuf::new();
+    let mut fx_slow = Vec::new();
+    let mut fx_fast = Vec::new();
     slow.submit(T::ZERO, t, &mut fx_slow);
     fast.submit(T::ZERO, t, &mut fx_fast);
     let d = |fx: &[Effect]| match fx[0] {

@@ -6,7 +6,7 @@
 
 use holdcsim_des::queue::EventQueue;
 use holdcsim_des::rng::SimRng;
-use holdcsim_des::stats::{SampleSet, Tally, TimeWeighted};
+use holdcsim_des::stats::{SampleSet, TimeWeighted};
 use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_network::flow::FlowNet;
 use holdcsim_network::ids::{FlowId, LinkId};
@@ -47,21 +47,6 @@ fn queue_pops_sorted() {
             }
             last = Some((t, i));
         }
-    }
-}
-
-/// Welford tally matches the naive two-pass computation.
-#[test]
-fn tally_matches_naive() {
-    let mut rng = SimRng::seed_from(0x7A11);
-    for _ in 0..CASES {
-        let n = 2 + rng.below(200) as usize;
-        let xs: Vec<f64> = (0..n).map(|_| rng.uniform_range(-1e6, 1e6)).collect();
-        let tally: Tally = xs.iter().copied().collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
-        assert!((tally.mean() - mean).abs() <= 1e-6 * mean.abs().max(1.0));
-        assert!((tally.sample_variance() - var).abs() <= 1e-4 * var.max(1.0));
     }
 }
 

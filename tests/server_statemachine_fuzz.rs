@@ -7,9 +7,7 @@
 use holdcsim_des::rng::SimRng;
 use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_server::policy::SleepPolicy;
-use holdcsim_server::server::{
-    Band, Effect, EffectBuf, Server, ServerConfig, ServerId, ServerMode,
-};
+use holdcsim_server::server::{Band, Effect, Server, ServerConfig, ServerId, ServerMode};
 use holdcsim_server::task::TaskHandle;
 use holdcsim_workload::ids::{JobId, TaskId};
 
@@ -55,7 +53,7 @@ fn random_op_sequences_keep_invariants() {
         let mut server = Server::new(SimTime::ZERO, ServerId(0), cfg);
         let mut now = SimTime::ZERO;
         let mut due: Vec<Due> = Vec::new();
-        let mut fx = EffectBuf::new();
+        let mut fx = Vec::new();
         let mut job = 0u64;
         let mut submitted = 0u64;
 
