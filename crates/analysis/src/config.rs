@@ -25,8 +25,6 @@ pub struct AllowEntry {
     /// Optional substring that must appear in the finding's line text,
     /// scoping the entry to specific call forms (e.g. `"expect("`).
     pub contains: Option<String>,
-    /// Non-empty justification. Required.
-    pub reason: String,
     /// 1-based line of the entry's `[[allow]]` header, for stale
     /// reporting.
     pub line: u32,
@@ -183,6 +181,8 @@ impl PartialEntry {
         let path = self
             .path
             .ok_or_else(|| format!("analysis.toml:{line}: [[allow]] entry is missing `path`"))?;
+        // Every entry carries a non-empty justification; it is read by
+        // people, so it is checked here and not kept.
         let reason = self
             .reason
             .ok_or_else(|| format!("analysis.toml:{line}: [[allow]] entry is missing `reason`"))?;
@@ -196,7 +196,6 @@ impl PartialEntry {
             lint,
             path,
             contains: self.contains,
-            reason,
             line,
         })
     }
@@ -254,7 +253,6 @@ mod tests {
             lint: lint.into(),
             path: path.into(),
             contains: contains.map(|s| s.into()),
-            reason: "test".into(),
             line: 1,
         }
     }

@@ -49,9 +49,7 @@ pub struct Token {
 /// A comment (line, doc, or block) with its line span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// 1-based line the comment ends on (same as `line` for `//`).
+    /// 1-based line the comment ends on (the line it starts on for `//`).
     pub end_line: u32,
     /// Comment text without the `//` / `/*` markers.
     pub text: String,
@@ -155,14 +153,12 @@ impl Lexer {
             self.bump();
         }
         self.comments.push(Comment {
-            line,
             end_line: line,
             text,
         });
     }
 
     fn block_comment(&mut self) {
-        let line = self.line;
         let mut text = String::new();
         self.bump();
         self.bump();
@@ -182,7 +178,6 @@ impl Lexer {
             }
         }
         self.comments.push(Comment {
-            line,
             end_line: self.line,
             text,
         });
@@ -421,7 +416,7 @@ mod tests {
         let (toks, comments) = lex("let a = 1;\n// c\nlet b = 2;\n");
         let b = toks.iter().find(|t| t.text == "b").expect("b token");
         assert_eq!(b.line, 3);
-        assert_eq!(comments[0].line, 2);
+        assert_eq!(comments[0].end_line, 2);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! * **N001** — a plain-`pub` item in `crates/*/src` that no non-test
 //!   code names outside its own definition and impl blocks. Unlike the
 //!   others it is a workspace pass ([`n001`]): the caller may live in
-//!   any file.
+//!   any file. It matches names, not resolved paths, so an item whose
+//!   name another item or a field shares is never a finding.
 //!
 //! Lints run over the token stream of [`SourceFile`]; all but U001 skip
 //! `#[cfg(test)]`/`#[test]` regions (see [`crate::source`]).
@@ -77,7 +78,7 @@ pub const LINTS: &[(&str, &str)] = &[
     ("P001", "unwrap/expect/panic! in an engine hot-path module"),
     (
         "N001",
-        "plain-`pub` item in crates/*/src that no non-test code names outside its definition and impls",
+        "plain-`pub` item in crates/*/src whose name no non-test code uses outside its definition and impls (a name match: a name another item or field shares hides the item)",
     ),
 ];
 

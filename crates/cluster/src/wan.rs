@@ -6,7 +6,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use holdcsim::config::{WanConfig, WanLinkMode};
+use holdcsim::config::{WanConfig, WanLinkMode, WAN_ENERGY_PER_BYTE_J};
 use holdcsim::export::JsonObj;
 use holdcsim::job::JobState;
 use holdcsim_des::slot_window::SlotWindow;
@@ -21,13 +21,9 @@ use holdcsim_network::topology::Topology;
 struct LinkState {
     rate_bps: u64,
     latency: SimDuration,
-    energy_per_byte_j: f64,
     mode: WanLinkMode,
     /// Pipe mode: when the current FIFO serialization drains.
     busy_until: SimTime,
-    /// Endpoints as WAN-topology nodes (for flow admission).
-    a: NodeId,
-    b: NodeId,
 }
 
 /// One forwarded job in flight across the WAN.
@@ -205,11 +201,8 @@ impl Wan {
             links.push(LinkState {
                 rate_bps: l.rate_bps,
                 latency: l.latency,
-                energy_per_byte_j: l.energy_per_byte_j,
                 mode: l.mode,
                 busy_until: SimTime::ZERO,
-                a,
-                b,
             });
         }
         let topo = builder.build();
@@ -332,10 +325,7 @@ impl Wan {
                 // Fair-shared serialization through the solver; the
                 // propagation latency is appended on flow completion.
                 let link = [LinkId(link_id)];
-                t.flow = Some(
-                    self.flows
-                        .add_flow(now, FlowId(key), l.a, l.b, &link, bytes),
-                );
+                t.flow = Some(self.flows.add_flow(now, FlowId(key), &link, bytes));
             }
         }
     }
@@ -387,14 +377,10 @@ impl Wan {
                 if t.gen != gen {
                     continue;
                 }
-                let path_len = {
-                    let link = &self.links[t.path[t.hop as usize] as usize];
-                    self.link_bytes += t.bytes;
-                    self.energy_j += t.bytes as f64 * link.energy_per_byte_j;
-                    t.path.len()
-                };
+                self.link_bytes += t.bytes;
+                self.energy_j += t.bytes as f64 * WAN_ENERGY_PER_BYTE_J;
                 t.hop += 1;
-                if (t.hop as usize) == path_len {
+                if (t.hop as usize) == t.path.len() {
                     let t = self.transfers.remove(key).expect("live transfer");
                     self.delivered += 1;
                     self.latency_sum_s += at.saturating_duration_since(t.started).as_secs_f64();

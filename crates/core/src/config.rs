@@ -360,7 +360,8 @@ pub enum WanLinkMode {
     Flow,
 }
 
-/// Default WAN transport energy: ~2 nJ per bit moved across a link.
+/// WAN transport energy: ~2 nJ per bit, charged per payload byte on
+/// every link a transfer crosses.
 pub const WAN_ENERGY_PER_BYTE_J: f64 = 1.6e-8;
 
 /// One inter-cluster WAN link between two WAN nodes. Nodes `0..sites`
@@ -376,21 +377,18 @@ pub struct WanLink {
     pub rate_bps: u64,
     /// One-way propagation latency.
     pub latency: SimDuration,
-    /// Transport energy charged per payload byte crossing this link.
-    pub energy_per_byte_j: f64,
     /// Pipe or fair-shared flow transport (selectable per link).
     pub mode: WanLinkMode,
 }
 
 impl WanLink {
-    /// A pipe-mode link with the default transport energy.
+    /// A pipe-mode link.
     pub fn new(a: u32, b: u32, rate_bps: u64, latency: SimDuration) -> Self {
         WanLink {
             a,
             b,
             rate_bps,
             latency,
-            energy_per_byte_j: WAN_ENERGY_PER_BYTE_J,
             mode: WanLinkMode::Pipe,
         }
     }
@@ -445,22 +443,14 @@ impl WanConfig {
     }
 }
 
-/// Per-site overrides on top of [`ClusterConfig::base`]. Fields left
-/// `None` inherit the base configuration.
+/// One site of a federation: a copy of [`ClusterConfig::base`] serving
+/// its affinity share of the arrival rate.
 #[derive(Debug, Clone, Default)]
 pub struct SiteSpec {
-    /// Servers at this site.
-    pub server_count: Option<usize>,
     /// Site-affinity weight of the workload mix: this site's share of the
     /// base arrival rate is `affinity / Σ affinity` (0 = no home traffic).
     /// [`SiteSpec::default`] sets 1.0 (an even split).
     pub affinity: Option<f64>,
-    /// Site-local fabric override (topology, comm model, link speed).
-    pub network: Option<NetworkConfig>,
-    /// Per-site server power profile.
-    pub server_profile: Option<ServerPowerProfile>,
-    /// Per-site sleep policy (broadcast to the site's servers).
-    pub sleep_policy: Option<SleepPolicy>,
 }
 
 impl SiteSpec {
@@ -518,11 +508,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// Sets the geo dispatch policy.
     pub fn with_geo(mut self, geo: GeoPolicy) -> Self {
         self.geo = geo;
@@ -535,8 +520,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Expands the federation into per-site [`SimConfig`]s: overrides
-    /// applied, the aggregate arrival rate split by affinity, and every
+    /// Expands the federation into per-site [`SimConfig`]s: the aggregate
+    /// arrival rate split by affinity, and every
     /// site's seed derived as an independent substream of
     /// [`ClusterConfig::seed`] via [`SimRng::substream_path`] — a site's
     /// workload depends only on `(seed, site index)`, never on how many
@@ -544,10 +529,8 @@ impl ClusterConfig {
     ///
     /// # Panics
     ///
-    /// Panics if no site has positive affinity, if trace arrivals are
-    /// combined with several sites (explicit traces cannot be split), or
-    /// if a per-server base field cannot broadcast to an overridden
-    /// server count.
+    /// Panics if no site has positive affinity, or if trace arrivals are
+    /// combined with several sites (explicit traces cannot be split).
     pub fn site_configs(&self) -> Vec<SimConfig> {
         for (i, s) in self.sites.iter().enumerate() {
             let a = s.affinity();
@@ -567,17 +550,6 @@ impl ClusterConfig {
                 cfg.seed = root
                     .substream_path(&[SITE_SEED_STREAM, i as u64])
                     .next_u64();
-                if let Some(n) = spec.server_count {
-                    assert!(
-                        cfg.server_classes.is_empty() || cfg.server_classes.len() == n,
-                        "base server_classes cannot broadcast to {n} servers"
-                    );
-                    assert!(
-                        cfg.sleep_policies.len() <= 1 || cfg.sleep_policies.len() == n,
-                        "base sleep_policies cannot broadcast to {n} servers"
-                    );
-                    cfg.server_count = n;
-                }
                 let share = spec.affinity() / total;
                 if share == 0.0 {
                     // No home traffic at this site: it only executes jobs
@@ -593,15 +565,6 @@ impl ClusterConfig {
                              give each site its own ClusterConfig::base"
                         ),
                     }
-                }
-                if let Some(net) = &spec.network {
-                    cfg.network = Some(net.clone());
-                }
-                if let Some(p) = &spec.server_profile {
-                    cfg.server_profile = p.clone();
-                }
-                if let Some(sp) = spec.sleep_policy {
-                    cfg.sleep_policies = vec![sp];
                 }
                 cfg.faults = self
                     .faults
@@ -672,21 +635,6 @@ mod tests {
         // Sites own independent, stable seeds.
         assert_ne!(cfgs[0].seed, cfgs[1].seed);
         assert_eq!(cfgs[1].seed, cc.site_configs()[1].seed);
-    }
-
-    #[test]
-    fn site_overrides_apply() {
-        let mut cc = ClusterConfig::uniform(
-            base_cfg(),
-            2,
-            WanConfig::hub(2, 1_000_000_000, SimDuration::from_millis(5)),
-        );
-        cc.sites[1].server_count = Some(4);
-        cc.sites[1].sleep_policy = Some(SleepPolicy::shallow_only());
-        let cfgs = cc.site_configs();
-        assert_eq!(cfgs[0].server_count, 8);
-        assert_eq!(cfgs[1].server_count, 4);
-        assert_eq!(cfgs[1].sleep_policies, vec![SleepPolicy::shallow_only()]);
     }
 
     #[test]

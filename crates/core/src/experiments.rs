@@ -150,10 +150,6 @@ pub fn delay_timer_farm(
 /// One Fig. 6 bar: energies under the three strategies.
 #[derive(Debug, Clone)]
 pub struct DualTimerResult {
-    /// Utilization ρ.
-    pub rho: f64,
-    /// Farm size.
-    pub servers: usize,
     /// Active-Idle baseline energy, joules.
     pub energy_active_idle_j: f64,
     /// Best single-τ energy, joules.
@@ -162,8 +158,6 @@ pub struct DualTimerResult {
     pub energy_dual_j: f64,
     /// p95 latency under dual timers, seconds.
     pub p95_dual_s: f64,
-    /// p95 latency under Active-Idle, seconds.
-    pub p95_active_idle_s: f64,
 }
 
 impl DualTimerResult {
@@ -220,16 +214,13 @@ pub fn fig6_configs(
 
 /// Assembles the Fig. 6 bar from the three arm reports (in
 /// [`fig6_configs`] order).
-pub fn fig6_from_reports(rho: f64, servers: usize, reports: &[SimReport; 3]) -> DualTimerResult {
+pub fn fig6_from_reports(reports: &[SimReport; 3]) -> DualTimerResult {
     let [active_idle, single, dual] = reports;
     DualTimerResult {
-        rho,
-        servers,
         energy_active_idle_j: active_idle.server_energy_j(),
         energy_single_j: single.server_energy_j(),
         energy_dual_j: dual.server_energy_j(),
         p95_dual_s: dual.latency.p95,
-        p95_active_idle_s: active_idle.latency.p95,
     }
 }
 
@@ -389,8 +380,6 @@ pub struct JointPolicyResult {
 /// Fig. 11 at one utilization: Server-Load-Balance vs Server-Network-Aware.
 #[derive(Debug, Clone)]
 pub struct JointResult {
-    /// Utilization ρ.
-    pub rho: f64,
     /// The load-balanced baseline.
     pub balanced: JointPolicyResult,
     /// The network-aware strategy.
@@ -474,7 +463,6 @@ pub fn fig11_joint(
         }
     };
     JointResult {
-        rho,
         balanced: run(PolicyKind::LeastLoaded),
         aware: run(PolicyKind::NetworkAware),
     }
@@ -770,7 +758,7 @@ mod tests {
             5,
         )
         .map(|cfg| Simulation::new(cfg).run());
-        let r = fig6_from_reports(0.1, 8, &arms);
+        let r = fig6_from_reports(&arms);
         assert!(
             r.reduction_vs_active_idle() > 0.2,
             "reduction {}",

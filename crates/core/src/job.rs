@@ -115,11 +115,6 @@ impl JobState {
         *p == 0
     }
 
-    /// Outstanding inbound transfers for `task`.
-    pub fn pending_transfers(&self, task: u32) -> u32 {
-        self.pending_transfers[task as usize]
-    }
-
     /// Drops any outstanding inbound-transfer barriers for `task` (fault
     /// retry: the task is re-placed from scratch and its predecessors'
     /// outputs re-sent, so stale in-flight barriers must not carry over).
@@ -315,7 +310,7 @@ mod tests {
         let mut js = JobState::new(chain3(), SimTime::ZERO);
         js.add_transfers(1, 2);
         assert!(!js.transfer_done(1));
-        assert_eq!(js.pending_transfers(1), 1);
+        assert_eq!(js.pending_transfers[1], 1);
         assert!(js.transfer_done(1));
     }
 

@@ -12,7 +12,7 @@ use holdcsim_des::engine::Context;
 use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_network::flow::FlowNet;
-use holdcsim_network::ids::{FlowId, LinkId, NodeId, PacketId};
+use holdcsim_network::ids::{FlowId, LinkId, NodeId};
 use holdcsim_network::packet::{Packet, PacketNet, TxOutcome};
 use holdcsim_network::routing::{ecmp_bucket, Route, Router};
 use holdcsim_network::switch::SwitchDevice;
@@ -81,16 +81,6 @@ impl LinkPorts {
     /// The endpoints as a slice.
     pub fn as_slice(&self) -> &[(usize, u32)] {
         &self.buf[..self.len as usize]
-    }
-
-    /// Number of switch-side endpoints (0–2).
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// `true` if neither end of the link is a switch.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The first endpoint, if any.
@@ -163,8 +153,6 @@ pub struct NetState {
     free_slots: Vec<usize>,
     /// Outstanding packet bursts per DAG edge; packets carry their slot.
     transfer_slots: SlotWindow<TransferSt>,
-    /// Next packet id.
-    next_packet_id: u64,
 }
 
 impl NetState {
@@ -275,7 +263,6 @@ impl NetState {
             packet_slots: Vec::new(),
             free_slots: Vec::new(),
             transfer_slots: SlotWindow::new(),
-            next_packet_id: 0,
             topology,
         }
     }
@@ -413,10 +400,8 @@ impl NetState {
         });
         for i in 0..n {
             let b = if i < full { mtu } else { tail };
-            let pid = PacketId(self.next_packet_id);
-            self.next_packet_id += 1;
             let st = PacketSt {
-                packet: Packet::new(pid, b, Arc::clone(&route)),
+                packet: Packet::new(b, Arc::clone(&route)),
                 xfer,
             };
             let slot = self.free_slots.pop().unwrap_or_else(|| {
@@ -479,10 +464,9 @@ impl NetState {
             ctx.schedule_in(wake, DcEvent::FlowAdmit { flow: key });
             return None;
         }
-        let (hs, hd) = (route.nodes[0], route.nodes[route.nodes.len() - 1]);
         Some(
             self.flows
-                .add_flow_batched(now, FlowId(key), hs, hd, &route.links, bytes),
+                .add_flow_batched(now, FlowId(key), &route.links, bytes),
         )
     }
 
@@ -897,7 +881,7 @@ mod tests {
         // Host links touch exactly one switch.
         for l in 0..net.topology.links().len() {
             let ports = net.switch_ports_of_link(LinkId(l as u32));
-            assert_eq!(ports.len(), 1);
+            assert_eq!(ports.as_slice().len(), 1);
         }
     }
 

@@ -119,8 +119,6 @@ pub struct ServerReport {
     pub platform_energy_j: f64,
     /// Core-time utilization in `[0, 1]`.
     pub utilization: f64,
-    /// Tasks completed.
-    pub tasks_completed: u64,
     /// Fraction of time per residency band
     /// `(active, wakeup, idle, shallow, deep)` — Fig. 8's five bands.
     pub residency: (f64, f64, f64, f64, f64),
@@ -142,7 +140,6 @@ impl ServerReport {
             dram_energy_j: s.dram_energy_j(end),
             platform_energy_j: s.platform_energy_j(end),
             utilization: s.utilization(end),
-            tasks_completed: s.tasks_completed(),
             residency: (
                 r.fraction_in(Band::Active, end),
                 r.fraction_in(Band::Transition, end),
@@ -179,8 +176,6 @@ pub struct SeriesReport {
     pub active_servers: Vec<f64>,
     /// Jobs in flight per sample (Fig. 4).
     pub active_jobs: Vec<f64>,
-    /// Total server power per sample, watts.
-    pub server_power_w: Vec<f64>,
     /// Total switch power per sample, watts (empty without a network).
     pub switch_power_w: Vec<f64>,
     /// CPU (package) power of server 0 per sample, watts (Fig. 12).
@@ -368,8 +363,6 @@ pub struct Metrics {
     pub active_servers: TimeSeries,
     /// In-flight-job samples.
     pub active_jobs: TimeSeries,
-    /// Server power samples.
-    pub server_power: TimeSeries,
     /// Switch power samples.
     pub switch_power: TimeSeries,
     /// Server-0 CPU power samples.
@@ -383,7 +376,6 @@ impl Metrics {
             latency: SampleSet::with_capacity(262_144),
             active_servers: TimeSeries::new(period),
             active_jobs: TimeSeries::new(period),
-            server_power: TimeSeries::new(period),
             switch_power: TimeSeries::new(period),
             cpu0_power: TimeSeries::new(period),
         }
@@ -394,13 +386,11 @@ impl Metrics {
         let period = self.active_servers.interval();
         self.active_servers.finish(end);
         self.active_jobs.finish(end);
-        self.server_power.finish(end);
         self.switch_power.finish(end);
         self.cpu0_power.finish(end);
         let series = SeriesReport {
             active_servers: self.active_servers.values().to_vec(),
             active_jobs: self.active_jobs.values().to_vec(),
-            server_power_w: self.server_power.values().to_vec(),
             switch_power_w: self.switch_power.values().to_vec(),
             cpu0_power_w: self.cpu0_power.values().to_vec(),
             period,
@@ -445,10 +435,10 @@ mod tests {
     fn metrics_finish_produces_aligned_series() {
         let mut m = Metrics::new(SimDuration::from_secs(1));
         m.active_jobs.observe(SimTime::ZERO, 2.0);
-        m.server_power.observe(SimTime::ZERO, 100.0);
+        m.cpu0_power.observe(SimTime::ZERO, 100.0);
         let (_, series) = m.finish(SimTime::from_secs(3));
         assert_eq!(series.active_jobs, vec![2.0, 2.0, 2.0, 2.0]);
-        assert_eq!(series.server_power_w.len(), 4);
+        assert_eq!(series.cpu0_power_w.len(), 4);
         assert_eq!(series.period, SimDuration::from_secs(1));
     }
 }

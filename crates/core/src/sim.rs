@@ -310,7 +310,7 @@ impl Datacenter {
                     core_speeds: cfg.core_speeds.clone(),
                     sockets: cfg.sockets_per_server,
                 };
-                Server::new(now, ServerId(i as u32), sc)
+                Server::new(now, sc)
             })
             .collect();
         let arrivals = match &cfg.arrivals {
@@ -367,16 +367,6 @@ impl Datacenter {
     /// The servers.
     pub fn servers(&self) -> &[Server] {
         &self.servers
-    }
-
-    /// Jobs submitted so far.
-    pub fn jobs_submitted(&self) -> u64 {
-        self.jobs.submitted()
-    }
-
-    /// Jobs completed so far.
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs.completed()
     }
 
     /// Jobs currently in flight (submitted, not yet completed).
@@ -790,8 +780,6 @@ impl Datacenter {
         self.metrics
             .active_jobs
             .observe(now, self.jobs.in_flight() as f64);
-        let server_power: f64 = self.servers.iter().map(|s| s.power_w()).sum();
-        self.metrics.server_power.observe(now, server_power);
         if let Some(net) = &self.net {
             self.metrics.switch_power.observe(now, net.switch_power_w());
         }
@@ -1161,8 +1149,8 @@ mod tests {
         let report = Simulation::new(quick_cfg(0.3, 10)).run();
         // Sampled every second from 0 through 10 inclusive.
         assert_eq!(report.series.active_jobs.len(), 11);
-        assert_eq!(report.series.server_power_w.len(), 11);
-        assert!(report.series.server_power_w.iter().all(|&w| w > 0.0));
+        assert_eq!(report.series.cpu0_power_w.len(), 11);
+        assert!(report.series.cpu0_power_w.iter().all(|&w| w > 0.0));
     }
 
     #[test]

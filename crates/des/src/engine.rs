@@ -14,8 +14,8 @@ use crate::time::{SimDuration, SimTime};
 /// # Examples
 ///
 /// ```
-/// use holdcsim_des::engine::{Context, Engine, Model};
-/// use holdcsim_des::time::SimDuration;
+/// use holdcsim_des::engine::{Context, Engine, Model, NoObserver};
+/// use holdcsim_des::time::{SimDuration, SimTime};
 ///
 /// struct Counter {
 ///     fired: u32,
@@ -31,9 +31,9 @@ use crate::time::{SimDuration, SimTime};
 ///     }
 /// }
 ///
-/// let mut engine = Engine::new(Counter { fired: 0 });
-/// engine.schedule_in(SimDuration::ZERO, ());
-/// engine.run();
+/// let mut engine = Engine::with_observer(Counter { fired: 0 }, NoObserver);
+/// engine.schedule_at(SimTime::ZERO, ());
+/// engine.run_until(SimTime::from_secs(10));
 /// assert_eq!(engine.model().fired, 3);
 /// ```
 pub trait Model: Sized {
@@ -144,13 +144,6 @@ pub struct Engine<M: Model, O: EventObserver<M> = NoObserver> {
     processed: u64,
 }
 
-impl<M: Model> Engine<M> {
-    /// Creates an unobserved engine at time zero with an empty calendar.
-    pub fn new(model: M) -> Self {
-        Engine::with_observer(model, NoObserver)
-    }
-}
-
 impl<M: Model, O: EventObserver<M>> Engine<M, O> {
     /// Creates an engine at time zero whose event stream is tapped by
     /// `observer`.
@@ -184,11 +177,6 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         &mut self.model
     }
 
-    /// Shared access to the observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
     /// Exclusive access to the observer.
     pub fn observer_mut(&mut self) -> &mut O {
         &mut self.observer
@@ -203,11 +191,6 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, event);
-    }
-
-    /// Schedules an event `delay` after the current clock.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
-        self.queue.push(self.now + delay, event);
     }
 
     /// Processes a single event. Returns `false` when the calendar is empty.
@@ -242,11 +225,6 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         } else {
             self.model.handle(&mut ctx, event);
         }
-    }
-
-    /// Runs until the calendar drains.
-    pub fn run(&mut self) {
-        while self.step() {}
     }
 
     /// Runs until the clock would pass `deadline` (events at exactly
@@ -306,7 +284,7 @@ mod tests {
     }
 
     fn recorder() -> Engine<Recorder> {
-        Engine::new(Recorder { seen: Vec::new() })
+        Engine::with_observer(Recorder { seen: Vec::new() }, NoObserver)
     }
 
     #[test]
@@ -314,7 +292,7 @@ mod tests {
         let mut e = recorder();
         e.schedule_at(SimTime::from_secs(2), 2);
         e.schedule_at(SimTime::from_secs(1), 1);
-        e.run();
+        while e.step() {}
         assert_eq!(
             e.model().seen,
             vec![(SimTime::from_secs(1), 1), (SimTime::from_secs(2), 2)]
@@ -332,7 +310,7 @@ mod tests {
         assert_eq!(e.model().seen, vec![(SimTime::from_secs(1), 1)]);
         assert_eq!(e.now(), SimTime::from_secs(3));
         // The remaining event still fires on the next run.
-        e.run();
+        while e.step() {}
         assert_eq!(e.model().seen.len(), 2);
     }
 
@@ -358,9 +336,9 @@ mod tests {
                 }
             }
         }
-        let mut e = Engine::new(Chain { hops: 0 });
-        e.schedule_in(SimDuration::ZERO, ());
-        e.run();
+        let mut e = Engine::with_observer(Chain { hops: 0 }, NoObserver);
+        e.schedule_at(SimTime::ZERO, ());
+        while e.step() {}
         assert_eq!(e.model().hops, 10);
         assert_eq!(e.now(), SimTime::from_nanos(90 * 1_000_000));
     }
@@ -375,9 +353,9 @@ mod tests {
                 ctx.schedule_at(SimTime::ZERO, ());
             }
         }
-        let mut e = Engine::new(Bad);
+        let mut e = Engine::with_observer(Bad, NoObserver);
         e.schedule_at(SimTime::from_secs(1), ());
-        e.run();
+        while e.step() {}
     }
 
     #[test]
@@ -413,7 +391,7 @@ mod tests {
                 ctx.schedule_in(SimDuration::from_secs(1), ());
             }
         }
-        let mut e = Engine::new(Chain { hops: 0 });
+        let mut e = Engine::with_observer(Chain { hops: 0 }, NoObserver);
         e.schedule_at(SimTime::from_secs(1), ());
         // Events bred inside the window run inside the window.
         assert_eq!(e.run_window(SimTime::from_secs(4)), 4);
@@ -435,8 +413,8 @@ mod tests {
         assert_eq!(e.now(), SimTime::from_secs(3));
         assert_eq!(e.model().seen.len(), 2);
         // So an immediate event lands after the 2.5 s one, not before it.
-        e.schedule_in(SimDuration::ZERO, 3);
-        e.run();
+        e.schedule_at(e.now(), 3);
+        while e.step() {}
         assert_eq!(
             e.model().seen,
             vec![
@@ -484,12 +462,11 @@ mod tests {
         let mut e = Engine::with_observer(Recorder { seen: Vec::new() }, tap);
         e.schedule_at(SimTime::from_secs(2), 20);
         e.schedule_at(SimTime::from_secs(1), 10);
-        e.run();
+        while e.step() {}
         // The observer saw exactly what the model saw, in the same order.
-        assert_eq!(e.observer().seen, e.model().seen);
         let (model, tap) = e.into_parts();
+        assert_eq!(tap.seen, model.seen);
         assert_eq!(model.seen.len(), 2);
-        assert_eq!(tap.seen.len(), 2);
     }
 
     #[test]
@@ -524,7 +501,7 @@ mod tests {
         let mut e = Engine::with_observer(Bomb, tap);
         e.schedule_at(SimTime::from_secs(1), 1);
         e.schedule_at(SimTime::from_secs(5), 7);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.run()));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| while e.step() {}));
         assert!(r.is_err());
         // The guard fired during unwind with the offending event's context.
         assert_eq!(report.get(), Some((SimTime::from_secs(5), 7)));
@@ -540,7 +517,7 @@ mod tests {
         };
         let mut e = Engine::with_observer(Recorder { seen: Vec::new() }, tap);
         e.schedule_at(SimTime::from_secs(1), 1);
-        e.run();
+        while e.step() {}
         assert_eq!(report.get(), None);
     }
 }

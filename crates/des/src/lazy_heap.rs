@@ -131,20 +131,6 @@ impl<P: PartialOrd + Copy> LazyHeap<P> {
         }
     }
 
-    /// `true` if no live entries remain (stale entries may still occupy
-    /// storage until popped or cleared).
-    pub fn is_empty(&mut self) -> bool {
-        loop {
-            let Some(e) = self.entries.first() else {
-                return true;
-            };
-            if self.gens[e.item as usize] == e.gen {
-                return false;
-            }
-            self.pop_root();
-        }
-    }
-
     /// Empties the heap, invalidating every item. Keeps allocations.
     ///
     /// O(1) in the item space: generations survive the clear (an entry
@@ -262,7 +248,7 @@ mod tests {
         assert_eq!(h.pop(), Some((4, 10)));
         // No duplicate delivery from any stale path.
         assert_eq!(h.pop(), None);
-        assert!(h.is_empty());
+        assert_eq!(h.peek(), None);
     }
 
     #[test]
@@ -288,7 +274,7 @@ mod tests {
             h.update(i, i as f64);
         }
         h.clear();
-        assert!(h.is_empty());
+        assert_eq!(h.peek(), None);
         assert_eq!(h.pop(), None);
         h.update(3, 1.5);
         assert_eq!(h.pop(), Some((3, 1.5)));

@@ -13,7 +13,7 @@
 //! ## Example: an M/M/1 queue in ~40 lines
 //!
 //! ```
-//! use holdcsim_des::engine::{Context, Engine, Model};
+//! use holdcsim_des::engine::{Context, Engine, Model, NoObserver};
 //! use holdcsim_des::rng::SimRng;
 //! use holdcsim_des::stats::SampleSet;
 //! use holdcsim_des::time::{SimDuration, SimTime};
@@ -69,9 +69,9 @@
 //!     latencies: SampleSet::with_capacity(usize::MAX),
 //!     queue: Vec::new(),
 //! };
-//! let mut engine = Engine::new(model);
+//! let mut engine = Engine::with_observer(model, NoObserver);
 //! engine.schedule_at(SimTime::ZERO, Ev::Arrival);
-//! engine.run();
+//! while engine.step() {}
 //! // M/M/1 with rho=0.5: E[T] = 1/(mu-lambda) = 2.
 //! let mean = engine.model().latencies.mean();
 //! assert!((mean - 2.0).abs() < 0.2, "mean latency {mean}");

@@ -6,8 +6,8 @@
 //!
 //! Discrete-event simulations are full of tables whose keys are allocated
 //! sequentially and whose entries mostly die in allocation order: job
-//! tables (job ids), transfer and dispatch ledgers (per-edge slots), task
-//! queues and flow tables. A hash map supports them but pays a
+//! tables (job ids), dispatch and retry ledgers, and flow tables. A hash
+//! map supports them but pays a
 //! hash probe per event on the hottest paths. [`SlotWindow`] exploits the
 //! allocation pattern instead:
 //!
@@ -28,9 +28,9 @@
 //!   indices rely on).
 //!
 //! All operations are O(1) amortized; compaction is amortized against the
-//! inserts that grew the window. The simulator's job, transfer and
-//! dispatch tables, the global task queue, the flow solvers' flow tables
-//! and the WAN's transfers are built on this type, which is also the unit
+//! inserts that grew the window. The simulator's job table, its dispatch,
+//! retry and remote-inbox ledgers, the fair-share solver's flow table and
+//! the WAN's transfers are built on this type, which is also the unit
 //! that a future intra-simulation parallelism pass would shard: the window
 //! bounds the live key range each shard must track.
 
@@ -71,7 +71,7 @@ pub struct SlotWindow<T> {
     /// Sparse entries below `base`: long-lived stragglers compacted out of
     /// the dense window (rare — one per straggler).
     overflow: BTreeMap<u64, T>,
-    /// The key the next `insert` will issue. Monotonic, survives `clear`.
+    /// The key the next `insert` will issue. Monotonic.
     next_key: u64,
     /// Live entries (dense `Some`s plus overflow).
     live: usize,
@@ -101,7 +101,7 @@ impl<T> SlotWindow<T> {
     }
 
     /// Inserts `value`, returning its key. Keys are issued sequentially
-    /// and never reused (not even after [`clear`](Self::clear)).
+    /// and never reused.
     pub fn insert(&mut self, value: T) -> u64 {
         let key = self.next_key;
         self.next_key += 1;
@@ -185,15 +185,6 @@ impl<T> SlotWindow<T> {
         self.live == 0
     }
 
-    /// Removes all entries. Key issuance stays monotonic: keys issued
-    /// before the clear are dead, not recycled.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.overflow.clear();
-        self.base = self.next_key;
-        self.live = 0;
-    }
-
     /// Iterates over live `(key, &value)` pairs in ascending key order:
     /// compacted stragglers (whose keys all precede the dense window's
     /// base) first, then the dense window front to back. Deterministic
@@ -207,18 +198,6 @@ impl<T> SlotWindow<T> {
                 .iter()
                 .enumerate()
                 .filter_map(move |(i, s)| s.as_ref().map(|v| (base + i as u64, v))),
-        )
-    }
-
-    /// Iterates over live `(key, &mut value)` pairs in ascending key
-    /// order (see [`SlotWindow::iter`] for why order is a contract).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
-        let base = self.base;
-        self.overflow.iter_mut().map(|(&k, v)| (k, v)).chain(
-            self.slots
-                .iter_mut()
-                .enumerate()
-                .filter_map(move |(i, s)| s.as_mut().map(|v| (base + i as u64, v))),
         )
     }
 
@@ -291,18 +270,6 @@ mod tests {
         assert_eq!(w.get(keys[1]), Some(&1));
         assert_eq!(w.get(keys[3]), Some(&3));
         assert_eq!(w.remove(keys[2]), None, "double remove is dead");
-    }
-
-    #[test]
-    fn clear_keeps_keys_monotonic() {
-        let mut w = SlotWindow::new();
-        let before = w.insert("x");
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.get(before), None);
-        let after = w.insert("y");
-        assert!(after > before);
-        assert_eq!(w.len(), 1);
     }
 
     #[test]

@@ -18,9 +18,10 @@ use crate::rng::SimRng;
 /// for i in 1..=100 {
 ///     s.record(i as f64);
 /// }
-/// assert_eq!(s.quantile(0.5), Some(50.0));
-/// assert_eq!(s.quantile(0.99), Some(99.0));
-/// assert_eq!(s.quantile(1.0), Some(100.0));
+/// assert_eq!(
+///     s.quantiles(&[0.5, 0.99, 1.0]),
+///     vec![Some(50.0), Some(99.0), Some(100.0)]
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct SampleSet {
@@ -73,24 +74,13 @@ impl SampleSet {
         }
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`) using nearest-rank on retained
-    /// samples. Returns `None` if empty.
+    /// The `qs`-quantiles (each in `0.0 ..= 1.0`) in one sort, using
+    /// nearest-rank on retained samples; each is `None` if the set is
+    /// empty.
     ///
     /// # Panics
     ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of [0,1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-
-    /// Convenience: several quantiles in one sort.
+    /// Panics if a `q` is outside `[0, 1]`.
     pub fn quantiles(&self, qs: &[f64]) -> Vec<Option<f64>> {
         if self.samples.is_empty() {
             return qs.iter().map(|_| None).collect();
@@ -118,11 +108,6 @@ impl SampleSet {
             .map(|(i, &v)| (v, (i + 1) as f64 / n))
             .collect()
     }
-
-    /// The retained samples (order unspecified).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +117,7 @@ mod tests {
     #[test]
     fn empty_set_has_no_quantiles() {
         let s = SampleSet::with_capacity(usize::MAX);
-        assert_eq!(s.quantile(0.5), None);
+        assert_eq!(s.quantiles(&[0.5]), vec![None]);
         assert_eq!(s.mean(), 0.0);
     }
 
@@ -142,9 +127,10 @@ mod tests {
         for x in [5.0, 1.0, 3.0, 2.0, 4.0] {
             s.record(x);
         }
-        assert_eq!(s.quantile(0.0), Some(1.0));
-        assert_eq!(s.quantile(0.5), Some(3.0));
-        assert_eq!(s.quantile(1.0), Some(5.0));
+        assert_eq!(
+            s.quantiles(&[0.0, 0.5, 1.0]),
+            vec![Some(1.0), Some(3.0), Some(5.0)]
+        );
         assert_eq!(s.mean(), 3.0);
     }
 
@@ -154,11 +140,11 @@ mod tests {
         for i in 0..10_000 {
             s.record(i as f64);
         }
-        assert_eq!(s.samples().len(), 100);
+        assert_eq!(s.samples.len(), 100);
         assert_eq!(s.count(), 10_000);
         assert!((s.mean() - 4_999.5).abs() < 1e-9);
         // Median of uniform 0..10000 should be near 5000.
-        let med = s.quantile(0.5).unwrap();
+        let med = s.quantiles(&[0.5])[0].unwrap();
         assert!((med - 5_000.0).abs() < 1_500.0, "median {med}");
     }
 
@@ -178,9 +164,11 @@ mod tests {
         for i in 1..=1000 {
             s.record(i as f64);
         }
+        // Each batch entry is the nearest-rank sample a one-quantile query
+        // returns.
         let qs = s.quantiles(&[0.5, 0.9, 0.95, 0.99]);
-        assert_eq!(qs[0], s.quantile(0.5));
-        assert_eq!(qs[3], s.quantile(0.99));
+        assert_eq!(qs, vec![Some(500.0), Some(900.0), Some(950.0), Some(990.0)]);
+        assert_eq!(s.quantiles(&[0.99]), vec![Some(990.0)]);
     }
 
     #[test]
@@ -188,6 +176,6 @@ mod tests {
     fn quantile_rejects_out_of_range() {
         let mut s = SampleSet::with_capacity(usize::MAX);
         s.record(1.0);
-        let _ = s.quantile(1.5);
+        let _ = s.quantiles(&[0.5, 1.5]);
     }
 }

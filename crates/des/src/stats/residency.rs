@@ -29,7 +29,6 @@ pub struct Residency<S> {
     since: SimTime,
     start: SimTime,
     accumulated: BTreeMap<S, SimDuration>,
-    transitions: u64,
 }
 
 impl<S: Copy + Ord> Residency<S> {
@@ -40,23 +39,7 @@ impl<S: Copy + Ord> Residency<S> {
             since: start,
             start,
             accumulated: BTreeMap::new(),
-            transitions: 0,
         }
-    }
-
-    /// The current state.
-    pub fn current(&self) -> S {
-        self.current
-    }
-
-    /// When the current state was entered.
-    pub fn since(&self) -> SimTime {
-        self.since
-    }
-
-    /// Number of state transitions recorded.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
     }
 
     /// Moves to `next` at time `now`. A self-transition is a no-op.
@@ -73,7 +56,6 @@ impl<S: Copy + Ord> Residency<S> {
         *self.accumulated.entry(self.current).or_default() += spent;
         self.current = next;
         self.since = now;
-        self.transitions += 1;
     }
 
     /// Total time spent in `state` (not counting the still-open interval).
@@ -99,12 +81,6 @@ impl<S: Copy + Ord> Residency<S> {
         }
         self.time_in_through(state, now).as_secs_f64() / elapsed.as_secs_f64()
     }
-
-    /// Iterates over `(state, closed residency)` pairs in ascending state
-    /// order — deterministic, so residency tables can feed reports directly.
-    pub fn iter(&self) -> impl Iterator<Item = (S, SimDuration)> + '_ {
-        self.accumulated.iter().map(|(s, d)| (*s, *d))
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +103,7 @@ mod tests {
         assert_eq!(r.time_in(St::A), SimDuration::from_secs(3));
         assert_eq!(r.time_in(St::B), SimDuration::from_secs(3));
         assert_eq!(r.time_in(St::C), SimDuration::ZERO);
-        assert_eq!(r.transitions(), 3);
+        assert_eq!(r.current, St::C);
     }
 
     #[test]
@@ -144,8 +120,8 @@ mod tests {
     fn self_transition_is_noop() {
         let mut r = Residency::new(SimTime::ZERO, St::A);
         r.transition(SimTime::from_secs(1), St::A);
-        assert_eq!(r.transitions(), 0);
-        assert_eq!(r.since(), SimTime::ZERO);
+        assert_eq!(r.since, SimTime::ZERO);
+        assert_eq!(r.time_in(St::A), SimDuration::ZERO);
     }
 
     #[test]

@@ -92,30 +92,6 @@ impl TimeSeries {
             .enumerate()
             .map(move |(i, &v)| (i as f64 * step, v))
     }
-
-    /// Mean of the sampled values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
-    /// Population standard deviation of the sampled values.
-    pub fn std_dev(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .values
-            .iter()
-            .map(|&v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.values.len() as f64;
-        var.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -156,8 +132,6 @@ mod tests {
         ts.observe(SimTime::from_secs(2), 4.0);
         ts.finish(SimTime::from_secs(3));
         assert_eq!(ts.values(), &[2.0, 2.0, 4.0, 4.0]);
-        assert_eq!(ts.mean(), 3.0);
-        assert_eq!(ts.std_dev(), 1.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Time-weighted value tracking: integrals and averages of piecewise-constant
 //! signals such as queue length, active-server count, or power draw.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Integrates a piecewise-constant signal over simulation time.
 ///
@@ -25,8 +25,6 @@ pub struct TimeWeighted {
     value: f64,
     integral: f64,
     start: SimTime,
-    max: f64,
-    min: f64,
 }
 
 impl TimeWeighted {
@@ -37,24 +35,12 @@ impl TimeWeighted {
             value,
             integral: 0.0,
             start,
-            max: value,
-            min: value,
         }
     }
 
     /// The current value of the signal.
     pub fn value(&self) -> f64 {
         self.value
-    }
-
-    /// Largest value ever set.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Smallest value ever set.
-    pub fn min(&self) -> f64 {
-        self.min
     }
 
     /// Updates the signal to `value` effective at `now`.
@@ -70,14 +56,6 @@ impl TimeWeighted {
                 .as_secs_f64();
         self.last_change = now;
         self.value = value;
-        self.max = self.max.max(value);
-        self.min = self.min.min(value);
-    }
-
-    /// Adds `delta` to the current value at `now` (convenience for counters).
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
     }
 
     /// The integral of the signal from start through `now`
@@ -99,11 +77,6 @@ impl TimeWeighted {
         } else {
             self.integral(now) / elapsed.as_secs_f64()
         }
-    }
-
-    /// Time elapsed since tracking began.
-    pub fn elapsed(&self, now: SimTime) -> SimDuration {
-        now.saturating_duration_since(self.start)
     }
 }
 
@@ -128,16 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn add_is_relative() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.add(SimTime::from_secs(1), 2.0);
-        tw.add(SimTime::from_secs(2), -1.0);
-        assert_eq!(tw.value(), 1.0);
-        assert_eq!(tw.max(), 2.0);
-        assert_eq!(tw.min(), 0.0);
-    }
-
-    #[test]
     fn zero_elapsed_average_is_current_value() {
         let tw = TimeWeighted::new(SimTime::from_secs(5), 7.0);
         assert_eq!(tw.time_average(SimTime::from_secs(5)), 7.0);
@@ -147,9 +110,6 @@ mod tests {
     fn late_start_ignores_earlier_time() {
         let tw = TimeWeighted::new(SimTime::from_secs(100), 2.0);
         assert_eq!(tw.integral(SimTime::from_secs(110)), 20.0);
-        assert_eq!(
-            tw.elapsed(SimTime::from_secs(110)),
-            SimDuration::from_secs(10)
-        );
+        assert_eq!(tw.time_average(SimTime::from_secs(110)), 2.0);
     }
 }

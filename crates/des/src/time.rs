@@ -164,18 +164,6 @@ impl SimDuration {
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
-
-    /// Adds, saturating at [`SimDuration::MAX`].
-    #[inline]
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(other.0))
-    }
-
-    /// Subtracts, saturating at zero.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -310,10 +298,6 @@ mod tests {
         );
         assert_eq!(
             SimTime::ZERO.saturating_duration_since(SimTime::from_secs(1)),
-            SimDuration::ZERO
-        );
-        assert_eq!(
-            SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
             SimDuration::ZERO
         );
     }

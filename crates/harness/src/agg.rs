@@ -73,14 +73,6 @@ impl TrialMetrics {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Looks a metric up by name.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        METRIC_NAMES
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| self.values[i])
-    }
 }
 
 /// One finished trial: its spec plus extracted metrics.
@@ -95,8 +87,6 @@ pub struct TrialOutcome {
 /// Mean / spread / confidence summary of one metric across replications.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSummary {
-    /// Samples aggregated.
-    pub n: u64,
     /// Sample mean.
     pub mean: f64,
     /// Sample (n−1) standard deviation; 0 for a single sample.
@@ -126,7 +116,6 @@ pub fn summarize(xs: &[f64]) -> MetricSummary {
     let n = xs.len() as u64;
     if n == 0 {
         return MetricSummary {
-            n: 0,
             mean: f64::NAN,
             std_dev: f64::NAN,
             ci95_half: f64::NAN,
@@ -135,7 +124,6 @@ pub fn summarize(xs: &[f64]) -> MetricSummary {
     let mean = xs.iter().sum::<f64>() / n as f64;
     if n == 1 {
         return MetricSummary {
-            n,
             mean,
             std_dev: 0.0,
             ci95_half: 0.0,
@@ -145,7 +133,6 @@ pub fn summarize(xs: &[f64]) -> MetricSummary {
     let std_dev = var.sqrt();
     let ci95_half = t_critical_975(n - 1) * std_dev / (n as f64).sqrt();
     MetricSummary {
-        n,
         mean,
         std_dev,
         ci95_half,
@@ -216,7 +203,6 @@ mod tests {
         // xs = [2, 4, 4, 4, 5, 5, 7, 9]: mean 5, sample var 32/7.
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let s = summarize(&xs);
-        assert_eq!(s.n, 8);
         assert!((s.mean - 5.0).abs() < 1e-12);
         let expect_sd = (32.0f64 / 7.0).sqrt();
         assert!((s.std_dev - expect_sd).abs() < 1e-12);
@@ -233,7 +219,6 @@ mod tests {
     #[test]
     fn summarize_single_sample_has_zero_spread() {
         let s = summarize(&[3.25]);
-        assert_eq!(s.n, 1);
         assert_eq!(s.mean, 3.25);
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.ci95_half, 0.0);
@@ -242,7 +227,6 @@ mod tests {
     #[test]
     fn summarize_empty_is_nan() {
         let s = summarize(&[]);
-        assert_eq!(s.n, 0);
         assert!(s.mean.is_nan());
     }
 

@@ -1,15 +1,8 @@
 //! The `holdcsim` CLI: one entry point for single runs, declarative
-//! parallel sweeps, and paper-figure reproduction.
-//!
-//! ```text
-//! holdcsim run   [--servers N] [--cores C] [--rho R] [--preset P] [--tau T]
-//!                [--policy POL] [--duration S] [--seed S] [--json]
-//! holdcsim sweep [--policies a,b] [--rhos 0.1,0.3] [--taus 0.4,1.6|active-idle]
-//!                [--presets web-search,web-serving] [--servers 8,50] [--cores 4]
-//!                [--replications N] [--duration S] [--seed S]
-//!                [--threads N] [--out DIR] [--name NAME]
-//! holdcsim fig <4|5|6|8|9|11|12|13|table1|footnote1> [--quick] [--threads N] [--seed S]
-//! ```
+//! parallel sweeps, paper-figure reproduction, multi-datacenter
+//! federations and fingerprint diffs. The `USAGE` text below, which
+//! `holdcsim help` prints, is the one description of every subcommand
+//! and option.
 
 // CLI flag maps are `--key value` lookups, never iterated (lint D001).
 #[allow(clippy::disallowed_types)]
@@ -475,7 +468,8 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         "flow" => wan.with_mode(WanLinkMode::Flow),
         other => return Err(format!("unknown WAN mode `{other}`")),
     };
-    let geo = match get("geo", "site-local").as_str() {
+    let geo_name = get("geo", "site-local");
+    let geo = match geo_name.as_str() {
         "site-local" => GeoPolicy::SiteLocalFirst {
             spill_load: parse_non_negative(&get("spill", "1.0"), "spill load")?,
         },
@@ -485,6 +479,13 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         },
         other => return Err(format!("unknown geo policy `{other}`")),
     };
+    // Each geo knob is read by one policy only; under any other it would
+    // be ignored without a word.
+    for (opt, needs) in [("spill", "site-local"), ("latency-weight", "latency-aware")] {
+        if opts.contains_key(opt) && geo_name != needs {
+            return Err(format!("`--{opt}` needs `--geo {needs}`"));
+        }
+    }
     let mut cc = ClusterConfig::uniform(base, sites, wan)
         .with_geo(geo)
         .with_seed(seed);
@@ -730,6 +731,39 @@ mod tests {
             "--sites 2 --geo latency-aware --latency-weight 0 --duration 0.05 --json",
         ))
         .unwrap();
+    }
+
+    #[test]
+    fn geo_options_need_the_policy_that_reads_them() {
+        let args = |a: &str| {
+            format!("--sites 2 --servers 4 --duration 0.05 --json {a}")
+                .split(' ')
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        for (bad, opt, needs) in [
+            (
+                "--geo load-balanced --spill nan --latency-weight -5",
+                "--spill",
+                "site-local",
+            ),
+            ("--geo load-balanced --spill 1", "--spill", "site-local"),
+            ("--geo latency-aware --spill 0.5", "--spill", "site-local"),
+            (
+                "--geo load-balanced --latency-weight 5",
+                "--latency-weight",
+                "latency-aware",
+            ),
+            ("--latency-weight 5", "--latency-weight", "latency-aware"),
+        ] {
+            let err = cmd_federate(&args(bad)).unwrap_err();
+            assert!(
+                err.contains(opt) && err.contains(&format!("--geo {needs}")),
+                "federate {bad}: {err}"
+            );
+        }
+        cmd_federate(&args("--geo site-local --spill 0.5")).unwrap();
+        cmd_federate(&args("--geo latency-aware --latency-weight 2")).unwrap();
     }
 
     #[test]

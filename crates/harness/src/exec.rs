@@ -14,7 +14,7 @@ use holdcsim::sim::Simulation;
 use holdcsim_obs::ObsArtifacts;
 
 use crate::agg::{aggregate, PointSummary, TrialMetrics, TrialOutcome};
-use crate::grid::{GridError, SweepPlan, TrialPoint};
+use crate::grid::{GridError, SweepPlan};
 
 /// The machine's available parallelism (≥ 1).
 pub fn default_threads() -> usize {
@@ -96,10 +96,6 @@ pub fn run_configs_obs(
 pub struct SweepResult {
     /// The plan's name.
     pub name: String,
-    /// The plan's root seed.
-    pub seed: u64,
-    /// The grid points in expansion order.
-    pub points: Vec<TrialPoint>,
     /// Every trial, in expansion order.
     pub trials: Vec<TrialOutcome>,
     /// One aggregate per grid point.
@@ -148,8 +144,6 @@ pub fn run_plan(
     let summaries = aggregate(&points, &outcomes);
     Ok(SweepResult {
         name: plan.name.clone(),
-        seed: plan.seed,
-        points,
         trials: outcomes,
         summaries,
         obs,

@@ -157,7 +157,7 @@ pub fn fig6(scale: &FigScale) {
         let arms: &[_; 3] = reports[3 * i..3 * i + 3]
             .try_into()
             .expect("three arms per cell");
-        let r = fig6_from_reports(rho, servers, arms);
+        let r = fig6_from_reports(arms);
         println!(
             "| {} | {} | {} | {:.4} | {:.4} | {:.4} | {:.1}% | {:.1}% | {:.1} |",
             servers,

@@ -42,8 +42,6 @@ pub struct ObsCli {
     pub metrics_path: Option<PathBuf>,
     /// `--fingerprint FILE` destination.
     pub fingerprint_path: Option<PathBuf>,
-    /// `--profile` (table goes to stdout, no file).
-    pub profile: bool,
 }
 
 impl ObsCli {
@@ -123,8 +121,7 @@ impl ObsCli {
         } else if opts.contains_key("fingerprint-every") {
             return Err("`--fingerprint-every` needs `--fingerprint FILE`".into());
         }
-        let profile = opts.contains_key("profile");
-        if profile {
+        if opts.contains_key("profile") {
             let mut pc = ProfileConfig::default();
             if let Some(s) = opts.get("profile-sample") {
                 pc.sample = at_least_one(s, "profile sample rate")?;
@@ -139,7 +136,6 @@ impl ObsCli {
             trace_format,
             metrics_path,
             fingerprint_path,
-            profile,
         })
     }
 
@@ -222,7 +218,7 @@ mod tests {
     fn empty_opts_turn_everything_off() {
         let cli = ObsCli::from_opts(&opts(&[])).unwrap();
         assert!(cli.is_off());
-        assert!(!cli.profile);
+        assert!(cli.cfg.profile.is_none());
     }
 
     #[test]

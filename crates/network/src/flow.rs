@@ -45,9 +45,9 @@
 //! (flow states, including their route vectors, are recycled through a
 //! pool).
 
-use holdcsim_des::time::{SimDuration, SimTime};
+use holdcsim_des::time::SimDuration;
 
-use crate::ids::{FlowId, LinkId, NodeId};
+use crate::ids::{FlowId, LinkId};
 use crate::topology::Topology;
 
 /// Fair-share fixed-point scale: rates and link budgets are integers in
@@ -148,12 +148,6 @@ impl RouteLinks {
 pub struct CompletedFlow {
     /// The flow that finished.
     pub id: FlowId,
-    /// Source host.
-    pub src: NodeId,
-    /// Destination host.
-    pub dst: NodeId,
-    /// When the flow was admitted.
-    pub started: SimTime,
 }
 
 /// The fair-share solver of a [`FlowNet`]: there is one, the cohort
@@ -245,7 +239,7 @@ pub fn max_min_shares(capacity_units: &[u64], routes: &[&[LinkId]]) -> Vec<u64> 
 ///     .route(&built.topology, built.hosts[0], built.hosts[1], 0)
 ///     .unwrap();
 /// let t0 = SimTime::ZERO;
-/// net.add_flow(t0, FlowId(1), built.hosts[0], built.hosts[1], &route.links, 125_000_000);
+/// net.add_flow(t0, FlowId(1), &route.links, 125_000_000);
 /// // Alone on 1 GbE: 1 Gbit = 125 MB takes exactly 1 s.
 /// let due = net.next_due().unwrap();
 /// assert!((due.as_secs_f64() - 1.0).abs() < 1e-6);
@@ -258,9 +252,11 @@ pub use crate::flow_cohort::FlowNet;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
     use crate::routing::Router;
     use crate::topologies::{star, LinkSpec};
     use crate::topology::Topology;
+    use holdcsim_des::time::SimTime;
 
     const GBE: u64 = 1_000_000_000;
 
@@ -268,7 +264,7 @@ mod tests {
     #[allow(dead_code)] // the property tests also drive batched admissions
     mod lockstep {
         use crate::flow::{max_min_shares, FlowNet};
-        use crate::ids::{FlowId, LinkId, NodeId};
+        use crate::ids::{FlowId, LinkId};
         use crate::topology::Topology;
         use holdcsim_des::time::{SimDuration, SimTime};
         include!("../../../tests/common/lockstep.rs");
@@ -304,14 +300,7 @@ mod tests {
         let (topo, hosts, mut router) = two_host_net();
         let mut net = FlowNet::new(&topo);
         let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
-        let key = net.add_flow(
-            SimTime::ZERO,
-            FlowId(1),
-            hosts[0],
-            hosts[1],
-            &links,
-            125_000_000,
-        );
+        let key = net.add_flow(SimTime::ZERO, FlowId(1), &links, 125_000_000);
         assert_eq!(net.flow_rate_bps(FlowId(1)), Some(1e9));
         let t = net.completion_of(key).unwrap();
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-6, "finish {t}");
@@ -323,14 +312,7 @@ mod tests {
         let mut net = FlowNet::new(&topo);
         let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
         for id in [1, 2] {
-            net.add_flow(
-                SimTime::ZERO,
-                FlowId(id),
-                hosts[0],
-                hosts[1],
-                &links,
-                125_000_000,
-            );
+            net.add_flow(SimTime::ZERO, FlowId(id), &links, 125_000_000);
         }
         assert_eq!(net.flow_rate_bps(FlowId(1)), Some(5e8));
         assert_eq!(net.flow_rate_bps(FlowId(2)), Some(5e8));
@@ -343,22 +325,8 @@ mod tests {
         let mut net = FlowNet::new(&topo);
         let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
         // Flow 1: 125 MB, flow 2: 250 MB, admitted together.
-        net.add_flow(
-            SimTime::ZERO,
-            FlowId(1),
-            hosts[0],
-            hosts[1],
-            &links,
-            125_000_000,
-        );
-        net.add_flow(
-            SimTime::ZERO,
-            FlowId(2),
-            hosts[0],
-            hosts[1],
-            &links,
-            250_000_000,
-        );
+        net.add_flow(SimTime::ZERO, FlowId(1), &links, 125_000_000);
+        net.add_flow(SimTime::ZERO, FlowId(2), &links, 250_000_000);
         // At 0.5 Gb/s each, flow 1 finishes at t=2 s.
         let t1 = fire_next(&mut net).unwrap();
         assert!((t1.as_secs_f64() - 2.0).abs() < 1e-6, "t1 {t1}");
@@ -386,9 +354,9 @@ mod tests {
         let ac = route_links(&topo, &mut router, h[0], h[2], 0);
         let bc = route_links(&topo, &mut router, h[1], h[2], 0);
         let ab = route_links(&topo, &mut router, h[0], h[1], 0);
-        net.add_flow(SimTime::ZERO, FlowId(1), h[0], h[2], &ac, 1_000_000);
-        net.add_flow(SimTime::ZERO, FlowId(2), h[1], h[2], &bc, 1_000_000);
-        net.add_flow(SimTime::ZERO, FlowId(3), h[0], h[1], &ab, 1_000_000);
+        net.add_flow(SimTime::ZERO, FlowId(1), &ac, 1_000_000);
+        net.add_flow(SimTime::ZERO, FlowId(2), &bc, 1_000_000);
+        net.add_flow(SimTime::ZERO, FlowId(3), &ab, 1_000_000);
         // C's downlink is the bottleneck: flows 1 and 2 get 0.5 Gb/s,
         // and max-min gives flow 3 min(0.5, 0.5) = 0.5 Gb/s of slack.
         assert!((net.flow_rate_bps(FlowId(1)).unwrap() - 5e8).abs() < 1.0);
@@ -408,30 +376,16 @@ mod tests {
         let mut net = FlowNet::new(&topo);
         let ab = route_links(&topo, &mut router, h[0], h[1], 0);
         let cd = route_links(&topo, &mut router, h[2], h[3], 0);
-        let k1 = net.add_flow(SimTime::ZERO, FlowId(1), h[0], h[1], &ab, 1_000_000);
+        let k1 = net.add_flow(SimTime::ZERO, FlowId(1), &ab, 1_000_000);
         let before = net.completion_of(k1).unwrap();
-        net.add_flow(
-            SimTime::from_millis(1),
-            FlowId(2),
-            h[2],
-            h[3],
-            &cd,
-            1_000_000,
-        );
+        net.add_flow(SimTime::from_millis(1), FlowId(2), &cd, 1_000_000);
         assert_eq!(
             net.completion_of(k1).unwrap(),
             before,
             "disjoint admission must not settle or retime flow 1"
         );
         // Sharing the link *does* retime it (rate halves).
-        net.add_flow(
-            SimTime::from_millis(2),
-            FlowId(3),
-            h[0],
-            h[1],
-            &ab,
-            1_000_000,
-        );
+        net.add_flow(SimTime::from_millis(2), FlowId(3), &ab, 1_000_000);
         let after = net.completion_of(k1).unwrap();
         assert!(after > before, "halved rate pushes completion out");
     }
@@ -441,25 +395,11 @@ mod tests {
         let (topo, hosts, mut router) = two_host_net();
         let mut net = FlowNet::new(&topo);
         let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
-        net.add_flow(
-            SimTime::ZERO,
-            FlowId(1),
-            hosts[0],
-            hosts[1],
-            &links,
-            125_000_000,
-        );
+        net.add_flow(SimTime::ZERO, FlowId(1), &links, 125_000_000);
         let solo = net.next_due().unwrap();
         // A second flow on the same link halves flow 1's rate: the
         // old 1-second projection is superseded by the 2-second one.
-        net.add_flow(
-            SimTime::ZERO,
-            FlowId(2),
-            hosts[0],
-            hosts[1],
-            &links,
-            125_000_000,
-        );
+        net.add_flow(SimTime::ZERO, FlowId(2), &links, 125_000_000);
         let shared = net.next_due().unwrap();
         assert!(shared > solo, "the due entry must move with the rate");
         // Advancing to the superseded (earlier) instant completes
@@ -474,8 +414,8 @@ mod tests {
         let (topo, hosts, mut router) = two_host_net();
         let mut net = FlowNet::new(&topo);
         let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
-        let k1 = net.add_flow(SimTime::ZERO, FlowId(1), hosts[0], hosts[1], &links, 1_000);
-        net.add_flow(SimTime::ZERO, FlowId(2), hosts[0], hosts[1], &links, 1_000);
+        let k1 = net.add_flow(SimTime::ZERO, FlowId(1), &links, 1_000);
+        net.add_flow(SimTime::ZERO, FlowId(2), &links, 1_000);
         assert!(net.remove_flow(SimTime::ZERO, k1));
         assert!(!net.remove_flow(SimTime::ZERO, k1), "already gone");
         assert!(net.drain_completed().collect::<Vec<_>>().is_empty());
@@ -491,14 +431,7 @@ mod tests {
         let mut net = FlowNet::new(&topo);
         let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
         for id in [1, 2] {
-            net.add_flow(
-                SimTime::ZERO,
-                FlowId(id),
-                hosts[0],
-                hosts[1],
-                &links,
-                125_000_000,
-            );
+            net.add_flow(SimTime::ZERO, FlowId(id), &links, 125_000_000);
         }
         fire_next(&mut net).unwrap();
         let done = net.drain_completed().collect::<Vec<_>>();
@@ -511,9 +444,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty route")]
     fn empty_route_rejected() {
-        let (topo, hosts, _) = two_host_net();
+        let (topo, _, _) = two_host_net();
         let mut net = FlowNet::new(&topo);
-        net.add_flow(SimTime::ZERO, FlowId(1), hosts[0], hosts[1], &[], 10);
+        net.add_flow(SimTime::ZERO, FlowId(1), &[], 10);
     }
 
     #[test]
@@ -522,8 +455,8 @@ mod tests {
         let (topo, hosts, mut router) = two_host_net();
         let mut net = FlowNet::new(&topo);
         let links = route_links(&topo, &mut router, hosts[0], hosts[1], 0);
-        net.add_flow(SimTime::ZERO, FlowId(1), hosts[0], hosts[1], &links, 10);
-        net.add_flow(SimTime::ZERO, FlowId(1), hosts[0], hosts[1], &links, 10);
+        net.add_flow(SimTime::ZERO, FlowId(1), &links, 10);
+        net.add_flow(SimTime::ZERO, FlowId(1), &links, 10);
     }
 
     #[test]
@@ -538,7 +471,7 @@ mod tests {
             for j in 0..8 {
                 if i != j {
                     let links = route_links(&topo, &mut router, h[i], h[j], id);
-                    net.add_flow(SimTime::ZERO, FlowId(id), h[i], h[j], &links, 1_000_000);
+                    net.add_flow(SimTime::ZERO, FlowId(id), &links, 1_000_000);
                     id += 1;
                 }
             }
@@ -591,7 +524,7 @@ mod tests {
                     let bytes = 1_000 + rng.below(5_000_000);
                     let id = FlowId(next_id);
                     next_id += 1;
-                    let key = ls.add_flow(now, id, hosts[i], hosts[j], &links, bytes);
+                    let key = ls.add_flow(now, id, &links, bytes);
                     live.push((key, id));
                 } else if op < 8 {
                     // Cancel a random live flow.
@@ -629,7 +562,7 @@ mod tests {
                     continue;
                 }
                 let links = route_links(&topo, &mut router, h[i], h[j], id);
-                net.add_flow(SimTime::ZERO, FlowId(id), h[i], h[j], &links, 3_000_000);
+                net.add_flow(SimTime::ZERO, FlowId(id), &links, 3_000_000);
                 routes.push(links);
                 id += 1;
             }

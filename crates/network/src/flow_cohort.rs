@@ -66,7 +66,7 @@ use crate::flow::{
     drained_units, due_after, link_capacities, max_min_shares, progress_units, CompletedFlow,
     RouteLinks, RATE_UNIT_PER_BPS,
 };
-use crate::ids::{FlowId, LinkId, NodeId};
+use crate::ids::{FlowId, LinkId};
 use crate::topology::Topology;
 
 /// Sentinel cell index.
@@ -95,9 +95,6 @@ struct CFlow {
     /// discovered it) — it completes at the next [`FlowNet::advance_due`]
     /// with its original due, parked in [`FlowNet::overdue`].
     overdue: bool,
-    src: NodeId,
-    dst: NodeId,
-    started: SimTime,
 }
 
 /// A rate cell: one bottleneck cohort's shared rate and virtual clock.
@@ -424,16 +421,8 @@ impl FlowNet {
     ///
     /// Panics if the flow id is already active, the route is empty (same-
     /// host transfers never reach the network), or `bytes == 0`.
-    pub fn add_flow(
-        &mut self,
-        now: SimTime,
-        id: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        links: &[LinkId],
-        bytes: u64,
-    ) -> u64 {
-        let key = self.add_flow_batched(now, id, src, dst, links, bytes);
+    pub fn add_flow(&mut self, now: SimTime, id: FlowId, links: &[LinkId], bytes: u64) -> u64 {
+        let key = self.add_flow_batched(now, id, links, bytes);
         self.flush(now);
         key
     }
@@ -456,8 +445,6 @@ impl FlowNet {
         &mut self,
         now: SimTime,
         id: FlowId,
-        src: NodeId,
-        dst: NodeId,
         links: &[LinkId],
         bytes: u64,
     ) -> u64 {
@@ -476,9 +463,6 @@ impl FlowNet {
             cell: NO_CELL,
             member_pos: 0,
             overdue: false,
-            src,
-            dst,
-            started: now,
         });
         st.id = id;
         st.links.set(links);
@@ -486,9 +470,6 @@ impl FlowNet {
         st.cell = c;
         st.member_pos = 0;
         st.overdue = false;
-        st.src = src;
-        st.dst = dst;
-        st.started = now;
         let key = self.flows.insert(st);
         let cell = &mut self.cells[c as usize];
         cell.members.push(key);
@@ -650,12 +631,7 @@ impl FlowNet {
             refresh_cell_due(&mut cells[c as usize], c, flows, cell_due);
         }
         if completed {
-            self.completed.push(CompletedFlow {
-                id: f.id,
-                src: f.src,
-                dst: f.dst,
-                started: f.started,
-            });
+            self.completed.push(CompletedFlow { id: f.id });
         }
         self.pool.push(f);
     }
@@ -1367,6 +1343,7 @@ impl FlowNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
     use crate::routing::Router;
     use crate::topologies::{star, LinkSpec};
     use holdcsim_des::time::SimDuration;
@@ -1387,14 +1364,7 @@ mod tests {
         let mut net = FlowNet::new(&topo);
         for i in 1..16u64 {
             let links = route(&topo, &mut router, h[i as usize], h[0], i);
-            net.add_flow(
-                SimTime::ZERO,
-                FlowId(i),
-                h[i as usize],
-                h[0],
-                &links,
-                1_000_000,
-            );
+            net.add_flow(SimTime::ZERO, FlowId(i), &links, 1_000_000);
         }
         assert_eq!(net.active_flows(), 15);
         assert_eq!(net.live_cells(), 1, "one bottleneck, one cell");
@@ -1417,14 +1387,7 @@ mod tests {
         let mut net = FlowNet::new(&topo);
         for i in 1..8u64 {
             let links = route(&topo, &mut router, h[i as usize], h[0], i);
-            net.add_flow_batched(
-                SimTime::ZERO,
-                FlowId(i),
-                h[i as usize],
-                h[0],
-                &links,
-                500_000,
-            );
+            net.add_flow_batched(SimTime::ZERO, FlowId(i), &links, 500_000);
         }
         net.flush(SimTime::ZERO);
         assert_eq!(net.live_cells(), 1);
@@ -1443,7 +1406,7 @@ mod tests {
         // Two flows into h0: one cohort on h0's downlink at cap/2 each.
         for (i, src) in [(1u64, 1usize), (2, 2)] {
             let links = route(&topo, &mut router, h[src], h[0], i);
-            net.add_flow(SimTime::ZERO, FlowId(i), h[src], h[0], &links, 10_000_000);
+            net.add_flow(SimTime::ZERO, FlowId(i), &links, 10_000_000);
         }
         assert_eq!(net.live_cells(), 1);
         // Two more flows out of h1: h1's uplink now carries three flows
@@ -1452,7 +1415,7 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_millis(1);
         for (i, dst) in [(3u64, 3usize), (4, 4)] {
             let links = route(&topo, &mut router, h[1], h[dst], i);
-            net.add_flow(t, FlowId(i), h[1], h[dst], &links, 10_000_000);
+            net.add_flow(t, FlowId(i), &links, 10_000_000);
         }
         let third = 1_000_000_000.0 / 3.0;
         for i in [1u64, 3, 4] {
@@ -1476,14 +1439,7 @@ mod tests {
         let mut net = FlowNet::new(&topo);
         for (i, (a, b)) in [(1usize, 0usize), (2, 0), (1, 2)].into_iter().enumerate() {
             let links = route(&topo, &mut router, h[a], h[b], i as u64);
-            net.add_flow(
-                SimTime::ZERO,
-                FlowId(i as u64),
-                h[a],
-                h[b],
-                &links,
-                1_000_000,
-            );
+            net.add_flow(SimTime::ZERO, FlowId(i as u64), &links, 1_000_000);
         }
         assert_eq!(net.check_max_min(), Ok(()));
         let cell_of = |net: &FlowNet, id: u64| {
@@ -1522,7 +1478,7 @@ mod tests {
         let mut router = Router::new();
         let mut net = FlowNet::new(&topo);
         let links = route(&topo, &mut router, h[1], h[0], 1);
-        net.add_flow(SimTime::ZERO, FlowId(1), h[1], h[0], &links, 125_000);
+        net.add_flow(SimTime::ZERO, FlowId(1), &links, 125_000);
         let due = net.next_due().unwrap();
         // 125 kB at 1 Gb/s = 1 ms exactly.
         assert_eq!(due, SimTime::ZERO + SimDuration::from_millis(1));

@@ -33,7 +33,7 @@ pub mod topologies;
 pub mod topology;
 
 pub use flow::{CompletedFlow, FlowNet};
-pub use ids::{FlowId, LinkId, NodeId, PacketId, PortRef};
+pub use ids::{FlowId, LinkId, NodeId, PortRef};
 pub use packet::{Packet, PacketNet, TxOutcome};
 pub use routing::{Route, Router};
 pub use switch::SwitchDevice;

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use holdcsim_des::time::{SimDuration, SimTime};
 
-use crate::ids::{LinkId, NodeId, PacketId};
+use crate::ids::{LinkId, NodeId};
 use crate::routing::Route;
 use crate::topology::Topology;
 
@@ -22,8 +22,6 @@ use crate::topology::Topology;
 /// points at one allocation instead of cloning the hop vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
-    /// Unique id.
-    pub id: PacketId,
     /// Payload size in bytes.
     pub bytes: u64,
     /// The route this packet follows.
@@ -34,9 +32,8 @@ pub struct Packet {
 
 impl Packet {
     /// Creates a packet at the head of its route.
-    pub fn new(id: PacketId, bytes: u64, route: Arc<Route>) -> Self {
+    pub fn new(bytes: u64, route: Arc<Route>) -> Self {
         Packet {
-            id,
             bytes,
             route,
             hop: 0,
@@ -301,7 +298,7 @@ mod tests {
     #[test]
     fn packet_walks_its_route() {
         let (_, _, route) = setup();
-        let mut p = Packet::new(PacketId(1), 1500, Arc::new(route.clone()));
+        let mut p = Packet::new(1500, Arc::new(route.clone()));
         assert_eq!(p.current_node(), route.nodes[0]);
         assert!(!p.at_destination());
         assert_eq!(p.next_link(), Some(route.links[0]));

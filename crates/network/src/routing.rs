@@ -38,15 +38,6 @@ impl Route {
     pub fn hops(&self) -> usize {
         self.links.len()
     }
-
-    /// Switches along the route (excludes host endpoints).
-    pub fn switches(&self, topo: &Topology) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .copied()
-            .filter(|&n| topo.kind(n).is_switch())
-            .collect()
-    }
 }
 
 /// Hop-count router with equal-cost multi-path support.
@@ -340,7 +331,14 @@ mod tests {
             .unwrap();
         assert_eq!(route.hops(), 2);
         assert_eq!(route.nodes.len(), 3);
-        assert_eq!(route.switches(&built.topology).len(), 1);
+        assert_eq!(
+            route
+                .nodes
+                .iter()
+                .filter(|&&n| built.topology.kind(n).is_switch())
+                .count(),
+            1
+        );
     }
 
     #[test]
@@ -434,7 +432,10 @@ mod tests {
             .unwrap();
         // Opposite corner of a 3x3x3 torus: 1 hop per dimension via wraparound.
         assert_eq!(route.hops(), 3);
-        assert!(route.switches(&built.topology).is_empty());
+        assert!(route
+            .nodes
+            .iter()
+            .all(|&n| !built.topology.kind(n).is_switch()));
     }
 
     #[test]

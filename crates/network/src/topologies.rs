@@ -287,7 +287,7 @@ mod tests {
         assert!(t.topology.is_connected());
         // Each edge switch: 2 hosts + 2 aggs = 4 used ports = k.
         for &sw in t.topology.switches() {
-            assert!(t.topology.degree(sw) <= 4);
+            assert!(t.topology.neighbors(sw).count() <= 4);
         }
         // Link count: hosts (16) + edge-agg (k * half*half = 16) + agg-core (16).
         assert_eq!(t.topology.links().len(), 48);
@@ -315,7 +315,7 @@ mod tests {
         assert!(t.topology.is_connected());
         // Every switch: 2 hosts + 2 row + 2 column neighbors = degree 6.
         for &sw in t.topology.switches() {
-            assert_eq!(t.topology.degree(sw), 6);
+            assert_eq!(t.topology.neighbors(sw).count(), 6);
         }
     }
 
@@ -327,7 +327,7 @@ mod tests {
         assert_eq!(t.topology.switches().len(), 4);
         assert!(t.topology.is_connected());
         for &h in &t.hosts {
-            assert_eq!(t.topology.degree(h), 2);
+            assert_eq!(t.topology.neighbors(h).count(), 2);
         }
     }
 
@@ -347,7 +347,7 @@ mod tests {
         assert!(t.topology.is_connected());
         // 3-D torus with all dims = 3: every host has degree 6.
         for &h in &t.hosts {
-            assert_eq!(t.topology.degree(h), 6);
+            assert_eq!(t.topology.neighbors(h).count(), 6);
         }
     }
 
@@ -364,6 +364,6 @@ mod tests {
         assert_eq!(t.hosts.len(), 24);
         assert_eq!(t.topology.switches().len(), 1);
         assert!(t.topology.is_connected());
-        assert_eq!(t.topology.degree(t.topology.switches()[0]), 24);
+        assert_eq!(t.topology.neighbors(t.topology.switches()[0]).count(), 24);
     }
 }

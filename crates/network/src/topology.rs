@@ -96,7 +96,6 @@ impl std::error::Error for TopologyError {}
 /// b.link(sw, h1, 1_000_000_000, SimDuration::from_micros(5))?;
 /// b.link(sw, h2, 1_000_000_000, SimDuration::from_micros(5))?;
 /// let topo = b.build();
-/// assert_eq!(topo.hosts().len(), 2);
 /// assert_eq!(topo.switches().len(), 1);
 /// assert_eq!(topo.neighbors(h1).count(), 1);
 /// # Ok(())
@@ -107,7 +106,6 @@ pub struct Topology {
     kinds: Vec<NodeKind>,
     links: Vec<Link>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    hosts: Vec<NodeId>,
     switches: Vec<NodeId>,
 }
 
@@ -135,12 +133,6 @@ impl Topology {
         self.kinds[node.0 as usize]
     }
 
-    /// All host nodes, in insertion order (stable: builders create hosts in
-    /// server-id order so `hosts()[i]` is server *i*'s NIC).
-    pub fn hosts(&self) -> &[NodeId] {
-        &self.hosts
-    }
-
     /// All switch nodes, in insertion order.
     pub fn switches(&self) -> &[NodeId] {
         &self.switches
@@ -163,11 +155,6 @@ impl Topology {
     /// Neighbors of `node` with the connecting link.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
         self.adjacency[node.0 as usize].iter().copied()
-    }
-
-    /// Degree of `node`.
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency[node.0 as usize].len()
     }
 
     /// `true` if every node can reach every other node.
@@ -278,19 +265,14 @@ impl TopologyBuilder {
             adjacency[l.a.node.0 as usize].push((l.b.node, LinkId(i as u32)));
             adjacency[l.b.node.0 as usize].push((l.a.node, LinkId(i as u32)));
         }
-        let mut hosts = Vec::new();
-        let mut switches = Vec::new();
-        for (i, k) in self.kinds.iter().enumerate() {
-            match k {
-                NodeKind::Host => hosts.push(NodeId(i as u32)),
-                NodeKind::Switch { .. } => switches.push(NodeId(i as u32)),
-            }
-        }
+        let switches = (0..self.kinds.len() as u32)
+            .map(NodeId)
+            .filter(|&n| self.kinds[n.0 as usize].is_switch())
+            .collect();
         Topology {
             kinds: self.kinds,
             links: self.links,
             adjacency,
-            hosts,
             switches,
         }
     }
@@ -316,7 +298,7 @@ mod tests {
         }
         let t = b.build();
         assert_eq!(t.node_count(), 5);
-        assert_eq!(t.degree(sw), 4);
+        assert_eq!(t.neighbors(sw).count(), 4);
         assert!(t.is_connected());
         assert!(t.kind(sw).is_switch());
         assert!(!t.kind(hosts[0]).is_switch());

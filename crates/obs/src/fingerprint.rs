@@ -91,11 +91,6 @@ impl Fingerprinter {
         }
     }
 
-    /// Events folded so far.
-    pub fn events(&self) -> u64 {
-        self.count
-    }
-
     /// The checkpoint cadence.
     pub fn every(&self) -> u64 {
         self.every

@@ -171,16 +171,6 @@ impl Observer {
         self.site = Some(site);
     }
 
-    /// The federation site id, if set.
-    pub fn site(&self) -> Option<u32> {
-        self.site
-    }
-
-    /// `true` when at least one capability is on.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// The active-capability path of `on_event`; kept out of the inlined
     /// hot path so the off case stays small.
     fn observe<M: ProbeSource>(&mut self, now: SimTime, info: EventInfo, model: &M) {
@@ -209,7 +199,6 @@ impl Observer {
             kind_names: self.kind_names,
             trace: self.tracer.map(|t| TraceData {
                 dropped: t.dropped(),
-                seen: t.seen(),
                 records: t.records().to_vec(),
             }),
             fingerprint: self.fingerprinter.map(|f| FingerprintFile {
@@ -261,8 +250,6 @@ pub struct TraceData {
     pub records: Vec<TraceRecord>,
     /// Events dropped after the sink filled.
     pub dropped: u64,
-    /// Total events seen (retained + dropped).
-    pub seen: u64,
 }
 
 /// A finished fingerprint: checkpoint cadence plus the checkpoints.
@@ -322,13 +309,5 @@ impl ObsArtifacts {
     /// The `--profile` events/s-per-kind table.
     pub fn profile_table(&self) -> Option<String> {
         self.profile.as_ref().map(|p| p.render_table(self.site))
-    }
-
-    /// `true` when no capability was on.
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_none()
-            && self.fingerprint.is_none()
-            && self.metrics.is_none()
-            && self.profile.is_none()
     }
 }

@@ -70,11 +70,6 @@ impl ProbePanel {
         }
     }
 
-    /// The registered probe names, in registration order.
-    pub fn names(&self) -> &[&'static str] {
-        &self.names
-    }
-
     /// Closes all series at `end` and returns `(names, series)`.
     pub fn finish(mut self, end: SimTime) -> MetricsData {
         for s in &mut self.series {

@@ -101,11 +101,6 @@ impl ProfileData {
         self.counts.iter().sum()
     }
 
-    /// The count for one kind (0 if out of range).
-    pub fn count(&self, kind: u8) -> u64 {
-        self.counts.get(kind as usize).copied().unwrap_or(0)
-    }
-
     /// Renders the events/s-per-kind table shown by `--profile`.
     ///
     /// `est. wall` extrapolates each kind's mean sampled cost to its full
@@ -178,8 +173,8 @@ mod tests {
         }
         let data = p.finish(NAMES);
         assert_eq!(data.total_events(), 100);
-        assert_eq!(data.count(0), 50);
-        assert_eq!(data.count(1), 50);
+        assert_eq!(data.counts[0], 50);
+        assert_eq!(data.counts[1], 50);
     }
 
     #[test]

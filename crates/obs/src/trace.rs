@@ -98,11 +98,6 @@ impl Tracer {
         self.dropped
     }
 
-    /// Total events seen (retained + dropped).
-    pub fn seen(&self) -> u64 {
-        self.count
-    }
-
     /// The ring's contents, oldest first — the tail of the event stream.
     pub fn ring_tail(&self) -> Vec<TraceRecord> {
         if self.ring.len() < self.ring_cap {
@@ -225,7 +220,7 @@ mod tests {
         }
         assert_eq!(t.records().len(), 3);
         assert_eq!(t.dropped(), 2);
-        assert_eq!(t.seen(), 5);
+        assert_eq!(t.count, 5);
         // The ring kept rolling past the sink cap: last two events.
         let tail = t.ring_tail();
         assert_eq!(tail.len(), 2);

@@ -8,7 +8,7 @@
 
 use holdcsim_des::time::SimDuration;
 
-use crate::states::{CoreCState, PState, PkgCState, SystemState};
+use crate::states::{CoreCState, PState, SystemState};
 
 /// Per-core power draws and wake latencies.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +25,6 @@ pub struct CorePowerProfile {
     pub c6_w: f64,
     /// Wake latency C1 → C0.
     pub c1_wake: SimDuration,
-    /// Wake latency C3 → C0.
-    pub c3_wake: SimDuration,
     /// Wake latency C6 → C0.
     pub c6_wake: SimDuration,
 }
@@ -41,16 +39,6 @@ impl CorePowerProfile {
             CoreCState::C6 => self.c6_w,
         }
     }
-
-    /// Latency to wake from `state` to C0.
-    pub fn wake_latency(&self, state: CoreCState) -> SimDuration {
-        match state {
-            CoreCState::C0 => SimDuration::ZERO,
-            CoreCState::C1 => self.c1_wake,
-            CoreCState::C3 => self.c3_wake,
-            CoreCState::C6 => self.c6_wake,
-        }
-    }
 }
 
 /// Package (uncore) power draws and wake latencies.
@@ -62,30 +50,8 @@ pub struct PackagePowerProfile {
     pub pc2_w: f64,
     /// Uncore power in deep package sleep (paper's package C6).
     pub pc6_w: f64,
-    /// Wake latency PC2 → PC0.
-    pub pc2_wake: SimDuration,
     /// Wake latency PC6 → PC0 (paper: "less than 1 ms").
     pub pc6_wake: SimDuration,
-}
-
-impl PackagePowerProfile {
-    /// Uncore power draw in `state`.
-    pub fn power_w(&self, state: PkgCState) -> f64 {
-        match state {
-            PkgCState::Pc0 => self.pc0_w,
-            PkgCState::Pc2 => self.pc2_w,
-            PkgCState::Pc6 => self.pc6_w,
-        }
-    }
-
-    /// Latency to wake from `state` to PC0.
-    pub fn wake_latency(&self, state: PkgCState) -> SimDuration {
-        match state {
-            PkgCState::Pc0 => SimDuration::ZERO,
-            PkgCState::Pc2 => self.pc2_wake,
-            PkgCState::Pc6 => self.pc6_wake,
-        }
-    }
 }
 
 /// DRAM power by activity and system state.
@@ -118,15 +84,6 @@ pub struct PlatformPowerProfile {
 }
 
 impl PlatformPowerProfile {
-    /// Platform power in `state`.
-    pub fn power_w(&self, state: SystemState) -> f64 {
-        match state {
-            SystemState::S0 => self.s0_w,
-            SystemState::S3 => self.s3_w,
-            SystemState::S5 => self.s5_w,
-        }
-    }
-
     /// Latency to return to S0 from `state`.
     pub fn wake_latency(&self, state: SystemState) -> SimDuration {
         match state {
@@ -169,14 +126,12 @@ impl ServerPowerProfile {
                 c3_w: 0.35,
                 c6_w: 0.05,
                 c1_wake: SimDuration::from_micros(2),
-                c3_wake: SimDuration::from_micros(60),
                 c6_wake: SimDuration::from_micros(200),
             },
             package: PackagePowerProfile {
                 pc0_w: 14.0,
                 pc2_w: 8.0,
                 pc6_w: 2.0,
-                pc2_wake: SimDuration::from_micros(50),
                 pc6_wake: SimDuration::from_micros(600),
             },
             dram: DramPowerProfile {
@@ -237,23 +192,6 @@ impl ServerPowerProfile {
         let idx = p.min(self.pstates.len() - 1);
         self.pstates[idx].speed_ratio(self.nominal_pstate().freq_ghz)
     }
-
-    /// Peak power of a fully-busy server (all cores busy, everything on),
-    /// given the core count. Useful for sanity checks and provisioning.
-    pub fn peak_power_w(&self, n_cores: usize) -> f64 {
-        self.platform.s0_w
-            + self.dram.active_w
-            + self.package.pc0_w
-            + self.core.c0_busy_w * n_cores as f64
-    }
-
-    /// Power of a fully-idle server kept in S0 with cores parked in `core_state`.
-    pub fn idle_power_w(&self, n_cores: usize, core_state: CoreCState) -> f64 {
-        self.platform.s0_w
-            + self.dram.idle_w
-            + self.package.pc0_w
-            + self.core.idle_power_w(core_state) * n_cores as f64
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +210,7 @@ mod tests {
         assert!(p.platform.s0_w > p.platform.s3_w);
         assert!(p.platform.s3_w > p.platform.s5_w);
         // Deeper states wake slower.
-        assert!(p.core.c6_wake > p.core.c3_wake);
+        assert!(p.core.c6_wake > p.core.c1_wake);
         assert!(p.platform.resume_latency > p.package.pc6_wake);
         // CPU package range matches the Fig. 12 calibration target.
         let idle_pkg = p.package.pc0_w + 10.0 * p.core.c6_w;
@@ -295,17 +233,24 @@ mod tests {
     fn lookup_helpers() {
         let p = ServerPowerProfile::xeon_e5_2680();
         assert_eq!(p.core.idle_power_w(CoreCState::C6), p.core.c6_w);
-        assert_eq!(p.package.power_w(PkgCState::Pc2), p.package.pc2_w);
-        assert_eq!(p.platform.power_w(SystemState::S3), p.platform.s3_w);
         assert_eq!(p.platform.wake_latency(SystemState::S0), SimDuration::ZERO);
-        assert_eq!(p.core.wake_latency(CoreCState::C6), p.core.c6_wake);
+        assert_eq!(
+            p.platform.wake_latency(SystemState::S3),
+            p.platform.resume_latency
+        );
     }
 
     #[test]
     fn peak_and_idle_power() {
         let p = ServerPowerProfile::xeon_e5_2680();
-        assert!(p.peak_power_w(10) > p.idle_power_w(10, CoreCState::C6));
-        let peak = p.peak_power_w(10);
+        // Ten cores: everything on and busy, against idle in S0 with every
+        // core in C6.
+        let peak = p.platform.s0_w + p.dram.active_w + p.package.pc0_w + 10.0 * p.core.c0_busy_w;
+        let idle = p.platform.s0_w
+            + p.dram.idle_w
+            + p.package.pc0_w
+            + 10.0 * p.core.idle_power_w(CoreCState::C6);
+        assert!(peak > idle);
         assert!((100.0..120.0).contains(&peak), "peak {peak}");
     }
 }

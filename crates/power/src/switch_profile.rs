@@ -7,8 +7,6 @@
 
 use holdcsim_des::time::SimDuration;
 
-use crate::states::{LineCardPowerState, PortPowerState};
-
 /// Per-port power draws and IEEE 802.3az Low Power Idle timing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortPowerProfile {
@@ -16,8 +14,6 @@ pub struct PortPowerProfile {
     pub active_w: f64,
     /// Power in Low Power Idle.
     pub lpi_w: f64,
-    /// Time to enter LPI once the controller decides to (802.3az Ts).
-    pub lpi_entry: SimDuration,
     /// Time to leave LPI before the first bit can go out (802.3az Tw).
     pub lpi_exit: SimDuration,
     /// Adaptive Link Rate ladder: `(rate_bps, power_scale)` pairs, slowest
@@ -26,15 +22,6 @@ pub struct PortPowerProfile {
 }
 
 impl PortPowerProfile {
-    /// Power draw in `state` at the port's full rate.
-    pub fn power_w(&self, state: PortPowerState) -> f64 {
-        match state {
-            PortPowerState::Active => self.active_w,
-            PortPowerState::Lpi => self.lpi_w,
-            PortPowerState::Off => 0.0,
-        }
-    }
-
     /// Active power at `rate_bps` under ALR (nearest ladder entry at or
     /// above the rate; falls back to full power off-ladder).
     pub fn active_power_at_rate_w(&self, rate_bps: u64) -> f64 {
@@ -56,17 +43,6 @@ pub struct LineCardPowerProfile {
     pub sleep_w: f64,
     /// Latency to wake from sleep to active.
     pub wake_latency: SimDuration,
-}
-
-impl LineCardPowerProfile {
-    /// Power draw in `state`.
-    pub fn power_w(&self, state: LineCardPowerState) -> f64 {
-        match state {
-            LineCardPowerState::Active => self.active_w,
-            LineCardPowerState::Sleep => self.sleep_w,
-            LineCardPowerState::Off => 0.0,
-        }
-    }
 }
 
 /// Full power profile of one switch.
@@ -100,7 +76,6 @@ impl SwitchPowerProfile {
             port: PortPowerProfile {
                 active_w: 0.23,
                 lpi_w: 0.023,
-                lpi_entry: SimDuration::from_micros(3),
                 lpi_exit: SimDuration::from_micros(5),
                 alr_ladder: vec![(100_000_000, 0.45), (1_000_000_000, 1.0)],
             },
@@ -121,7 +96,6 @@ impl SwitchPowerProfile {
             port: PortPowerProfile {
                 active_w: 0.9,
                 lpi_w: 0.09,
-                lpi_entry: SimDuration::from_micros(3),
                 lpi_exit: SimDuration::from_micros(5),
                 alr_ladder: vec![
                     (100_000_000, 0.30),
@@ -130,13 +104,6 @@ impl SwitchPowerProfile {
                 ],
             },
         }
-    }
-
-    /// Peak power with `cards` line cards of `ports_per_card` ports, all on.
-    pub fn peak_power_w(&self, cards: usize, ports_per_card: usize) -> f64 {
-        self.chassis_w
-            + self.linecard.active_w * cards as f64
-            + self.port.active_w * (cards * ports_per_card) as f64
     }
 }
 
@@ -149,17 +116,18 @@ mod tests {
         let p = SwitchPowerProfile::cisco_ws_c2960_24s();
         assert_eq!(p.chassis_w, 14.7);
         assert_eq!(p.port.active_w, 0.23);
-        // All 24 ports on: 14.7 + 24*0.23 = 20.22 W.
-        let peak = p.peak_power_w(1, 24);
+        // All 24 ports on: 14.7 + 24*0.23 = 20.22 W (the integrated line
+        // card draws nothing).
+        assert_eq!(p.linecard.active_w, 0.0);
+        let peak = p.chassis_w + 24.0 * p.port.active_w;
         assert!((peak - 20.22).abs() < 1e-9, "peak {peak}");
     }
 
     #[test]
     fn port_states_order_power() {
         let p = SwitchPowerProfile::datacenter_48port().port;
-        assert!(p.power_w(PortPowerState::Active) > p.power_w(PortPowerState::Lpi));
-        assert!(p.power_w(PortPowerState::Lpi) > p.power_w(PortPowerState::Off));
-        assert_eq!(p.power_w(PortPowerState::Off), 0.0);
+        assert!(p.active_w > p.lpi_w);
+        assert!(p.lpi_w > 0.0);
     }
 
     #[test]
@@ -178,18 +146,11 @@ mod tests {
     fn chassis_sleep_is_cheaper_on_modular_switch() {
         let p = SwitchPowerProfile::datacenter_48port();
         assert!(p.chassis_sleep_w < p.chassis_w);
+        assert!(p.linecard.sleep_w < p.linecard.active_w);
         let c = SwitchPowerProfile::cisco_ws_c2960_24s();
         assert_eq!(
             c.chassis_sleep_w, c.chassis_w,
             "fixed-config switch never sleeps"
         );
-    }
-
-    #[test]
-    fn linecard_power_lookup() {
-        let lc = SwitchPowerProfile::datacenter_48port().linecard;
-        assert_eq!(lc.power_w(LineCardPowerState::Active), 18.0);
-        assert_eq!(lc.power_w(LineCardPowerState::Sleep), 3.0);
-        assert_eq!(lc.power_w(LineCardPowerState::Off), 0.0);
     }
 }

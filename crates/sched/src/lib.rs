@@ -9,11 +9,23 @@
 //!
 //! ```
 //! use holdcsim_sched::policy::{ClusterView, Policy};
-//! use holdcsim_server::server::{Server, ServerConfig, ServerId};
+//! use holdcsim_server::server::{LocalQueueMode, Server, ServerConfig, ServerId};
+//! use holdcsim_server::SleepPolicy;
 //! use holdcsim_des::time::SimTime;
+//! use holdcsim_power::server_profile::ServerPowerProfile;
 //!
+//! let profile = ServerPowerProfile::xeon_e5_2680();
+//! let cfg = ServerConfig {
+//!     cores: 2,
+//!     pstate: profile.pstates.len() - 1,
+//!     profile,
+//!     queue_mode: LocalQueueMode::Unified,
+//!     policy: SleepPolicy::active_idle(),
+//!     core_speeds: Vec::new(),
+//!     sockets: 1,
+//! };
 //! let servers: Vec<Server> = (0..4)
-//!     .map(|i| Server::new(SimTime::ZERO, ServerId(i), ServerConfig::new(2)))
+//!     .map(|_| Server::new(SimTime::ZERO, cfg.clone()))
 //!     .collect();
 //! let ids: Vec<ServerId> = (0..4).map(ServerId).collect();
 //! let mut policy = Policy::LeastLoaded;

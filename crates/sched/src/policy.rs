@@ -217,18 +217,33 @@ fn rank_key(view: &ClusterView<'_>, id: ServerId, costs: &[f64]) -> (u8, f64, us
 mod tests {
     use super::*;
     use holdcsim_des::time::{SimDuration, SimTime};
-    use holdcsim_server::server::ServerConfig;
+    use holdcsim_power::server_profile::ServerPowerProfile;
+    use holdcsim_server::server::{LocalQueueMode, ServerConfig};
     use holdcsim_server::task::TaskHandle;
+    use holdcsim_server::SleepPolicy;
     use holdcsim_workload::ids::{JobId, TaskId};
 
     fn view(servers: &[Server]) -> ClusterView<'_> {
         ClusterView::new(servers)
     }
 
+    /// An idle `cores`-core Xeon E5-2680 server under Active-Idle.
+    fn server(cores: u32) -> Server {
+        let profile = ServerPowerProfile::xeon_e5_2680();
+        let cfg = ServerConfig {
+            cores,
+            pstate: profile.pstates.len() - 1,
+            profile,
+            queue_mode: LocalQueueMode::Unified,
+            policy: SleepPolicy::active_idle(),
+            core_speeds: Vec::new(),
+            sockets: 1,
+        };
+        Server::new(SimTime::ZERO, cfg)
+    }
+
     fn cluster(n: u32) -> (Vec<Server>, Vec<ServerId>) {
-        let servers: Vec<Server> = (0..n)
-            .map(|i| Server::new(SimTime::ZERO, ServerId(i), ServerConfig::new(2)))
-            .collect();
+        let servers: Vec<Server> = (0..n).map(|_| server(2)).collect();
         let ids = (0..n).map(ServerId).collect();
         (servers, ids)
     }
@@ -236,10 +251,11 @@ mod tests {
     fn load(servers: &mut [Server], id: ServerId, tasks: u64) {
         let mut fx = Vec::new();
         for k in 0..tasks {
-            let t = TaskHandle::new(
-                TaskId::new(JobId(id.0 as u64 * 100 + k), 0),
-                SimDuration::from_millis(10),
-            );
+            let t = TaskHandle {
+                id: TaskId::new(JobId(id.0 as u64 * 100 + k), 0),
+                service: SimDuration::from_millis(10),
+                intensity: 1.0,
+            };
             servers[id.0 as usize].submit(SimTime::ZERO, t, &mut fx);
         }
     }
@@ -351,7 +367,7 @@ mod tests {
             let mut fx = Vec::new();
             let mut servers = Vec::with_capacity(n as usize);
             for i in 0..n {
-                let mut s = Server::new(SimTime::ZERO, ServerId(i), ServerConfig::new(cores));
+                let mut s = server(cores);
                 // Awake, suspending, or asleep (resuming once loaded).
                 match rng.below(4) {
                     2 => s.set_policy(SimTime::ZERO, deep_now, &mut fx),

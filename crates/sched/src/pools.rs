@@ -32,13 +32,13 @@ pub enum PoolAction {
 ///
 /// let ids: Vec<ServerId> = (0..4).map(ServerId).collect();
 /// let mut mgr = PoolManager::new(&ids, 2, 3.0, 0.5, SimDuration::from_secs(1));
-/// assert_eq!(mgr.active().len(), 2);
+/// assert_eq!(mgr.active_iter().count(), 2);
 /// // Load of 4 pending/active-server > T_wakeup: promote one.
 /// match mgr.decide(8.0) {
 ///     PoolAction::Promote(id) => mgr.apply_promote(id),
 ///     other => panic!("{other:?}"),
 /// }
-/// assert_eq!(mgr.active().len(), 3);
+/// assert_eq!(mgr.active_iter().count(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PoolManager {
@@ -87,16 +87,6 @@ impl PoolManager {
             sleep_pool_tau,
             min_active: 1,
         }
-    }
-
-    /// The active pool (dispatch targets), ascending by id.
-    pub fn active(&self) -> Vec<ServerId> {
-        self.active.iter().copied().collect()
-    }
-
-    /// The sleep pool, ascending by id.
-    pub fn sleeping(&self) -> Vec<ServerId> {
-        self.sleeping.iter().copied().collect()
     }
 
     /// Iterates the active pool ascending by id without allocating.
@@ -198,8 +188,11 @@ mod tests {
     #[test]
     fn initial_split() {
         let mgr = PoolManager::new(&ids(5), 2, 3.0, 0.5, SimDuration::from_secs(1));
-        assert_eq!(mgr.active(), vec![ServerId(0), ServerId(1)]);
-        assert_eq!(mgr.sleeping().len(), 3);
+        assert_eq!(
+            mgr.active_iter().collect::<Vec<_>>(),
+            [ServerId(0), ServerId(1)]
+        );
+        assert_eq!(mgr.sleeping.len(), 3);
         assert!(mgr.is_active(ServerId(0)));
         assert!(!mgr.is_active(ServerId(4)));
     }
@@ -214,7 +207,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(mgr.active().len(), 2);
+        assert_eq!(mgr.active.len(), 2);
     }
 
     #[test]
@@ -227,7 +220,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(mgr.active().len(), 2);
+        assert_eq!(mgr.active.len(), 2);
     }
 
     #[test]

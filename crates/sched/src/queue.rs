@@ -29,8 +29,12 @@ type QueueEntry = (u64, SimTime, TaskHandle);
 /// use holdcsim_workload::ids::{JobId, TaskId};
 ///
 /// let mut q = GlobalQueue::new();
-/// let t = TaskHandle::new(TaskId::new(JobId(1), 0), SimDuration::from_millis(5));
-/// q.push(SimTime::ZERO, t);
+/// let t = TaskHandle {
+///     id: TaskId::new(JobId(1), 0),
+///     service: SimDuration::from_millis(5),
+///     intensity: 1.0,
+/// };
+/// q.push_classed(SimTime::ZERO, t, None);
 /// let (task, waited) = q.pop(SimTime::from_millis(3)).unwrap();
 /// assert_eq!(task.id, t.id);
 /// assert_eq!(waited.as_secs_f64(), 0.003);
@@ -43,7 +47,6 @@ pub struct GlobalQueue {
     /// tiny, and this avoids hashing on the pull path entirely).
     classed: Vec<(u32, VecDeque<QueueEntry>)>,
     len: usize,
-    max_len: usize,
     total_enqueued: u64,
 }
 
@@ -58,14 +61,9 @@ impl GlobalQueue {
         Self::default()
     }
 
-    /// Enqueues an unplaced task at `now` with no class constraint
-    /// (equivalent to [`push_classed`](Self::push_classed) with `None`).
-    pub fn push(&mut self, now: SimTime, task: TaskHandle) {
-        self.push_classed(now, task, None);
-    }
-
     /// Enqueues an unplaced task at `now` on the sub-queue of its
-    /// server-class constraint, so class-aware pulls are O(1).
+    /// server-class constraint (`None`: no constraint), so class-aware
+    /// pulls are O(1).
     pub fn push_classed(&mut self, now: SimTime, task: TaskHandle, class: Option<u32>) {
         let entry = (self.total_enqueued, now, task);
         let q = match class {
@@ -83,7 +81,6 @@ impl GlobalQueue {
         };
         q.push_back(entry);
         self.len += 1;
-        self.max_len = self.max_len.max(self.len);
         self.total_enqueued += 1;
     }
 
@@ -135,11 +132,6 @@ impl GlobalQueue {
         self.len == 0
     }
 
-    /// High-water mark of the queue length.
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
     /// Total tasks that ever waited here.
     pub fn total_enqueued(&self) -> u64 {
         self.total_enqueued
@@ -154,14 +146,18 @@ mod tests {
     use holdcsim_workload::ids::{JobId, TaskId};
 
     fn th(n: u64) -> TaskHandle {
-        TaskHandle::new(TaskId::new(JobId(n), 0), SimDuration::from_millis(1))
+        TaskHandle {
+            id: TaskId::new(JobId(n), 0),
+            service: SimDuration::from_millis(1),
+            intensity: 1.0,
+        }
     }
 
     #[test]
     fn fifo_order_and_waits() {
         let mut q = GlobalQueue::new();
-        q.push(SimTime::ZERO, th(1));
-        q.push(SimTime::from_millis(5), th(2));
+        q.push_classed(SimTime::ZERO, th(1), None);
+        q.push_classed(SimTime::from_millis(5), th(2), None);
         let (a, wa) = q.pop(SimTime::from_millis(10)).unwrap();
         assert_eq!(a.id.job.0, 1);
         assert_eq!(wa, SimDuration::from_millis(10));
@@ -172,15 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_high_water() {
+    fn stats_track_len_and_total_enqueued() {
         let mut q = GlobalQueue::new();
         assert!(q.is_empty());
-        q.push(SimTime::ZERO, th(1));
-        q.push(SimTime::ZERO, th(2));
+        q.push_classed(SimTime::ZERO, th(1), None);
+        q.push_classed(SimTime::ZERO, th(2), None);
         q.pop(SimTime::ZERO);
-        q.push(SimTime::ZERO, th(3));
+        q.push_classed(SimTime::ZERO, th(3), None);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.max_len(), 2);
         assert_eq!(q.total_enqueued(), 3);
     }
 

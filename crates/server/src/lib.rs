@@ -11,13 +11,29 @@
 //! [`server::Effect`]s left in it.
 //!
 //! ```
-//! use holdcsim_server::server::{Server, ServerConfig, ServerId};
+//! use holdcsim_server::server::{LocalQueueMode, Server, ServerConfig};
 //! use holdcsim_server::task::TaskHandle;
+//! use holdcsim_server::SleepPolicy;
 //! use holdcsim_des::time::{SimDuration, SimTime};
+//! use holdcsim_power::server_profile::ServerPowerProfile;
 //! use holdcsim_workload::ids::{JobId, TaskId};
 //!
-//! let mut server = Server::new(SimTime::ZERO, ServerId(0), ServerConfig::new(4));
-//! let task = TaskHandle::new(TaskId::new(JobId(1), 0), SimDuration::from_millis(5));
+//! let profile = ServerPowerProfile::xeon_e5_2680();
+//! let cfg = ServerConfig {
+//!     cores: 4,
+//!     pstate: profile.pstates.len() - 1,
+//!     profile,
+//!     queue_mode: LocalQueueMode::Unified,
+//!     policy: SleepPolicy::active_idle(),
+//!     core_speeds: Vec::new(),
+//!     sockets: 1,
+//! };
+//! let mut server = Server::new(SimTime::ZERO, cfg);
+//! let task = TaskHandle {
+//!     id: TaskId::new(JobId(1), 0),
+//!     service: SimDuration::from_millis(5),
+//!     intensity: 1.0,
+//! };
 //! let mut effects = Vec::new();
 //! server.submit(SimTime::ZERO, task, &mut effects);
 //! assert_eq!(effects.len(), 1);

@@ -147,30 +147,6 @@ pub struct ServerConfig {
     pub sockets: u32,
 }
 
-impl ServerConfig {
-    /// A `cores`-core server with the Xeon E5-2680 profile, unified queue,
-    /// Active-Idle policy, nominal frequency.
-    pub fn new(cores: u32) -> Self {
-        let profile = ServerPowerProfile::xeon_e5_2680();
-        let pstate = profile.pstates.len() - 1;
-        ServerConfig {
-            cores,
-            profile,
-            queue_mode: LocalQueueMode::Unified,
-            policy: SleepPolicy::active_idle(),
-            pstate,
-            core_speeds: Vec::new(),
-            sockets: 1,
-        }
-    }
-
-    /// Replaces the sleep policy.
-    pub fn with_policy(mut self, policy: SleepPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
 #[derive(Debug)]
 enum LocalQueues {
     Unified(VecDeque<TaskHandle>),
@@ -212,13 +188,29 @@ impl LocalQueues {
 /// # Examples
 ///
 /// ```
-/// use holdcsim_server::server::{Effect, Server, ServerConfig, ServerId, ServerMode};
+/// use holdcsim_server::server::{Effect, LocalQueueMode, Server, ServerConfig, ServerMode};
 /// use holdcsim_server::task::TaskHandle;
+/// use holdcsim_server::SleepPolicy;
 /// use holdcsim_des::time::{SimDuration, SimTime};
+/// use holdcsim_power::server_profile::ServerPowerProfile;
 /// use holdcsim_workload::ids::{JobId, TaskId};
 ///
-/// let mut s = Server::new(SimTime::ZERO, ServerId(0), ServerConfig::new(4));
-/// let task = TaskHandle::new(TaskId::new(JobId(1), 0), SimDuration::from_millis(5));
+/// let profile = ServerPowerProfile::xeon_e5_2680();
+/// let cfg = ServerConfig {
+///     cores: 4,
+///     pstate: profile.pstates.len() - 1,
+///     profile,
+///     queue_mode: LocalQueueMode::Unified,
+///     policy: SleepPolicy::active_idle(),
+///     core_speeds: Vec::new(),
+///     sockets: 1,
+/// };
+/// let mut s = Server::new(SimTime::ZERO, cfg);
+/// let task = TaskHandle {
+///     id: TaskId::new(JobId(1), 0),
+///     service: SimDuration::from_millis(5),
+///     intensity: 1.0,
+/// };
 /// let mut effects = Vec::new();
 /// s.submit(SimTime::ZERO, task, &mut effects);
 /// assert!(matches!(effects[0], Effect::TaskStarted { core: 0, .. }));
@@ -226,7 +218,6 @@ impl LocalQueues {
 /// ```
 #[derive(Debug)]
 pub struct Server {
-    id: ServerId,
     cfg: ServerConfig,
     mode: ServerMode,
     running: Vec<Option<TaskHandle>>,
@@ -256,7 +247,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `cfg.cores == 0` or the profile has no P-states.
-    pub fn new(now: SimTime, id: ServerId, cfg: ServerConfig) -> Self {
+    pub fn new(now: SimTime, cfg: ServerConfig) -> Self {
         assert!(cfg.cores > 0, "server needs at least one core");
         assert!(!cfg.profile.pstates.is_empty(), "profile has no P-states");
         assert!(
@@ -292,7 +283,6 @@ impl Server {
             IdleDescent::ShallowSleep => ServerMode::ShallowSleep,
         };
         let mut s = Server {
-            id,
             running: vec![None; cfg.cores as usize],
             dispatch_order,
             queues,
@@ -318,11 +308,6 @@ impl Server {
     // ------------------------------------------------------------------
     // Observers
     // ------------------------------------------------------------------
-
-    /// This server's id.
-    pub fn id(&self) -> ServerId {
-        self.id
-    }
 
     /// Current operating mode.
     pub fn mode(&self) -> ServerMode {
@@ -365,11 +350,6 @@ impl Server {
         (self.deep_sleeps, self.resumes)
     }
 
-    /// The active sleep policy.
-    pub fn policy(&self) -> SleepPolicy {
-        self.cfg.policy
-    }
-
     /// The current P-state index.
     pub fn pstate(&self) -> usize {
         self.cfg.pstate
@@ -403,11 +383,6 @@ impl Server {
     /// Platform energy in joules through `now`.
     pub fn platform_energy_j(&self, now: SimTime) -> f64 {
         self.platform_w.integral(now)
-    }
-
-    /// Total server energy in joules through `now`.
-    pub fn energy_j(&self, now: SimTime) -> f64 {
-        self.cpu_energy_j(now) + self.dram_energy_j(now) + self.platform_energy_j(now)
     }
 
     /// Instantaneous total power draw in watts.
@@ -796,11 +771,37 @@ mod tests {
     use holdcsim_workload::ids::JobId;
 
     fn th(job: u64, ms: u64) -> TaskHandle {
-        TaskHandle::new(TaskId::new(JobId(job), 0), SimDuration::from_millis(ms))
+        TaskHandle {
+            id: TaskId::new(JobId(job), 0),
+            service: SimDuration::from_millis(ms),
+            intensity: 1.0,
+        }
+    }
+
+    /// A `cores`-core Xeon E5-2680 server config: unified queue,
+    /// Active-Idle policy, nominal frequency, one socket.
+    fn config(cores: u32) -> ServerConfig {
+        let profile = ServerPowerProfile::xeon_e5_2680();
+        ServerConfig {
+            cores,
+            pstate: profile.pstates.len() - 1,
+            profile,
+            queue_mode: LocalQueueMode::Unified,
+            policy: SleepPolicy::active_idle(),
+            core_speeds: Vec::new(),
+            sockets: 1,
+        }
+    }
+
+    fn config_with(cores: u32, policy: SleepPolicy) -> ServerConfig {
+        ServerConfig {
+            policy,
+            ..config(cores)
+        }
     }
 
     fn active_idle_server(cores: u32) -> Server {
-        Server::new(SimTime::ZERO, ServerId(0), ServerConfig::new(cores))
+        Server::new(SimTime::ZERO, config(cores))
     }
 
     // Vec-returning wrappers over the buffer-filling driving API keep the
@@ -894,9 +895,8 @@ mod tests {
 
     #[test]
     fn delay_timer_descends_to_deep_sleep() {
-        let cfg =
-            ServerConfig::new(1).with_policy(SleepPolicy::delay_timer(SimDuration::from_secs(1)));
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(1, SleepPolicy::delay_timer(SimDuration::from_secs(1)));
+        let mut s = Server::new(SimTime::ZERO, cfg);
         submit(&mut s, SimTime::ZERO, th(1, 10));
         let (_, fx) = complete(&mut s, SimTime::from_millis(10), 0);
         let [Effect::ArmTimer { after, gen }] = fx[..] else {
@@ -918,9 +918,8 @@ mod tests {
 
     #[test]
     fn stale_timer_is_ignored() {
-        let cfg =
-            ServerConfig::new(1).with_policy(SleepPolicy::delay_timer(SimDuration::from_secs(1)));
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(1, SleepPolicy::delay_timer(SimDuration::from_secs(1)));
+        let mut s = Server::new(SimTime::ZERO, cfg);
         submit(&mut s, SimTime::ZERO, th(1, 10));
         let (_, fx) = complete(&mut s, SimTime::from_millis(10), 0);
         let [Effect::ArmTimer { gen, .. }] = fx[..] else {
@@ -935,9 +934,8 @@ mod tests {
 
     #[test]
     fn arrival_during_deep_sleep_triggers_resume() {
-        let cfg = ServerConfig::new(1)
-            .with_policy(SleepPolicy::delay_timer(SimDuration::from_millis(100)));
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(1, SleepPolicy::delay_timer(SimDuration::from_millis(100)));
+        let mut s = Server::new(SimTime::ZERO, cfg);
         submit(&mut s, SimTime::ZERO, th(1, 10));
         let (_, fx) = complete(&mut s, SimTime::from_millis(10), 0);
         let [Effect::ArmTimer { gen, .. }] = fx[..] else {
@@ -967,9 +965,8 @@ mod tests {
 
     #[test]
     fn arrival_during_suspend_queues_then_resumes() {
-        let cfg = ServerConfig::new(1)
-            .with_policy(SleepPolicy::delay_timer(SimDuration::from_millis(100)));
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(1, SleepPolicy::delay_timer(SimDuration::from_millis(100)));
+        let mut s = Server::new(SimTime::ZERO, cfg);
         submit(&mut s, SimTime::ZERO, th(1, 10));
         let (_, fx) = complete(&mut s, SimTime::from_millis(10), 0);
         let [Effect::ArmTimer { gen, .. }] = fx[..] else {
@@ -990,8 +987,8 @@ mod tests {
 
     #[test]
     fn shallow_sleep_pads_first_dispatch() {
-        let cfg = ServerConfig::new(2).with_policy(SleepPolicy::shallow_only());
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(2, SleepPolicy::shallow_only());
+        let mut s = Server::new(SimTime::ZERO, cfg);
         assert_eq!(s.mode(), ServerMode::ShallowSleep);
         let fx = submit(&mut s, SimTime::ZERO, th(1, 10));
         let [Effect::TaskStarted { completes_in, .. }] = fx[..] else {
@@ -1010,8 +1007,8 @@ mod tests {
     #[test]
     fn request_deep_sleep_and_wake_roundtrip() {
         let shallow = SleepPolicy::shallow_only();
-        let cfg = ServerConfig::new(1).with_policy(shallow);
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(1, shallow);
+        let mut s = Server::new(SimTime::ZERO, cfg);
         let fx = request_deep_sleep(&mut s, SimTime::from_secs(1));
         let [Effect::TransitionDoneIn { after }] = fx[..] else {
             panic!()
@@ -1043,9 +1040,9 @@ mod tests {
     fn per_core_queues_join_shortest() {
         let cfg = ServerConfig {
             queue_mode: LocalQueueMode::PerCore,
-            ..ServerConfig::new(2)
+            ..config(2)
         };
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let mut s = Server::new(SimTime::ZERO, cfg);
         // Fill both cores, then queue two more: they split across queues.
         submit(&mut s, SimTime::ZERO, th(1, 10));
         submit(&mut s, SimTime::ZERO, th(2, 10));
@@ -1062,12 +1059,17 @@ mod tests {
     #[test]
     fn power_levels_by_mode() {
         let profile = ServerPowerProfile::xeon_e5_2680();
-        let cfg =
-            ServerConfig::new(10).with_policy(SleepPolicy::delay_timer(SimDuration::from_secs(1)));
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(10, SleepPolicy::delay_timer(SimDuration::from_secs(1)));
+        let mut s = Server::new(SimTime::ZERO, cfg);
         let idle_w = s.power_w();
         assert!(
-            (idle_w - profile.idle_power_w(10, CoreCState::C1)).abs() < 1e-9,
+            (idle_w
+                - (profile.platform.s0_w
+                    + profile.dram.idle_w
+                    + profile.package.pc0_w
+                    + 10.0 * profile.core.idle_power_w(CoreCState::C1)))
+            .abs()
+                < 1e-9,
             "idle {idle_w}"
         );
         // One busy core raises power by (busy − C1) + DRAM step.
@@ -1093,21 +1095,9 @@ mod tests {
     }
 
     #[test]
-    fn energy_breakdown_sums_to_total() {
-        let mut s = active_idle_server(4);
-        submit(&mut s, SimTime::ZERO, th(1, 100));
-        let now = SimTime::from_millis(50);
-        let total = s.energy_j(now);
-        let parts = s.cpu_energy_j(now) + s.dram_energy_j(now) + s.platform_energy_j(now);
-        assert!((total - parts).abs() < 1e-9);
-        assert!(total > 0.0);
-    }
-
-    #[test]
     fn residency_bands_accumulate() {
-        let cfg =
-            ServerConfig::new(1).with_policy(SleepPolicy::delay_timer(SimDuration::from_secs(1)));
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(1, SleepPolicy::delay_timer(SimDuration::from_secs(1)));
+        let mut s = Server::new(SimTime::ZERO, cfg);
         submit(&mut s, SimTime::ZERO, th(1, 1_000));
         complete(&mut s, SimTime::from_secs(1), 0);
         let now = SimTime::from_secs(2);
@@ -1142,8 +1132,8 @@ mod tests {
 
     #[test]
     fn zero_tau_descends_immediately() {
-        let cfg = ServerConfig::new(1).with_policy(SleepPolicy::delay_timer(SimDuration::ZERO));
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let cfg = config_with(1, SleepPolicy::delay_timer(SimDuration::ZERO));
+        let mut s = Server::new(SimTime::ZERO, cfg);
         submit(&mut s, SimTime::ZERO, th(1, 10));
         let (_, fx) = complete(&mut s, SimTime::from_millis(10), 0);
         assert!(
@@ -1165,9 +1155,9 @@ mod tests {
         // Core 1 is the "big" core (2x); it must be chosen first.
         let cfg = ServerConfig {
             core_speeds: vec![0.5, 2.0],
-            ..ServerConfig::new(2)
+            ..config(2)
         };
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let mut s = Server::new(SimTime::ZERO, cfg);
         let fx = submit(&mut s, SimTime::ZERO, th(1, 10));
         let [Effect::TaskStarted {
             core, completes_in, ..
@@ -1198,9 +1188,9 @@ mod tests {
         let profile = ServerPowerProfile::xeon_e5_2680();
         let cfg = ServerConfig {
             core_speeds: vec![1.0, 2.0],
-            ..ServerConfig::new(2)
+            ..config(2)
         };
-        let mut s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let mut s = Server::new(SimTime::ZERO, cfg);
         let idle = s.power_w();
         submit(&mut s, SimTime::ZERO, th(1, 10)); // big core first: 4x busy power
         let big = s.power_w() - idle;
@@ -1235,9 +1225,9 @@ mod tests {
     fn mismatched_core_speeds_rejected() {
         let cfg = ServerConfig {
             core_speeds: vec![1.0, 2.0],
-            ..ServerConfig::new(4)
+            ..config(4)
         };
-        Server::new(SimTime::ZERO, ServerId(0), cfg);
+        Server::new(SimTime::ZERO, cfg);
     }
 
     #[test]
@@ -1245,9 +1235,9 @@ mod tests {
     fn zero_core_speed_rejected() {
         let cfg = ServerConfig {
             core_speeds: vec![1.0, 0.0],
-            ..ServerConfig::new(2)
+            ..config(2)
         };
-        Server::new(SimTime::ZERO, ServerId(0), cfg);
+        Server::new(SimTime::ZERO, cfg);
     }
 
     #[test]
@@ -1256,12 +1246,12 @@ mod tests {
         // 2 sockets x 2 cores; one task occupies socket 0 only.
         let cfg = ServerConfig {
             sockets: 2,
-            ..ServerConfig::new(4)
+            ..config(4)
         };
-        let mut dual = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let mut dual = Server::new(SimTime::ZERO, cfg);
         submit(&mut dual, SimTime::ZERO, th(1, 10));
-        let cfg1 = ServerConfig::new(4);
-        let mut single = Server::new(SimTime::ZERO, ServerId(1), cfg1);
+        let cfg1 = config(4);
+        let mut single = Server::new(SimTime::ZERO, cfg1);
         submit(&mut single, SimTime::ZERO, th(1, 10));
         // Dual socket: pc0 (busy socket) + pc2 (napping socket);
         // single socket: pc0. Everything else matches.
@@ -1285,10 +1275,9 @@ mod tests {
         let profile = ServerPowerProfile::xeon_e5_2680();
         let cfg = ServerConfig {
             sockets: 2,
-            ..ServerConfig::new(4)
-        }
-        .with_policy(SleepPolicy::shallow_only());
-        let s = Server::new(SimTime::ZERO, ServerId(0), cfg);
+            ..config_with(4, SleepPolicy::shallow_only())
+        };
+        let s = Server::new(SimTime::ZERO, cfg);
         let expected = profile.platform.s0_w
             + profile.dram.idle_w
             + 2.0 * profile.package.pc6_w
@@ -1305,9 +1294,9 @@ mod tests {
     fn uneven_socket_split_rejected() {
         let cfg = ServerConfig {
             sockets: 2,
-            ..ServerConfig::new(3)
+            ..config(3)
         };
-        Server::new(SimTime::ZERO, ServerId(0), cfg);
+        Server::new(SimTime::ZERO, cfg);
     }
 
     #[test]

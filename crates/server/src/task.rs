@@ -16,15 +16,6 @@ pub struct TaskHandle {
 }
 
 impl TaskHandle {
-    /// Creates a fully compute-bound task handle.
-    pub fn new(id: TaskId, service: SimDuration) -> Self {
-        TaskHandle {
-            id,
-            service,
-            intensity: 1.0,
-        }
-    }
-
     /// Execution time at `speed_ratio` (relative to nominal frequency):
     /// `service · (α/speed + (1 − α))`.
     ///

@@ -200,21 +200,6 @@ impl TraceArrivals {
         }
     }
 
-    /// Number of arrivals remaining.
-    pub fn remaining(&self) -> usize {
-        self.times.len() - self.next
-    }
-
-    /// Total number of arrivals in the trace.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// `true` if the trace has no arrivals.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
     /// The gap from the previous timestamp to the next one, or `None`
     /// once the trace is exhausted. The RNG is unused.
     pub fn next_gap(&mut self, _rng: &mut SimRng) -> Option<SimDuration> {
@@ -307,12 +292,12 @@ mod tests {
             SimTime::from_millis(30),
         ]);
         let mut rng = SimRng::seed_from(0);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.times.len(), 3);
         assert_eq!(t.next_gap(&mut rng), Some(SimDuration::from_millis(5)));
         assert_eq!(t.next_gap(&mut rng), Some(SimDuration::from_millis(5)));
         assert_eq!(t.next_gap(&mut rng), Some(SimDuration::from_millis(20)));
         assert_eq!(t.next_gap(&mut rng), None);
-        assert_eq!(t.remaining(), 0);
+        assert_eq!(t.next, t.times.len());
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl JobDag {
         self.tasks.is_empty()
     }
 
-    /// The task specs, indexed by task index.
-    pub fn tasks(&self) -> &[TaskSpec] {
-        &self.tasks
-    }
-
     /// The spec of task `index`.
     ///
     /// # Panics
@@ -189,11 +184,6 @@ impl JobDag {
     /// Direct predecessors of task `index`.
     pub fn predecessors(&self, index: u32) -> &[u32] {
         &self.predecessors[index as usize]
-    }
-
-    /// A topological order of task indices.
-    pub fn topo_order(&self) -> &[u32] {
-        &self.topo_order
     }
 
     /// The data size on edge `from → to`, if such an edge exists.
@@ -324,7 +314,7 @@ mod tests {
             .unwrap();
         assert_eq!(dag.roots(), &[0]);
         assert_eq!(dag.critical_path(), SimDuration::from_millis(6));
-        assert_eq!(dag.topo_order(), &[0, 1, 2]);
+        assert_eq!(dag.topo_order, [0, 1, 2]);
     }
 
     #[test]

@@ -88,12 +88,10 @@ impl Lockstep {
         &mut self,
         now: SimTime,
         id: FlowId,
-        src: NodeId,
-        dst: NodeId,
         links: &[LinkId],
         bytes: u64,
     ) -> u64 {
-        let key = self.net.add_flow(now, id, src, dst, links, bytes);
+        let key = self.net.add_flow(now, id, links, bytes);
         self.admit(now, id, links, bytes);
         self.rerate(now);
         self.check(now);
@@ -105,13 +103,11 @@ impl Lockstep {
         &mut self,
         now: SimTime,
         id: FlowId,
-        src: NodeId,
-        dst: NodeId,
         links: &[LinkId],
         bytes: u64,
     ) -> u64 {
         self.admit(now, id, links, bytes);
-        self.net.add_flow_batched(now, id, src, dst, links, bytes)
+        self.net.add_flow_batched(now, id, links, bytes)
     }
 
     /// Re-solves a batch of admissions on both.

@@ -50,8 +50,18 @@ fn energy_equals_power_integral() {
     let cfg = farm(4, 4, 0.3, 60);
     let profile = cfg.server_profile.clone();
     let report = Simulation::new(cfg).run();
-    let idle_floor = 4.0 * profile.idle_power_w(4, holdcsim_power::states::CoreCState::C1) * 60.0;
-    let peak_cap = 4.0 * profile.peak_power_w(4) * 60.0;
+    // Per server: everything in S0 with four cores parked in C1, against
+    // everything on with four cores busy.
+    let idle_w = profile.platform.s0_w
+        + profile.dram.idle_w
+        + profile.package.pc0_w
+        + 4.0 * profile.core.c1_w;
+    let peak_w = profile.platform.s0_w
+        + profile.dram.active_w
+        + profile.package.pc0_w
+        + 4.0 * profile.core.c0_busy_w;
+    let idle_floor = 4.0 * idle_w * 60.0;
+    let peak_cap = 4.0 * peak_w * 60.0;
     let e = report.server_energy_j();
     assert!(
         e >= idle_floor * 0.99,
@@ -133,19 +143,31 @@ fn deep_sleep_trades_latency_for_energy() {
 #[test]
 fn dvfs_slows_execution_and_cuts_core_power() {
     use holdcsim_des::time::SimTime as T;
-    use holdcsim_server::server::{Effect, Server, ServerConfig, ServerId};
+    use holdcsim_server::server::{Effect, LocalQueueMode, Server, ServerConfig};
     use holdcsim_server::task::TaskHandle;
+    use holdcsim_server::SleepPolicy;
     use holdcsim_workload::ids::{JobId, TaskId};
 
     let profile = holdcsim_power::server_profile::ServerPowerProfile::xeon_e5_2680();
     let mk = |pstate: usize| {
-        let mut cfg = ServerConfig::new(1);
-        cfg.pstate = pstate;
-        Server::new(T::ZERO, ServerId(0), cfg)
+        let cfg = ServerConfig {
+            cores: 1,
+            profile: profile.clone(),
+            queue_mode: LocalQueueMode::Unified,
+            policy: SleepPolicy::active_idle(),
+            pstate,
+            core_speeds: Vec::new(),
+            sockets: 1,
+        };
+        Server::new(T::ZERO, cfg)
     };
     let mut slow = mk(0);
     let mut fast = mk(profile.pstates.len() - 1);
-    let t = TaskHandle::new(TaskId::new(JobId(1), 0), SimDuration::from_millis(10));
+    let t = TaskHandle {
+        id: TaskId::new(JobId(1), 0),
+        service: SimDuration::from_millis(10),
+        intensity: 1.0,
+    };
     let mut fx_slow = Vec::new();
     let mut fx_fast = Vec::new();
     slow.submit(T::ZERO, t, &mut fx_slow);

@@ -329,11 +329,10 @@ fn global_queue_pull_never_overcommits_cores() {
     for step in 1..=2_000u64 {
         engine.run_until(SimTime::from_millis(step * 10));
         let dc = engine.model();
-        for (s, &committed) in dc.servers().iter().zip(dc.committed()) {
+        for (i, (s, &committed)) in dc.servers().iter().zip(dc.committed()).enumerate() {
             assert!(
                 s.busy_cores() + committed <= s.core_count(),
-                "server {} over-committed at {} ms: busy {} + committed {} > {} cores",
-                s.id(),
+                "server {i} over-committed at {} ms: busy {} + committed {} > {} cores",
                 step * 10,
                 s.busy_cores(),
                 committed,

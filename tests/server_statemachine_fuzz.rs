@@ -6,8 +6,9 @@
 
 use holdcsim_des::rng::SimRng;
 use holdcsim_des::time::{SimDuration, SimTime};
+use holdcsim_power::server_profile::ServerPowerProfile;
 use holdcsim_server::policy::SleepPolicy;
-use holdcsim_server::server::{Band, Effect, Server, ServerConfig, ServerId, ServerMode};
+use holdcsim_server::server::{Band, Effect, LocalQueueMode, Server, ServerConfig, ServerMode};
 use holdcsim_server::task::TaskHandle;
 use holdcsim_workload::ids::{JobId, TaskId};
 
@@ -49,8 +50,17 @@ fn random_op_sequences_keep_invariants() {
             .map(|_| (rng.below(4) as u8, 1 + rng.below(39)))
             .collect();
 
-        let cfg = ServerConfig::new(cores).with_policy(policy_from(policy_sel));
-        let mut server = Server::new(SimTime::ZERO, ServerId(0), cfg);
+        let profile = ServerPowerProfile::xeon_e5_2680();
+        let cfg = ServerConfig {
+            cores,
+            pstate: profile.pstates.len() - 1,
+            profile,
+            queue_mode: LocalQueueMode::Unified,
+            policy: policy_from(policy_sel),
+            core_speeds: Vec::new(),
+            sockets: 1,
+        };
+        let mut server = Server::new(SimTime::ZERO, cfg);
         let mut now = SimTime::ZERO;
         let mut due: Vec<Due> = Vec::new();
         let mut fx = Vec::new();
@@ -87,7 +97,11 @@ fn random_op_sequences_keep_invariants() {
                 // Submit a fresh task.
                 job += 1;
                 submitted += 1;
-                let t = TaskHandle::new(TaskId::new(JobId(job), 0), SimDuration::from_millis(5));
+                let t = TaskHandle {
+                    id: TaskId::new(JobId(job), 0),
+                    service: SimDuration::from_millis(5),
+                    intensity: 1.0,
+                };
                 server.submit(now, t, &mut fx);
                 absorb(&fx, now, &mut due);
             } else {
@@ -169,8 +183,11 @@ fn random_op_sequences_keep_invariants() {
         assert_eq!(server.busy_cores(), 0);
         assert_eq!(server.queue_len(), 0);
         // Energy is finite and monotone with the horizon.
-        let e1 = server.energy_j(now);
-        let e2 = server.energy_j(now + SimDuration::from_secs(1));
+        let energy_j = |t: SimTime| {
+            server.cpu_energy_j(t) + server.dram_energy_j(t) + server.platform_energy_j(t)
+        };
+        let e1 = energy_j(now);
+        let e2 = energy_j(now + SimDuration::from_secs(1));
         assert!(e1.is_finite() && e2 > e1);
     }
 }
