@@ -31,7 +31,7 @@ use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_faults::{FaultEvent, FaultKind};
 use holdcsim_obs::{MetricsData, ObsArtifacts, Observer, ProbePanel};
 
-use crate::pool::run_windows;
+use crate::pool::{default_threads, run_windows};
 use crate::wan::{Wan, WanReport};
 
 /// One site fabric plus its observability tap.
@@ -143,10 +143,7 @@ impl Federation {
     /// and produces the report. Byte-identical to every other worker
     /// count.
     pub fn run(self) -> FederationReport {
-        let workers = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        self.run_with_workers(workers)
+        self.run_with_workers(default_threads())
     }
 
     /// Runs the federation with exactly `workers` pooled threads burning

@@ -1,14 +1,15 @@
-//! A reusable scoped-thread window pool for the federation coordinator.
+//! The one scoped-thread pool of the workspace: it runs the federation
+//! coordinator's site windows and the harness's batches of independent
+//! simulations (sweeps and paper figures).
 //!
 //! The conservative-window scheme runs the *same* set of site engines
-//! through many short windows — thousands per simulated second — so
-//! spawning threads per window (as the harness's one-shot sweep executor
-//! does per config) would drown the win in thread churn. This pool spawns
-//! its workers once, parks them on a condvar, and replays the harness
-//! executor's determinism recipe every window: work items are pulled from
-//! a shared atomic counter and every cell sits behind its own mutex, so
-//! which worker runs which site never affects the outcome — results live
-//! in the cells, by index.
+//! through many short windows — thousands per simulated second — so the
+//! pool spawns its workers once, parks them on a condvar between windows,
+//! and dispatches every window to the same threads. Work items are pulled
+//! from a shared atomic counter and every cell sits behind its own mutex,
+//! so which worker runs which cell never affects the outcome — results
+//! live in the cells, by index. A batch of simulations is one window over
+//! one cell per trial.
 //!
 //! No dependencies beyond `std` (`Mutex` + `Condvar` epoch barrier), same
 //! as the rest of the workspace.
@@ -18,6 +19,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use holdcsim_des::time::SimTime;
+
+/// The machine's available parallelism (≥ 1): the default worker count of
+/// federation runs, sweeps and figures.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
 
 /// Barrier state shared between the coordinator and the workers.
 struct State {

@@ -1,11 +1,14 @@
-//! Ready-made harnesses for every table and figure of the paper's
-//! evaluation (§IV, §V, Table I). Each function builds the corresponding
-//! experiment from public API pieces and returns structured results, or,
-//! for the Fig. 5 and Fig. 6 sweeps, the configurations the harness runs
-//! in parallel; `holdcsim fig <id>` prints them in the paper's row/series
-//! format.
+//! Ready-made configurations for the figures of the paper's evaluation
+//! (§IV), Table I's scalability run, and the fat-tree stress workloads
+//! that `holdcsim run --net` and perfbench build on. Each figure
+//! function builds the simulation configs of its experiment from public
+//! API pieces and runs nothing: `holdcsim fig <id>` runs a figure's
+//! configs as one batch on the window pool and reduces the reports into
+//! the paper's row/series format. Table I's [`scalability`] times its runs
+//! one after another, so it runs them here. The validation figures (§V)
+//! live in [`crate::validation`].
 //!
-//! All harnesses take explicit scale parameters so tests can run them small
+//! All builders take explicit scale parameters so tests can run them small
 //! while `holdcsim fig` runs them at paper scale.
 
 use std::time::Instant;
@@ -22,29 +25,15 @@ use holdcsim_workload::trace::SyntheticTrace;
 use holdcsim_network::flow::FlowSolverKind;
 
 use crate::config::{ArrivalConfig, ControllerConfig, NetworkConfig, PolicyKind, SimConfig};
-use crate::report::SimReport;
 use crate::sim::Simulation;
 
 // ---------------------------------------------------------------------
 // Fig. 4 — resource monitoring and provisioning
 // ---------------------------------------------------------------------
 
-/// Result of the Fig. 4 provisioning study.
-#[derive(Debug, Clone)]
-pub struct Fig4Result {
-    /// Sample times, seconds.
-    pub time_s: Vec<f64>,
-    /// Jobs in flight per sample.
-    pub active_jobs: Vec<f64>,
-    /// Awake servers per sample.
-    pub active_servers: Vec<f64>,
-    /// The full report.
-    pub report: SimReport,
-}
-
 /// Fig. 4: 50 four-core servers, Wikipedia-like trace, 3–10 ms tasks,
 /// min/max load thresholds steering the number of active servers.
-pub fn fig4_provisioning(servers: usize, duration: SimDuration, seed: u64) -> Fig4Result {
+pub fn fig4_config(servers: usize, duration: SimDuration, seed: u64) -> SimConfig {
     let template = WorkloadPreset::Provisioning.template();
     // Load the farm to ~35 % on average so the controller has headroom to
     // park and recall servers as the diurnal trace swings.
@@ -70,42 +59,12 @@ pub fn fig4_provisioning(servers: usize, duration: SimDuration, seed: u64) -> Fi
     // Parked servers suspend after a short delay timer, so the "active
     // servers" series tracks the provisioned set.
     cfg.sleep_policies = vec![SleepPolicy::delay_timer(SimDuration::from_secs(1))];
-    let report = Simulation::new(cfg).run();
-    let step = report.series.period.as_secs_f64();
-    Fig4Result {
-        time_s: (0..report.series.active_jobs.len())
-            .map(|i| i as f64 * step)
-            .collect(),
-        active_jobs: report.series.active_jobs.clone(),
-        active_servers: report.series.active_servers.clone(),
-        report,
-    }
+    cfg
 }
 
 // ---------------------------------------------------------------------
 // Fig. 5 — single delay timer exploration
 // ---------------------------------------------------------------------
-
-/// One energy-vs-τ curve at a fixed utilization.
-#[derive(Debug, Clone)]
-pub struct DelayTimerCurve {
-    /// Utilization ρ.
-    pub rho: f64,
-    /// `(τ seconds, farm energy joules)` points.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl DelayTimerCurve {
-    /// The τ minimizing energy.
-    pub fn optimal_tau_s(&self) -> f64 {
-        self.points
-            .iter()
-            .copied()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite energy"))
-            .map(|(t, _)| t)
-            .unwrap_or(0.0)
-    }
-}
 
 /// The §IV-A/B farm: consolidating dispatch + provisioning controller +
 /// per-server delay timer τ (shared by the Fig. 5 sweep and Fig. 6's
@@ -147,31 +106,6 @@ pub fn delay_timer_farm(
 // Fig. 6 — dual delay timers vs Active-Idle
 // ---------------------------------------------------------------------
 
-/// One Fig. 6 bar: energies under the three strategies.
-#[derive(Debug, Clone)]
-pub struct DualTimerResult {
-    /// Active-Idle baseline energy, joules.
-    pub energy_active_idle_j: f64,
-    /// Best single-τ energy, joules.
-    pub energy_single_j: f64,
-    /// Dual-timer energy, joules.
-    pub energy_dual_j: f64,
-    /// p95 latency under dual timers, seconds.
-    pub p95_dual_s: f64,
-}
-
-impl DualTimerResult {
-    /// Energy reduction of dual timers vs Active-Idle (0–1).
-    pub fn reduction_vs_active_idle(&self) -> f64 {
-        1.0 - self.energy_dual_j / self.energy_active_idle_j
-    }
-
-    /// Energy reduction of dual timers vs the best single timer (0–1).
-    pub fn reduction_vs_single(&self) -> f64 {
-        1.0 - self.energy_dual_j / self.energy_single_j
-    }
-}
-
 /// The three Fig. 6 arm configs `[active_idle, single_timer, dual_timer]`
 /// for one workload at one utilization and farm size.
 ///
@@ -212,43 +146,21 @@ pub fn fig6_configs(
     ]
 }
 
-/// Assembles the Fig. 6 bar from the three arm reports (in
-/// [`fig6_configs`] order).
-pub fn fig6_from_reports(reports: &[SimReport; 3]) -> DualTimerResult {
-    let [active_idle, single, dual] = reports;
-    DualTimerResult {
-        energy_active_idle_j: active_idle.server_energy_j(),
-        energy_single_j: single.server_energy_j(),
-        energy_dual_j: dual.server_energy_j(),
-        p95_dual_s: dual.latency.p95,
-    }
-}
-
 // ---------------------------------------------------------------------
 // Fig. 8 — WASP state residency vs utilization
 // ---------------------------------------------------------------------
 
-/// One Fig. 8 stacked bar: mean residency fractions across servers.
-#[derive(Debug, Clone, Copy)]
-pub struct ResidencyBar {
-    /// Utilization ρ.
-    pub rho: f64,
-    /// Fractions `(active, wakeup, idle, pkg_c6, sys_sleep)`; sums to ~1.
-    pub bands: (f64, f64, f64, f64, f64),
-    /// p90 job latency, seconds.
-    pub p90_s: f64,
-}
-
-/// Fig. 8: state residency under the WASP-style energy-latency framework
-/// across utilizations, for a 10-server × 10-core farm.
-pub fn fig8_residency(
+/// Fig. 8: one config per utilization in `rhos`, each running the
+/// WASP-style energy-latency framework (two server pools, consolidating
+/// dispatch) on a `servers` × `cores` farm.
+pub fn fig8_configs(
     preset: WorkloadPreset,
     rhos: &[f64],
     servers: usize,
     cores: u32,
     duration: SimDuration,
     seed: u64,
-) -> Vec<ResidencyBar> {
+) -> Vec<SimConfig> {
     rhos.iter()
         .map(|&rho| {
             let mut cfg = SimConfig::server_farm(servers, cores, rho, preset.template(), duration)
@@ -262,21 +174,7 @@ pub fn fig8_residency(
                 initial_active,
             });
             cfg.controller_period = SimDuration::from_millis(50);
-            let report = Simulation::new(cfg).run();
-            let n = report.servers.len() as f64;
-            let mut bands = (0.0, 0.0, 0.0, 0.0, 0.0);
-            for s in &report.servers {
-                bands.0 += s.residency.0 / n;
-                bands.1 += s.residency.1 / n;
-                bands.2 += s.residency.2 / n;
-                bands.3 += s.residency.3 / n;
-                bands.4 += s.residency.4 / n;
-            }
-            ResidencyBar {
-                rho,
-                bands,
-                p90_s: report.latency.p90,
-            }
+            cfg
         })
         .collect()
 }
@@ -285,35 +183,16 @@ pub fn fig8_residency(
 // Fig. 9 — per-server energy breakdown, delay-timer vs workload-adaptive
 // ---------------------------------------------------------------------
 
-/// Fig. 9 result: per-server CPU/DRAM/platform energies under both
-/// strategies.
-#[derive(Debug, Clone)]
-pub struct BreakdownResult {
-    /// Per-server `(cpu, dram, platform)` joules under the delay timer.
-    pub delay_timer: Vec<(f64, f64, f64)>,
-    /// Per-server `(cpu, dram, platform)` joules under the adaptive pools.
-    pub adaptive: Vec<(f64, f64, f64)>,
-    /// Total delay-timer energy, joules.
-    pub total_delay_timer_j: f64,
-    /// Total adaptive energy, joules.
-    pub total_adaptive_j: f64,
-}
-
-impl BreakdownResult {
-    /// Energy saving of the adaptive strategy vs the delay timer (0–1).
-    pub fn adaptive_saving(&self) -> f64 {
-        1.0 - self.total_adaptive_j / self.total_delay_timer_j
-    }
-}
-
-/// Fig. 9: 10 servers × 10 cores on a Wikipedia-like trace; delay-timer
-/// power management vs the workload-adaptive two-pool scheduler.
-pub fn fig9_breakdown(
+/// Fig. 9: 10 servers × 10 cores on a Wikipedia-like trace. The two
+/// configs are `[delay_timer, adaptive]`: per-server delay-timer power
+/// management with load-balanced dispatch, and the workload-adaptive
+/// two-pool scheduler with consolidating dispatch, on the same trace.
+pub fn fig9_configs(
     servers: usize,
     cores: u32,
     duration: SimDuration,
     seed: u64,
-) -> BreakdownResult {
+) -> [SimConfig; 2] {
     let template = JobTemplate::single(ServiceDist::Exponential {
         mean: SimDuration::from_millis(20),
     });
@@ -322,94 +201,44 @@ pub fn fig9_breakdown(
     let mut rng = SimRng::seed_from(seed ^ 0xF169);
     let trace = SyntheticTrace::wikipedia_like(duration, base_rate, 0.5, duration / 2, &mut rng);
 
-    // Strategy A: per-server delay timers, load-balanced dispatch.
-    let mut cfg_dt = SimConfig::server_farm(servers, cores, 0.25, template.clone(), duration)
+    let mut delay_timer = SimConfig::server_farm(servers, cores, 0.25, template.clone(), duration)
         .with_seed(seed)
         .with_sleep_policy(SleepPolicy::delay_timer(SimDuration::from_secs(2)));
-    cfg_dt.arrivals = ArrivalConfig::Trace(trace.clone());
-    cfg_dt.policy = PolicyKind::LeastLoaded;
-    let dt = Simulation::new(cfg_dt).run();
+    delay_timer.arrivals = ArrivalConfig::Trace(trace.clone());
+    delay_timer.policy = PolicyKind::LeastLoaded;
 
-    // Strategy B: WASP pools, consolidating dispatch.
-    let mut cfg_ad = SimConfig::server_farm(servers, cores, 0.25, template, duration)
+    let mut adaptive = SimConfig::server_farm(servers, cores, 0.25, template, duration)
         .with_seed(seed)
         .with_policy(PolicyKind::PackFirst);
-    cfg_ad.arrivals = ArrivalConfig::Trace(trace);
-    cfg_ad.controller = Some(ControllerConfig::Pools {
+    adaptive.arrivals = ArrivalConfig::Trace(trace);
+    adaptive.controller = Some(ControllerConfig::Pools {
         t_wakeup: 1.5 * cores as f64,
         t_sleep: 0.4 * cores as f64,
         sleep_pool_tau: SimDuration::from_secs(1),
         initial_active: ((0.25 * servers as f64).ceil() as usize).max(1),
     });
-    cfg_ad.controller_period = SimDuration::from_millis(50);
-    let ad = Simulation::new(cfg_ad).run();
-
-    let split = |r: &SimReport| {
-        r.servers
-            .iter()
-            .map(|s| (s.cpu_energy_j, s.dram_energy_j, s.platform_energy_j))
-            .collect::<Vec<_>>()
-    };
-    BreakdownResult {
-        delay_timer: split(&dt),
-        adaptive: split(&ad),
-        total_delay_timer_j: dt.server_energy_j(),
-        total_adaptive_j: ad.server_energy_j(),
-    }
+    adaptive.controller_period = SimDuration::from_millis(50);
+    [delay_timer, adaptive]
 }
 
 // ---------------------------------------------------------------------
 // Fig. 10/11 — joint server-network optimization on a fat tree
 // ---------------------------------------------------------------------
 
-/// One policy's outcome in the Fig. 11 study.
-#[derive(Debug, Clone)]
-pub struct JointPolicyResult {
-    /// Mean server power, watts.
-    pub server_power_w: f64,
-    /// Mean network (switch) power, watts.
-    pub network_power_w: f64,
-    /// Job latency CDF `(seconds, fraction)`.
-    pub latency_cdf: Vec<(f64, f64)>,
-    /// p95 latency, seconds.
-    pub p95_s: f64,
-    /// Jobs completed.
-    pub jobs: u64,
-}
-
-/// Fig. 11 at one utilization: Server-Load-Balance vs Server-Network-Aware.
-#[derive(Debug, Clone)]
-pub struct JointResult {
-    /// The load-balanced baseline.
-    pub balanced: JointPolicyResult,
-    /// The network-aware strategy.
-    pub aware: JointPolicyResult,
-}
-
-impl JointResult {
-    /// Server power saving of the aware policy (0–1).
-    pub fn server_saving(&self) -> f64 {
-        1.0 - self.aware.server_power_w / self.balanced.server_power_w
-    }
-
-    /// Network power saving of the aware policy (0–1).
-    pub fn network_saving(&self) -> f64 {
-        1.0 - self.aware.network_power_w / self.balanced.network_power_w
-    }
-}
-
-/// Fig. 11: fat-tree k=4, two-tier DAG jobs with inter-task flows,
-/// comparing Server-Load-Balance against Server-Network-Aware placement.
+/// Fig. 11 at one utilization: fat-tree k=4, two-tier DAG jobs with
+/// inter-task flows. The two configs are `[balanced, aware]`:
+/// Server-Load-Balance and Server-Network-Aware placement on the same
+/// arrivals.
 ///
 /// `drain` is the slack appended after the last arrival so in-flight jobs
 /// finish; the horizon itself is sized from `jobs` and the arrival rate.
-pub fn fig11_joint(
+pub fn fig11_configs(
     rho: f64,
     jobs: usize,
     flow_bytes: u64,
     drain: SimDuration,
     seed: u64,
-) -> JointResult {
+) -> [SimConfig; 2] {
     let k = 4;
     let servers = k * k * k / 4; // 16 hosts
     let cores = 4u32;
@@ -437,7 +266,7 @@ pub fn fig11_joint(
     }
     let duration = *times.last().expect("jobs >= 1") - SimTime::ZERO + drain;
 
-    let run = |policy: PolicyKind| {
+    let config = |policy: PolicyKind| {
         let mut cfg = SimConfig::server_farm(servers, cores, rho, template.clone(), duration)
             .with_seed(seed)
             .with_policy(policy)
@@ -450,48 +279,26 @@ pub fn fig11_joint(
         let mut net = NetworkConfig::fat_tree(k);
         net.link = holdcsim_network::topologies::LinkSpec::ten_gigabit();
         cfg.network = Some(net);
-        let report = Simulation::new(cfg).run();
-        JointPolicyResult {
-            server_power_w: report.server_energy_j() / duration.as_secs_f64(),
-            network_power_w: report
-                .network
-                .as_ref()
-                .map_or(0.0, |n| n.mean_switch_power_w),
-            latency_cdf: report.latency_cdf.clone(),
-            p95_s: report.latency.p95,
-            jobs: report.jobs_completed,
-        }
+        cfg
     };
-    JointResult {
-        balanced: run(PolicyKind::LeastLoaded),
-        aware: run(PolicyKind::NetworkAware),
-    }
+    [
+        config(PolicyKind::LeastLoaded),
+        config(PolicyKind::NetworkAware),
+    ]
 }
 
 // ---------------------------------------------------------------------
 // Footnote 1 — delay timers under bursty arrivals
 // ---------------------------------------------------------------------
 
-/// One burstiness level's outcome in the footnote-1 study.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstinessPoint {
-    /// MMPP burst ratio R_a = λ_h/λ_l (1 = Poisson).
-    pub burst_ratio: f64,
-    /// Farm energy, joules.
-    pub energy_j: f64,
-    /// p95 job latency, seconds.
-    pub p95_s: f64,
-    /// p99 job latency, seconds.
-    pub p99_s: f64,
-}
-
 /// The paper's footnote 1: "the single delay timer may not be effective
-/// when the job arrivals are highly bursty". Runs the Fig. 5 farm at its
-/// optimal τ while sweeping MMPP burstiness at constant mean load; energy
-/// savings persist but tail latency degrades sharply as bursts catch
-/// servers in deep sleep.
+/// when the job arrivals are highly bursty". One config per burst ratio:
+/// the Fig. 5 farm at its optimal τ under MMPP arrivals of that
+/// burstiness at constant mean load (ratio 1 is Poisson). Energy savings
+/// persist but tail latency degrades sharply as bursts catch servers in
+/// deep sleep.
 #[allow(clippy::too_many_arguments)]
-pub fn footnote1_burstiness(
+pub fn footnote1_configs(
     preset: WorkloadPreset,
     rho: f64,
     burst_ratios: &[f64],
@@ -500,7 +307,7 @@ pub fn footnote1_burstiness(
     cores: u32,
     duration: SimDuration,
     seed: u64,
-) -> Vec<BurstinessPoint> {
+) -> Vec<SimConfig> {
     let mean = preset.mean_service().as_secs_f64();
     let base_rate = rho * servers as f64 * cores as f64 / mean;
     burst_ratios
@@ -515,13 +322,7 @@ pub fn footnote1_burstiness(
                     mean_bursty_dwell: 2.0,
                 };
             }
-            let report = Simulation::new(cfg).run();
-            BurstinessPoint {
-                burst_ratio: ratio,
-                energy_j: report.server_energy_j(),
-                p95_s: report.latency.p95,
-                p99_s: report.latency.p99,
-            }
+            cfg
         })
         .collect()
 }
@@ -711,12 +512,17 @@ mod tests {
 
     #[test]
     fn fig4_controller_parks_servers() {
-        let r = fig4_provisioning(10, SimDuration::from_secs(30), 1);
+        let r = Simulation::new(fig4_config(10, SimDuration::from_secs(30), 1)).run();
         // The controller should end up using far fewer than all servers.
-        let min_active = r.active_servers.iter().copied().fold(f64::MAX, f64::min);
+        let min_active = r
+            .series
+            .active_servers
+            .iter()
+            .copied()
+            .fold(f64::MAX, f64::min);
         assert!(min_active < 9.0, "min active {min_active}");
-        assert!(r.report.jobs_completed > 100);
-        assert_eq!(r.time_s.len(), r.active_jobs.len());
+        assert!(r.jobs_completed > 100);
+        assert_eq!(r.series.active_servers.len(), r.series.active_jobs.len());
     }
 
     #[test]
@@ -748,7 +554,7 @@ mod tests {
 
     #[test]
     fn fig6_dual_beats_active_idle() {
-        let arms = fig6_configs(
+        let [active_idle, _single, dual] = fig6_configs(
             WorkloadPreset::WebSearch,
             0.1,
             8,
@@ -758,39 +564,40 @@ mod tests {
             5,
         )
         .map(|cfg| Simulation::new(cfg).run());
-        let r = fig6_from_reports(&arms);
-        assert!(
-            r.reduction_vs_active_idle() > 0.2,
-            "reduction {}",
-            r.reduction_vs_active_idle()
-        );
+        let reduction = 1.0 - dual.server_energy_j() / active_idle.server_energy_j();
+        assert!(reduction > 0.2, "reduction {reduction}");
     }
 
     #[test]
     fn fig8_bands_sum_to_one() {
-        let bars = fig8_residency(
+        let bars: Vec<[f64; 5]> = fig8_configs(
             WorkloadPreset::WebSearch,
             &[0.2, 0.6],
             4,
             4,
             SimDuration::from_secs(20),
             7,
-        );
+        )
+        .into_iter()
+        .map(|cfg| Simulation::new(cfg).run().mean_residency())
+        .collect();
         for b in &bars {
-            let sum = b.bands.0 + b.bands.1 + b.bands.2 + b.bands.3 + b.bands.4;
+            let sum: f64 = b.iter().sum();
             assert!((sum - 1.0).abs() < 1e-6, "bands sum {sum}");
         }
         // Higher utilization means more active time.
-        assert!(bars[1].bands.0 > bars[0].bands.0);
+        assert!(bars[1][0] > bars[0][0]);
     }
 
     #[test]
     fn fig9_adaptive_concentrates_and_saves() {
-        let r = fig9_breakdown(4, 4, SimDuration::from_secs(30), 9);
-        assert!(r.adaptive_saving() > 0.0, "saving {}", r.adaptive_saving());
+        let [dt, ad] =
+            fig9_configs(4, 4, SimDuration::from_secs(30), 9).map(|cfg| Simulation::new(cfg).run());
+        let saving = 1.0 - ad.server_energy_j() / dt.server_energy_j();
+        assert!(saving > 0.0, "saving {saving}");
         // Adaptive load is skewed: the busiest server does much more work
         // than the idlest (delay-timer spread is flatter).
-        let cpu: Vec<f64> = r.adaptive.iter().map(|s| s.0).collect();
+        let cpu: Vec<f64> = ad.servers.iter().map(|s| s.cpu_energy_j).collect();
         let max = cpu.iter().copied().fold(0.0, f64::max);
         let min = cpu.iter().copied().fold(f64::MAX, f64::min);
         assert!(max > 1.5 * min, "adaptive skew {max} vs {min}");
@@ -798,7 +605,7 @@ mod tests {
 
     #[test]
     fn footnote1_burstiness_degrades_tails() {
-        let pts = footnote1_burstiness(
+        let p99: Vec<f64> = footnote1_configs(
             WorkloadPreset::WebSearch,
             0.2,
             &[1.0, 10.0],
@@ -807,14 +614,17 @@ mod tests {
             2,
             SimDuration::from_secs(40),
             13,
-        );
-        assert_eq!(pts.len(), 2);
+        )
+        .into_iter()
+        .map(|cfg| Simulation::new(cfg).run().latency.p99)
+        .collect();
+        assert_eq!(p99.len(), 2);
         // Heavy bursts push p99 well past the Poisson case.
         assert!(
-            pts[1].p99_s > pts[0].p99_s * 1.5,
+            p99[1] > p99[0] * 1.5,
             "bursty p99 {} vs poisson {}",
-            pts[1].p99_s,
-            pts[0].p99_s
+            p99[1],
+            p99[0]
         );
     }
 

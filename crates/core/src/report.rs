@@ -266,6 +266,21 @@ impl SimReport {
         self.servers.iter().map(|s| s.utilization).sum::<f64>() / self.servers.len() as f64
     }
 
+    /// Residency fractions averaged across servers, per band
+    /// `[active, wakeup, idle, shallow, deep]`: Fig. 8's stacked bar.
+    pub fn mean_residency(&self) -> [f64; 5] {
+        let n = self.servers.len().max(1) as f64;
+        let mut bands = [0.0f64; 5];
+        for s in &self.servers {
+            bands[0] += s.residency.0 / n;
+            bands[1] += s.residency.1 / n;
+            bands[2] += s.residency.2 / n;
+            bands[3] += s.residency.3 / n;
+            bands[4] += s.residency.4 / n;
+        }
+        bands
+    }
+
     /// Renders a compact human-readable summary.
     pub fn summary(&self) -> String {
         let mut s = String::new();

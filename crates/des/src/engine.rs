@@ -52,21 +52,17 @@ pub trait Model: Sized {
 /// the default [`NoObserver`] monomorphizes every call to a no-op — the
 /// uninstrumented engine pays nothing for this hook.
 ///
-/// When [`PANIC_HOOK`](EventObserver::PANIC_HOOK) is `true`, the engine also
-/// wraps handler dispatch in a drop guard so that a panicking handler calls
-/// [`on_panic`](EventObserver::on_panic) while unwinding — the observer can
-/// then report the sim time and the event it just saw instead of leaving only
-/// a bare backtrace.
+/// The engine also wraps every handler dispatch in a drop guard, so that a
+/// panicking handler calls [`on_panic`](EventObserver::on_panic) while
+/// unwinding — the observer can then report the sim time and the event it
+/// just saw instead of leaving only a bare backtrace. On the happy path the
+/// guard costs one `mem::forget`, and with [`NoObserver`]'s empty
+/// `on_panic` it compiles away.
 pub trait EventObserver<M: Model> {
-    /// When `true`, the engine arms a panic-context guard around every
-    /// handler dispatch (one `mem::forget` on the happy path).
-    const PANIC_HOOK: bool;
-
     /// Called for every processed event, before the model handles it.
     fn on_event(&mut self, now: SimTime, event: &M::Event, model: &M);
 
-    /// Called while unwinding from a panicking handler (only if
-    /// [`PANIC_HOOK`](EventObserver::PANIC_HOOK) is `true`).
+    /// Called while unwinding from a panicking handler.
     fn on_panic(&self, now: SimTime);
 }
 
@@ -75,8 +71,6 @@ pub trait EventObserver<M: Model> {
 pub struct NoObserver;
 
 impl<M: Model> EventObserver<M> for NoObserver {
-    const PANIC_HOOK: bool = false;
-
     #[inline(always)]
     fn on_event(&mut self, _now: SimTime, _event: &M::Event, _model: &M) {}
 
@@ -214,17 +208,13 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
             now: self.now,
             queue: &mut self.queue,
         };
-        if O::PANIC_HOOK {
-            let guard = PanicGuard::<M, O> {
-                observer: &self.observer,
-                now: self.now,
-                _model: std::marker::PhantomData,
-            };
-            self.model.handle(&mut ctx, event);
-            std::mem::forget(guard);
-        } else {
-            self.model.handle(&mut ctx, event);
-        }
+        let guard = PanicGuard::<M, O> {
+            observer: &self.observer,
+            now: self.now,
+            _model: std::marker::PhantomData,
+        };
+        self.model.handle(&mut ctx, event);
+        std::mem::forget(guard);
     }
 
     /// Runs until the clock would pass `deadline` (events at exactly
@@ -442,7 +432,6 @@ mod tests {
     }
 
     impl EventObserver<Recorder> for Tap {
-        const PANIC_HOOK: bool = true;
         fn on_event(&mut self, now: SimTime, event: &u32, _model: &Recorder) {
             self.seen.push((now, *event));
             self.last.set(*event);
@@ -485,7 +474,6 @@ mod tests {
             panicked_at: std::rc::Rc<std::cell::Cell<Option<(SimTime, u32)>>>,
         }
         impl EventObserver<Bomb> for BombTap {
-            const PANIC_HOOK: bool = true;
             fn on_event(&mut self, _now: SimTime, event: &u32, _model: &Bomb) {
                 self.last.set(*event);
             }

@@ -36,15 +36,7 @@ pub const METRIC_NAMES: &[&str] = &[
 impl TrialMetrics {
     /// Extracts the metric vector from a finished report.
     pub fn from_report(r: &SimReport) -> Self {
-        let n = r.servers.len().max(1) as f64;
-        let mut bands = [0.0f64; 5];
-        for s in &r.servers {
-            bands[0] += s.residency.0 / n;
-            bands[1] += s.residency.1 / n;
-            bands[2] += s.residency.2 / n;
-            bands[3] += s.residency.3 / n;
-            bands[4] += s.residency.4 / n;
-        }
+        let bands = r.mean_residency();
         let values = vec![
             r.server_energy_j(),
             r.cpu_energy_j(),

@@ -15,13 +15,14 @@ use holdcsim::config::{
 };
 use holdcsim::experiments::fat_tree_k_for;
 use holdcsim::sim::{Datacenter, Simulation};
+use holdcsim_cluster::pool::default_threads;
 use holdcsim_cluster::Federation;
 use holdcsim_des::time::SimDuration;
 use holdcsim_faults::Components;
 use holdcsim_harness::artifacts;
-use holdcsim_harness::exec::{default_threads, run_plan};
+use holdcsim_harness::exec::run_plan;
 use holdcsim_harness::figs::{self, FigScale};
-use holdcsim_harness::grid::SweepPlan;
+use holdcsim_harness::grid::{SweepPlan, TrialPoint};
 use holdcsim_harness::obs_cli::ObsCli;
 use holdcsim_obs::fingerprint;
 use holdcsim_sched::geo::GeoPolicy;
@@ -57,6 +58,8 @@ Observability ([OBS], accepted by run, federate, and sweep):
 Policies:     round-robin, least-loaded, pack-first, random, network-aware.
 Presets:      web-search, web-serving, provisioning.
 Taus:         seconds, or `active-idle` for the no-sleep arm.
+Threads:      `fig --threads N` runs figs 5, 6, 8, 9, 11 and footnote1 on N
+              workers; the other figures run one simulation at a time.
 Geo policies: site-local (spill past --spill in-flight jobs/core),
               load-balanced, latency-aware (--latency-weight load units/s).
 
@@ -206,32 +209,30 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(args, &allowed)?;
     let obs = ObsCli::from_opts(&opts)?;
     let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let servers: usize = parse_positive(&get("servers", "8"), "server count")?;
-    let cores: u32 = parse_positive(&get("cores", "4"), "core count")?;
-    let rho: f64 = parse_positive(&get("rho", "0.3"), "utilization")?;
-    let preset = parse_preset(&get("preset", "web-search"))?;
+    let tau_s = match opts.get("tau") {
+        Some(t) if t != "active-idle" => Some(parse_non_negative(t, "tau")?),
+        _ => None,
+    };
+    let point = TrialPoint {
+        servers: parse_positive(&get("servers", "8"), "server count")?,
+        cores: parse_positive(&get("cores", "4"), "core count")?,
+        rho: parse_positive(&get("rho", "0.3"), "utilization")?,
+        preset: parse_preset(&get("preset", "web-search"))?,
+        // The delay-timer farm consolidates; the Active-Idle farm balances.
+        policy: match opts.get("policy") {
+            Some(p) => parse_policy(p)?,
+            None if tau_s.is_some() => PolicyKind::PackFirst,
+            None => PolicyKind::LeastLoaded,
+        },
+        tau_s,
+        // `--faults` is parsed below, where a bad plan is an error.
+        faults: None,
+    };
     let duration = parse_duration(&get("duration", "30"))?;
     let seed: u64 = parse_num(&get("seed", "42"), "seed")?;
-    let cfg = match opts.get("tau") {
-        Some(t) if t != "active-idle" => holdcsim::experiments::delay_timer_farm(
-            preset,
-            rho,
-            servers,
-            cores,
-            parse_non_negative(t, "tau")?,
-            duration,
-            seed,
-        ),
-        _ => {
-            SimConfig::server_farm(servers, cores, rho, preset.template(), duration).with_seed(seed)
-        }
-    };
-    let mut cfg = match opts.get("policy") {
-        Some(p) => cfg.with_policy(parse_policy(p)?),
-        None => cfg,
-    };
+    let mut cfg = point.config(seed, duration);
     if opts.contains_key("net") {
-        attach_net(&mut cfg, servers);
+        attach_net(&mut cfg, point.servers);
     }
     if let Some(s) = opts.get("faults") {
         cfg.faults = Some(holdcsim_faults::load_plan(s)?);
@@ -331,7 +332,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         plan = plan.fault_specs(&arms);
     }
     let threads: usize = match opts.get("threads") {
-        Some(s) => parse_num(s, "threads")?,
+        Some(s) => parse_positive(s, "thread count")?,
         None => default_threads(),
     };
 
@@ -380,10 +381,34 @@ fn cmd_fig(args: &[String]) -> Result<(), String> {
         .ok_or("`fig` needs a figure id (4, 5, 6, 8, 9, 11, 12, 13, table1, footnote1)")?
         .clone();
     let opts = parse_opts(&args[1..], &["quick", "threads", "seed"])?;
+    // Whether the figure runs a batch of simulations on worker threads.
+    let (fig, batched): (fn(&FigScale), bool) = match which.as_str() {
+        "4" => (figs::fig4, false),
+        "5" => (figs::fig5, true),
+        "6" => (figs::fig6, true),
+        "8" => (figs::fig8, true),
+        "9" => (figs::fig9, true),
+        "11" => (figs::fig11, true),
+        "12" => (figs::fig12, false),
+        "13" => (figs::fig13, false),
+        "table1" | "1" => (figs::table1, false),
+        "footnote1" => (figs::footnote1, true),
+        other => {
+            return Err(format!(
+                "unknown figure `{other}` (try 4, 5, 6, 8, 9, 11, 12, 13, table1, footnote1)"
+            ))
+        }
+    };
+    if !batched && opts.contains_key("threads") {
+        return Err(format!(
+            "`fig {which}` takes no `--threads`: only figs 5, 6, 8, 9, 11 and footnote1 \
+             run several simulations side by side"
+        ));
+    }
     let scale = FigScale {
         quick: opts.contains_key("quick"),
         threads: match opts.get("threads") {
-            Some(s) => parse_num(s, "threads")?,
+            Some(s) => parse_positive(s, "thread count")?,
             None => default_threads(),
         },
         seed: match opts.get("seed") {
@@ -391,23 +416,7 @@ fn cmd_fig(args: &[String]) -> Result<(), String> {
             None => 42,
         },
     };
-    match which.as_str() {
-        "4" => figs::fig4(&scale),
-        "5" => figs::fig5(&scale),
-        "6" => figs::fig6(&scale),
-        "8" => figs::fig8(&scale),
-        "9" => figs::fig9(&scale),
-        "11" => figs::fig11(&scale),
-        "12" => figs::fig12(&scale),
-        "13" => figs::fig13(&scale),
-        "table1" | "1" => figs::table1(&scale),
-        "footnote1" => figs::footnote1(&scale),
-        other => {
-            return Err(format!(
-                "unknown figure `{other}` (try 4, 5, 6, 8, 9, 11, 12, 13, table1, footnote1)"
-            ))
-        }
-    }
+    fig(&scale);
     Ok(())
 }
 
@@ -518,7 +527,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         })?;
     }
     let report = if let Some(w) = opts.get("fed-workers") {
-        fed.run_with_workers(parse_num(w, "federation worker count")?)
+        fed.run_with_workers(parse_positive(w, "federation worker count")?)
     } else {
         fed.run()
     };
@@ -691,6 +700,20 @@ mod tests {
         ] {
             assert!(cmd_federate(&args(bad)).is_err(), "federate {bad}");
         }
+        // Zero worker counts, which the pool would quietly run as one.
+        let out =
+            std::env::temp_dir().join(format!("holdcsim-zero-threads-{}", std::process::id()));
+        let sweep = format!("--threads 0 --duration 0.05 --out {}", out.display());
+        let err = cmd_sweep(&args(&sweep)).unwrap_err();
+        assert!(err.contains("thread count"), "sweep --threads 0: {err}");
+        assert!(!out.exists(), "a rejected sweep runs no trial");
+        let err = cmd_fig(&args("9 --quick --threads 0")).unwrap_err();
+        assert!(err.contains("thread count"), "fig 9 --threads 0: {err}");
+        let err = cmd_federate(&args("--fed-workers 0 --duration 0.05")).unwrap_err();
+        assert!(
+            err.contains("federation worker count"),
+            "federate --fed-workers 0: {err}"
+        );
         // τ, a WAN latency, an affinity weight, a spill load and a
         // latency weight may be zero, but a negative or NaN one clamps to
         // zero, fails an assert or turns a geo policy around, and so does
@@ -764,6 +787,20 @@ mod tests {
         }
         cmd_federate(&args("--geo site-local --spill 0.5")).unwrap();
         cmd_federate(&args("--geo latency-aware --latency-weight 2")).unwrap();
+    }
+
+    #[test]
+    fn threads_is_rejected_on_figures_without_a_batch() {
+        let args = |a: &str| a.split(' ').map(String::from).collect::<Vec<_>>();
+        for fig in ["4", "12", "13", "table1"] {
+            let err = cmd_fig(&args(&format!("{fig} --quick --threads 8"))).unwrap_err();
+            assert!(
+                err.contains(&format!("`fig {fig}`"))
+                    && err.contains("figs 5, 6, 8, 9, 11 and footnote1"),
+                "fig {fig}: {err}"
+            );
+        }
+        cmd_fig(&args("9 --quick --threads 2")).unwrap();
     }
 
     #[test]

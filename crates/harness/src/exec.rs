@@ -1,9 +1,10 @@
-//! Work-stealing parallel trial execution.
+//! Batch execution of independent simulations on the window pool.
 //!
-//! Trials are pulled from a shared atomic counter by a scoped thread
-//! pool (no external dependency) and results are stored by trial index,
-//! so the output — and everything aggregated from it — is bitwise
-//! identical regardless of how many workers ran or how work interleaved.
+//! A batch is one dispatch of [`holdcsim_cluster::pool::run_windows`]
+//! over one cell per trial: workers pull cells from the pool's shared
+//! counter, and each result stays in its trial's cell, so the output —
+//! and everything aggregated from it — is bitwise identical regardless
+//! of how many workers ran or how work interleaved.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -11,23 +12,18 @@ use std::sync::Mutex;
 use holdcsim::config::SimConfig;
 use holdcsim::report::SimReport;
 use holdcsim::sim::Simulation;
+use holdcsim_cluster::pool::run_windows;
+use holdcsim_des::time::SimTime;
 use holdcsim_obs::ObsArtifacts;
 
 use crate::agg::{aggregate, PointSummary, TrialMetrics, TrialOutcome};
 use crate::grid::{GridError, SweepPlan};
 
-/// The machine's available parallelism (≥ 1).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Runs every config and returns the reports in input order.
 ///
 /// The parallel primitive under [`run_plan`], also usable directly for
-/// irregular experiments (e.g. Fig. 6's three policy arms) that don't fit
-/// a rectangular grid. With `progress`, one line per finished trial is
+/// irregular experiments (the paper figures' arms) that don't fit a
+/// rectangular grid. With `progress`, one line per finished trial is
 /// written to stderr.
 pub fn run_configs(
     configs: Vec<SimConfig>,
@@ -40,6 +36,13 @@ pub fn run_configs(
         .collect()
 }
 
+/// One trial's pool cell: its config until a worker takes it, then its
+/// outcome.
+struct Trial {
+    config: Option<SimConfig>,
+    outcome: Option<(SimReport, ObsArtifacts)>,
+}
+
 /// [`run_configs`], but also returning each trial's observability
 /// artifacts (empty unless the config's [`SimConfig::obs`] turns a
 /// capability on).
@@ -49,42 +52,36 @@ pub fn run_configs_obs(
     progress: Option<&str>,
 ) -> Vec<(SimReport, ObsArtifacts)> {
     let n = configs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let jobs: Vec<Mutex<Option<SimConfig>>> =
-        configs.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let slots: Vec<Mutex<Option<(SimReport, ObsArtifacts)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    let cells: Vec<Mutex<Trial>> = configs
+        .into_iter()
+        .map(|c| {
+            Mutex::new(Trial {
+                config: Some(c),
+                outcome: None,
+            })
+        })
+        .collect();
     let done = AtomicUsize::new(0);
-    let workers = threads.clamp(1, n);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cfg = jobs[i]
-                    .lock()
-                    .expect("job lock")
-                    .take()
-                    .expect("job taken once");
-                let outcome = Simulation::new(cfg).run_with_obs();
-                *slots[i].lock().expect("slot lock") = Some(outcome);
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(label) = progress {
-                    eprintln!("[{label}] trial {finished}/{n} done");
-                }
-            });
-        }
-    });
-    slots
+    // One window runs every trial; a trial has no window cap to honour.
+    run_windows(
+        threads,
+        &cells,
+        |trial: &mut Trial, _cap| {
+            let cfg = trial.config.take().expect("each trial runs once");
+            trial.outcome = Some(Simulation::new(cfg).run_with_obs());
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(label) = progress {
+                eprintln!("[{label}] trial {finished}/{n} done");
+            }
+        },
+        |dispatch| dispatch(SimTime::MAX),
+    );
+    cells
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .expect("slot poisoned")
+                .expect("trial cell poisoned")
+                .outcome
                 .expect("all trials ran")
         })
         .collect()

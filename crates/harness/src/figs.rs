@@ -1,11 +1,13 @@
 //! Paper-figure front-ends behind `holdcsim fig`: each function
 //! reproduces one figure/table of Yao et al. (IISWC 2019) and prints its
 //! rows or series (CSV or a markdown table on stdout, `#` notes on
-//! stderr); the sweeps run in parallel through [`crate::exec`].
+//! stderr). A figure with several runs builds their configs in
+//! [`holdcsim::experiments`], runs them as one batch on the window pool
+//! through [`crate::exec`], and reduces the reports next to its printer.
 
-use holdcsim::experiments::{
-    self, fig6_from_reports, fig8_residency, scalability, DelayTimerCurve,
-};
+use holdcsim::experiments::{self, scalability};
+use holdcsim::report::SimReport;
+use holdcsim::sim::Simulation;
 use holdcsim::validation::{server_power_validation, switch_power_validation};
 use holdcsim_des::time::SimDuration;
 use holdcsim_workload::presets::WorkloadPreset;
@@ -41,21 +43,20 @@ pub fn fig4(scale: &FigScale) {
     let servers = scale.pick(50, 10) as usize;
     let duration = SimDuration::from_secs(scale.pick(1_200, 60));
     eprintln!("# Fig. 4 — provisioning ({servers} servers, {duration})");
-    let r = experiments::fig4_provisioning(servers, duration, scale.seed);
+    let r = Simulation::new(experiments::fig4_config(servers, duration, scale.seed)).run();
+    let (jobs, active) = (&r.series.active_jobs, &r.series.active_servers);
+    let step = r.series.period.as_secs_f64();
     println!("time_s,active_jobs,active_servers");
-    let stride = (r.time_s.len() / 200).max(1);
-    for i in (0..r.time_s.len()).step_by(stride) {
-        println!(
-            "{:.0},{:.1},{:.0}",
-            r.time_s[i], r.active_jobs[i], r.active_servers[i]
-        );
+    let stride = (jobs.len() / 200).max(1);
+    for i in (0..jobs.len()).step_by(stride) {
+        println!("{:.0},{:.1},{:.0}", i as f64 * step, jobs[i], active[i]);
     }
-    let min = r.active_servers.iter().copied().fold(f64::MAX, f64::min);
-    let max = r.active_servers.iter().copied().fold(0.0, f64::max);
+    let min = active.iter().copied().fold(f64::MAX, f64::min);
+    let max = active.iter().copied().fold(0.0, f64::max);
     eprintln!(
         "# active servers ranged {min:.0}..{max:.0} of {servers}; {} jobs completed; p95 {:.1} ms",
-        r.report.jobs_completed,
-        r.report.latency.p95 * 1e3,
+        r.jobs_completed,
+        r.latency.p95 * 1e3,
     );
 }
 
@@ -85,40 +86,32 @@ pub fn fig5(scale: &FigScale) {
             .utilizations(&rhos)
             .taus_s(&taus);
         let result = run_plan(&plan, scale.threads, false).expect("fig5 grid is valid");
-        // Point order is ρ-major, τ-minor: regroup into one curve per ρ.
-        let curves: Vec<DelayTimerCurve> = rhos
-            .iter()
-            .enumerate()
-            .map(|(ri, &rho)| DelayTimerCurve {
-                rho,
-                points: taus
-                    .iter()
-                    .enumerate()
-                    .map(|(ti, &tau)| {
-                        let s = &result.summaries[ri * taus.len() + ti];
-                        (tau, s.get("energy_j").expect("known metric").mean)
-                    })
-                    .collect(),
-            })
-            .collect();
+        // Point order is ρ-major, τ-minor: one energy curve per ρ.
+        let energy = |ri: usize, ti: usize| {
+            let s = &result.summaries[ri * taus.len() + ti];
+            s.get("energy_j").expect("known metric").mean
+        };
         print!("tau_s");
-        for c in &curves {
-            print!(",energy_MJ_rho{}", c.rho);
+        for rho in &rhos {
+            print!(",energy_MJ_rho{rho}");
         }
         println!();
-        for (i, &tau) in taus.iter().enumerate() {
+        for (ti, &tau) in taus.iter().enumerate() {
             print!("{tau}");
-            for c in &curves {
-                print!(",{:.4}", c.points[i].1 / 1e6);
+            for ri in 0..rhos.len() {
+                print!(",{:.4}", energy(ri, ti) / 1e6);
             }
             println!();
         }
-        for c in &curves {
-            eprintln!(
-                "#   rho={}: optimal tau = {:.2} s",
-                c.rho,
-                c.optimal_tau_s()
-            );
+        for (ri, rho) in rhos.iter().enumerate() {
+            let optimal = (0..taus.len())
+                .min_by(|&a, &b| {
+                    energy(ri, a)
+                        .partial_cmp(&energy(ri, b))
+                        .expect("finite energy")
+                })
+                .map_or(0.0, |ti| taus[ti]);
+            eprintln!("#   rho={rho}: optimal tau = {optimal:.2} s");
         }
     }
 }
@@ -153,125 +146,149 @@ pub fn fig6(scale: &FigScale) {
     println!(
         "| farm | workload | rho | E(active-idle) MJ | E(single) MJ | E(dual) MJ | reduction vs AI | reduction vs single | p95 dual ms |"
     );
-    for (i, &(servers, preset, rho, _)) in cells.iter().enumerate() {
-        let arms: &[_; 3] = reports[3 * i..3 * i + 3]
-            .try_into()
-            .expect("three arms per cell");
-        let r = fig6_from_reports(arms);
+    for (&(servers, preset, rho, _), arms) in cells.iter().zip(reports.chunks_exact(3)) {
+        let [active_idle, single, dual] = arms else {
+            unreachable!("three arms per cell")
+        };
+        let (e_ai, e_single, e_dual) = (
+            active_idle.server_energy_j(),
+            single.server_energy_j(),
+            dual.server_energy_j(),
+        );
         println!(
             "| {} | {} | {} | {:.4} | {:.4} | {:.4} | {:.1}% | {:.1}% | {:.1} |",
             servers,
             preset,
             rho,
-            r.energy_active_idle_j / 1e6,
-            r.energy_single_j / 1e6,
-            r.energy_dual_j / 1e6,
-            r.reduction_vs_active_idle() * 100.0,
-            r.reduction_vs_single() * 100.0,
-            r.p95_dual_s * 1e3,
+            e_ai / 1e6,
+            e_single / 1e6,
+            e_dual / 1e6,
+            (1.0 - e_dual / e_ai) * 100.0,
+            (1.0 - e_dual / e_single) * 100.0,
+            dual.latency.p95 * 1e3,
         );
     }
 }
 
 /// Fig. 8: WASP state-residency stacked bars for utilizations 0.1–0.9,
-/// both workload presets.
+/// both workload presets, run as one batch.
 pub fn fig8(scale: &FigScale) {
     let servers = scale.pick(10, 4) as usize;
     let cores = scale.pick(10, 4) as u32;
     let duration = SimDuration::from_secs(scale.pick(120, 30));
     let rhos: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
-    for preset in [WorkloadPreset::WebSearch, WorkloadPreset::WebServing] {
+    let presets = [WorkloadPreset::WebSearch, WorkloadPreset::WebServing];
+    let configs = presets
+        .iter()
+        .flat_map(|&preset| {
+            experiments::fig8_configs(preset, &rhos, servers, cores, duration, scale.seed)
+        })
+        .collect();
+    let reports = run_configs(configs, scale.threads, None);
+    for (preset, reports) in presets.iter().zip(reports.chunks_exact(rhos.len())) {
         eprintln!("# Fig. 8 — {preset} ({servers} servers x {cores} cores, {duration})");
         println!("rho,active,wakeup,idle,pkg_c6,sys_sleep,p90_ms");
-        for b in fig8_residency(preset, &rhos, servers, cores, duration, scale.seed) {
-            let (a, w, i, c6, s3) = b.bands;
+        for (rho, r) in rhos.iter().zip(reports) {
+            let [a, w, i, c6, s3] = r.mean_residency();
             println!(
-                "{:.1},{a:.3},{w:.3},{i:.3},{c6:.3},{s3:.3},{:.2}",
-                b.rho,
-                b.p90_s * 1e3
+                "{rho:.1},{a:.3},{w:.3},{i:.3},{c6:.3},{s3:.3},{:.2}",
+                r.latency.p90 * 1e3
             );
         }
     }
 }
 
 /// Fig. 9: per-server energy breakdown (CPU / DRAM / platform),
-/// delay-timer vs workload-adaptive pools.
+/// delay-timer vs workload-adaptive pools, run as one batch.
 pub fn fig9(scale: &FigScale) {
     let servers = scale.pick(10, 4) as usize;
     let cores = scale.pick(10, 4) as u32;
     let duration = SimDuration::from_secs(scale.pick(300, 40));
     eprintln!("# Fig. 9 — breakdown ({servers} servers x {cores} cores, {duration})");
-    let r = experiments::fig9_breakdown(servers, cores, duration, scale.seed);
+    let configs = experiments::fig9_configs(servers, cores, duration, scale.seed);
+    let reports = run_configs(configs.into(), scale.threads, None);
+    let (delay_timer, adaptive) = (&reports[0], &reports[1]);
     println!("strategy,server,cpu_kJ,dram_kJ,platform_kJ");
-    for (name, rows) in [
-        ("delay-timer", &r.delay_timer),
-        ("workload-adaptive", &r.adaptive),
+    for (name, r) in [
+        ("delay-timer", delay_timer),
+        ("workload-adaptive", adaptive),
     ] {
-        for (i, (c, d, p)) in rows.iter().enumerate() {
+        for (i, s) in r.servers.iter().enumerate() {
             println!(
                 "{name},{},{:.2},{:.2},{:.2}",
                 i + 1,
-                c / 1e3,
-                d / 1e3,
-                p / 1e3
+                s.cpu_energy_j / 1e3,
+                s.dram_energy_j / 1e3,
+                s.platform_energy_j / 1e3
             );
         }
     }
+    let (total_dt, total_ad) = (delay_timer.server_energy_j(), adaptive.server_energy_j());
     eprintln!(
         "# totals: delay-timer {:.1} kJ, adaptive {:.1} kJ -> {:.1}% saving (paper: 39%)",
-        r.total_delay_timer_j / 1e3,
-        r.total_adaptive_j / 1e3,
-        r.adaptive_saving() * 100.0
+        total_dt / 1e3,
+        total_ad / 1e3,
+        (1.0 - total_ad / total_dt) * 100.0
     );
 }
 
 /// Fig. 11: Server-Load-Balance vs Server-Network-Aware placement on a
-/// fat tree (k=4): power table plus the ρ=0.3 response-time CDF.
+/// fat tree (k=4): power table plus the ρ=0.3 response-time CDF. Both
+/// utilizations run as one batch.
 pub fn fig11(scale: &FigScale) {
     let jobs = scale.pick(2_000, 300) as usize;
     let flow_bytes = scale.pick(100_000_000, 10_000_000);
     let drain = SimDuration::from_secs(scale.pick(30, 10));
+    let rhos = [0.3, 0.6];
+    let configs = rhos
+        .iter()
+        .flat_map(|&rho| experiments::fig11_configs(rho, jobs, flow_bytes, drain, scale.seed))
+        .collect();
+    let reports = run_configs(configs, scale.threads, None);
+    let network_w = |r: &SimReport| r.network.as_ref().map_or(0.0, |n| n.mean_switch_power_w);
     println!("| rho | policy | server W | network W | p95 ms | jobs |");
-    let mut cdfs = Vec::new();
-    for rho in [0.3, 0.6] {
-        let r = experiments::fig11_joint(rho, jobs, flow_bytes, drain, scale.seed);
-        for (name, p) in [
-            ("server-load-balance", &r.balanced),
-            ("server-network-aware", &r.aware),
+    for (rho, pair) in rhos.iter().zip(reports.chunks_exact(2)) {
+        let [balanced, aware] = pair else {
+            unreachable!("two policies per utilization")
+        };
+        for (name, r) in [
+            ("server-load-balance", balanced),
+            ("server-network-aware", aware),
         ] {
             println!(
                 "| {rho} | {name} | {:.1} | {:.1} | {:.1} | {} |",
-                p.server_power_w,
-                p.network_power_w,
-                p.p95_s * 1e3,
-                p.jobs
+                r.mean_server_power_w(),
+                network_w(r),
+                r.latency.p95 * 1e3,
+                r.jobs_completed
             );
         }
         eprintln!(
             "# rho={rho}: server saving {:.1}%, network saving {:.1}% (paper: ~20% / ~18%)",
-            r.server_saving() * 100.0,
-            r.network_saving() * 100.0
+            (1.0 - aware.mean_server_power_w() / balanced.mean_server_power_w()) * 100.0,
+            (1.0 - network_w(aware) / network_w(balanced)) * 100.0
         );
-        cdfs.push((rho, r));
     }
     // Fig. 11b: latency CDF for rho = 0.3.
-    if let Some((rho, r)) = cdfs.first() {
-        println!();
-        println!("# CDF at rho={rho}: cdf_fraction,balanced_latency_s,aware_latency_s");
-        let n = 50;
-        for i in 1..=n {
-            let q = i as f64 / n as f64;
-            let pick = |cdf: &[(f64, f64)]| -> f64 {
-                let idx = ((q * cdf.len() as f64).ceil() as usize).clamp(1, cdf.len());
-                cdf[idx - 1].0
-            };
-            println!(
-                "{:.2},{:.4},{:.4}",
-                q,
-                pick(&r.balanced.latency_cdf),
-                pick(&r.aware.latency_cdf)
-            );
-        }
+    let (balanced, aware) = (&reports[0], &reports[1]);
+    println!();
+    println!(
+        "# CDF at rho={}: cdf_fraction,balanced_latency_s,aware_latency_s",
+        rhos[0]
+    );
+    let n = 50;
+    for i in 1..=n {
+        let q = i as f64 / n as f64;
+        let pick = |cdf: &[(f64, f64)]| -> f64 {
+            let idx = ((q * cdf.len() as f64).ceil() as usize).clamp(1, cdf.len());
+            cdf[idx - 1].0
+        };
+        println!(
+            "{:.2},{:.4},{:.4}",
+            q,
+            pick(&balanced.latency_cdf),
+            pick(&aware.latency_cdf)
+        );
     }
 }
 
@@ -338,8 +355,7 @@ pub fn footnote1(scale: &FigScale) {
     let duration = SimDuration::from_secs(scale.pick(150, 40));
     let ratios = [1.0, 2.0, 5.0, 10.0, 20.0];
     eprintln!("# Footnote 1 — delay timer (tau = 0.4 s) under MMPP bursts");
-    println!("burst_ratio,energy_MJ,p95_ms,p99_ms");
-    for p in experiments::footnote1_burstiness(
+    let configs = experiments::footnote1_configs(
         WorkloadPreset::WebSearch,
         0.3,
         &ratios,
@@ -348,13 +364,15 @@ pub fn footnote1(scale: &FigScale) {
         4,
         duration,
         scale.seed,
-    ) {
+    );
+    let reports = run_configs(configs, scale.threads, None);
+    println!("burst_ratio,energy_MJ,p95_ms,p99_ms");
+    for (ratio, r) in ratios.iter().zip(&reports) {
         println!(
-            "{},{:.4},{:.1},{:.1}",
-            p.burst_ratio,
-            p.energy_j / 1e6,
-            p.p95_s * 1e3,
-            p.p99_s * 1e3
+            "{ratio},{:.4},{:.1},{:.1}",
+            r.server_energy_j() / 1e6,
+            r.latency.p95 * 1e3,
+            r.latency.p99 * 1e3
         );
     }
 }

@@ -82,6 +82,36 @@ impl TrialPoint {
         }
         label
     }
+
+    /// Builds the simulation configuration for this point, seeded with
+    /// `seed`, over `duration`: the delay-timer farm when the point has a
+    /// τ, the Active-Idle farm otherwise.
+    pub fn config(&self, seed: u64, duration: SimDuration) -> SimConfig {
+        let mut cfg = match self.tau_s {
+            Some(tau) => delay_timer_farm(
+                self.preset,
+                self.rho,
+                self.servers,
+                self.cores,
+                tau,
+                duration,
+                seed,
+            ),
+            None => SimConfig::server_farm(
+                self.servers,
+                self.cores,
+                self.rho,
+                self.preset.template(),
+                duration,
+            )
+            .with_seed(seed),
+        }
+        .with_policy(self.policy);
+        if let Some(spec) = &self.faults {
+            cfg.faults = Some(holdcsim_faults::load_plan(spec).expect("validated fault spec"));
+        }
+        cfg
+    }
 }
 
 /// A fully-specified trial: grid point × replicate, with the derived seed.
@@ -104,32 +134,7 @@ pub struct TrialSpec {
 impl TrialSpec {
     /// Builds the simulation configuration for this trial.
     pub fn config(&self) -> SimConfig {
-        let p = &self.point;
-        let mut cfg = match p.tau_s {
-            Some(tau) => delay_timer_farm(
-                p.preset,
-                p.rho,
-                p.servers,
-                p.cores,
-                tau,
-                self.duration,
-                self.seed,
-            )
-            .with_policy(p.policy),
-            None => SimConfig::server_farm(
-                p.servers,
-                p.cores,
-                p.rho,
-                p.preset.template(),
-                self.duration,
-            )
-            .with_seed(self.seed)
-            .with_policy(p.policy),
-        };
-        if let Some(spec) = &p.faults {
-            cfg.faults = Some(holdcsim_faults::load_plan(spec).expect("validated fault spec"));
-        }
-        cfg
+        self.point.config(self.seed, self.duration)
     }
 }
 

@@ -10,17 +10,19 @@
 //!   expanded into trials, each with a deterministic RNG stream derived
 //!   from its grid coordinates (via `holdcsim_des::rng`), so results are
 //!   bitwise identical at any thread count.
-//! * [`exec`] — a scoped-thread work-stealing executor
-//!   ([`exec::run_plan`] / [`exec::run_configs`]) with progress
-//!   reporting; results are stored by trial index, never by completion
-//!   order.
+//! * [`exec`] — batch execution ([`exec::run_plan`] /
+//!   [`exec::run_configs`]) with progress reporting, as one dispatch of
+//!   the federation's window pool (`holdcsim_cluster::pool`) over one
+//!   cell per trial; results are stored by trial index, never by
+//!   completion order.
 //! * [`agg`] — cross-replication aggregation: mean, sample standard
 //!   deviation, and Student-t 95 % confidence intervals per metric per
 //!   grid point.
 //! * [`artifacts`] — JSONL/CSV artifact rendering and writing, built on
 //!   `holdcsim::export`.
-//! * [`figs`] — the paper's figures re-expressed as plans/parallel runs,
-//!   backing the `holdcsim fig <n>` CLI subcommand.
+//! * [`figs`] — the paper's figures re-expressed as plans and batches of
+//!   configs run in parallel, backing the `holdcsim fig <n>` CLI
+//!   subcommand.
 //! * [`bench_scale`] — the canned fault plan and the two-site federation
 //!   that the repository benchmark (`perfbench/`) and the resilience
 //!   tests build on.

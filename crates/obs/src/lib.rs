@@ -7,8 +7,9 @@
 //! The design splits the cost question in two:
 //!
 //! - **Compile time**: an engine parameterized with
-//!   [`NoObserver`](holdcsim_des::NoObserver) monomorphizes the hook to
-//!   nothing — crates that never instrument pay zero.
+//!   [`NoObserver`](holdcsim_des::NoObserver) monomorphizes the hook, and
+//!   the panic guard the engine arms around every handler, to nothing —
+//!   crates that never instrument pay zero.
 //! - **Run time**: the [`Observer`] here is a single concrete type carrying
 //!   all four capabilities behind one cached `active` flag, so a run with
 //!   every flag off pays one predicted branch per event. That lets the
@@ -216,8 +217,6 @@ where
     M: Model + ProbeSource,
     M::Event: TraceEvent,
 {
-    const PANIC_HOOK: bool = true;
-
     #[inline]
     fn on_event(&mut self, now: SimTime, event: &M::Event, model: &M) {
         self.last = (now, event.kind());

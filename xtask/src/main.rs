@@ -3,7 +3,7 @@
 //! ```text
 //! cargo xtask analyze [--deny]   # static determinism lints (holdcsim-lint)
 //! cargo xtask miri [--require]   # Miri lane: kernel structures under the interpreter
-//! cargo xtask tsan [--require]   # ThreadSanitizer lane: scoped-thread executors
+//! cargo xtask tsan [--require]   # ThreadSanitizer lane: the window pool
 //! cargo xtask determinism [--release]
 //!                                # dynamic smoke: same seed twice ⇒ identical fingerprints
 //! cargo xtask gate               # analyze --deny + determinism (the local pre-push check)
@@ -149,10 +149,12 @@ fn miri(root: &Path, require: bool) -> ExitCode {
 }
 
 /// `cargo xtask tsan`: build std + the scoped-thread tests with
-/// ThreadSanitizer and run the worker-count determinism suites (the
-/// harness executor and the federation's conservative-window pool —
-/// `parallel_windows_bitwise_identical_to_serial` matches the filter —
-/// are the places real threads touch shared state).
+/// ThreadSanitizer and run the worker-count determinism suites. There is
+/// one thread pool, `holdcsim_cluster::pool`, and it is the one place
+/// real threads touch shared state: it runs federation windows
+/// (`parallel_windows_bitwise_identical_to_serial` matches the filter)
+/// and the harness's sweeps and figures
+/// (`sweep_is_bitwise_identical_across_thread_counts`).
 fn tsan(root: &Path, require: bool) -> ExitCode {
     if !nightly_has("rust-src") {
         return skip_or_fail(
@@ -182,7 +184,7 @@ fn tsan(root: &Path, require: bool) -> ExitCode {
         .status();
     match status {
         Ok(s) if s.success() => {
-            println!("xtask tsan: PASS (harness executor + window pool under TSan)");
+            println!("xtask tsan: PASS (window pool: federation windows, sweeps, figures)");
             ExitCode::SUCCESS
         }
         Ok(_) => ExitCode::from(1),
