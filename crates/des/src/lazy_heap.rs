@@ -1,5 +1,6 @@
-//! A lazy-deletion min-heap over densely-indexed items — the bottleneck
-//! selector and cell-due heap behind the cohort fair-share solver.
+//! A lazy-deletion min-heap over densely-indexed items — the cell-due
+//! heap behind the cohort fair-share solver (the solver's fill pops its
+//! bottlenecks from a sorted run instead).
 //!
 //! # Design note
 //!

@@ -41,7 +41,8 @@
 //! cell crossing a dirty link as a fixed reservation (link budgets come
 //! from the exact share-weighted allocation aggregate), and re-runs
 //! progressive filling on the sub-problem, popping canonical `(share,
-//! link)` bottlenecks from a [`LazyHeap`]. Because shares are exact
+//! link)` bottlenecks from the budget phase's shares, sorted once, merged
+//! with a small heap of revalidated re-pushes. Because shares are exact
 //! integers, the reservation sums are order-independent, so a link's
 //! budget never counts capacity twice and no link is ever allocated past
 //! its capacity. A reservation made at a floor-division tie may sit a
@@ -161,6 +162,68 @@ fn cross_of(cell: &Cell, li: u32) -> u32 {
     cell.cross
         .binary_search_by_key(&li, |e| e.0)
         .map_or(0, |p| cell.cross[p].1)
+}
+
+/// The fill's bottleneck selector: pops `(share, link)` entries in
+/// ascending order. The budget phase seeds each dirty link once and sorts
+/// the seeds into one run; a link whose popped share proved stale is
+/// re-pushed into a small heap, and each pop takes the smaller of the
+/// run's next entry and the heap's top. A link holds at most one entry at
+/// a time (seeded once, re-pushed only right after its own pop), so the
+/// order is strict, and a pop from the run costs O(1).
+#[derive(Debug, Default)]
+struct BottleneckRun {
+    /// The seeds, sorted by [`sort`](Self::sort).
+    sorted: Vec<(u64, u32)>,
+    /// Index of the first seed not yet popped.
+    next: usize,
+    /// Re-pushed entries.
+    repushed: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl BottleneckRun {
+    /// Empties the selector, keeping its allocations.
+    fn clear(&mut self) {
+        self.sorted.clear();
+        self.next = 0;
+        self.repushed.clear();
+    }
+
+    /// Seeds `link` at `share`. Every seed precedes [`sort`](Self::sort).
+    fn seed(&mut self, link: usize, share: u64) {
+        debug_assert!(
+            self.next == 0 && self.repushed.is_empty(),
+            "seeds precede pops"
+        );
+        self.sorted.push((share, link as u32));
+    }
+
+    /// Sorts the seeds into the run.
+    fn sort(&mut self) {
+        self.sorted.sort_unstable();
+    }
+
+    /// Re-pushes a just-popped `link` at its current `share`.
+    fn repush(&mut self, link: usize, share: u64) {
+        self.repushed.push(Reverse((share, link as u32)));
+    }
+
+    /// Pops the least `(share, link)` entry, as `(link, share)`.
+    fn pop(&mut self) -> Option<(usize, u64)> {
+        let head = self.sorted.get(self.next).copied();
+        let (share, link) = match (head, self.repushed.peek()) {
+            (Some(h), Some(&Reverse(top))) if top < h => {
+                self.repushed.pop();
+                top
+            }
+            (Some(h), _) => {
+                self.next += 1;
+                h
+            }
+            (None, _) => self.repushed.pop()?.0,
+        };
+        Some((link as usize, share))
+    }
 }
 
 /// `true` if `(vf, key)` is a live, current, non-parked entry of
@@ -297,11 +360,12 @@ pub struct FlowNet {
     /// Unfixed dirty-flow count per dirty link during a fill.
     cnt: Vec<u64>,
     /// Bottleneck selector over dirty links, keyed by fair share with
-    /// deterministic `(share, link)` tie-breaking. Entries are refreshed
+    /// deterministic `(share, link)` tie-breaking: the budget phase's
+    /// shares sorted once, plus the re-pushes. Entries are refreshed
     /// lazily: a popped entry whose share is stale (fair shares only rise
     /// within a fill) is re-pushed at its current value, which preserves
-    /// the canonical pop order without per-(cell × link) heap updates.
-    heap: LazyHeap<u64>,
+    /// the canonical pop order without per-(cell × link) updates.
+    bottlenecks: BottleneckRun,
     dirty_links: Vec<usize>,
     dirty_mask: Vec<bool>,
     dirty_cells: Vec<u32>,
@@ -361,7 +425,7 @@ impl FlowNet {
             pending_since: SimTime::ZERO,
             cap: vec![0; n],
             cnt: vec![0; n],
-            heap: LazyHeap::new(),
+            bottlenecks: BottleneckRun::default(),
             dirty_links: Vec::new(),
             dirty_mask: vec![false; n],
             dirty_cells: Vec::new(),
@@ -832,7 +896,7 @@ impl FlowNet {
             // over-allocates the link; the reserved shares it leaves out
             // are the committed ones, which may sit a few quanta off the
             // global fill's at floor-division ties.
-            self.heap.clear();
+            self.bottlenecks.clear();
             for i in 0..self.dirty_links.len() {
                 let li = self.dirty_links[i];
                 let reserved = self.alloc[li] - self.dirty_alloc[li];
@@ -843,9 +907,10 @@ impl FlowNet {
                 self.cap[li] = budget;
                 self.cnt[li] = w;
                 if let Some(share) = budget.checked_div(w) {
-                    self.heap.update(li, share);
+                    self.bottlenecks.seed(li, share);
                 }
             }
+            self.bottlenecks.sort();
             // Fill phase: progressive filling over the sub-problem, by
             // cell. `unfixed` counts member flows, which splits leave
             // unchanged.
@@ -856,7 +921,7 @@ impl FlowNet {
                 .map(|&c| self.cells[c as usize].members.len() as u64)
                 .sum();
             while unfixed > 0 {
-                let Some((bl, stale_share)) = self.heap.pop() else {
+                let Some((bl, stale_share)) = self.bottlenecks.pop() else {
                     // Defensive: cannot run dry while cells are unfixed
                     // (every dirty cell crosses a dirty link counting
                     // it). Park stragglers at zero on their first link.
@@ -882,7 +947,7 @@ impl FlowNet {
                 // pop is exactly the canonical (share, link) minimum.
                 let share = self.cap[bl] / self.cnt[bl];
                 if share != stale_share {
-                    self.heap.update(bl, share);
+                    self.bottlenecks.repush(bl, share);
                     continue;
                 }
                 self.levels.push((bl, share));
@@ -1132,11 +1197,13 @@ impl FlowNet {
             settle_cell(&mut cells[t as usize], t, flows, now, overdue);
             settle_cell(&mut cells[s as usize], s, flows, now, overdue);
         }
+        // Taken out for the walk and put back for `free_cell` to empty,
+        // so the freed slot keeps its capacity for the next `alloc_cell`.
         let members = std::mem::take(&mut self.cells[s as usize].members);
         let cross = std::mem::take(&mut self.cells[s as usize].cross);
         let v_src = self.cells[s as usize].vclock;
         let v_tgt = self.cells[t as usize].vclock;
-        for k in members {
+        for &k in &members {
             let f = self.flows.get_mut(k).expect("member is live");
             f.cell = t;
             f.vfinish = v_tgt + f.vfinish.saturating_sub(v_src);
@@ -1147,7 +1214,7 @@ impl FlowNet {
                 self.cells[t as usize].heap.push(Reverse((vf, k)));
             }
         }
-        for (li, k) in cross {
+        for &(li, k) in &cross {
             let tc = &mut self.cells[t as usize].cross;
             match tc.binary_search_by_key(&li, |&(l, _)| l) {
                 Ok(pos) => tc[pos].1 += k,
@@ -1157,10 +1224,9 @@ impl FlowNet {
                 }
             }
         }
-        self.cell_due.remove(s as usize);
-        self.cells[s as usize].live = false;
-        self.cells[s as usize].heap.clear();
-        self.free_cells.push(s);
+        self.cells[s as usize].members = members;
+        self.cells[s as usize].cross = cross;
+        self.free_cell(s);
     }
 
     /// Re-solves after seeded changes and drains the completion cascade:
@@ -1350,6 +1416,47 @@ mod tests {
 
     fn route(topo: &Topology, router: &mut Router, a: NodeId, b: NodeId, seed: u64) -> Vec<LinkId> {
         router.route(topo, a, b, seed).unwrap().links
+    }
+
+    /// The fill's selector pops exactly what a sorted `(share, link)`
+    /// reference holds, across batches of seeds, monotone re-pushes of
+    /// the link just popped, equal shares on different links, and fills
+    /// abandoned part-way and restarted.
+    #[test]
+    fn bottleneck_run_matches_a_sorted_reference() {
+        use holdcsim_des::rng::SimRng;
+
+        let mut rng = SimRng::seed_from(0x5027_0ED0);
+        let mut run = BottleneckRun::default();
+        for _ in 0..400 {
+            // A fresh fill, after whatever the last one left behind.
+            run.clear();
+            let mut reference = BTreeSet::new();
+            let links = 1 + rng.below(64);
+            for link in 0..links {
+                if rng.below(4) > 0 {
+                    // Coarse shares force plenty of exact ties.
+                    let share = rng.below(8);
+                    run.seed(link as usize, share);
+                    reference.insert((share, link as u32));
+                }
+            }
+            run.sort();
+            // Abandon the fill after this many pops, if it lasts that long.
+            let budget = rng.below(3 * links);
+            for _ in 0..budget {
+                let want = reference.pop_first();
+                assert_eq!(run.pop(), want.map(|(s, l)| (l as usize, s)));
+                let Some((share, link)) = want else {
+                    break;
+                };
+                if rng.below(2) == 0 {
+                    let share = share + rng.below(3);
+                    run.repush(link as usize, share);
+                    reference.insert((share, link));
+                }
+            }
+        }
     }
 
     /// Incast is the cohort engine's raison d'être: N senders converging on
